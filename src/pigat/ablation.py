@@ -15,8 +15,8 @@ import dataclasses
 import time
 from dataclasses import dataclass
 
-from .config import TrainConfig, _coerce
-from .data import InteractionLog, PreparedData, prepare_dataset
+from .config import TrainConfig, config_from_pairs
+from .data import PREPARE_FIELDS, InteractionLog, PreparedData, prepare_dataset
 from .errors import DataError, UsageError
 from .metrics import ScoredSet, auc, longtail_auc
 from .model import predict
@@ -50,17 +50,6 @@ def read_matrix(path: str) -> dict[str, dict[str, str]]:
     return matrix
 
 
-def apply_overrides(base: TrainConfig, overrides: dict[str, str]) -> TrainConfig:
-    fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    types = {"float": float, "int": int, "str": str, "bool": bool}
-    kwargs = {}
-    for key, raw in overrides.items():
-        if key not in fields:
-            raise DataError(f"unknown config key {key!r}")
-        kwargs[key] = _coerce(key, types[fields[key]], raw)
-    return dataclasses.replace(base, **kwargs).validate()
-
-
 def _evaluate(config: TrainConfig, data: PreparedData) -> tuple[float, dict[int, float | None]]:
     result = train(config, data)
     probs = predict(result.params, data.test)
@@ -76,8 +65,8 @@ def run_ablation(
 ) -> list[AblationRow]:
     if not matrix:
         raise UsageError("empty variant matrix")
-    # Instance encoding only depends on these knobs, not on the model,
-    # so variants that agree on them share one prepared dataset.
+    # Variants that agree on every field prepare_dataset reads share one
+    # prepared dataset.
     cache: dict[tuple, PreparedData] = {}
     rows: list[AblationRow] = []
     for label, overrides in matrix.items():
@@ -85,8 +74,8 @@ def run_ablation(
         for seed in seeds:
             started = time.perf_counter()
             try:
-                config = dataclasses.replace(apply_overrides(base, overrides), seed=seed)
-                key = (config.graph_mode, config.max_neighbors)
+                config = dataclasses.replace(config_from_pairs(overrides, base), seed=seed)
+                key = tuple(getattr(config, name) for name in PREPARE_FIELDS)
                 if key not in cache:
                     cache[key] = prepare_dataset(log, config)
                 score, tails = _evaluate(config, cache[key])

@@ -75,7 +75,15 @@ class TrainConfig:
         return self
 
 
-def _coerce(name: str, kind: type, text: str) -> object:
+_TYPES = {"float": float, "int": int, "str": str, "bool": bool}
+
+
+def field_types(cls) -> dict[str, type]:
+    """Field name -> Python type of a dataclass with scalar fields."""
+    return {f.name: _TYPES[f.type] for f in dataclasses.fields(cls)}
+
+
+def _coerce(what: str, kind: type, text: str) -> object:
     text = text.strip()
     try:
         if kind is bool:
@@ -87,18 +95,23 @@ def _coerce(name: str, kind: type, text: str) -> object:
             raise ValueError(text)
         return kind(text)
     except ValueError:
-        raise DataError(f"config key {name} expects {kind.__name__}, got {text!r}") from None
+        raise DataError(f"{what} expects {kind.__name__}, got {text!r}") from None
 
 
-def config_from_pairs(pairs: dict[str, str]) -> TrainConfig:
-    fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    types = {"float": float, "int": int, "str": str, "bool": bool}
-    kwargs = {}
+def coerce_pairs(pairs: dict[str, str], kinds: dict[str, type], what: str) -> dict[str, object]:
+    """Parse `key = value` strings into typed field values; unknown keys are data errors."""
+    values = {}
     for key, raw in pairs.items():
-        if key not in fields:
-            raise DataError(f"unknown config key {key!r}")
-        kwargs[key] = _coerce(key, types[fields[key]], raw)
-    return TrainConfig(**kwargs).validate()
+        if key not in kinds:
+            raise DataError(f"unknown {what} key {key!r}")
+        values[key] = _coerce(f"{what} key {key}", kinds[key], raw)
+    return values
+
+
+def config_from_pairs(pairs: dict[str, str], base: TrainConfig | None = None) -> TrainConfig:
+    """base (the defaults when None) with the named fields replaced by parsed values."""
+    values = coerce_pairs(pairs, field_types(TrainConfig), "config")
+    return dataclasses.replace(base if base is not None else TrainConfig(), **values).validate()
 
 
 def parse_kv_lines(path: str) -> dict[str, str]:
@@ -138,8 +151,14 @@ def config_to_dict(cfg: TrainConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> TrainConfig:
-    names = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(d) - names
+    """Inverse of config_to_dict; values must already have their field's type."""
+    kinds = field_types(TrainConfig)
+    unknown = set(d) - set(kinds)
     if unknown:
         raise DataError(f"unknown config keys {sorted(unknown)}")
+    for key, value in d.items():
+        kind = kinds[key]
+        # bool is an int subclass and int widens to float; nothing else converts.
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise DataError(f"config key {key} expects {kind.__name__}, got {value!r}")
     return TrainConfig(**d).validate()

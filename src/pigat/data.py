@@ -10,20 +10,21 @@ must repeat them. Signals are either already-binary labels (all values
 in {0, 1}) or ratings, which become positive above 3.
 
 Instance construction is leakage-free by construction: each interaction
-is encoded against a graph snapshot at its own timestamp before being
-inserted, so a window never contains the interaction itself or anything
-later. Static mode deliberately breaks this for the ablation: one
-snapshot at the end of the training period serves every instance.
+is encoded against the graph's history strictly before its own timestamp,
+so a window never contains the interaction itself, a tie, or anything
+later. Static mode deliberately breaks this for the ablation: the whole
+training-period graph, with no cutoff, serves every instance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import TrainConfig
-from .errors import DataError, UsageError
+from .errors import DataError
 from .features import Batch, FeatureSchema, FieldVocab, encode_instance
 from .graph import ITEM, USER, InteractionEvent, InteractionGraph
 
@@ -91,6 +92,8 @@ def read_interactions(path: str) -> InteractionLog:
                 signal = float(parts[3])
             except ValueError:
                 raise DataError(f"{path}:{line_no}: bad signal {parts[3]!r}") from None
+            if not math.isfinite(signal):
+                raise DataError(f"{path}:{line_no}: non-finite signal {parts[3]!r}")
             records.append(RawInteraction(timestamp, user_values, item_values, signal, line_no))
     if not records:
         raise DataError(f"{path}: no interactions")
@@ -159,7 +162,6 @@ def encode_events(
                 label=int(label),
                 user_ids=schema.encode_profile(USER, rec.user_values),
                 item_ids=schema.encode_profile(ITEM, rec.item_values),
-                raw=rec,
             )
         )
     return events
@@ -172,16 +174,6 @@ def rebuild_graph(schema: FeatureSchema, events: list[InteractionEvent]) -> Inte
     return graph
 
 
-def log_from_graph(graph: InteractionGraph, log: InteractionLog) -> InteractionLog:
-    """Recover a writable log from a graph built by encode_events."""
-    records = []
-    for event in graph.events:
-        if not isinstance(event.raw, RawInteraction):
-            raise UsageError("graph events carry no raw interaction records")
-        records.append(event.raw)
-    return InteractionLog(log.user_field_names, log.item_field_names, records)
-
-
 def build_instances(
     schema: FeatureSchema,
     events: list[InteractionEvent],
@@ -191,25 +183,25 @@ def build_instances(
 ):
     """Encode every event; returns instances aligned with the input order.
 
-    dynamic: encode against the snapshot at the event's own timestamp,
-    then insert, so each window sees exactly the strictly-earlier
-    interactions (later splits keep inserting; the graph grows through
-    validation and test time, only the model stays fixed).
-    static: one snapshot over the caller-supplied graph serves everyone.
+    dynamic: encode against the history before the event's own
+    timestamp, then insert, so each window sees exactly the
+    strictly-earlier interactions (later splits keep inserting; the graph
+    grows through validation and test time, only the model stays fixed).
+    static: the graph of the training period, with no cutoff, serves
+    everyone.
     """
     if mode == "dynamic":
         graph = InteractionGraph(schema.node_count(USER), schema.node_count(ITEM))
         instances = []
         for event in events:
-            snapshot = graph.snapshot_at(event.timestamp)
-            instances.append(encode_instance(schema, event, snapshot, k, positives_only))
+            instances.append(encode_instance(schema, event, graph, event.timestamp, k, positives_only))
             graph.insert(event)
         return instances
     if mode != "static":
         raise DataError(f"graph mode must be dynamic or static, got {mode!r}")
     n_train, _ = timeline_split(len(events))
-    frozen = rebuild_graph(schema, events[:n_train]).snapshot_at(float("inf"))
-    return [encode_instance(schema, ev, frozen, k, positives_only) for ev in events]
+    frozen = rebuild_graph(schema, events[:n_train])
+    return [encode_instance(schema, ev, frozen, math.inf, k, positives_only) for ev in events]
 
 
 @dataclass
@@ -223,6 +215,17 @@ class PreparedData:
 
     def degrees_for(self, batch: Batch) -> Array:
         return self.item_degrees[batch.item_ids[:, 0]]
+
+
+# The config fields prepare_dataset reads: configs that agree on them
+# get identical prepared data.
+PREPARE_FIELDS = (
+    "graph_mode",
+    "max_neighbors",
+    "include_negative_neighbors",
+    "user_embed_width",
+    "item_embed_width",
+)
 
 
 def prepare_dataset(
@@ -245,9 +248,7 @@ def prepare_dataset(
         config.max_neighbors,
         positives_only=not config.include_negative_neighbors,
     )
-    degrees = np.zeros(schema.node_count(ITEM), dtype=np.int64)
-    for event in events[:n_train]:
-        degrees[event.item] += 1
+    degrees = np.bincount([e.item for e in events[:n_train]], minlength=schema.node_count(ITEM))
     return PreparedData(
         schema=schema,
         label_kind=kind,

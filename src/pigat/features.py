@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DomainError, ShapeError
-from .graph import ITEM, USER, InteractionEvent, InteractionGraph, NodeId
+from .graph import ITEM, USER, InteractionEvent, InteractionGraph
 
 Array = np.ndarray
 
@@ -124,33 +124,6 @@ def write_schema(schema: FeatureSchema, path: str) -> None:
         fh.write(f"embed item {schema.item_width}\n")
 
 
-def read_schema_shape(path: str) -> tuple[list[tuple[str, str, int]], int, int]:
-    """Parse a schema file back into (field shape, user width, item width)."""
-    shape: list[tuple[str, str, int]] = []
-    widths = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected three tokens, got {line!r}")
-            if parts[0] == "embed":
-                if parts[1] not in (USER, ITEM):
-                    raise DataError(f"{path}:{lineno}: unknown side {parts[1]!r}")
-                widths[parts[1]] = int(parts[2])
-            elif parts[0] in (USER, ITEM):
-                shape.append((parts[0], parts[1], int(parts[2])))
-            else:
-                raise DataError(f"{path}:{lineno}: unknown line kind {parts[0]!r}")
-    if USER not in widths or ITEM not in widths:
-        raise DataError(f"{path}: missing embed width lines")
-    if not shape:
-        raise DataError(f"{path}: no field lines")
-    return shape, widths[USER], widths[ITEM]
-
-
 @dataclass
 class EmbeddingTable:
     """Per-side embedding rows plus a same-shape gradient accumulator."""
@@ -231,32 +204,33 @@ class EncodedInstance:
 def encode_instance(
     schema: FeatureSchema,
     event: InteractionEvent,
-    snapshot: InteractionGraph,
+    graph: InteractionGraph,
+    before: float,
     k: int,
     positives_only: bool = False,
 ) -> EncodedInstance:
-    """Encode one interaction against a graph view.
+    """Encode one interaction against the graph's history before a cutoff.
 
-    The caller controls leakage through the snapshot: pass the view at
-    the event's own timestamp for causal encoding. positives_only drops
-    negative-label interactions from the windows before truncation.
+    The caller controls leakage through the cutoff: pass the event's own
+    timestamp for causal encoding. positives_only drops negative-label
+    interactions from the windows before truncation.
     """
     if k < 1:
         raise DomainError(f"neighbor window k must be >= 1, got {k}")
-    u_events = _window(snapshot, NodeId(USER, event.user), k, positives_only)
-    i_events = _window(snapshot, NodeId(ITEM, event.item), k, positives_only)
+    u_events = _window(graph, USER, event.user, before, k, positives_only)
+    i_events = _window(graph, ITEM, event.item, before, k, positives_only)
 
     n_item_fields = len(schema.item_fields)
     user_nbrs = np.empty((k, n_item_fields), dtype=np.int64)
     user_nbrs[:] = [schema.pad_id(ITEM, p) for p in range(n_item_fields)]
     user_mask = np.zeros(k, dtype=bool)
-    for slot, (_, _, ev) in enumerate(u_events):
+    for slot, ev in enumerate(u_events):
         user_nbrs[slot] = ev.item_ids
         user_mask[slot] = True
 
     item_nbrs = np.full(k, schema.pad_id(USER, 0), dtype=np.int64)
     item_mask = np.zeros(k, dtype=bool)
-    for slot, (_, _, ev) in enumerate(i_events):
+    for slot, ev in enumerate(i_events):
         item_nbrs[slot] = ev.user_ids[0]  # identity field only on this path
         item_mask[slot] = True
 
@@ -272,11 +246,13 @@ def encode_instance(
     )
 
 
-def _window(snapshot: InteractionGraph, node: NodeId, k: int, positives_only: bool):
+def _window(
+    graph: InteractionGraph, part: str, index: int, before: float, k: int, positives_only: bool
+) -> list[InteractionEvent]:
     if positives_only:
-        kept = [e for e in snapshot.neighbor_events(node) if e[2].label > 0]
+        kept = [e for e in graph.neighbor_events(part, index, before=before) if e.label > 0]
         return kept[-k:]
-    return snapshot.neighbor_events(node, k)
+    return graph.neighbor_events(part, index, k, before)
 
 
 @dataclass

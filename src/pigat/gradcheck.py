@@ -25,6 +25,7 @@ from .errors import NumericError
 from .features import Batch, FeatureSchema, FieldVocab, encode_instance
 from .graph import ITEM, USER, InteractionEvent, InteractionGraph
 from .model import backward, bce_loss, forward, init_params, named_parameters
+from .nn import fd_coordinate
 
 SMOOTH_MARGIN = 2e-4
 DEFAULT_STEP = 1e-5
@@ -80,9 +81,8 @@ def _toy_batch(schema: FeatureSchema, config: TrainConfig, rng: np.random.Genera
         g.insert(event(u, i, ts, int(rng.random() < 0.5)))
     end = len(history) + 1
     queries = [event(0, 3, end, 1), event(1, 1, end, 0), event(2, 0, end, 1)]
-    snap = g.snapshot_at(end)
     k = config.max_neighbors
-    return Batch.from_instances([encode_instance(schema, q, snap, k) for q in queries])
+    return Batch.from_instances([encode_instance(schema, q, g, end, k) for q in queries])
 
 
 def build_case(config: TrainConfig, seed: int, max_tries: int = 200):
@@ -147,7 +147,8 @@ def check_gradients(
             f"backward covered {sorted(grads)} but the model has {sorted(named)}"
         )
 
-    def loss_now() -> float:
+    def loss_now(_: np.ndarray) -> float:
+        # The perturbed array is a live parameter, so forward() reads it.
         st = forward(params, batch, mode="train")
         return bce_loss(st.prob, batch.labels)
 
@@ -155,29 +156,19 @@ def check_gradients(
     per_group: dict[str, float] = {}
     checked: dict[str, int] = {}
     for name, arr in named.items():
-        flat = arr.reshape(-1)
-        if samples_per_array is None or samples_per_array >= flat.size:
-            coords = np.arange(flat.size)
+        if samples_per_array is None or samples_per_array >= arr.size:
+            coords = np.arange(arr.size)
         else:
-            coords = rng.choice(flat.size, size=samples_per_array, replace=False)
+            coords = rng.choice(arr.size, size=samples_per_array, replace=False)
         worst = 0.0
         g_flat = grads[name].reshape(-1)
         for c in coords:
-            keep = flat[c]
-
-            def quotient(step: float) -> float:
-                flat[c] = keep + step
-                up = loss_now()
-                flat[c] = keep - step
-                down = loss_now()
-                flat[c] = keep
-                return (up - down) / (2.0 * step)
-
-            err = relative_error(float(g_flat[c]), quotient(h))
+            analytic = float(g_flat[c])
+            err = relative_error(analytic, fd_coordinate(loss_now, arr, c, h))
             for step in RETRY_STEPS:
                 if err <= RETRY_THRESHOLD:
                     break
-                err = min(err, relative_error(float(g_flat[c]), quotient(step)))
+                err = min(err, relative_error(analytic, fd_coordinate(loss_now, arr, c, step)))
             worst = max(worst, err)
         per_group[name] = worst
         checked[name] = len(coords)

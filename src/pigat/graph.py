@@ -1,16 +1,17 @@
-"""Append-only bipartite interaction graph with time-travel queries.
+"""Append-only bipartite interaction graph with one query: history before t.
 
-Every inserted interaction creates a user->item edge and an item->user
-edge. Each endpoint labels the edge with a head-relative order counter
-starting at 1, so a node's neighbor list doubles as its interaction
-history. Snapshots are cheap views that hide everything at or after a
-cutoff timestamp; they stay frozen even if the log grows afterwards.
+Every inserted interaction joins the history of its user and of its
+item. neighbor_events returns a node's last interactions with timestamp
+strictly below a cutoff, so a window built for an interaction at time t
+sees exactly the strictly-earlier history: never an interaction tied at
+t, never one inserted later.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .errors import DataError, DomainError
 
@@ -18,29 +19,12 @@ USER = "user"
 ITEM = "item"
 
 
-def opposite(part: str) -> str:
-    return ITEM if part == USER else USER
-
-
-@dataclass(frozen=True)
-class NodeId:
-    part: str
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.part not in (USER, ITEM):
-            raise DomainError(f"unknown graph part {self.part!r}")
-        if self.index < 0:
-            raise DomainError(f"node index must be non-negative, got {self.index}")
-
-
 @dataclass(frozen=True)
 class InteractionEvent:
     """One user-item interaction.
 
     user_ids / item_ids hold the embedding-table ids of the two profiles
-    as they were at interaction time; raw keeps the source record so the
-    event log can be re-serialized verbatim.
+    as they were at interaction time.
     """
 
     user: int
@@ -49,37 +33,23 @@ class InteractionEvent:
     label: int = 1
     user_ids: tuple[int, ...] = ()
     item_ids: tuple[int, ...] = ()
-    raw: object = None
-
-
-@dataclass
-class _NodeLog:
-    # Parallel arrays, appended in insertion order. Timestamps are
-    # non-decreasing and sequence numbers strictly increasing, which is
-    # what lets snapshots binary-search their visible prefix.
-    tails: list[int] = field(default_factory=list)
-    timestamps: list[int] = field(default_factory=list)
-    seqs: list[int] = field(default_factory=list)
-    events: list[InteractionEvent] = field(default_factory=list)
 
 
 class InteractionGraph:
-    """The live event log plus per-node adjacency in insertion order."""
+    """Per-node interaction histories in insertion order."""
 
     def __init__(self, num_users: int | None = None, num_items: int | None = None):
-        self.events: list[InteractionEvent] = []
-        self._logs = {USER: {}, ITEM: {}}
+        # part -> node index -> (timestamps, events). Timestamps are
+        # non-decreasing, which is what lets a query bisect its cutoff.
+        self._logs: dict[str, dict[int, tuple[list[int], list[InteractionEvent]]]] = {
+            USER: {},
+            ITEM: {},
+        }
         self._bounds = {USER: num_users, ITEM: num_items}
         self._last_ts: int | None = None
 
-    def _log_for(self, part: str, index: int) -> _NodeLog:
-        logs = self._logs[part]
-        if index not in logs:
-            logs[index] = _NodeLog()
-        return logs[index]
-
-    def insert(self, event: InteractionEvent) -> tuple[int, int]:
-        """Append an interaction; returns (user-side order, item-side order).
+    def insert(self, event: InteractionEvent) -> None:
+        """Append an interaction to the histories of its user and its item.
 
         Inserts must arrive with non-decreasing timestamps; ties keep
         their arrival order. Unknown nodes come into existence here.
@@ -93,80 +63,26 @@ class InteractionGraph:
             bound = self._bounds[part]
             if index < 0 or (bound is not None and index >= bound):
                 raise DataError(f"{part} index {index} outside frozen vocabulary of size {bound}")
-        seq = len(self.events)
-        self.events.append(event)
         self._last_ts = event.timestamp
-        u_log = self._log_for(USER, event.user)
-        i_log = self._log_for(ITEM, event.item)
-        for log, tail in ((u_log, event.item), (i_log, event.user)):
-            log.tails.append(tail)
-            log.timestamps.append(event.timestamp)
-            log.seqs.append(seq)
-            log.events.append(event)
-        return len(u_log.tails), len(i_log.tails)
-
-    # A live graph is just a view with nothing hidden.
-    def _visible_len(self, log: _NodeLog) -> int:
-        return len(log.tails)
-
-    def _query_log(self, node: NodeId) -> _NodeLog | None:
-        return self._logs[node.part].get(node.index)
-
-    def degree(self, node: NodeId) -> int:
-        """Untruncated number of interactions this node has seen."""
-        log = self._query_log(node)
-        return 0 if log is None else self._visible_len(log)
-
-    def ordered_neighbors(self, node: NodeId, max_len: int | None = None) -> list[tuple[NodeId, int]]:
-        """Last max_len neighbors in ascending interaction order.
-
-        Unknown nodes yield the empty list: a cold start is routine, not
-        an error. Orders are the head-relative labels assigned at insert.
-        """
-        return [(tail, order) for tail, order, _ in self.neighbor_events(node, max_len)]
+        for part, index in ((USER, event.user), (ITEM, event.item)):
+            timestamps, events = self._logs[part].setdefault(index, ([], []))
+            timestamps.append(event.timestamp)
+            events.append(event)
 
     def neighbor_events(
-        self, node: NodeId, max_len: int | None = None
-    ) -> list[tuple[NodeId, int, InteractionEvent]]:
-        """Like ordered_neighbors but with the originating events attached."""
+        self, part: str, index: int, max_len: int | None = None, before: float = math.inf
+    ) -> list[InteractionEvent]:
+        """The node's last max_len interactions with timestamp < before, oldest first.
+
+        Unknown nodes yield the empty list: a cold start is routine, not
+        an error.
+        """
         if max_len is not None and max_len < 0:
             raise DomainError(f"max_len must be non-negative, got {max_len}")
-        log = self._query_log(node)
+        log = self._logs[part].get(index)
         if log is None:
             return []
-        n = self._visible_len(log)
-        start = 0 if max_len is None else max(0, n - max_len)
-        part = opposite(node.part)
-        return [
-            (NodeId(part, log.tails[j]), j + 1, log.events[j])
-            for j in range(start, n)
-        ]
-
-    def snapshot_at(self, cutoff: float) -> "GraphSnapshot":
-        """Freeze the view of everything strictly before cutoff."""
-        return GraphSnapshot(self, cutoff, len(self.events))
-
-
-class GraphSnapshot(InteractionGraph):
-    """Immutable time-travel view over a live graph.
-
-    Visibility requires both timestamp < cutoff and insertion before the
-    snapshot was taken, so equal-timestamp events inserted later can
-    never leak in.
-    """
-
-    def __init__(self, base: InteractionGraph, cutoff: float, max_seq: int):
-        self._logs = base._logs
-        self.cutoff = cutoff
-        self._max_seq = max_seq
-
-    def insert(self, event: InteractionEvent) -> tuple[int, int]:
-        raise DataError("snapshots are read-only; insert into the live graph instead")
-
-    def snapshot_at(self, cutoff: float) -> "GraphSnapshot":
-        raise DataError("snapshot of a snapshot is not supported; take it from the live graph")
-
-    def _visible_len(self, log: _NodeLog) -> int:
-        by_ts = bisect.bisect_left(log.timestamps, self.cutoff)
-        by_seq = bisect.bisect_left(log.seqs, self._max_seq)
-        return min(by_ts, by_seq)
+        timestamps, events = log
+        end = bisect.bisect_left(timestamps, before)
+        start = 0 if max_len is None else max(0, end - max_len)
+        return events[start:end]

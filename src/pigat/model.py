@@ -71,6 +71,15 @@ PROB_CLAMP = 1e-7
 MLP_HIDDEN = (80, 40)
 ATT_HIDDEN = {"ffn-1": (), "ffn-2": (32,), "ffn-3": (64, 32)}
 HEAD_NAMES = ("ui", "ua", "ii", "ia")
+# The integrate layers as (name, left input, right input), in the order
+# their outputs are concatenated. "user" and "item" are the profile
+# embeddings, head names their pooled windows.
+INTEGRATE = (
+    ("int_user", "user", "ui"),
+    ("int_item", "item", "ii"),
+    ("adp_user", "ui", "ua"),
+    ("adp_item", "ii", "ia"),
+)
 CKPT_MAGIC = b"PIGATCKPT1\n"
 
 
@@ -122,12 +131,9 @@ class PigatParams:
     adp_item_b: Array
     mlp: FfnParams
 
-    @property
-    def widths(self) -> dict[str, int]:
-        s = self.schema
-        du = len(s.user_fields) * s.user_width
-        di = len(s.item_fields) * s.item_width
-        return {"user": du, "item": di, "un": di, "in": s.user_width}
+    def integrate_layer(self, name: str) -> tuple[Array, Array]:
+        """(weight, bias) of one INTEGRATE layer."""
+        return getattr(self, f"{name}_w"), getattr(self, f"{name}_b")
 
 
 def query_sides(config: TrainConfig) -> dict[str, str]:
@@ -159,7 +165,12 @@ def init_params(rng: np.random.Generator, schema: FeatureSchema, config: TrainCo
             heads[name] = _init_head(rng, config.attention, qw[sides[name]], k_width)
 
     dh = config.hidden_width
-    params = PigatParams(
+    widths = {"user": du, "item": di, "ui": win_user, "ua": win_user, "ii": win_item, "ia": win_item}
+    integrate = {}
+    for name, left, right in INTEGRATE:
+        integrate[f"{name}_w"] = glorot_uniform(rng, dh, widths[left] + widths[right])
+        integrate[f"{name}_b"] = np.zeros(dh)
+    return PigatParams(
         schema=schema,
         config=config,
         user_table=user_table,
@@ -167,17 +178,9 @@ def init_params(rng: np.random.Generator, schema: FeatureSchema, config: TrainCo
         conf_user=conf_user,
         conf_item=conf_item,
         heads=heads,
-        int_user_w=glorot_uniform(rng, dh, du + win_user),
-        int_user_b=np.zeros(dh),
-        int_item_w=glorot_uniform(rng, dh, di + win_item),
-        int_item_b=np.zeros(dh),
-        adp_user_w=glorot_uniform(rng, dh, 2 * win_user),
-        adp_user_b=np.zeros(dh),
-        adp_item_w=glorot_uniform(rng, dh, 2 * win_item),
-        adp_item_b=np.zeros(dh),
-        mlp=ffn_init(rng, [4 * dh, *MLP_HIDDEN, 1], LEAKY_SLOPE),
+        **integrate,
+        mlp=ffn_init(rng, [len(INTEGRATE) * dh, *MLP_HIDDEN, 1], LEAKY_SLOPE),
     )
-    return params
 
 
 def named_parameters(params: PigatParams) -> dict[str, Array]:
@@ -198,14 +201,8 @@ def named_parameters(params: PigatParams) -> dict[str, Array]:
         elif head.proj_w is not None:
             out[f"att_{name}.proj_w"] = head.proj_w
             out[f"att_{name}.proj_b"] = head.proj_b
-    out["int_user.w"] = params.int_user_w
-    out["int_user.b"] = params.int_user_b
-    out["int_item.w"] = params.int_item_w
-    out["int_item.b"] = params.int_item_b
-    out["adp_user.w"] = params.adp_user_w
-    out["adp_user.b"] = params.adp_user_b
-    out["adp_item.w"] = params.adp_item_w
-    out["adp_item.b"] = params.adp_item_b
+    for name, _, _ in INTEGRATE:
+        out[f"{name}.w"], out[f"{name}.b"] = params.integrate_layer(name)
     for i, (w, b) in enumerate(zip(params.mlp.weights, params.mlp.biases)):
         out[f"mlp.w{i}"] = w
         out[f"mlp.b{i}"] = b
@@ -255,10 +252,10 @@ def uniform_coefficients(mask: Array) -> Array:
 
 
 def attention_logits(head: AttentionHead, query: Array, keys: Array) -> tuple[Array, HeadState]:
-    """Score each window slot against the query; returns logits and cache."""
-    squeeze = query.ndim == 1
-    if squeeze:
-        query, keys = query[None], keys[None]
+    """Score each window slot against the query; returns logits and cache.
+
+    query is (B, query width), keys (B, k, key width); logits are (B, k).
+    """
     b, k, kw = keys.shape
     if head.kind in ATT_HIDDEN:
         x = np.concatenate([np.broadcast_to(query[:, None, :], (b, k, query.shape[1])), keys], axis=2)
@@ -271,15 +268,7 @@ def attention_logits(head: AttentionHead, query: Array, keys: Array) -> tuple[Ar
         if head.kind == "scaled-dot":
             logits = logits / np.sqrt(kw)
         state = HeadState(logits, np.empty(0), query=query, keys=keys, q_proj=q)
-    if squeeze:
-        state.logits = state.logits[0]
-        return state.logits, state
     return logits, state
-
-
-def attention_coefficients(head: AttentionHead, query: Array, keys: Array, mask: Array) -> Array:
-    logits, _ = attention_logits(head, query, keys)
-    return masked_softmax(logits, mask)
 
 
 def pooled_embedding(weights: Array, values: Array) -> Array:
@@ -340,16 +329,12 @@ def forward(
         head_states[name] = state
         pools[name] = pooled_embedding(state.weights, pool_src)
 
-    int_inputs = {
-        "int_user": (params.int_user_w, params.int_user_b, e_user, pools["ui"]),
-        "int_item": (params.int_item_w, params.int_item_b, e_item, pools["ii"]),
-        "adp_user": (params.adp_user_w, params.adp_user_b, pools["ui"], pools["ua"]),
-        "adp_item": (params.adp_item_w, params.adp_item_b, pools["ii"], pools["ia"]),
-    }
+    sources = {**profiles, **pools}
     int_states: dict[str, tuple[Array, Array]] = {}
     int_outs = []
-    for name, (w, bias, left, right) in int_inputs.items():
-        out, pre, x = integrate_forward(w, bias, left, right)
+    for name, left, right in INTEGRATE:
+        w, bias = params.integrate_layer(name)
+        out, pre, x = integrate_forward(w, bias, sources[left], sources[right])
         int_states[name] = (x, pre)
         int_outs.append(out)
         margins.append(np.abs(pre).min())
@@ -437,40 +422,18 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
     d_merged = d_merged_in * state.drop if state.drop is not None else d_merged_in
 
     dh = cfg.hidden_width
-    d_pools = {name: None for name in HEAD_NAMES}
-    d_e_user = np.zeros_like(state.e_user)
-    d_e_item = np.zeros_like(state.e_item)
-
-    int_wiring = {
-        "int_user": (params.int_user_w, "int_user.w", "int_user.b"),
-        "int_item": (params.int_item_w, "int_item.w", "int_item.b"),
-        "adp_user": (params.adp_user_w, "adp_user.w", "adp_user.b"),
-        "adp_item": (params.adp_item_w, "adp_item.w", "adp_item.b"),
-    }
-    split_left = {"int_user": state.e_user.shape[1], "int_item": state.e_item.shape[1]}
-    for idx, (name, (w, wkey, bkey)) in enumerate(int_wiring.items()):
+    sources = {"user": state.e_user, "item": state.e_item, **state.pools}
+    d_sources: dict[str, Array] = {}  # gradient per INTEGRATE input
+    for idx, (name, left, right) in enumerate(INTEGRATE):
         x, pre = state.int_states[name]
         d_out = d_merged[:, idx * dh : (idx + 1) * dh]
         d_pre = d_out * leaky_relu_slope_at(pre, LEAKY_SLOPE)
-        grads[wkey] = d_pre.T @ x
-        grads[bkey] = d_pre.sum(axis=0)
-        d_x = d_pre @ w
-        if name == "int_user":
-            cut = split_left[name]
-            d_e_user += d_x[:, :cut]
-            d_pools["ui"] = _acc(d_pools["ui"], d_x[:, cut:])
-        elif name == "int_item":
-            cut = split_left[name]
-            d_e_item += d_x[:, :cut]
-            d_pools["ii"] = _acc(d_pools["ii"], d_x[:, cut:])
-        elif name == "adp_user":
-            cut = d_x.shape[1] // 2
-            d_pools["ui"] = _acc(d_pools["ui"], d_x[:, :cut])
-            d_pools["ua"] = _acc(d_pools["ua"], d_x[:, cut:])
-        else:
-            cut = d_x.shape[1] // 2
-            d_pools["ii"] = _acc(d_pools["ii"], d_x[:, :cut])
-            d_pools["ia"] = _acc(d_pools["ia"], d_x[:, cut:])
+        grads[f"{name}.w"] = d_pre.T @ x
+        grads[f"{name}.b"] = d_pre.sum(axis=0)
+        d_x = d_pre @ params.integrate_layer(name)[0]
+        cut = sources[left].shape[1]
+        d_sources[left] = _acc(d_sources.get(left), d_x[:, :cut])
+        d_sources[right] = _acc(d_sources.get(right), d_x[:, cut:])
 
     un_pool = state.un_aug if cfg.confidence_in_pooling else state.un_raw
     in_pool = state.in_aug if cfg.confidence_in_pooling else state.in_raw
@@ -479,15 +442,13 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
     d_un_raw = np.zeros_like(state.un_raw)
     d_in_raw = np.zeros_like(state.in_raw)
     sides = query_sides(cfg)
-    profiles = {"user": state.e_user, "item": state.e_item}
-    d_profiles = {"user": d_e_user, "item": d_e_item}
 
     for name in HEAD_NAMES:
         hstate = state.heads[name]
         user_side = name in ("ui", "ua")
         mask = batch.user_mask if user_side else batch.item_mask
         pool_src = un_pool if user_side else in_pool
-        d_pool = d_pools[name]
+        d_pool = d_sources[name]
 
         # Pooling backward: weights and values both carry gradient.
         d_weights = np.einsum("bw,bkw->bk", d_pool, pool_src)
@@ -503,7 +464,7 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
         head = params.heads[name]
         d_keys, d_query = _head_backward(head, name, hstate, d_logits, grads)
         (d_un_aug if user_side else d_in_aug)[...] += d_keys
-        d_profiles[sides[name]] += d_query
+        d_sources[sides[name]] += d_query
 
     # Confidence addition: augmented = raw + mask * rows.
     scatter_confidence_gradient(params.conf_user, batch.user_mask, d_un_aug)
@@ -516,8 +477,8 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
     d_in_raw += d_in_aug
 
     h_u, h_i = params.schema.user_width, params.schema.item_width
-    scatter_gradient(params.user_table, batch.user_ids, d_e_user.reshape(b, -1, h_u))
-    scatter_gradient(params.item_table, batch.item_ids, d_e_item.reshape(b, -1, h_i))
+    scatter_gradient(params.user_table, batch.user_ids, d_sources["user"].reshape(b, -1, h_u))
+    scatter_gradient(params.item_table, batch.item_ids, d_sources["item"].reshape(b, -1, h_i))
     scatter_gradient(params.item_table, batch.user_nbrs, d_un_raw.reshape(b, d_un_raw.shape[1], -1, h_i))
     scatter_gradient(params.user_table, batch.item_nbrs, d_in_raw)
     grads["user_table"] = params.user_table.grad
@@ -600,19 +561,29 @@ def load_checkpoint(path: str) -> tuple[PigatParams, dict]:
             header = json.loads(fh.readline().decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise DataError(f"{path}: corrupt checkpoint header: {err}") from None
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: checkpoint header is not a JSON object")
         if header.get("version") != 1:
             raise DataError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
-        sch = header["schema"]
-        schema = FeatureSchema(
-            user_fields=[FieldVocab(d["name"], list(d["values"])) for d in sch["user_fields"]],
-            item_fields=[FieldVocab(d["name"], list(d["values"])) for d in sch["item_fields"]],
-            user_width=sch["user_width"],
-            item_width=sch["item_width"],
-        )
-        config = config_from_dict(header["config"])
+        try:
+            sch = header["schema"]
+            widths = (sch["user_width"], sch["item_width"])
+            if not all(type(w) is int for w in widths):
+                raise TypeError(f"embedding widths {widths} are not integers")
+            schema = FeatureSchema(
+                user_fields=[FieldVocab(d["name"], list(d["values"])) for d in sch["user_fields"]],
+                item_fields=[FieldVocab(d["name"], list(d["values"])) for d in sch["item_fields"]],
+                user_width=widths[0],
+                item_width=widths[1],
+            )
+            config = config_from_dict(header["config"])
+            manifest = {name: tuple(shape) for name, shape in header["arrays"]}
+        except DataError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError) as err:
+            raise DataError(f"{path}: malformed checkpoint header: {type(err).__name__}: {err}") from None
         params = init_params(np.random.default_rng(0), schema, config)
         arrays = checkpoint_arrays(params)
-        manifest = {name: tuple(shape) for name, shape in header["arrays"]}
         if set(manifest) != set(arrays):
             raise DataError(f"{path}: array manifest does not match the rebuilt model")
         for name, shape in header["arrays"]:
@@ -625,6 +596,6 @@ def load_checkpoint(path: str) -> tuple[PigatParams, dict]:
             np.copyto(target, np.frombuffer(raw, dtype=np.float64).reshape(target.shape))
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after the last array")
-    if header["schema_hash"] != schema.structural_hash():
+    if header.get("schema_hash") != schema.structural_hash():
         raise DataError(f"{path}: schema hash does not match the stored schema")
     return params, header.get("extra", {})

@@ -47,15 +47,6 @@ def leaky_relu_slope_at(x: Array, slope: float = 0.01) -> Array:
     return np.where(x >= 0.0, 1.0, slope)
 
 
-def softmax(z: Array) -> Array:
-    """Shift-invariant softmax over the last axis."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[-1] == 0:
-        raise DomainError("softmax over an empty vector is undefined")
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def masked_softmax(z: Array, mask: Array) -> Array:
     """Softmax restricted to live positions; dead positions come out 0.
 
@@ -114,14 +105,6 @@ class FfnParams:
     weights: list[Array]
     biases: list[Array]
     slope: float = 0.01
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights[0].shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
 
 
 def ffn_init(rng: np.random.Generator, dims: list[int], slope: float = 0.01) -> FfnParams:
@@ -231,25 +214,21 @@ def adam_step(state: AdamState, params: dict[str, Array], grads: dict[str, Array
         p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
-def finite_difference_gradient(f, x: Array, h: float = 1e-5) -> Array:
-    """Central finite differences of a scalar function, coordinate by coordinate.
+def fd_coordinate(f, x: Array, i: int, h: float = 1e-5) -> float:
+    """Central difference of the scalar f(x) along one flattened coordinate of x.
 
     This is the independent oracle the analytic backward passes are judged
-    against. It is only meaningful in double precision; x is copied, never
-    mutated.
+    against; it is only meaningful in double precision. x is perturbed in
+    place and restored exactly, so f may also read it through an alias,
+    such as a model parameter array.
     """
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = grad.ravel()
-    for i in range(x.size):
-        flat[i] = fd_coordinate(f, x, i, h)
-    return grad
-
-
-def fd_coordinate(f, x: Array, i: int, h: float = 1e-5) -> float:
-    """Central difference of f along a single flattened coordinate of x."""
-    xp = x.copy()
-    xm = x.copy()
-    xp.ravel()[i] += h
-    xm.ravel()[i] -= h
-    return (f(xp) - f(xm)) / (2.0 * h)
+    flat = x.reshape(-1)
+    if not np.shares_memory(flat, x):
+        raise UsageError("finite differences need a contiguous array to perturb in place")
+    keep = flat[i]
+    flat[i] = keep + h
+    up = f(x)
+    flat[i] = keep - h
+    down = f(x)
+    flat[i] = keep
+    return (up - down) / (2.0 * h)

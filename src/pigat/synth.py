@@ -14,11 +14,11 @@ byte-identical records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import parse_kv_lines
+from .config import coerce_pairs, field_types, parse_kv_lines
 from .data import InteractionLog, RawInteraction
 from .errors import DataError
 from .nn import sigmoid
@@ -63,16 +63,7 @@ class SynthSpec:
 
 
 def read_synth_spec(path: str) -> SynthSpec:
-    pairs = parse_kv_lines(path)
-    kinds = {f.name: (float if f.type == "float" else int) for f in fields(SynthSpec)}
-    kwargs = {}
-    for key, raw in pairs.items():
-        if key not in kinds:
-            raise DataError(f"unknown generator key {key!r}")
-        try:
-            kwargs[key] = kinds[key](raw)
-        except ValueError:
-            raise DataError(f"generator key {key} expects {kinds[key].__name__}, got {raw!r}") from None
+    kwargs = coerce_pairs(parse_kv_lines(path), field_types(SynthSpec), "generator")
     missing = {"users", "items", "events"} - set(kwargs)
     if missing:
         raise DataError(f"generator spec is missing {sorted(missing)}")

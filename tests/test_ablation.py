@@ -1,16 +1,19 @@
 """Variant-grid tests: matrix parsing, override handling, result rows."""
 
+import numpy as np
 import pytest
 
+from pigat import ablation
 from pigat.ablation import (
+    LONGTAIL_CUTS,
     AblationRow,
-    apply_overrides,
     format_results,
     read_matrix,
     run_ablation,
     write_results,
 )
-from pigat.config import TrainConfig
+from pigat.config import TrainConfig, config_from_pairs
+from pigat.data import PREPARE_FIELDS, prepare_dataset
 from pigat.errors import DataError, UsageError
 from pigat.synth import SynthSpec, generate
 
@@ -61,22 +64,22 @@ class TestMatrixFile:
 
 class TestOverrides:
     def test_replaces_named_fields_only(self):
-        cfg = apply_overrides(base_config(), {"pooling": "average", "epochs": "5"})
+        cfg = config_from_pairs({"pooling": "average", "epochs": "5"}, base_config())
         assert cfg.pooling == "average"
         assert cfg.epochs == 5
         assert cfg.attention == "dot"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(DataError, match="unknown"):
-            apply_overrides(base_config(), {"poolin": "average"})
+            config_from_pairs({"poolin": "average"}, base_config())
 
     def test_bad_value_rejected(self):
         with pytest.raises(DataError):
-            apply_overrides(base_config(), {"epochs": "many"})
+            config_from_pairs({"epochs": "many"}, base_config())
 
     def test_invalid_combination_rejected(self):
         with pytest.raises(DataError):
-            apply_overrides(base_config(), {"attention": "telepathy"})
+            config_from_pairs({"attention": "telepathy"}, base_config())
 
 
 class TestRunGrid:
@@ -108,6 +111,48 @@ class TestRunGrid:
     def test_empty_matrix_rejected(self, small_log):
         with pytest.raises(UsageError):
             run_ablation(base_config(), {}, small_log)
+
+
+class TestPreparedDataCache:
+    def test_prepare_fields_are_exactly_the_fields_read(self, small_log):
+        class Recorder:
+            def __init__(self, config):
+                self.config, self.read = config, set()
+
+            def __getattr__(self, name):
+                self.read.add(name)
+                return getattr(self.config, name)
+
+        recorder = Recorder(base_config())
+        prepare_dataset(small_log, recorder)
+        assert recorder.read == set(PREPARE_FIELDS)
+
+    def test_variants_get_data_prepared_for_their_own_config(self, small_log, monkeypatch):
+        seen = []
+
+        def record(config, data):
+            seen.append((config, data))
+            return 0.5, {k: None for k in LONGTAIL_CUTS}
+
+        monkeypatch.setattr(ablation, "_evaluate", record)
+        matrix = {
+            "base": {},
+            "user": {"user_embed_width": "8"},
+            "item": {"item_embed_width": "8"},
+            "positives": {"include_negative_neighbors": "false"},
+        }
+        rows = run_ablation(base_config(), matrix, small_log, seeds=(0,))
+        assert [r.kind for r in rows if r.seed is not None] == ["run"] * 4
+        assert len(seen) == 4
+        for config, data in seen:
+            fresh = prepare_dataset(small_log, config)
+            assert (data.schema.user_width, data.schema.item_width) == (
+                config.user_embed_width,
+                config.item_embed_width,
+            )
+            for split in ("train", "val", "test"):
+                for name, arr in vars(getattr(fresh, split)).items():
+                    np.testing.assert_array_equal(getattr(getattr(data, split), name), arr)
 
 
 class TestResultsTable:

@@ -1,5 +1,7 @@
 """End-to-end command tests: every verb on real files, plus exit codes."""
 
+import json
+
 import pytest
 
 import pigat.cli as cli_mod
@@ -106,7 +108,39 @@ class TestTrain:
         assert "best_epoch\t" in out and "best_val_auc\t" in out
 
 
+def _without(header, key):
+    return {k: v for k, v in header.items() if k != key}
+
+
+# Header edits that keep the JSON valid; each must end as a data error.
+HEADER_MUTATIONS = {
+    "unchanged": (lambda h: h, 0),
+    "no-schema": (lambda h: _without(h, "schema"), 2),
+    "no-config": (lambda h: _without(h, "config"), 2),
+    "no-arrays": (lambda h: _without(h, "arrays"), 2),
+    "string-width": (lambda h: {**h, "schema": {**h["schema"], "user_width": "4"}}, 2),
+    "float-width": (lambda h: {**h, "schema": {**h["schema"], "item_width": 4.0}}, 2),
+    "string-config-int": (lambda h: {**h, "config": {**h["config"], "max_neighbors": "4"}}, 2),
+    "bool-config-int": (lambda h: {**h, "config": {**h["config"], "epochs": True}}, 2),
+    "config-not-object": (lambda h: {**h, "config": []}, 2),
+    "field-without-values": (lambda h: {**h, "schema": {**h["schema"], "item_fields": [{"name": "iid"}]}}, 2),
+    "header-not-object": (lambda h: [h], 2),
+}
+
+
 class TestEval:
+    @pytest.mark.parametrize("mutation", list(HEADER_MUTATIONS))
+    def test_malformed_header_exits_2(self, workspace, tmp_path, capsys, mutation):
+        mutate, code = HEADER_MUTATIONS[mutation]
+        magic, header, body = (workspace / "run" / "checkpoint.bin").read_bytes().split(b"\n", 2)
+        header = json.dumps(mutate(json.loads(header)), sort_keys=True, separators=(",", ":"))
+        ckpt = tmp_path / "mutated.bin"
+        ckpt.write_bytes(magic + b"\n" + header.encode() + b"\n" + body)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace / "data.tsv")]) == code
+        err = capsys.readouterr().err
+        assert ("data error" in err) == (code == 2)
+        assert "Traceback" not in err
+
     def test_prints_all_metrics(self, workspace, capsys):
         assert main([
             "eval",

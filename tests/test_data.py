@@ -13,7 +13,6 @@ from pigat.data import (
     build_schema,
     derive_labels,
     encode_events,
-    log_from_graph,
     prepare_dataset,
     read_interactions,
     rebuild_graph,
@@ -21,7 +20,7 @@ from pigat.data import (
     write_interactions,
 )
 from pigat.errors import DataError
-from pigat.graph import ITEM, USER, NodeId
+from pigat.graph import ITEM, USER
 
 
 def mk_record(ts, uid, seg, iid, cat, signal, line_no=0):
@@ -105,6 +104,14 @@ class TestParsing:
         with pytest.raises(DataError, match="signal"):
             read_interactions(str(path))
 
+    @pytest.mark.parametrize("signal", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_signal_rejected(self, tmp_path, signal):
+        # one such row would otherwise switch the whole file to rating mode
+        path = tmp_path / "log.tsv"
+        write_lines(path, ["1\tuid=u1\tiid=i1\t1", f"2\tuid=u2\tiid=i2\t{signal}"])
+        with pytest.raises(DataError, match=r":2: non-finite signal"):
+            read_interactions(str(path))
+
     def test_field_name_drift_rejected(self, tmp_path):
         path = tmp_path / "log.tsv"
         write_lines(path, ["1\tuid=u1\tiid=i1\t1", "2\tuser=u2\tiid=i2\t1"])
@@ -185,6 +192,33 @@ class TestSchemaAndEvents:
         assert events[1].label == 0
 
 
+def reference_windows(events, mode, k, positives_only=False):
+    """Brute-force windows per event: (user-side item profiles, item-side user ids)."""
+    n_train, _ = timeline_split(len(events))
+    windows = []
+    for e in events:
+        seen = events[:n_train] if mode == "static" else [p for p in events if p.timestamp < e.timestamp]
+        if positives_only:
+            seen = [p for p in seen if p.label > 0]
+        user_side = [p.item_ids for p in seen if p.user == e.user][-k:]
+        item_side = [p.user_ids[0] for p in seen if p.item == e.item][-k:]
+        windows.append((user_side, item_side))
+    return windows
+
+
+# Few timestamps (many ties) and more ids than a short log touches (cold nodes).
+log_rows = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 6), st.integers(0, 8), st.integers(0, 1)),
+    min_size=10,
+    max_size=40,
+).map(
+    lambda rows: [
+        (t, f"u{u}", f"s{u % 2}", f"i{i}", f"c{i % 3}", label)
+        for t, u, i, label in sorted(rows, key=lambda r: r[0])
+    ]
+)
+
+
 class TestInstanceConstruction:
     def _prep(self, rows, mode="dynamic", k=10):
         log = mk_log(rows)
@@ -230,7 +264,7 @@ class TestInstanceConstruction:
 
     def test_static_mode_serves_one_frozen_view(self):
         # user u0 interacts during the test period; dynamic test
-        # instances see it, the static snapshot cannot
+        # instances see it, the static train-period graph cannot
         rows = [(t, "u0", "a", f"i{t}", "x", 1) for t in range(1, 13)]
         schema, events, dynamic = self._prep(rows, mode="dynamic", k=10)
         static = build_instances(schema, events, "static", k=10)
@@ -240,6 +274,29 @@ class TestInstanceConstruction:
         # train-period items (the deliberate contrast with dynamic)
         assert static[0].user_mask.any()
         assert not dynamic[0].user_mask.any()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        log_rows,
+        st.sampled_from(["dynamic", "static"]),
+        st.integers(1, 4),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_windows_match_brute_force_reference(self, rows, mode, k, positives_only, half_vocab):
+        log = mk_log(rows)
+        # A schema from the first half leaves later newcomers on the shared OOV node.
+        schema = build_schema(mk_log(rows[: len(rows) // 2]) if half_vocab else log, 4, 4)
+        labels, _ = derive_labels(log.records)
+        events = encode_events(schema, log.records, labels)
+        instances = build_instances(schema, events, mode, k, positives_only)
+        for inst, (user_side, item_side) in zip(
+            instances, reference_windows(events, mode, k, positives_only), strict=True
+        ):
+            assert inst.user_mask.tolist() == [True] * len(user_side) + [False] * (k - len(user_side))
+            assert inst.item_mask.tolist() == [True] * len(item_side) + [False] * (k - len(item_side))
+            assert [tuple(ids) for ids in inst.user_nbrs[inst.user_mask].tolist()] == user_side
+            assert inst.item_nbrs[inst.item_mask].tolist() == item_side
 
     def test_unknown_mode_rejected(self):
         log = mk_log(demo_rows(12))
@@ -258,17 +315,14 @@ class TestGraphLogRoundTrip:
         graph = rebuild_graph(schema, encode_events(schema, log.records, labels))
 
         path = tmp_path / "dump.tsv"
-        write_interactions(str(path), log_from_graph(graph, log))
+        write_interactions(str(path), log)
         reloaded = read_interactions(str(path))
         labels2, _ = derive_labels(reloaded.records)
         graph2 = rebuild_graph(schema, encode_events(schema, reloaded.records, labels2))
 
-        for idx in range(schema.node_count(USER)):
-            node = NodeId(USER, idx)
-            assert graph.ordered_neighbors(node) == graph2.ordered_neighbors(node)
-        for idx in range(schema.node_count(ITEM)):
-            node = NodeId(ITEM, idx)
-            assert graph.degree(node) == graph2.degree(node)
+        for part in (USER, ITEM):
+            for idx in range(schema.node_count(part)):
+                assert graph.neighbor_events(part, idx) == graph2.neighbor_events(part, idx)
 
 
 class TestPrepareDataset:

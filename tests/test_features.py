@@ -10,13 +10,12 @@ from pigat.features import (
     FieldVocab,
     encode_instance,
     lookup,
-    read_schema_shape,
     scatter_gradient,
     table_for_side,
     table_init,
     write_schema,
 )
-from pigat.graph import ITEM, USER, InteractionEvent, InteractionGraph, NodeId
+from pigat.graph import ITEM, USER, InteractionEvent, InteractionGraph
 
 
 def toy_schema():
@@ -67,17 +66,9 @@ def test_schema_file_round_trip(tmp_path):
     s = toy_schema()
     path = tmp_path / "schema.txt"
     write_schema(s, str(path))
-    shape, uw, iw = read_schema_shape(str(path))
-    assert shape == s.shape()
-    assert (uw, iw) == (4, 3)
-
-
-def test_schema_file_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("user uid 3\nwat is this\n")
-    with pytest.raises(DataError) as exc:
-        read_schema_shape(str(path))
-    assert ":2:" in str(exc.value)
+    lines = [line.split() for line in path.read_text().splitlines()]
+    assert [(side, name, int(card)) for side, name, card in lines[:-2]] == s.shape()
+    assert lines[-2:] == [["embed", "user", "4"], ["embed", "item", "3"]]
 
 
 def test_table_init_pins_padding_rows():
@@ -151,7 +142,7 @@ def _query_event(schema, ts, user="u0", item="i3"):
 def test_encode_cold_start_all_padding():
     s = toy_schema()
     g = InteractionGraph()
-    inst = encode_instance(s, _query_event(s, 5), g.snapshot_at(5), k=4)
+    inst = encode_instance(s, _query_event(s, 5), g, 5, k=4)
     assert not inst.user_mask.any() and not inst.item_mask.any()
     assert (inst.user_nbrs[:, 0] == s.pad_id(ITEM, 0)).all()
     assert (inst.user_nbrs[:, 1] == s.pad_id(ITEM, 1)).all()
@@ -161,7 +152,7 @@ def test_encode_cold_start_all_padding():
 def test_encode_two_priors_live_slots_first():
     s = toy_schema()
     g, t = _graph_with_history(s, 2)
-    inst = encode_instance(s, _query_event(s, t + 1), g.snapshot_at(t + 1), k=4)
+    inst = encode_instance(s, _query_event(s, t + 1), g, t + 1, k=4)
     assert inst.user_mask.tolist() == [True, True, False, False]
     # Window position 1 is the earliest: i0 then i1, with their categories.
     np.testing.assert_array_equal(inst.user_nbrs[0], s.encode_profile(ITEM, ("i0", "x")))
@@ -172,7 +163,7 @@ def test_encode_two_priors_live_slots_first():
 def test_encode_truncates_to_most_recent_window():
     s = toy_schema()
     g, t = _graph_with_history(s, 12)
-    inst = encode_instance(s, _query_event(s, t + 1), g.snapshot_at(t + 1), k=10)
+    inst = encode_instance(s, _query_event(s, t + 1), g, t + 1, k=10)
     assert inst.user_mask.all()
     # Interactions 3..12 survive; their item names cycle i0..i3.
     want_first = s.encode_profile(ITEM, ("i2", "x"))
@@ -184,7 +175,7 @@ def test_encode_item_side_carries_user_identity_only():
     g, t = _graph_with_history(s, 3, user="u1")
     # u1 interacted with i0, i1, i2; now query (u2, i1): i1 has one prior user.
     q = _query_event(s, t + 1, user="u2", item="i1")
-    inst = encode_instance(s, q, g.snapshot_at(t + 1), k=4)
+    inst = encode_instance(s, q, g, t + 1, k=4)
     assert inst.item_mask.tolist() == [True, False, False, False]
     assert inst.item_nbrs[0] == s.global_id(USER, 0, "u1")
 
@@ -204,7 +195,7 @@ def test_encode_positives_only_filters_before_truncation():
                 item_ids=s.encode_profile(ITEM, (name, "x")),
             )
         )
-    inst = encode_instance(s, _query_event(s, 9), g.snapshot_at(9), k=2, positives_only=True)
+    inst = encode_instance(s, _query_event(s, 9), g, 9, k=2, positives_only=True)
     np.testing.assert_array_equal(inst.user_nbrs[0], s.encode_profile(ITEM, ("i0", "x")))
     np.testing.assert_array_equal(inst.user_nbrs[1], s.encode_profile(ITEM, ("i2", "x")))
 
@@ -213,10 +204,10 @@ def test_encoding_is_leakage_free():
     s = toy_schema()
     g, t = _graph_with_history(s, 5)
     q = _query_event(s, 3)  # encode mid-history: only priors at t < 3 visible
-    got = encode_instance(s, q, g.snapshot_at(3), k=4)
+    got = encode_instance(s, q, g, 3, k=4)
 
     truncated, _ = _graph_with_history(s, 2)  # rebuild with later records deleted
-    want = encode_instance(s, q, truncated.snapshot_at(3), k=4)
+    want = encode_instance(s, q, truncated, 3, k=4)
     np.testing.assert_array_equal(got.user_nbrs, want.user_nbrs)
     np.testing.assert_array_equal(got.user_mask, want.user_mask)
     np.testing.assert_array_equal(got.item_nbrs, want.item_nbrs)
@@ -226,8 +217,8 @@ def test_batch_stacking_and_take():
     s = toy_schema()
     g, t = _graph_with_history(s, 3)
     insts = [
-        encode_instance(s, _query_event(s, t + 1), g.snapshot_at(t + 1), k=4),
-        encode_instance(s, _query_event(s, t + 2, user="u2"), g.snapshot_at(t + 2), k=4),
+        encode_instance(s, _query_event(s, t + 1), g, t + 1, k=4),
+        encode_instance(s, _query_event(s, t + 2, user="u2"), g, t + 2, k=4),
     ]
     batch = Batch.from_instances(insts)
     assert len(batch) == 2

@@ -1,54 +1,61 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pigat.errors import DataError
-from pigat.graph import ITEM, USER, InteractionEvent, InteractionGraph, NodeId
+from pigat.errors import DataError, DomainError
+from pigat.graph import ITEM, USER, InteractionEvent, InteractionGraph
 
 
 def ev(u, i, ts, label=1):
     return InteractionEvent(user=u, item=i, timestamp=ts, label=label)
 
 
+def items_of(events):
+    return [e.item for e in events]
+
+
 def test_first_interaction_gets_order_one_on_both_sides():
     g = InteractionGraph()
-    assert g.insert(ev(0, 0, 10)) == (1, 1)
+    first = ev(0, 0, 10)
+    g.insert(first)
+    assert g.neighbor_events(USER, 0) == [first]
+    assert g.neighbor_events(ITEM, 0) == [first]
 
 
 def test_orders_count_per_head_independently():
     g = InteractionGraph()
     g.insert(ev(0, 0, 1))
     g.insert(ev(1, 0, 2))
-    u_order, i_order = g.insert(ev(0, 1, 3))
-    assert u_order == 2  # user 0's second interaction
-    assert i_order == 1  # item 1's first
-    assert g.degree(NodeId(ITEM, 0)) == 2
+    g.insert(ev(0, 1, 3))
+    assert items_of(g.neighbor_events(USER, 0)) == [0, 1]  # user 0's second interaction
+    assert len(g.neighbor_events(ITEM, 1)) == 1  # item 1's first
+    assert [e.user for e in g.neighbor_events(ITEM, 0)] == [0, 1]
 
 
 def test_twelve_inserts_window_of_ten():
     g = InteractionGraph()
     for t in range(12):
         g.insert(ev(0, t, 100 + t))
-    user = NodeId(USER, 0)
-    full = g.ordered_neighbors(user)
-    assert [o for _, o in full] == list(range(1, 13))
-    window = g.ordered_neighbors(user, max_len=10)
-    assert [o for _, o in window] == list(range(3, 13))
-    assert [n.index for n, _ in window] == list(range(2, 12))
-    assert g.degree(user) == 12
+    assert items_of(g.neighbor_events(USER, 0)) == list(range(12))
+    assert items_of(g.neighbor_events(USER, 0, max_len=10)) == list(range(2, 12))
+    assert g.neighbor_events(USER, 0, max_len=0) == []
+    with pytest.raises(DomainError):
+        g.neighbor_events(USER, 0, max_len=-1)
 
 
 def test_max_len_longer_than_history():
     g = InteractionGraph()
     g.insert(ev(0, 0, 1))
-    assert len(g.ordered_neighbors(NodeId(USER, 0), max_len=10)) == 1
+    assert len(g.neighbor_events(USER, 0, max_len=10)) == 1
 
 
 def test_unknown_node_is_cold_not_an_error():
     g = InteractionGraph()
-    assert g.ordered_neighbors(NodeId(USER, 99)) == []
-    assert g.degree(NodeId(ITEM, 99)) == 0
+    assert g.neighbor_events(USER, 99) == []
+    assert g.neighbor_events(ITEM, 99, max_len=3, before=5) == []
 
 
 def test_out_of_order_timestamp_rejected():
@@ -57,6 +64,7 @@ def test_out_of_order_timestamp_rejected():
     with pytest.raises(DataError):
         g.insert(ev(0, 1, 4))
     g.insert(ev(0, 1, 5))  # ties are fine and keep arrival order
+    assert items_of(g.neighbor_events(USER, 0)) == [0, 1]
 
 
 def test_frozen_bounds_enforced():
@@ -66,26 +74,18 @@ def test_frozen_bounds_enforced():
         g.insert(ev(2, 0, 2))
     with pytest.raises(DataError):
         g.insert(ev(0, 3, 2))
+    assert g.neighbor_events(USER, 0) == []  # a rejected insert leaves no trace
 
 
 def test_snapshot_cutoff_is_strict():
     g = InteractionGraph()
     g.insert(ev(0, 0, 1))
     g.insert(ev(0, 1, 5))
-    snap = g.snapshot_at(5)
-    assert [n.index for n, _ in snap.ordered_neighbors(NodeId(USER, 0))] == [0]
-    assert snap.degree(NodeId(USER, 0)) == 1
-
-
-def test_snapshot_immune_to_later_inserts_even_with_tied_timestamps():
-    g = InteractionGraph()
-    g.insert(ev(0, 0, 3))
-    snap = g.snapshot_at(10)
-    before = snap.ordered_neighbors(NodeId(USER, 0))
-    g.insert(ev(0, 1, 3))  # same timestamp, inserted after the snapshot
-    g.insert(ev(0, 2, 7))
-    assert snap.ordered_neighbors(NodeId(USER, 0)) == before
-    assert snap.degree(NodeId(USER, 0)) == 1
+    g.insert(ev(0, 2, 5))
+    assert items_of(g.neighbor_events(USER, 0, before=5)) == [0]
+    assert items_of(g.neighbor_events(USER, 0, before=6)) == [0, 1, 2]
+    # the window is the last max_len of the visible history, not of all of it
+    assert items_of(g.neighbor_events(USER, 0, max_len=1, before=5)) == [0]
 
 
 def test_snapshot_at_infinity_matches_live_graph():
@@ -93,19 +93,9 @@ def test_snapshot_at_infinity_matches_live_graph():
     rng = np.random.default_rng(0)
     for t in range(30):
         g.insert(ev(int(rng.integers(4)), int(rng.integers(6)), t))
-    snap = g.snapshot_at(float("inf"))
     for u in range(4):
-        node = NodeId(USER, u)
-        assert snap.ordered_neighbors(node, 10) == g.ordered_neighbors(node, 10)
-        assert snap.degree(node) == g.degree(node)
-
-
-def test_snapshot_is_read_only():
-    g = InteractionGraph()
-    g.insert(ev(0, 0, 1))
-    snap = g.snapshot_at(2)
-    with pytest.raises(DataError):
-        snap.insert(ev(0, 1, 3))
+        assert g.neighbor_events(USER, u, 10, before=30) == g.neighbor_events(USER, u, 10)
+        assert g.neighbor_events(USER, u, before=math.inf) == g.neighbor_events(USER, u)
 
 
 histories = st.lists(
@@ -121,7 +111,6 @@ def test_snapshot_equals_rebuild_on_prefix(history, cutoff):
     g = InteractionGraph()
     for u, i, t in history:
         g.insert(ev(u, i, t))
-    snap = g.snapshot_at(cutoff)
 
     rebuilt = InteractionGraph()
     for u, i, t in history:
@@ -130,29 +119,25 @@ def test_snapshot_equals_rebuild_on_prefix(history, cutoff):
 
     for part, count in ((USER, 4), (ITEM, 5)):
         for idx in range(count):
-            node = NodeId(part, idx)
-            assert snap.degree(node) == rebuilt.degree(node)
-            got = [(n.index, o) for n, o in snap.ordered_neighbors(node, 10)]
-            want = [(n.index, o) for n, o in rebuilt.ordered_neighbors(node, 10)]
-            assert got == want
+            assert g.neighbor_events(part, idx, 10, before=cutoff) == rebuilt.neighbor_events(part, idx, 10)
 
 
 @settings(max_examples=40, deadline=None)
 @given(histories)
 def test_orders_are_gapless_from_one(history):
     g = InteractionGraph()
-    for u, i, t in history:
-        g.insert(ev(u, i, t))
-    for part, count in ((USER, 4), (ITEM, 5)):
-        for idx in range(count):
-            orders = [o for _, o in g.ordered_neighbors(NodeId(part, idx))]
-            assert orders == list(range(1, len(orders) + 1))
+    events = [ev(u, i, t) for u, i, t in history]
+    for e in events:
+        g.insert(e)
+    for idx in range(4):
+        assert g.neighbor_events(USER, idx) == [e for e in events if e.user == idx]
+    for idx in range(5):
+        assert g.neighbor_events(ITEM, idx) == [e for e in events if e.item == idx]
 
 
 def test_neighbor_events_expose_payload():
     g = InteractionGraph()
     g.insert(InteractionEvent(user=0, item=7, timestamp=1, label=0, item_ids=(3, 9)))
-    (tail, order, event), = g.neighbor_events(NodeId(USER, 0))
-    assert tail == NodeId(ITEM, 7)
-    assert order == 1
+    (event,) = g.neighbor_events(USER, 0)
+    assert event.item == 7
     assert event.label == 0 and event.item_ids == (3, 9)

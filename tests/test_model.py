@@ -17,10 +17,10 @@ from pigat.errors import DataError, DomainError, UsageError
 from pigat.features import Batch, EncodedInstance, FeatureSchema, FieldVocab
 from pigat.gradcheck import _toy_batch, toy_config, toy_schema
 from pigat.graph import ITEM, USER
+from pigat.nn import masked_softmax
 from pigat.model import (
     AttentionHead,
     CKPT_MAGIC,
-    attention_coefficients,
     attention_logits,
     backward,
     bce_loss,
@@ -170,33 +170,39 @@ def straightline_prob(params, batch: Batch, idx: int) -> float:
     return min(max(prob, 1e-7), 1.0 - 1e-7)
 
 
+def attention_weights(head, query, keys, mask):
+    """Softmax weights of one window, through the batched scoring path."""
+    logits, _ = attention_logits(head, query[None], keys[None])
+    return masked_softmax(logits, mask[None])[0]
+
+
 class TestAttentionScores:
     def test_dot_orthogonal_keys_frozen_weights(self):
         head = AttentionHead("dot")
         query = np.array([1.0, 0.0])
         keys = np.array([[1.0, 0.0], [0.0, 1.0]])
-        weights = attention_coefficients(head, query, keys, np.array([True, True]))
+        weights = attention_weights(head, query, keys, np.array([True, True]))
         assert np.allclose(weights, DOT_PAIR, rtol=0, atol=1e-15)
 
     def test_scaled_dot_divides_by_root_width(self):
         head = AttentionHead("scaled-dot")
         query = np.array([1.0, 0.0])
         keys = np.array([[1.0, 0.0], [0.0, 1.0]])
-        weights = attention_coefficients(head, query, keys, np.array([True, True]))
+        weights = attention_weights(head, query, keys, np.array([True, True]))
         assert np.allclose(weights, SCALED_PAIR, rtol=0, atol=1e-15)
 
     def test_identical_keys_split_evenly(self):
         head = AttentionHead("dot")
         query = np.array([0.3, -0.7])
         keys = np.stack([np.array([0.2, 0.9])] * 2)
-        weights = attention_coefficients(head, query, keys, np.array([True, True]))
+        weights = attention_weights(head, query, keys, np.array([True, True]))
         assert np.allclose(weights, [0.5, 0.5], rtol=0, atol=1e-15)
 
     def test_single_live_slot_takes_all_weight(self):
         head = AttentionHead("dot")
         query = np.array([2.0, 1.0])
         keys = np.array([[0.4, 0.1], [9.0, 9.0]])
-        weights = attention_coefficients(head, query, keys, np.array([True, False]))
+        weights = attention_weights(head, query, keys, np.array([True, False]))
         assert weights[0] == 1.0 and weights[1] == 0.0
 
     def test_projected_query_matches_loop(self):

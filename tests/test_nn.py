@@ -49,14 +49,19 @@ def test_leaky_relu_slope_domain():
             nn.leaky_relu(np.ones(2), slope=bad)
 
 
+def softmax(z):
+    """The plain softmax: masked_softmax with every position live."""
+    return nn.masked_softmax(z, np.ones(np.shape(z), dtype=bool))
+
+
 def test_softmax_example():
-    out = nn.softmax(np.array([np.log(2.0), 0.0]))
+    out = softmax(np.array([np.log(2.0), 0.0]))
     np.testing.assert_allclose(out, SOFTMAX_LN2, rtol=1e-15)
 
 
 def test_softmax_empty_domain_error():
     with pytest.raises(DomainError):
-        nn.softmax(np.zeros(0))
+        softmax(np.zeros(0))
 
 
 @given(
@@ -65,8 +70,8 @@ def test_softmax_empty_domain_error():
 )
 def test_softmax_shift_invariant_and_normalized(zs, shift):
     z = np.array(zs)
-    a = nn.softmax(z)
-    b = nn.softmax(z + shift)
+    a = softmax(z)
+    b = softmax(z + shift)
     assert abs(a.sum() - 1.0) < 1e-12
     np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -97,7 +102,8 @@ def test_masked_softmax_matches_softmax_on_live_subset(zs, data):
     out = nn.masked_softmax(z, mask)
     assert np.all(out[~mask] == 0.0)
     if mask.any():
-        np.testing.assert_allclose(out[mask], nn.softmax(z[mask]), atol=1e-12)
+        e = np.exp(z[mask] - z[mask].max())
+        np.testing.assert_allclose(out[mask], e / e.sum(), atol=1e-12)
 
 
 def test_masked_softmax_batched_rows_independent():
@@ -152,15 +158,28 @@ def test_glorot_bound():
     assert np.abs(w).max() > 0.5 * bound
 
 
+def fd_gradient(f, x, h=1e-5):
+    """Every coordinate of the central-difference oracle, on a copy of x."""
+    x = np.array(x, dtype=np.float64)
+    return np.array([nn.fd_coordinate(f, x, i, h) for i in range(x.size)])
+
+
 def test_finite_difference_on_square():
-    grad = nn.finite_difference_gradient(lambda x: float(x[0] ** 2), np.array([3.0]))
-    assert abs(grad[0] - 6.0) < 1e-8
+    x = np.array([3.0])
+    assert abs(nn.fd_coordinate(lambda v: float(v[0] ** 2), x, 0) - 6.0) < 1e-8
+    assert x[0] == 3.0  # perturbed in place, restored exactly
 
 
 def test_finite_difference_multivariate():
     f = lambda x: float(np.sin(x[0]) + x[1] ** 3)
-    grad = nn.finite_difference_gradient(f, np.array([0.3, 1.2]))
+    grad = fd_gradient(f, np.array([0.3, 1.2]))
     np.testing.assert_allclose(grad, [np.cos(0.3), 3 * 1.2**2], rtol=1e-8)
+
+
+def test_finite_difference_refuses_a_copy():
+    # a strided view would be perturbed through a copy f never sees
+    with pytest.raises(UsageError):
+        nn.fd_coordinate(lambda v: float(v.sum()), np.zeros((3, 4))[:, :2], 0)
 
 
 def _ffn_case(seed, dims):
@@ -190,17 +209,17 @@ def test_ffn_backward_matches_finite_differences(dims):
         return f
 
     for i, w in enumerate(params.weights):
-        fd = nn.finite_difference_gradient(loss_with(w, lambda: x), w.ravel(), h=1e-6)
+        fd = fd_gradient(loss_with(w, lambda: x), w.ravel(), h=1e-6)
         np.testing.assert_allclose(d_ws[i].ravel(), fd, rtol=1e-5, atol=1e-8)
     for i, b in enumerate(params.biases):
-        fd = nn.finite_difference_gradient(loss_with(b, lambda: x), b.ravel(), h=1e-6)
+        fd = fd_gradient(loss_with(b, lambda: x), b.ravel(), h=1e-6)
         np.testing.assert_allclose(d_bs[i].ravel(), fd, rtol=1e-5, atol=1e-8)
 
     def loss_x(v):
         y, _ = nn.ffn_forward(params, v.reshape(x.shape))
         return float(np.sum(y * coef))
 
-    fd_x = nn.finite_difference_gradient(loss_x, x.ravel(), h=1e-6)
+    fd_x = fd_gradient(loss_x, x.ravel(), h=1e-6)
     np.testing.assert_allclose(d_in.ravel(), fd_x, rtol=1e-5, atol=1e-8)
 
 
