@@ -117,16 +117,24 @@ def apply_confidence(table: ConfidenceTable, neighbors: Array, mask: Array) -> A
 
 
 def scatter_confidence_gradient(table: ConfidenceTable, mask: Array, upstream: Array) -> None:
-    """Accumulate d(loss)/d(rows) given the grad flowing into the addition."""
+    """Accumulate d(loss)/d(rows) given the grad flowing into the addition.
+
+    One sum per distinct live length instead of np.add.at, several times
+    faster. Both add the instances in order, so into a zeroed accumulator
+    they give the same bytes.
+    """
     if not table.trainable:
         return
     mask = np.asarray(mask, dtype=bool)
-    contrib = np.where(mask[..., None], upstream, 0.0)
-    idx = np.maximum(live_lengths(mask) - 1, 0)
-    if contrib.ndim == 2:  # single instance
-        table.grad[idx] += contrib
-    else:
-        np.add.at(table.grad, idx, contrib)
+    contrib = np.where(mask[..., None], upstream, 0.0).reshape(-1, *table.rows.shape[1:])
+    idx = np.maximum(live_lengths(mask) - 1, 0).reshape(-1)
+    for row in range(table.window):
+        hit = contrib[idx == row]
+        if len(hit) == 0:
+            continue
+        # An axis-0 sum runs in order over a row of two or more entries;
+        # over one entry numpy sums pairwise, while cumsum is always in order.
+        table.grad[row] += hit.sum(axis=0) if hit[0].size > 1 else np.cumsum(hit, axis=0)[-1]
 
 
 def zero_confidence_gradient(table: ConfidenceTable) -> None:

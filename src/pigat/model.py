@@ -87,8 +87,10 @@ CKPT_MAGIC = b"PIGATCKPT1\n"
 class AttentionHead:
     """Scoring function for one (query, window) pair.
 
-    ffn kinds run [query || neighbor] through a small FFN to one logit.
-    dot kinds take an inner product, projecting the query to the
+    ffn kinds score [query || neighbor] with a small FFN to one logit; the
+    FFN takes the query and the window as a pair, so the query's share of
+    the first layer is computed once per instance, not once per slot. dot
+    kinds take an inner product, projecting the query to the
     neighbor width first when the two widths differ; scaled-dot divides
     by sqrt(width).
     """
@@ -213,9 +215,9 @@ def named_parameters(params: PigatParams) -> dict[str, Array]:
 class HeadState:
     logits: Array  # (B, k)
     weights: Array  # (B, k)
-    query: Array | None = None  # reference to the scoring query
-    keys: Array | None = None  # reference to the scored window
-    ffn_cache: FfnCache | None = None
+    query: Array | None = None  # the scoring query, for dot kinds
+    keys: Array | None = None  # the scored window, for dot kinds
+    ffn_cache: FfnCache | None = None  # holds query and window for ffn kinds
     q_proj: Array | None = None  # projected query for dot kinds
 
 
@@ -256,17 +258,15 @@ def attention_logits(head: AttentionHead, query: Array, keys: Array) -> tuple[Ar
 
     query is (B, query width), keys (B, k, key width); logits are (B, k).
     """
-    b, k, kw = keys.shape
     if head.kind in ATT_HIDDEN:
-        x = np.concatenate([np.broadcast_to(query[:, None, :], (b, k, query.shape[1])), keys], axis=2)
-        out, cache = ffn_forward(head.ffn, x)
+        out, cache = ffn_forward(head.ffn, (query, keys))
         logits = out[..., 0]
-        state = HeadState(logits, np.empty(0), query=query, keys=keys, ffn_cache=cache)
+        state = HeadState(logits, np.empty(0), ffn_cache=cache)
     else:
         q = query if head.proj_w is None else affine_forward(head.proj_w, query, head.proj_b)
         logits = np.einsum("bw,bkw->bk", q, keys)
         if head.kind == "scaled-dot":
-            logits = logits / np.sqrt(kw)
+            logits = logits / np.sqrt(keys.shape[-1])
         state = HeadState(logits, np.empty(0), query=query, keys=keys, q_proj=q)
     return logits, state
 
@@ -495,14 +495,11 @@ def _head_backward(
 ) -> tuple[Array, Array]:
     """Returns (d_keys, d_query) and records the head's parameter grads."""
     if head.kind in ATT_HIDDEN:
-        d_x, d_ws, d_bs = ffn_backward(head.ffn, hstate.ffn_cache, d_logits[:, :, None])
+        (d_query, d_keys), d_ws, d_bs = ffn_backward(head.ffn, hstate.ffn_cache, d_logits[:, :, None])
         for i in range(len(head.ffn.weights)):
             grads[f"att_{name}.w{i}"] = d_ws[i]
             grads[f"att_{name}.b{i}"] = d_bs[i]
-        # The FFN saw [query || keys]; the query part was broadcast over
-        # slots, so its gradient sums over the window axis.
-        qw = hstate.query.shape[-1]
-        return d_x[:, :, qw:], d_x[:, :, :qw].sum(axis=1)
+        return d_keys, d_query
     scale = 1.0 / np.sqrt(hstate.keys.shape[-1]) if head.kind == "scaled-dot" else 1.0
     d_q_proj = np.einsum("bk,bkw->bw", d_logits, hstate.keys) * scale
     d_keys = d_logits[:, :, None] * hstate.q_proj[:, None, :] * scale

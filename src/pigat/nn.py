@@ -35,16 +35,24 @@ def affine_forward(w: Array, x: Array, b: Array) -> Array:
     return x @ w.T + b
 
 
+# The two leaky-relu kernels avoid np.where: selecting on a mask of random
+# signs mispredicts about half its branches, which on pre-activation arrays
+# costs several times the arithmetic. Both give the same bytes as the
+# np.where forms, signed zeros, infinities and nan included.
+
+
 def leaky_relu(x: Array, slope: float = 0.01) -> Array:
     """Elementwise max(x, slope * x); slope must sit in (0, 1)."""
     if not 0.0 < slope < 1.0:
         raise DomainError(f"leaky-relu slope must be in (0, 1), got {slope}")
-    return np.where(x >= 0.0, x, slope * x)
+    # np.maximum returns its first argument when both are nan; slope * x
+    # first gives nan inputs the same (quieted) bytes as the np.where form.
+    return np.maximum(slope * x, x)
 
 
 def leaky_relu_slope_at(x: Array, slope: float = 0.01) -> Array:
-    # Negative pre-activations propagate the reduced slope.
-    return np.where(x >= 0.0, 1.0, slope)
+    """Derivative factor of leaky_relu: 1 where x >= 0, else slope (nan included)."""
+    return np.maximum((x >= 0.0).astype(np.float64), slope)
 
 
 def masked_softmax(z: Array, mask: Array) -> Array:
@@ -118,19 +126,40 @@ def ffn_init(rng: np.random.Generator, dims: list[int], slope: float = 0.01) -> 
 
 @dataclass
 class FfnCache:
-    inputs: list[Array]
+    inputs: list  # per layer its input; the first may be a (query, keys) pair
     pre_acts: list[Array]
 
 
-def ffn_forward(params: FfnParams, x: Array) -> tuple[Array, FfnCache]:
-    """Run the FFN on (..., in_dim) input, returning output and cache."""
-    inputs: list[Array] = []
+def _pair_affine_forward(w: Array, query: Array, keys: Array, b: Array) -> Array:
+    """w @ [query || keys[:, j]] + b for every slot j, without the concatenation.
+
+    The weight splits by columns, W [q || k] = W[:, :qw] q + W[:, qw:] k,
+    so the query term is computed once per row and broadcast over the slots.
+    """
+    if query.ndim != 2 or keys.ndim != 3 or query.shape[0] != keys.shape[0]:
+        raise ShapeError(f"pair input expects (B, qw) and (B, k, kw), got {query.shape}, {keys.shape}")
+    qw = query.shape[1]
+    if qw + keys.shape[2] != w.shape[1]:
+        raise ShapeError(f"affine shapes do not chain: w {w.shape}, query {query.shape}, keys {keys.shape}")
+    return keys @ w[:, qw:].T + (query @ w[:, :qw].T + b)[:, None, :]
+
+
+def ffn_forward(params: FfnParams, x: Array | tuple[Array, Array]) -> tuple[Array, FfnCache]:
+    """Run the FFN on (..., in_dim) input, returning output and cache.
+
+    x may instead be a pair (query, keys) of shapes (B, qw) and (B, k, kw)
+    with qw + kw = in_dim. Each slot j is then scored as the input
+    [query || keys[:, j]] would be, giving (B, k, out_dim), but the query's
+    share of the first layer is computed once per row rather than per slot.
+    """
+    inputs: list = []
     pre_acts: list[Array] = []
-    h = np.asarray(x, dtype=np.float64)
+    pair = isinstance(x, tuple)
+    h = x if pair else np.asarray(x, dtype=np.float64)
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
-        pre = affine_forward(w, h, b)
+        pre = _pair_affine_forward(w, *h, b) if pair and i == 0 else affine_forward(w, h, b)
         pre_acts.append(pre)
         h = pre if i == last else leaky_relu(pre, params.slope)
     return h, FfnCache(inputs, pre_acts)
@@ -142,7 +171,10 @@ def ffn_backward(
     """Backprop through the FFN.
 
     Returns (d_input, d_weights, d_biases). Leading batch axes of d_out
-    are flattened into the accumulation, matching ffn_forward.
+    are flattened into the accumulation, matching ffn_forward. After a
+    (query, keys) pair input, d_input is the pair (d_query, d_keys); the
+    query was broadcast over the slots, so its gradient sums over them,
+    and that sum is taken before the query-side matmuls.
     """
     n_layers = len(params.weights)
     if len(cache.inputs) != n_layers or len(cache.pre_acts) != n_layers:
@@ -158,6 +190,14 @@ def ffn_backward(
             )
         if i != n_layers - 1:
             g = g * leaky_relu_slope_at(pre, params.slope)
+        if isinstance(x_in, tuple):  # only the first layer takes a pair
+            query, keys = x_in
+            qw = query.shape[1]
+            g_query = g.sum(axis=1)
+            d_keys_w = g.reshape(-1, g.shape[-1]).T @ keys.reshape(-1, keys.shape[-1])
+            d_weights[0] = np.concatenate([g_query.T @ query, d_keys_w], axis=1)
+            d_biases[0] = g_query.sum(axis=0)
+            return (g_query @ w[:, :qw], g @ w[:, qw:]), d_weights, d_biases
         g2 = g.reshape(-1, g.shape[-1])
         x2 = x_in.reshape(-1, x_in.shape[-1])
         d_weights[i] = g2.T @ x2

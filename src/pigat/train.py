@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .data import PreparedData
-from .errors import NumericError
+from .errors import NumericError, UndefinedMetricError
 from .metrics import ScoredSet, auc
 from .model import (
     PigatParams,
@@ -52,6 +52,14 @@ def _grad_norms(params: PigatParams) -> str:
 
 def train(config: TrainConfig, data: PreparedData) -> TrainResult:
     config.validate()
+    # Epoch selection ranks by validation AUC; fail before the first step,
+    # not after an epoch, when the split cannot define it.
+    n_pos = int(data.val.labels.sum())
+    if n_pos in (0, len(data.val)):
+        raise UndefinedMetricError(
+            f"the validation split needs both classes to select an epoch, "
+            f"got {n_pos} positives among {len(data.val)} instances"
+        )
     init_ss, shuffle_ss, dropout_ss = np.random.SeedSequence(config.seed).spawn(3)
     params = init_params(np.random.default_rng(init_ss), data.schema, config)
     shuffle_rng = np.random.default_rng(shuffle_ss)

@@ -288,3 +288,24 @@ class TestExitCodes:
             "--data", str(workspace / "data.tsv"),
             "--out", str(tmp_path / "r"),
         ]) == 2
+
+    def test_one_class_validation_split_exits_2_before_any_step(self, workspace, tmp_path, monkeypatch, capsys):
+        # 100 events: the first 80 alternate labels, the last 20 (validation
+        # and test) are all positive.
+        lines = [
+            f"{t}\tuid=u{t % 7}\tiid=i{t % 11}\t{1 if t >= 80 else t % 2}\n" for t in range(100)
+        ]
+        log = tmp_path / "one_class.tsv"
+        log.write_text("".join(lines))
+        steps = []
+        monkeypatch.setattr("pigat.train.adam_step", lambda *a: steps.append(a))
+        assert main([
+            "train",
+            "--config", str(workspace / "config.txt"),
+            "--data", str(log),
+            "--out", str(tmp_path / "r"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "validation" in err
+        assert steps == []
+        assert not (tmp_path / "r").exists()

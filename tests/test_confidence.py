@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pigat.confidence import (
     VARIANTS,
@@ -136,3 +138,21 @@ def test_scatter_confidence_targets_live_surface():
     np.testing.assert_array_equal(table.grad[1, :2], np.ones((2, 2)))
     assert not table.grad[0].any() and not table.grad[2].any()
     assert not table.grad[1, 2].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    window=st.integers(1, 6),
+    width=st.integers(1, 3),
+    lengths=st.lists(st.integers(0, 6), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scatter_confidence_equals_add_at_bytewise(window, width, lengths, seed):
+    # Live lengths 0 (all-dead rows) up to the window, which may be 1.
+    mask = np.arange(window)[None, :] < np.minimum(lengths, window)[:, None]
+    up = np.random.default_rng(seed).normal(size=(len(lengths), window, width))
+    table = build_confidence("ce", window, width)
+    scatter_confidence_gradient(table, mask, up)
+    want = np.zeros((window, window, width))
+    np.add.at(want, np.maximum(mask.sum(axis=1) - 1, 0), np.where(mask[..., None], up, 0.0))
+    assert table.grad.tobytes() == want.tobytes()

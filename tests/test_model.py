@@ -11,16 +11,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pigat.config import TrainConfig
 from pigat.errors import DataError, DomainError, UsageError
 from pigat.features import Batch, EncodedInstance, FeatureSchema, FieldVocab
 from pigat.gradcheck import _toy_batch, toy_config, toy_schema
 from pigat.graph import ITEM, USER
-from pigat.nn import masked_softmax
+from pigat.nn import masked_softmax, masked_softmax_backward
 from pigat.model import (
+    ATT_HIDDEN,
     AttentionHead,
     CKPT_MAGIC,
+    _head_backward,
+    _init_head,
     attention_logits,
     backward,
     bce_loss,
@@ -207,8 +212,6 @@ class TestAttentionScores:
 
     def test_projected_query_matches_loop(self):
         rng = np.random.default_rng(4)
-        from pigat.model import _init_head
-
         head = _init_head(rng, "scaled-dot", q_width=3, k_width=2)
         head.proj_b[:] = rng.normal(size=2)
         query = rng.normal(size=(2, 3))
@@ -222,6 +225,77 @@ class TestAttentionScores:
             for s in range(4):
                 want = sum(proj[o] * keys[b, s, o] for o in range(2)) / math.sqrt(2.0)
                 assert abs(logits[b, s] - want) < 1e-12
+
+
+def concat_head_reference(head, query, keys, d_logits, mag=lambda a: a):
+    """An ffn head scored the direct way: [query || key] per slot, np.where leaky-relu.
+
+    Returns the logits, the parameter gradients as {"w0": ..., "b0": ...},
+    and the input gradients (d_keys, d_query). With mag=np.abs every operand
+    enters by its magnitude, so each output becomes a bound on the rounding
+    error of the same output computed in any summation order.
+    """
+    ws, bs, slope = [mag(w) for w in head.ffn.weights], [mag(b) for b in head.ffn.biases], head.ffn.slope
+    query, keys, d_logits = mag(query), mag(keys), mag(d_logits)
+    k, qw = keys.shape[1], query.shape[1]
+    inputs = [np.concatenate([np.repeat(query[:, None, :], k, axis=1), keys], axis=2)]
+    pres = []
+    for i, (w, b) in enumerate(zip(ws, bs)):
+        pres.append(inputs[-1] @ w.T + b)
+        inputs.append(pres[-1] if i == len(ws) - 1 else np.where(pres[-1] >= 0.0, pres[-1], slope * pres[-1]))
+    grads = {}
+    g = d_logits[:, :, None]
+    for i in reversed(range(len(ws))):
+        if i != len(ws) - 1:
+            g = g * np.where(pres[i] >= 0.0, 1.0, slope)
+        grads[f"w{i}"] = np.einsum("bko,bki->oi", g, inputs[i])
+        grads[f"b{i}"] = g.sum(axis=(0, 1))
+        g = g @ ws[i]
+    return inputs[-1][..., 0], grads, g[:, :, qw:], g[:, :, :qw].sum(axis=1)
+
+
+def assert_equal_to_rounding(got, want, magnitude):
+    """float64 rounding of sums this small stays far below 1e-12 of the operand magnitude."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * magnitude), (got, want)
+
+
+class TestFfnHeadAgainstConcatReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(ATT_HIDDEN)),
+        q_width=st.integers(1, 6),
+        k_width=st.integers(1, 6),
+        window=st.integers(1, 5),
+        lengths=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_logits_and_gradients_match(self, kind, q_width, k_width, window, lengths, seed):
+        rng = np.random.default_rng(seed)
+        head = _init_head(rng, kind, q_width, k_width)
+        for b in head.ffn.biases:
+            b[:] = rng.normal(size=b.shape)
+        n = len(lengths)
+        mask = np.arange(window)[None, :] < np.minimum(lengths, window)[:, None]  # rows may be all dead
+        query = rng.normal(size=(n, q_width))
+        keys = rng.normal(size=(n, window, k_width))
+
+        logits, state = attention_logits(head, query, keys)
+        state.weights = masked_softmax(logits, mask)
+        d_logits = masked_softmax_backward(state.weights, rng.normal(size=(n, window)))
+        grads = {}
+        d_keys, d_query = _head_backward(head, "ui", state, d_logits, grads)
+
+        want_logits, want_grads, want_d_keys, want_d_query = concat_head_reference(head, query, keys, d_logits)
+        mag_logits, mag_grads, mag_d_keys, mag_d_query = concat_head_reference(
+            head, query, keys, d_logits, mag=np.abs
+        )
+        assert_equal_to_rounding(logits, want_logits, mag_logits)
+        assert_equal_to_rounding(d_keys, want_d_keys, mag_d_keys)
+        assert_equal_to_rounding(d_query, want_d_query, mag_d_query)
+        assert set(grads) == {f"att_ui.{name}" for name in want_grads}
+        for name, want in want_grads.items():
+            assert_equal_to_rounding(grads[f"att_ui.{name}"], want, mag_grads[name])
 
 
 class TestPooling:

@@ -49,6 +49,34 @@ def test_leaky_relu_slope_domain():
             nn.leaky_relu(np.ones(2), slope=bad)
 
 
+def _bits(*words):
+    return np.array(words, dtype=np.uint64).view(np.float64)
+
+
+# Signed zeros, infinities, quiet and signalling nans of both signs,
+# subnormals and the smallest normals, repeated past one SIMD block.
+LEAKY_EDGES = np.tile(
+    np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308],
+        [-2.2250738585072014e-308, 1.0, -1.0, 1e308, -1e308],
+        _bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0x7FF0000000000005),
+        _bits(0xFFF0000000000001),
+    ]),
+    3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(), max_size=40), st.sampled_from([0.01, 0.2, 0.999]))
+def test_leaky_kernels_equal_where_forms_bytewise(values, slope):
+    x = np.concatenate([LEAKY_EDGES, np.array(values, dtype=np.float64)])
+    with np.errstate(invalid="ignore"):
+        want = np.where(x >= 0.0, x, slope * x)
+        got = nn.leaky_relu(x, slope)
+    assert got.tobytes() == want.tobytes()
+    assert nn.leaky_relu_slope_at(x, slope).tobytes() == np.where(x >= 0.0, 1.0, slope).tobytes()
+
+
 def softmax(z):
     """The plain softmax: masked_softmax with every position live."""
     return nn.masked_softmax(z, np.ones(np.shape(z), dtype=bool))
@@ -229,6 +257,17 @@ def test_ffn_single_layer_is_affine():
     x = rng.normal(size=4)
     out, _ = nn.ffn_forward(params, x)
     np.testing.assert_allclose(out, nn.affine_forward(params.weights[0], x, params.biases[0]))
+
+
+def test_ffn_pair_input_shapes_must_chain():
+    params = nn.ffn_init(np.random.default_rng(6), [5, 3, 1])
+    for query, keys in [
+        (np.zeros((2, 2)), np.zeros((2, 4, 2))),  # widths sum to 4, not 5
+        (np.zeros((2, 2)), np.zeros((3, 4, 3))),  # batch sizes differ
+        (np.zeros((2, 2)), np.zeros((2, 3))),  # keys lack the window axis
+    ]:
+        with pytest.raises(ShapeError):
+            nn.ffn_forward(params, (query, keys))
 
 
 def test_ffn_backward_rejects_stale_cache():
