@@ -24,7 +24,7 @@ from .config import TrainConfig
 from .errors import NumericError
 from .features import Batch, FeatureSchema, FieldVocab, encode_instance
 from .graph import ITEM, USER, InteractionEvent, InteractionGraph
-from .model import backward, bce_loss, forward, init_params, named_parameters
+from .model import ForwardState, backward, bce_loss, forward, init_params, named_parameters
 from .nn import fd_coordinate
 
 SMOOTH_MARGIN = 2e-4
@@ -85,6 +85,19 @@ def _toy_batch(schema: FeatureSchema, config: TrainConfig, rng: np.random.Genera
     return Batch.from_instances([encode_instance(schema, q, g, end, k) for q in queries])
 
 
+def leaky_margin(state: ForwardState) -> float:
+    """Smallest |pre-activation| over every leaky layer of one forward pass.
+
+    The leaky layers are the hidden layers of the ffn attention heads, the
+    integrate layers and the hidden layers of the prediction MLP.
+    """
+    pre_acts = [pre for _, pre in state.int_states.values()] + state.mlp_cache.pre_acts[:-1]
+    for head in state.heads.values():
+        if head.ffn_cache is not None:
+            pre_acts += head.ffn_cache.pre_acts[:-1]
+    return min((float(np.abs(pre).min()) for pre in pre_acts if pre.size), default=np.inf)
+
+
 def build_case(config: TrainConfig, seed: int, max_tries: int = 200):
     """Deterministic (params, batch) pair with a smooth loss surface.
 
@@ -102,7 +115,7 @@ def build_case(config: TrainConfig, seed: int, max_tries: int = 200):
         batch = _toy_batch(schema, config, rng)
         state = forward(params, batch, mode="train")
         clamp_ok = bool(state.clamp_active.all())
-        if state.leaky_margin > SMOOTH_MARGIN and clamp_ok:
+        if leaky_margin(state) > SMOOTH_MARGIN and clamp_ok:
             return params, batch
     raise NumericError(
         f"could not find a smooth verification point for seed {seed} "

@@ -243,7 +243,6 @@ class ForwardState:
     prob_raw: Array
     prob: Array
     clamp_active: Array
-    leaky_margin: float  # min |pre-activation| over all leaky layers
 
 
 def uniform_coefficients(mask: Array) -> Array:
@@ -307,7 +306,6 @@ def forward(
     un_pool = un_aug if cfg.confidence_in_pooling else un_raw
     in_pool = in_aug if cfg.confidence_in_pooling else in_raw
 
-    margins = []
     profiles = {"user": e_user, "item": e_item}
     sides = query_sides(cfg)
     head_states: dict[str, HeadState] = {}
@@ -321,9 +319,6 @@ def forward(
         if cfg.pooling == "attention":
             logits, state = attention_logits(params.heads[name], profiles[sides[name]], keys)
             state.weights = masked_softmax(logits, mask)
-            if state.ffn_cache is not None:
-                for pre in state.ffn_cache.pre_acts[:-1]:
-                    margins.append(np.abs(pre).min() if pre.size else np.inf)
         else:
             state = HeadState(np.zeros_like(mask, dtype=np.float64), uniform_coefficients(mask))
         head_states[name] = state
@@ -337,7 +332,6 @@ def forward(
         out, pre, x = integrate_forward(w, bias, sources[left], sources[right])
         int_states[name] = (x, pre)
         int_outs.append(out)
-        margins.append(np.abs(pre).min())
 
     merged = np.concatenate(int_outs, axis=1)
     drop = None
@@ -350,8 +344,6 @@ def forward(
         merged_in = merged
 
     mlp_out, mlp_cache = ffn_forward(params.mlp, merged_in)
-    for pre in mlp_cache.pre_acts[:-1]:
-        margins.append(np.abs(pre).min())
     logit = mlp_out[:, 0]
     prob_raw = sigmoid(logit)
     prob = np.clip(prob_raw, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -376,12 +368,21 @@ def forward(
         prob_raw=prob_raw,
         prob=prob,
         clamp_active=clamp_active,
-        leaky_margin=float(min(margins)) if margins else np.inf,
     )
 
 
 def predict(params: PigatParams, batch: Batch) -> Array:
-    return forward(params, batch, mode="eval").prob
+    """Eval-mode probabilities, scored in consecutive batch_size slices.
+
+    Each slice is a view and one forward, so memory is bounded by the
+    configured batch size rather than by the length of the batch given.
+    """
+    size = params.config.batch_size
+    chunks = [
+        forward(params, batch.take(slice(start, start + size)), mode="eval").prob
+        for start in range(0, len(batch), size)
+    ]
+    return np.concatenate(chunks)
 
 
 def bce_loss(prob: Array, labels: Array) -> float:

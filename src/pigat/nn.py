@@ -8,7 +8,7 @@ at the bottom of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -218,6 +218,9 @@ class AdamState:
     t: int = 0
     m: dict[str, Array] | None = None
     v: dict[str, Array] | None = None
+    # Two flat buffers as large as the largest parameter; every step's
+    # temporaries are written into slices of them instead of allocated.
+    scratch: tuple[Array, Array] = field(default_factory=lambda: (np.empty(0), np.empty(0)), repr=False)
 
     def __post_init__(self) -> None:
         if self.m is None:
@@ -231,27 +234,40 @@ def adam_step(state: AdamState, params: dict[str, Array], grads: dict[str, Array
 
     L2 enters as coupled weight decay: the effective gradient is
     grad + l2 * param. The step counter increments exactly once per call.
+    The update allocates no parameter-sized array after its first call;
+    each operation keeps the operand order of the plain expression
+    p -= lr * (m / c1) / (sqrt(v / c2) + eps), so the bytes match it.
     """
     state.t += 1
     t = state.t
+    c1 = 1.0 - state.beta1**t
+    c2 = 1.0 - state.beta2**t
+    largest = max((p.size for p in params.values()), default=0)
+    if state.scratch[0].size < largest:
+        state.scratch = (np.empty(largest), np.empty(largest))
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(f"grad shape {g.shape} != param shape {p.shape} for {name}")
-        if state.l2 != 0.0:
-            g = g + state.l2 * p
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
+        a, b = (buf[: p.size].reshape(p.shape) for buf in state.scratch)
+        if state.l2 != 0.0:
+            np.multiply(state.l2, p, out=a)
+            g = np.add(g, a, out=a)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(1.0 - state.beta1, g, out=b)
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(g, g, out=b)
+        v += np.multiply(1.0 - state.beta2, b, out=b)
+        m_hat = np.divide(m, c1, out=a)
+        step = np.multiply(state.learning_rate, m_hat, out=a)
+        denom = np.sqrt(np.divide(v, c2, out=b), out=b)
+        denom += state.eps
+        p -= np.divide(step, denom, out=a)
 
 
 def fd_coordinate(f, x: Array, i: int, h: float = 1e-5) -> float:

@@ -44,7 +44,7 @@ class TrainResult:
     best_val_auc: float = float("nan")
 
 
-def _grad_norms(params: PigatParams) -> str:
+def _param_norms(params: PigatParams) -> str:
     norms = {name: float(np.linalg.norm(arr)) for name, arr in named_parameters(params).items()}
     top = sorted(norms.items(), key=lambda kv: -kv[1])[:5]
     return ", ".join(f"{name}={value:.3e}" for name, value in top)
@@ -83,7 +83,7 @@ def train(config: TrainConfig, data: PreparedData) -> TrainResult:
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {batch_idx}; "
-                    f"largest parameter norms: {_grad_norms(params)}"
+                    f"largest parameter norms: {_param_norms(params)}"
                 )
             loss_sum += loss * len(batch)
             grads = backward(params, state, batch.labels)

@@ -165,6 +165,21 @@ class TestEval:
             value = printed[key]
             assert value == "na" or 0.0 <= float(value) <= 1.0
 
+    def test_val_auc_equals_training_best_val_auc(self, workspace, tmp_path, capsys):
+        # Training's validation pass and eval share one scorer; batch_size 16
+        # cuts the 40 validation instances into two full chunks and a part.
+        config = tmp_path / "config.txt"
+        text = (workspace / "config.txt").read_text()
+        config.write_text(text.replace("batch_size = 64", "batch_size = 16").replace("= dot", "= ffn-3"))
+        assert "batch_size = 16" in config.read_text() and "ffn-3" in config.read_text()
+        data = str(workspace / "data.tsv")
+        assert main(["train", "--config", str(config), "--data", data, "--out", str(tmp_path / "r")]) == 0
+        trained = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
+        ckpt = str(tmp_path / "r" / "checkpoint.bin")
+        assert main(["eval", "--checkpoint", ckpt, "--data", data, "--split", "val"]) == 0
+        printed = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
+        assert printed["auc"] == trained["best_val_auc"]
+
     def test_split_changes_result(self, workspace, capsys):
         ck = str(workspace / "run" / "checkpoint.bin")
         data = str(workspace / "data.tsv")

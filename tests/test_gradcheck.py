@@ -51,8 +51,31 @@ class TestCaseConstruction:
         config = toy_config("rce", "ffn-3")
         params, batch = build_case(config, seed=2)
         state = forward(params, batch, mode="train")
-        assert state.leaky_margin > gradcheck.SMOOTH_MARGIN
+        assert gradcheck.leaky_margin(state) > gradcheck.SMOOTH_MARGIN
         assert state.clamp_active.all()
+
+    @pytest.mark.parametrize("attention", ["ffn-3", "dot"])
+    def test_leaky_margin_is_min_over_every_leaky_pre_activation(self, attention):
+        from pigat.model import INTEGRATE, forward
+
+        params, batch = build_case(toy_config("ce", attention), seed=4)
+        state = forward(params, batch, mode="train")
+        pre_acts = [state.int_states[name][1] for name, _, _ in INTEGRATE]
+        pre_acts += state.mlp_cache.pre_acts[:-1]
+        for head in state.heads.values():
+            if head.ffn_cache is not None:
+                pre_acts += head.ffn_cache.pre_acts[:-1]
+        assert len(pre_acts) == 6 + (8 if attention == "ffn-3" else 0)
+        expected = min(float(np.abs(pre).min()) for pre in pre_acts)
+        assert gradcheck.leaky_margin(state) == expected
+        # Every leaky layer counts, and the linear output layers do not.
+        for i, pre in enumerate(pre_acts):
+            keep = pre.flat[0]
+            pre.flat[0] = -1e-12 * (i + 1)
+            assert gradcheck.leaky_margin(state) == 1e-12 * (i + 1)
+            pre.flat[0] = keep
+        state.mlp_cache.pre_acts[-1][:] = 0.0
+        assert gradcheck.leaky_margin(state) == expected
 
     def test_impossible_margin_raises(self):
         config = toy_config("none", "dot")

@@ -8,6 +8,7 @@ invariants (masking, permutation, determinism, checkpoint round trips).
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pigat.config import TrainConfig
+from pigat.data import prepare_dataset
 from pigat.errors import DataError, DomainError, UsageError
 from pigat.features import Batch, EncodedInstance, FeatureSchema, FieldVocab
 from pigat.gradcheck import _toy_batch, toy_config, toy_schema
 from pigat.graph import ITEM, USER
 from pigat.nn import masked_softmax, masked_softmax_backward
+from pigat.synth import SynthSpec, generate
 from pigat.model import (
     ATT_HIDDEN,
     AttentionHead,
@@ -372,6 +375,65 @@ class TestForwardOracle:
         rewired = init_params(np.random.default_rng(5), schema, tiny_config(user_query_only=True))
         default = init_params(np.random.default_rng(5), schema, tiny_config())
         assert not np.array_equal(predict(rewired, batch), predict(default, batch))
+
+
+@pytest.fixture(scope="module")
+def scored_setup():
+    """Params and a prepared train split for an ffn-3 model with batch_size 32."""
+    config = TrainConfig(
+        attention="ffn-3",
+        confidence="ce",
+        max_neighbors=8,
+        user_embed_width=8,
+        item_embed_width=8,
+        hidden_width=16,
+        batch_size=32,
+        seed=2,
+    ).validate()
+    log, _ = generate(SynthSpec(users=12, items=20, events=200, exponent=1.0, seed=7))
+    data = prepare_dataset(log, config)
+    params = init_params(np.random.default_rng(4), data.schema, config)
+    return params, data.train
+
+
+def traced_peak(fn):
+    """(peak bytes traced while fn runs, fn's result)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, out
+
+
+class TestChunkedScoring:
+    def test_equals_forward_over_batch_size_slices(self, scored_setup):
+        params, split = scored_setup
+        size = params.config.batch_size
+        batch = split.take(slice(0, size * 5 // 2))
+        chunks = [
+            forward(params, batch.take(slice(start, start + size))).prob
+            for start in (0, size, 2 * size)
+        ]
+        assert [len(c) for c in chunks] == [size, size, size // 2]
+        assert predict(params, batch).tobytes() == np.concatenate(chunks).tobytes()
+
+    def test_short_batch_is_one_forward(self, scored_setup):
+        params, split = scored_setup
+        batch = split.take(np.arange(params.config.batch_size - 3))
+        assert predict(params, batch).tobytes() == forward(params, batch).prob.tobytes()
+
+    def test_memory_bounded_by_one_chunk(self, scored_setup):
+        params, split = scored_setup
+        size = params.config.batch_size
+        one = split.take(np.arange(size))
+        many = split.take(np.arange(8 * size) % len(split))
+        predict(params, one)  # first-call allocations are not the working set
+        one_peak, _ = traced_peak(lambda: predict(params, one))
+        many_peak, probs = traced_peak(lambda: predict(params, many))
+        assert len(probs) == 8 * size
+        assert many_peak <= 1.5 * one_peak + probs.nbytes
 
 
 class TestMasking:

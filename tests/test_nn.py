@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -305,6 +307,72 @@ def test_adam_converges_on_quadratic():
     for _ in range(400):
         nn.adam_step(state, p, {"w": 2.0 * p["w"]})
     assert abs(p["w"][0]) < 1e-3
+
+
+def allocating_adam_step(state: dict, params, grads, lr, l2, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as plain array expressions, each temporary a fresh array."""
+    state["t"] += 1
+    t = state["t"]
+    for name, p in params.items():
+        g = grads[name]
+        if l2 != 0.0:
+            g = g + l2 * p
+        m = state["m"].setdefault(name, np.zeros_like(p))
+        v = state["v"].setdefault(name, np.zeros_like(p))
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    l2=st.sampled_from([0.0, 1e-4, 0.3]),
+    steps=st.integers(min_value=1, max_value=6),
+    rows=st.integers(min_value=1, max_value=40),
+)
+def test_adam_step_equals_allocating_reference_bytewise(seed, l2, steps, rows):
+    rng = np.random.default_rng(seed)
+    # The largest array comes first, so the shared scratch is sized by it
+    # and sliced for every later one.
+    shapes = {"table": (rows + 12, 5), "w": (3, 4), "b": (4,), "c": (1, 1)}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    expected = {name: p.copy() for name, p in params.items()}
+    state = nn.AdamState(learning_rate=1.0, l2=l2)
+    reference = {"t": 0, "m": {}, "v": {}}
+    for _ in range(steps):
+        lr = float(10.0 ** rng.uniform(-5, 0))  # a new rate every step, as step decay does
+        state.learning_rate = lr
+        grads = {
+            name: rng.normal(size=shape) * (rng.random(shape) < 0.6) * 10.0 ** rng.uniform(-8, 3)
+            for name, shape in shapes.items()
+        }
+        nn.adam_step(state, params, grads)
+        allocating_adam_step(reference, expected, grads, lr, l2)
+        for name in shapes:
+            assert params[name].tobytes() == expected[name].tobytes(), name
+            assert state.m[name].tobytes() == reference["m"][name].tobytes(), name
+            assert state.v[name].tobytes() == reference["v"][name].tobytes(), name
+    assert state.t == reference["t"] == steps
+
+
+def test_adam_steady_state_step_allocates_less_than_one_parameter():
+    rng = np.random.default_rng(8)
+    params = {"table": rng.normal(size=(20000, 32))}
+    grads = {"table": rng.normal(size=(20000, 32))}
+    state = nn.AdamState(learning_rate=1e-3)
+    nn.adam_step(state, params, grads)  # the first step allocates the moments and scratch
+    tracemalloc.start()
+    try:
+        nn.adam_step(state, params, grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params["table"].nbytes
 
 
 @settings(max_examples=25)
