@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 bad usage, 2 bad data, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -85,7 +86,7 @@ def _load_config(path: str | None) -> TrainConfig:
 def cmd_train(args) -> int:
     config = read_config(args.config)
     if args.seed is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed).validate()
     log = read_interactions(args.data)
     data = prepare_dataset(log, config)
     result = train(config, data)

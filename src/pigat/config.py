@@ -9,6 +9,7 @@ every default materialized.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .confidence import VARIANTS
@@ -48,6 +49,7 @@ class TrainConfig:
     include_negative_neighbors: bool = True
 
     def validate(self) -> "TrainConfig":
+        check_finite_and_seed(self)
         if self.learning_rate <= 0:
             raise DataError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0 < self.decay_rate <= 1:
@@ -73,6 +75,16 @@ class TrainConfig:
             if value not in allowed:
                 raise DataError(f"{what} must be one of {allowed}, got {value!r}")
         return self
+
+
+def check_finite_and_seed(spec) -> None:
+    """DataError unless every float field of a dataclass is finite and its seed >= 0."""
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DataError(f"{f.name} must be finite, got {value}")
+    if spec.seed < 0:
+        raise DataError(f"seed must be non-negative, got {spec.seed}")
 
 
 _TYPES = {"float": float, "int": int, "str": str, "bool": bool}
@@ -116,19 +128,23 @@ def config_from_pairs(pairs: dict[str, str], base: TrainConfig | None = None) ->
 
 def parse_kv_lines(path: str) -> dict[str, str]:
     """Read `key = value` lines, ignoring blanks and # comments."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: not UTF-8 text: {err}") from None
     pairs: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key in pairs:
-                raise DataError(f"{path}:{lineno}: duplicate key {key!r}")
-            pairs[key] = value.strip()
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key in pairs:
+            raise DataError(f"{path}:{lineno}: duplicate key {key!r}")
+        pairs[key] = value.strip()
     return pairs
 
 

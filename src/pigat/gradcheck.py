@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
+from .data import build_instances
 from .errors import NumericError
-from .features import Batch, FeatureSchema, FieldVocab, encode_instance
-from .graph import ITEM, USER, InteractionEvent, InteractionGraph
+from .features import Batch, FeatureSchema, FieldVocab
+from .graph import ITEM, USER, InteractionEvent
 from .model import ForwardState, backward, bce_loss, forward, init_params, named_parameters
 from .nn import fd_coordinate
 
@@ -62,7 +63,6 @@ def toy_schema(config: TrainConfig) -> FeatureSchema:
 
 def _toy_batch(schema: FeatureSchema, config: TrainConfig, rng: np.random.Generator) -> Batch:
     """Three instances: full window, partial window, cold start."""
-    g = InteractionGraph()
     segs, cats = ["a", "b"], ["x", "y"]
 
     def event(u, i, ts, label):
@@ -77,12 +77,12 @@ def _toy_batch(schema: FeatureSchema, config: TrainConfig, rng: np.random.Genera
         )
 
     history = [(0, 0), (0, 1), (1, 2), (0, 2), (1, 0), (0, 3), (0, 1)]
-    for ts, (u, i) in enumerate(history, start=1):
-        g.insert(event(u, i, ts, int(rng.random() < 0.5)))
+    events = [event(u, i, ts, int(rng.random() < 0.5)) for ts, (u, i) in enumerate(history, start=1)]
     end = len(history) + 1
+    # The queries share one timestamp, so none sees another in its window.
     queries = [event(0, 3, end, 1), event(1, 1, end, 0), event(2, 0, end, 1)]
-    k = config.max_neighbors
-    return Batch.from_instances([encode_instance(schema, q, g, end, k) for q in queries])
+    instances = build_instances(schema, events + queries, "dynamic", config.max_neighbors)
+    return Batch.from_instances(instances[-len(queries):])
 
 
 def leaky_margin(state: ForwardState) -> float:

@@ -1,11 +1,11 @@
 """The recommender model: batched forward pass and manual backward pass.
 
-Dataflow per instance:
+Dataflow per instance, with every per-side array keyed by side (USER, ITEM):
 
-  profile embeddings  e_user, e_item        (concatenated field lookups)
-  neighbor windows    user side: item profiles; item side: bare user ids
-  confidence          additive per-position vectors on the windows
-  four attention heads
+  profiles            concatenated field lookups of the user and the item
+  raw windows         user side: item profiles; item side: bare user ids
+  aug windows         raw plus additive per-position confidence vectors
+  four attention heads (HEADS: window side, query side)
       ui  user window scored against the user profile   (interactive)
       ua  user window scored against the item profile   (adaptive)
       ii  item window scored against the item profile   (interactive)
@@ -24,7 +24,7 @@ oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,13 +70,17 @@ LEAKY_SLOPE = 0.01
 PROB_CLAMP = 1e-7
 MLP_HIDDEN = (80, 40)
 ATT_HIDDEN = {"ffn-1": (), "ffn-2": (32,), "ffn-3": (64, 32)}
-HEAD_NAMES = ("ui", "ua", "ii", "ia")
+SIDES = (USER, ITEM)
+OTHER = {USER: ITEM, ITEM: USER}  # a side's window holds the other side's nodes
+# Each head scores one history window against one profile:
+# head name -> (window side, query side).
+HEADS = {"ui": (USER, USER), "ua": (USER, ITEM), "ii": (ITEM, ITEM), "ia": (ITEM, USER)}
 # The integrate layers as (name, left input, right input), in the order
-# their outputs are concatenated. "user" and "item" are the profile
-# embeddings, head names their pooled windows.
+# their outputs are concatenated. Sides name the profile embeddings,
+# head names their pooled windows.
 INTEGRATE = (
-    ("int_user", "user", "ui"),
-    ("int_item", "item", "ii"),
+    ("int_user", USER, "ui"),
+    ("int_item", ITEM, "ii"),
     ("adp_user", "ui", "ua"),
     ("adp_item", "ii", "ia"),
 )
@@ -118,83 +122,52 @@ def _init_head(rng: np.random.Generator, kind: str, q_width: int, k_width: int) 
 class PigatParams:
     schema: FeatureSchema
     config: TrainConfig
-    user_table: EmbeddingTable
-    item_table: EmbeddingTable
-    conf_user: ConfidenceTable
-    conf_item: ConfidenceTable
+    tables: dict[str, EmbeddingTable]  # side -> embedding rows
+    conf: dict[str, ConfidenceTable]  # window side -> confidence rows
     heads: dict[str, AttentionHead]
-    int_user_w: Array
-    int_user_b: Array
-    int_item_w: Array
-    int_item_b: Array
-    adp_user_w: Array
-    adp_user_b: Array
-    adp_item_w: Array
-    adp_item_b: Array
+    integrate: dict[str, tuple[Array, Array]]  # INTEGRATE name -> (weight, bias)
     mlp: FfnParams
 
-    def integrate_layer(self, name: str) -> tuple[Array, Array]:
-        """(weight, bias) of one INTEGRATE layer."""
-        return getattr(self, f"{name}_w"), getattr(self, f"{name}_b")
 
-
-def query_sides(config: TrainConfig) -> dict[str, str]:
-    """Which profile embedding each head scores the window against."""
+def head_wiring(config: TrainConfig) -> dict[str, tuple[str, str]]:
+    """HEADS as configured: user_query_only scores every window against the user."""
     if config.user_query_only:
-        return {name: "user" for name in HEAD_NAMES}
-    return {"ui": "user", "ua": "item", "ii": "item", "ia": "user"}
+        return {name: (window, USER) for name, (window, _) in HEADS.items()}
+    return HEADS
 
 
 def init_params(rng: np.random.Generator, schema: FeatureSchema, config: TrainConfig) -> PigatParams:
     """Build all trainable state. Draw order is fixed for determinism."""
     config.validate()
-    du = len(schema.user_fields) * schema.user_width
-    di = len(schema.item_fields) * schema.item_width
-    win_user, win_item = di, schema.user_width  # window entry widths per side
+    profile_w = {side: len(schema.fields(side)) * schema.width(side) for side in SIDES}
+    # A user window holds whole item profiles, an item window bare user ids.
+    window_w = {USER: profile_w[ITEM], ITEM: schema.user_width}
     k = config.max_neighbors
 
-    user_table = table_for_side(rng, schema, USER)
-    item_table = table_for_side(rng, schema, ITEM)
-    conf_user = build_confidence(config.confidence, k, win_user, rng)
-    conf_item = build_confidence(config.confidence, k, win_item, rng)
+    tables = {side: table_for_side(rng, schema, side) for side in SIDES}
+    conf = {side: build_confidence(config.confidence, k, window_w[side], rng) for side in SIDES}
 
     heads: dict[str, AttentionHead] = {}
     if config.pooling == "attention":
-        sides = query_sides(config)
-        qw = {"user": du, "item": di}
-        for name in HEAD_NAMES:
-            k_width = win_user if name in ("ui", "ua") else win_item
-            heads[name] = _init_head(rng, config.attention, qw[sides[name]], k_width)
+        for name, (window, query) in head_wiring(config).items():
+            heads[name] = _init_head(rng, config.attention, profile_w[query], window_w[window])
 
     dh = config.hidden_width
-    widths = {"user": du, "item": di, "ui": win_user, "ua": win_user, "ii": win_item, "ia": win_item}
-    integrate = {}
-    for name, left, right in INTEGRATE:
-        integrate[f"{name}_w"] = glorot_uniform(rng, dh, widths[left] + widths[right])
-        integrate[f"{name}_b"] = np.zeros(dh)
-    return PigatParams(
-        schema=schema,
-        config=config,
-        user_table=user_table,
-        item_table=item_table,
-        conf_user=conf_user,
-        conf_item=conf_item,
-        heads=heads,
-        **integrate,
-        mlp=ffn_init(rng, [len(INTEGRATE) * dh, *MLP_HIDDEN, 1], LEAKY_SLOPE),
-    )
+    widths = {**profile_w, **{name: window_w[window] for name, (window, _) in HEADS.items()}}
+    integrate = {
+        name: (glorot_uniform(rng, dh, widths[left] + widths[right]), np.zeros(dh))
+        for name, left, right in INTEGRATE
+    }
+    mlp = ffn_init(rng, [len(INTEGRATE) * dh, *MLP_HIDDEN, 1], LEAKY_SLOPE)
+    return PigatParams(schema, config, tables, conf, heads, integrate, mlp)
 
 
 def named_parameters(params: PigatParams) -> dict[str, Array]:
     """Stable name -> array view of everything the optimizer may touch."""
-    out: dict[str, Array] = {
-        "user_table": params.user_table.weight,
-        "item_table": params.item_table.weight,
-    }
-    if params.conf_user.trainable:
-        out["conf_user"] = params.conf_user.rows
-    if params.conf_item.trainable:
-        out["conf_item"] = params.conf_item.rows
+    out = {f"{side}_table": params.tables[side].weight for side in SIDES}
+    for side in SIDES:
+        if params.conf[side].trainable:
+            out[f"conf_{side}"] = params.conf[side].rows
     for name, head in params.heads.items():
         if head.ffn is not None:
             for i, (w, b) in enumerate(zip(head.ffn.weights, head.ffn.biases)):
@@ -204,7 +177,7 @@ def named_parameters(params: PigatParams) -> dict[str, Array]:
             out[f"att_{name}.proj_w"] = head.proj_w
             out[f"att_{name}.proj_b"] = head.proj_b
     for name, _, _ in INTEGRATE:
-        out[f"{name}.w"], out[f"{name}.b"] = params.integrate_layer(name)
+        out[f"{name}.w"], out[f"{name}.b"] = params.integrate[name]
     for i, (w, b) in enumerate(zip(params.mlp.weights, params.mlp.biases)):
         out[f"mlp.w{i}"] = w
         out[f"mlp.b{i}"] = b
@@ -227,12 +200,9 @@ class ForwardState:
 
     batch: Batch
     mode: str
-    e_user: Array
-    e_item: Array
-    un_raw: Array
-    in_raw: Array
-    un_aug: Array
-    in_aug: Array
+    profiles: dict[str, Array]  # side -> (B, profile width)
+    raw: dict[str, Array]  # window side -> looked-up window (B, k, width)
+    aug: dict[str, Array]  # window side -> raw plus confidence
     heads: dict[str, HeadState]
     pools: dict[str, Array]
     int_states: dict[str, tuple[Array, Array]]  # name -> (concat input, pre-activation)
@@ -243,6 +213,15 @@ class ForwardState:
     prob_raw: Array
     prob: Array
     clamp_active: Array
+
+
+def _side_arrays(batch: Batch) -> tuple[dict[str, Array], dict[str, Array], dict[str, Array]]:
+    """(profile ids, window ids, window mask) of the batch, each keyed by side."""
+    return (
+        {USER: batch.user_ids, ITEM: batch.item_ids},
+        {USER: batch.user_nbrs, ITEM: batch.item_nbrs},
+        {USER: batch.user_mask, ITEM: batch.item_mask},
+    )
 
 
 def uniform_coefficients(mask: Array) -> Array:
@@ -291,45 +270,34 @@ def forward(
     if mode not in ("train", "eval"):
         raise DomainError(f"mode must be train or eval, got {mode!r}")
     cfg = params.config
-    schema = params.schema
     b = len(batch)
-    h_u, h_i = schema.user_width, schema.item_width
-    n_u, n_i = len(schema.user_fields), len(schema.item_fields)
+    ids, nbrs, masks = _side_arrays(batch)
 
-    e_user = lookup(params.user_table, batch.user_ids).reshape(b, n_u * h_u)
-    e_item = lookup(params.item_table, batch.item_ids).reshape(b, n_i * h_i)
-    un_raw = lookup(params.item_table, batch.user_nbrs).reshape(b, -1, n_i * h_i)
-    in_raw = lookup(params.user_table, batch.item_nbrs)
+    profiles = {side: lookup(params.tables[side], ids[side]).reshape(b, -1) for side in SIDES}
+    raw = {
+        side: lookup(params.tables[OTHER[side]], nbrs[side]).reshape(*masks[side].shape, -1)
+        for side in SIDES
+    }
+    aug = {side: apply_confidence(params.conf[side], raw[side], masks[side]) for side in SIDES}
+    pool_src = aug if cfg.confidence_in_pooling else raw
 
-    un_aug = apply_confidence(params.conf_user, un_raw, batch.user_mask)
-    in_aug = apply_confidence(params.conf_item, in_raw, batch.item_mask)
-    un_pool = un_aug if cfg.confidence_in_pooling else un_raw
-    in_pool = in_aug if cfg.confidence_in_pooling else in_raw
-
-    profiles = {"user": e_user, "item": e_item}
-    sides = query_sides(cfg)
     head_states: dict[str, HeadState] = {}
     pools: dict[str, Array] = {}
-    for name in HEAD_NAMES:
-        keys, pool_src, mask = (
-            (un_aug, un_pool, batch.user_mask)
-            if name in ("ui", "ua")
-            else (in_aug, in_pool, batch.item_mask)
-        )
+    for name, (window, query) in head_wiring(cfg).items():
+        mask = masks[window]
         if cfg.pooling == "attention":
-            logits, state = attention_logits(params.heads[name], profiles[sides[name]], keys)
+            logits, state = attention_logits(params.heads[name], profiles[query], aug[window])
             state.weights = masked_softmax(logits, mask)
         else:
             state = HeadState(np.zeros_like(mask, dtype=np.float64), uniform_coefficients(mask))
         head_states[name] = state
-        pools[name] = pooled_embedding(state.weights, pool_src)
+        pools[name] = pooled_embedding(state.weights, pool_src[window])
 
     sources = {**profiles, **pools}
     int_states: dict[str, tuple[Array, Array]] = {}
     int_outs = []
     for name, left, right in INTEGRATE:
-        w, bias = params.integrate_layer(name)
-        out, pre, x = integrate_forward(w, bias, sources[left], sources[right])
+        out, pre, x = integrate_forward(*params.integrate[name], sources[left], sources[right])
         int_states[name] = (x, pre)
         int_outs.append(out)
 
@@ -352,12 +320,9 @@ def forward(
     return ForwardState(
         batch=batch,
         mode=mode,
-        e_user=e_user,
-        e_item=e_item,
-        un_raw=un_raw,
-        in_raw=in_raw,
-        un_aug=un_aug,
-        in_aug=in_aug,
+        profiles=profiles,
+        raw=raw,
+        aug=aug,
         heads=head_states,
         pools=pools,
         int_states=int_states,
@@ -394,24 +359,17 @@ def bce_loss(prob: Array, labels: Array) -> float:
     return float(-np.mean(labels * np.log(prob) + (1.0 - labels) * np.log(1.0 - prob)))
 
 
-def zero_all_gradients(params: PigatParams) -> None:
-    zero_gradients(params.user_table)
-    zero_gradients(params.item_table)
-    zero_confidence_gradient(params.conf_user)
-    zero_confidence_gradient(params.conf_item)
-
-
 def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[str, Array]:
     """Mean-BCE gradients for every named parameter of this batch.
 
-    Embedding and confidence accumulators are zeroed on entry, so the
-    returned dict always holds exactly this batch's gradients.
+    Embedding and confidence accumulators are zeroed before this batch's
+    gradients are scattered into them, so the returned dict always holds
+    exactly this batch's gradients.
     """
     cfg = params.config
     batch = state.batch
     b = len(batch)
     labels = np.asarray(labels, dtype=np.float64)
-    zero_all_gradients(params)
     grads: dict[str, Array] = {}
 
     # Head: d loss / d logit, zero where the output clamp is active.
@@ -423,7 +381,7 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
     d_merged = d_merged_in * state.drop if state.drop is not None else d_merged_in
 
     dh = cfg.hidden_width
-    sources = {"user": state.e_user, "item": state.e_item, **state.pools}
+    sources = {**state.profiles, **state.pools}
     d_sources: dict[str, Array] = {}  # gradient per INTEGRATE input
     for idx, (name, left, right) in enumerate(INTEGRATE):
         x, pre = state.int_states[name]
@@ -431,59 +389,48 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
         d_pre = d_out * leaky_relu_slope_at(pre, LEAKY_SLOPE)
         grads[f"{name}.w"] = d_pre.T @ x
         grads[f"{name}.b"] = d_pre.sum(axis=0)
-        d_x = d_pre @ params.integrate_layer(name)[0]
+        d_x = d_pre @ params.integrate[name][0]
         cut = sources[left].shape[1]
         d_sources[left] = _acc(d_sources.get(left), d_x[:, :cut])
         d_sources[right] = _acc(d_sources.get(right), d_x[:, cut:])
 
-    un_pool = state.un_aug if cfg.confidence_in_pooling else state.un_raw
-    in_pool = state.in_aug if cfg.confidence_in_pooling else state.in_raw
-    d_un_aug = np.zeros_like(state.un_aug)
-    d_in_aug = np.zeros_like(state.in_aug)
-    d_un_raw = np.zeros_like(state.un_raw)
-    d_in_raw = np.zeros_like(state.in_raw)
-    sides = query_sides(cfg)
+    ids, nbrs, masks = _side_arrays(batch)
+    d_aug = {side: np.zeros_like(state.aug[side]) for side in SIDES}
+    d_raw = {side: np.zeros_like(state.raw[side]) for side in SIDES}
+    # Pooling reads the windows with or without confidence; its gradient goes there.
+    pool_src, d_pool_src = (state.aug, d_aug) if cfg.confidence_in_pooling else (state.raw, d_raw)
 
-    for name in HEAD_NAMES:
+    for name, (window, query) in head_wiring(cfg).items():
         hstate = state.heads[name]
-        user_side = name in ("ui", "ua")
-        mask = batch.user_mask if user_side else batch.item_mask
-        pool_src = un_pool if user_side else in_pool
         d_pool = d_sources[name]
 
         # Pooling backward: weights and values both carry gradient.
-        d_weights = np.einsum("bw,bkw->bk", d_pool, pool_src)
-        d_src = hstate.weights[:, :, None] * d_pool[:, None, :]
-        if cfg.confidence_in_pooling:
-            (d_un_aug if user_side else d_in_aug)[...] += d_src
-        else:
-            (d_un_raw if user_side else d_in_raw)[...] += d_src
+        d_weights = np.einsum("bw,bkw->bk", d_pool, pool_src[window])
+        d_pool_src[window] += hstate.weights[:, :, None] * d_pool[:, None, :]
 
         if cfg.pooling != "attention":
             continue  # uniform weights carry no parameters
         d_logits = masked_softmax_backward(hstate.weights, d_weights)
-        head = params.heads[name]
-        d_keys, d_query = _head_backward(head, name, hstate, d_logits, grads)
-        (d_un_aug if user_side else d_in_aug)[...] += d_keys
-        d_sources[sides[name]] += d_query
+        d_keys, d_query = _head_backward(params.heads[name], name, hstate, d_logits, grads)
+        d_aug[window] += d_keys
+        d_sources[query] += d_query
 
     # Confidence addition: augmented = raw + mask * rows.
-    scatter_confidence_gradient(params.conf_user, batch.user_mask, d_un_aug)
-    scatter_confidence_gradient(params.conf_item, batch.item_mask, d_in_aug)
-    if params.conf_user.trainable:
-        grads["conf_user"] = params.conf_user.grad
-    if params.conf_item.trainable:
-        grads["conf_item"] = params.conf_item.grad
-    d_un_raw += d_un_aug
-    d_in_raw += d_in_aug
+    for side in SIDES:
+        conf = params.conf[side]
+        zero_confidence_gradient(conf)
+        scatter_confidence_gradient(conf, masks[side], d_aug[side])
+        if conf.trainable:
+            grads[f"conf_{side}"] = conf.grad
+        d_raw[side] += d_aug[side]
 
-    h_u, h_i = params.schema.user_width, params.schema.item_width
-    scatter_gradient(params.user_table, batch.user_ids, d_sources["user"].reshape(b, -1, h_u))
-    scatter_gradient(params.item_table, batch.item_ids, d_sources["item"].reshape(b, -1, h_i))
-    scatter_gradient(params.item_table, batch.user_nbrs, d_un_raw.reshape(b, d_un_raw.shape[1], -1, h_i))
-    scatter_gradient(params.user_table, batch.item_nbrs, d_in_raw)
-    grads["user_table"] = params.user_table.grad
-    grads["item_table"] = params.item_table.grad
+    # A side's table holds its profiles and the entries of the other side's window.
+    for side in SIDES:
+        table = params.tables[side]
+        zero_gradients(table)
+        scatter_gradient(table, ids[side], d_sources[side].reshape(-1, table.width))
+        scatter_gradient(table, nbrs[OTHER[side]], d_raw[OTHER[side]].reshape(-1, table.width))
+        grads[f"{side}_table"] = table.grad
     return grads
 
 
@@ -514,8 +461,8 @@ def _head_backward(
 def checkpoint_arrays(params: PigatParams) -> dict[str, Array]:
     """All persisted arrays: trainables plus any frozen confidence rows."""
     arrays = dict(named_parameters(params))
-    arrays.setdefault("conf_user", params.conf_user.rows)
-    arrays.setdefault("conf_item", params.conf_item.rows)
+    for side in SIDES:
+        arrays.setdefault(f"conf_{side}", params.conf[side].rows)
     return arrays
 
 

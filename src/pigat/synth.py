@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import coerce_pairs, field_types, parse_kv_lines
+from .config import check_finite_and_seed, coerce_pairs, field_types, parse_kv_lines
 from .data import InteractionLog, RawInteraction
 from .errors import DataError
 from .nn import sigmoid
@@ -43,6 +43,7 @@ class SynthSpec:
     seed: int = 0
 
     def validate(self) -> "SynthSpec":
+        check_finite_and_seed(self)
         if self.users < 2 or self.items < 2:
             raise DataError("need at least 2 users and 2 items")
         if self.events < 10:

@@ -324,3 +324,44 @@ class TestExitCodes:
         assert "data error" in err and "validation" in err
         assert steps == []
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "key,value,flags",
+        [
+            ("l2", "nan", []),
+            ("learning_rate", "inf", []),
+            ("seed", "-1", []),
+            (None, None, ["--seed", "-3"]),
+        ],
+        ids=["l2-nan", "learning-rate-inf", "config-seed-negative", "flag-seed-negative"],
+    )
+    def test_non_finite_or_negative_setting_exits_2_before_any_step(
+        self, workspace, tmp_path, monkeypatch, capsys, key, value, flags
+    ):
+        pairs = dict(line.split(" = ") for line in (workspace / "config.txt").read_text().splitlines())
+        if key is not None:
+            pairs[key] = value
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+        steps = []
+        monkeypatch.setattr("pigat.train.adam_step", lambda *a: steps.append(a))
+        assert main([
+            "train",
+            "--config", str(cfg),
+            "--data", str(workspace / "data.tsv"),
+            "--out", str(tmp_path / "r"),
+            *flags,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and (key or "seed") in err
+        assert steps == []
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("key,value", [("seed", "-1"), ("exponent", "nan"), ("scale", "inf")])
+    def test_non_finite_or_negative_spec_value_exits_2(self, tmp_path, capsys, key, value):
+        pairs = {"users": "20", "items": "40", "events": "400", "seed": "5", key: value}
+        spec = tmp_path / "spec.txt"
+        spec.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d.tsv")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "d.tsv").exists()

@@ -41,7 +41,7 @@ class TestCaseConstruction:
         config = toy_config("ce", "ffn-1")
         p1, b1 = build_case(config, seed=5)
         p2, b2 = build_case(config, seed=5)
-        assert np.array_equal(p1.user_table.weight, p2.user_table.weight)
+        assert np.array_equal(p1.tables["user"].weight, p2.tables["user"].weight)
         assert np.array_equal(b1.user_nbrs, b2.user_nbrs)
         assert np.array_equal(b1.labels, b2.labels)
 
@@ -107,18 +107,32 @@ class TestGradientAgreement:
         results = run_matrix(("none", "ce"), ("dot", "ffn-1"), range(2))
         assert max(results.values()) < 1e-4
 
-    def test_rewired_queries_still_agree(self):
-        report = run_case("ce", "dot", seed=1, user_query_only=True)
-        assert report.max_rel_err < 1e-4
-
-    def test_average_pooling_still_agrees(self):
-        report = run_case("ce", "ffn-2", seed=1, pooling="average")
-        assert report.max_rel_err < 1e-4
-        assert not any(name.startswith("att_") for name in report.per_group)
-
-    def test_confidence_outside_pooling_still_agrees(self):
-        report = run_case("ce", "ffn-2", seed=1, confidence_in_pooling=False)
-        assert report.max_rel_err < 1e-4
+    @pytest.mark.parametrize(
+        "attention,overrides",
+        [
+            ("dot", dict(user_query_only=True)),
+            ("ffn-2", dict(pooling="average")),
+            ("ffn-2", dict(confidence_in_pooling=False)),
+            ("ffn-3", dict(user_query_only=True, confidence_in_pooling=False)),
+            # Item windows are narrower than the user profile, so the
+            # item-side heads project the query.
+            ("scaled-dot", dict(user_query_only=True)),
+        ],
+        ids=[
+            "user-query-only-dot",
+            "average-pooling",
+            "confidence-outside-pooling",
+            "user-query-only-ffn3-outside-pooling",
+            "user-query-only-scaled-dot",
+        ],
+    )
+    def test_rewired_model_still_agrees(self, attention, overrides):
+        report = run_case("ce", attention, seed=1, **overrides)
+        assert report.max_rel_err < 1e-4, report.per_group
+        if overrides.get("pooling") == "average":
+            assert not any(name.startswith("att_") for name in report.per_group)
+        if attention == "scaled-dot":
+            assert {"att_ii.proj_w", "att_ia.proj_w"} <= set(report.per_group)
 
     def test_full_coordinate_sweep_on_smallest_head(self):
         report = run_case("none", "dot", seed=3, samples_per_array=None)

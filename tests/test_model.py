@@ -33,12 +33,12 @@ from pigat.model import (
     backward,
     bce_loss,
     forward,
+    head_wiring,
     init_params,
     load_checkpoint,
     named_parameters,
     pooled_embedding,
     predict,
-    query_sides,
     save_checkpoint,
     uniform_coefficients,
 )
@@ -112,26 +112,26 @@ def straightline_prob(params, batch: Batch, idx: int) -> float:
     def row(table, gid):
         return [float(v) for v in table.weight[int(gid)]]
 
-    e_u = [x for gid in batch.user_ids[idx] for x in row(params.user_table, gid)]
-    e_i = [x for gid in batch.item_ids[idx] for x in row(params.item_table, gid)]
+    e_u = [x for gid in batch.user_ids[idx] for x in row(params.tables[USER], gid)]
+    e_i = [x for gid in batch.item_ids[idx] for x in row(params.tables[ITEM], gid)]
 
     def user_window():
-        ids, mask, conf = batch.user_nbrs[idx], batch.user_mask[idx], params.conf_user
+        ids, mask, conf = batch.user_nbrs[idx], batch.user_mask[idx], params.conf[USER]
         live = int(mask.sum())
         slots = []
         for s in range(ids.shape[0]):
-            vec = [x for gid in ids[s] for x in row(params.item_table, gid)]
+            vec = [x for gid in ids[s] for x in row(params.tables[ITEM], gid)]
             if mask[s]:
                 vec = [v + float(conf.rows[live - 1, s, j]) for j, v in enumerate(vec)]
             slots.append(vec)
         return slots, [bool(m) for m in mask]
 
     def item_window():
-        ids, mask, conf = batch.item_nbrs[idx], batch.item_mask[idx], params.conf_item
+        ids, mask, conf = batch.item_nbrs[idx], batch.item_mask[idx], params.conf[ITEM]
         live = int(mask.sum())
         slots = []
         for s in range(ids.shape[0]):
-            vec = row(params.user_table, ids[s])
+            vec = row(params.tables[USER], ids[s])
             if mask[s]:
                 vec = [v + float(conf.rows[live - 1, s, j]) for j, v in enumerate(vec)]
             slots.append(vec)
@@ -165,10 +165,10 @@ def straightline_prob(params, batch: Batch, idx: int) -> float:
         return [float(b[h]) + sum(float(w[h, j]) * x[j] for j in range(len(x))) for h in range(w.shape[0])]
 
     merged = (
-        [leaky(v) for v in affine(params.int_user_w, params.int_user_b, e_u + p_ui)]
-        + [leaky(v) for v in affine(params.int_item_w, params.int_item_b, e_i + p_ii)]
-        + [leaky(v) for v in affine(params.adp_user_w, params.adp_user_b, p_ui + p_ua)]
-        + [leaky(v) for v in affine(params.adp_item_w, params.adp_item_b, p_ii + p_ia)]
+        [leaky(v) for v in affine(*params.integrate["int_user"], e_u + p_ui)]
+        + [leaky(v) for v in affine(*params.integrate["int_item"], e_i + p_ii)]
+        + [leaky(v) for v in affine(*params.integrate["adp_user"], p_ui + p_ua)]
+        + [leaky(v) for v in affine(*params.integrate["adp_item"], p_ii + p_ia)]
     )
     x = merged
     last = len(params.mlp.weights) - 1
@@ -324,7 +324,7 @@ class TestPooling:
         params = init_params(np.random.default_rng(2), schema, config)
         batch = tiny_batch(schema)
         state = forward(params, batch)
-        live = state.un_aug[1][batch.user_mask[1]]
+        live = state.aug[USER][1][batch.user_mask[1]]
         assert np.allclose(state.pools["ui"][1], live.mean(axis=0), rtol=0, atol=1e-15)
         assert np.all(state.pools["ii"][1] == 0.0)  # cold window pools to zero
 
@@ -364,11 +364,11 @@ class TestForwardOracle:
         assert np.array_equal(predict(params, batch), predict(params, batch))
 
     def test_user_query_only_rewires_adaptive_heads(self):
-        assert query_sides(tiny_config(user_query_only=True)) == {
-            "ui": "user",
-            "ua": "user",
-            "ii": "user",
-            "ia": "user",
+        assert head_wiring(tiny_config(user_query_only=True)) == {
+            "ui": (USER, USER),
+            "ua": (USER, USER),
+            "ii": (ITEM, USER),
+            "ia": (ITEM, USER),
         }
         schema = tiny_schema()
         batch = tiny_batch(schema)

@@ -1,0 +1,71 @@
+"""No function, class or method under src/pigat is referenced only from tests.
+
+A name counts as referenced when the program itself uses it: a name or an
+attribute in src/pigat or scripts/, or the console-script entry point in
+pyproject.toml. Dunder methods are called by Python and do not count.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "pigat"
+# Called by argparse, or kept as public helpers with no caller in the program.
+ALLOWED = {"error", "read_metrics", "run_matrix"}
+
+
+def _trees(*dirs: Path) -> list[ast.AST]:
+    return [ast.parse(path.read_text(), str(path)) for d in dirs for path in sorted(d.rglob("*.py"))]
+
+
+def defined_names(tree: ast.AST) -> set[str]:
+    """Module-level functions and classes, and the methods of those classes."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(
+                item.name for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+def used_names(tree: ast.AST) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def entry_points() -> set[str]:
+    """Function names of the `name = "module:function"` lines in pyproject.toml."""
+    return set(re.findall(r'^\S+\s*=\s*"[\w.]+:(\w+)"', (ROOT / "pyproject.toml").read_text(), re.M))
+
+
+def program_names() -> tuple[set[str], set[str]]:
+    """(names defined under src/pigat, names the program references)."""
+    defined = set().union(*map(defined_names, _trees(PACKAGE)))
+    used = set().union(*map(used_names, _trees(PACKAGE, ROOT / "scripts"))) | entry_points()
+    return defined, used
+
+
+def test_every_program_name_has_a_program_reference():
+    defined, used = program_names()
+    assert sorted(defined - used - ALLOWED) == []
+
+
+def test_allowlist_holds_only_defined_names_without_a_reference():
+    defined, used = program_names()
+    assert ALLOWED <= defined
+    assert not ALLOWED & used
+
+
+def test_check_sees_a_test_only_function():
+    tree = ast.parse("def helper():\n    pass\n\nclass Box:\n    def open(self):\n        pass\n")
+    assert defined_names(tree) == {"helper", "Box", "open"}
+    assert not defined_names(tree) <= used_names(tree)
