@@ -15,7 +15,7 @@ import dataclasses
 import time
 from dataclasses import dataclass
 
-from .config import TrainConfig, config_from_pairs
+from .config import TrainConfig, config_from_pairs, read_utf8_lines
 from .data import PREPARE_FIELDS, InteractionLog, PreparedData, prepare_dataset
 from .errors import DataError, UsageError
 from .metrics import ScoredSet, auc, longtail_auc
@@ -39,9 +39,9 @@ class AblationRow:
 def read_matrix(path: str) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive config field names
+    lines = read_utf8_lines(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
+        parser.read_file(lines, source=path)
     except configparser.Error as exc:
         raise DataError(f"bad variant file {path}: {exc}") from None
     matrix = {label: dict(parser[label]) for label in parser.sections()}

@@ -53,7 +53,6 @@ def positional_profile(k: int, width: int) -> Array:
 
 @dataclass
 class ConfidenceTable:
-    variant: str
     rows: Array  # (k, k, width)
     trainable: bool
     grad: Array | None = None
@@ -87,7 +86,7 @@ def build_confidence(
     else:  # ce: recency-initialized, then learned
         rows, trainable = recency_profile(k, width), True
     grad = np.zeros_like(rows) if trainable else None
-    return ConfidenceTable(variant, rows, trainable, grad)
+    return ConfidenceTable(rows, trainable, grad)
 
 
 def live_lengths(mask: Array) -> Array:

@@ -126,15 +126,19 @@ def config_from_pairs(pairs: dict[str, str], base: TrainConfig | None = None) ->
     return dataclasses.replace(base if base is not None else TrainConfig(), **values).validate()
 
 
-def parse_kv_lines(path: str) -> dict[str, str]:
-    """Read `key = value` lines, ignoring blanks and # comments."""
+def read_utf8_lines(path: str) -> list[str]:
+    """The lines of a text file; a file that is not UTF-8 is a DataError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            lines = list(fh)
+            return list(fh)
         except UnicodeDecodeError as err:
             raise DataError(f"{path}: not UTF-8 text: {err}") from None
+
+
+def parse_kv_lines(path: str) -> dict[str, str]:
+    """Read `key = value` lines, ignoring blanks and # comments."""
     pairs: dict[str, str] = {}
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(read_utf8_lines(path), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

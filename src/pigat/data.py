@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import TrainConfig, read_utf8_lines
 from .errors import DataError
 from .features import Batch, FeatureSchema, FieldVocab, encode_instance
 from .graph import ITEM, USER, InteractionEvent, InteractionGraph
@@ -31,7 +31,9 @@ from .graph import ITEM, USER, InteractionEvent, InteractionGraph
 Array = np.ndarray
 
 RATING_POSITIVE_ABOVE = 3.0
-_FORBIDDEN = set("\t;=\n")
+# A value may hold "=": only a field's first one separates name from value.
+# Reading splits lines at "\r" too (universal newlines).
+_FORBIDDEN = set("\t;\r\n")
 
 
 @dataclass
@@ -40,7 +42,6 @@ class RawInteraction:
     user_values: tuple[str, ...]
     item_values: tuple[str, ...]
     signal: float
-    line_no: int  # 1-based line in the source file, 0 for generated records
 
 
 @dataclass
@@ -70,31 +71,28 @@ def read_interactions(path: str) -> InteractionLog:
     records: list[RawInteraction] = []
     user_names: list[str] | None = None
     item_names: list[str] | None = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(
-                    f"{path}:{line_no}: expected 4 tab-separated columns, got {len(parts)}"
-                )
-            try:
-                timestamp = int(parts[0])
-            except ValueError:
-                raise DataError(f"{path}:{line_no}: bad timestamp {parts[0]!r}") from None
-            if timestamp < 0:
-                raise DataError(f"{path}:{line_no}: negative timestamp {timestamp}")
-            user_names, user_values = _parse_fields(path, line_no, parts[1], user_names)
-            item_names, item_values = _parse_fields(path, line_no, parts[2], item_names)
-            try:
-                signal = float(parts[3])
-            except ValueError:
-                raise DataError(f"{path}:{line_no}: bad signal {parts[3]!r}") from None
-            if not math.isfinite(signal):
-                raise DataError(f"{path}:{line_no}: non-finite signal {parts[3]!r}")
-            records.append(RawInteraction(timestamp, user_values, item_values, signal, line_no))
+    for line_no, line in enumerate(read_utf8_lines(path), 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise DataError(f"{path}:{line_no}: expected 4 tab-separated columns, got {len(parts)}")
+        try:
+            timestamp = int(parts[0])
+        except ValueError:
+            raise DataError(f"{path}:{line_no}: bad timestamp {parts[0]!r}") from None
+        if timestamp < 0:
+            raise DataError(f"{path}:{line_no}: negative timestamp {timestamp}")
+        user_names, user_values = _parse_fields(path, line_no, parts[1], user_names)
+        item_names, item_values = _parse_fields(path, line_no, parts[2], item_names)
+        try:
+            signal = float(parts[3])
+        except ValueError:
+            raise DataError(f"{path}:{line_no}: bad signal {parts[3]!r}") from None
+        if not math.isfinite(signal):
+            raise DataError(f"{path}:{line_no}: non-finite signal {parts[3]!r}")
+        records.append(RawInteraction(timestamp, user_values, item_values, signal))
     if not records:
         raise DataError(f"{path}: no interactions")
     records.sort(key=lambda r: r.timestamp)  # sort is stable: ties keep file order
@@ -117,12 +115,12 @@ def write_interactions(path: str, log: InteractionLog) -> None:
             fh.write(f"{rec.timestamp}\t{user}\t{item}\t{format_signal(rec.signal)}\n")
 
 
-def derive_labels(records: list[RawInteraction]) -> tuple[Array, str]:
+def derive_labels(records: list[RawInteraction]) -> Array:
     """Binary signals pass through; ratings become positive above 3."""
     signals = np.array([r.signal for r in records], dtype=np.float64)
     if np.all((signals == 0.0) | (signals == 1.0)):
-        return signals, "binary"
-    return (signals > RATING_POSITIVE_ABOVE).astype(np.float64), "rating"
+        return signals
+    return (signals > RATING_POSITIVE_ABOVE).astype(np.float64)
 
 
 def timeline_split(count: int) -> tuple[int, int]:
@@ -156,12 +154,10 @@ def encode_events(
     for rec, label in zip(records, labels):
         events.append(
             InteractionEvent(
-                user=schema.node_index(USER, rec.user_values[0]),
-                item=schema.node_index(ITEM, rec.item_values[0]),
-                timestamp=rec.timestamp,
-                label=int(label),
                 user_ids=schema.encode_profile(USER, rec.user_values),
                 item_ids=schema.encode_profile(ITEM, rec.item_values),
+                timestamp=rec.timestamp,
+                label=int(label),
             )
         )
     return events
@@ -207,7 +203,6 @@ def build_instances(
 @dataclass
 class PreparedData:
     schema: FeatureSchema
-    label_kind: str
     train: Batch
     val: Batch
     test: Batch
@@ -236,7 +231,7 @@ def prepare_dataset(
     Passing a schema (from a checkpoint) scores the log against that
     model's vocabulary; unseen values collapse onto the OOV rows.
     """
-    labels, kind = derive_labels(log.records)
+    labels = derive_labels(log.records)
     if schema is None:
         schema = build_schema(log, config.user_embed_width, config.item_embed_width)
     events = encode_events(schema, log.records, labels)
@@ -248,10 +243,9 @@ def prepare_dataset(
         config.max_neighbors,
         positives_only=not config.include_negative_neighbors,
     )
-    degrees = np.bincount([e.item for e in events[:n_train]], minlength=schema.node_count(ITEM))
+    degrees = np.bincount([e.item_ids[0] for e in events[:n_train]], minlength=schema.node_count(ITEM))
     return PreparedData(
         schema=schema,
-        label_kind=kind,
         train=Batch.from_instances(instances[:n_train]),
         val=Batch.from_instances(instances[n_train:n_val]),
         test=Batch.from_instances(instances[n_val:]),

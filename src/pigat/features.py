@@ -4,7 +4,8 @@ Each side (user, item) owns one embedding table covering all of its
 fields: field vocabularies occupy disjoint id blocks, and every field
 gets two extra slots, one trainable out-of-vocabulary id and one padding
 id pinned at zero. The first field on each side is the identity field;
-its vocabulary also numbers the graph nodes.
+its block comes first, so an identity's table id (the OOV id included)
+is also its graph node number.
 
 Neighbor sequences share tables across sides: a user's neighbors are
 item profiles looked up in the item table, an item's neighbors are bare
@@ -96,10 +97,6 @@ class FeatureSchema:
                 f"{side} profile has {len(values)} values for {len(fields)} schema fields"
             )
         return tuple(self.global_id(side, p, v) for p, v in enumerate(values))
-
-    def node_index(self, side: str, value: str) -> int:
-        """Graph node number for an identity value; unseen values share one node."""
-        return self.fields(side)[0].local_id(value)
 
     def node_count(self, side: str) -> int:
         return self.fields(side)[0].card + 1
@@ -198,7 +195,6 @@ class EncodedInstance:
     item_nbrs: Array  # (k,) identity ids into the user table
     item_mask: Array  # (k,) bool
     label: float
-    timestamp: int
 
 
 def encode_instance(
@@ -217,8 +213,8 @@ def encode_instance(
     """
     if k < 1:
         raise DomainError(f"neighbor window k must be >= 1, got {k}")
-    u_events = _window(graph, USER, event.user, before, k, positives_only)
-    i_events = _window(graph, ITEM, event.item, before, k, positives_only)
+    u_events = _window(graph, USER, event.user_ids[0], before, k, positives_only)
+    i_events = _window(graph, ITEM, event.item_ids[0], before, k, positives_only)
 
     n_item_fields = len(schema.item_fields)
     user_nbrs = np.empty((k, n_item_fields), dtype=np.int64)
@@ -242,7 +238,6 @@ def encode_instance(
         item_nbrs=item_nbrs,
         item_mask=item_mask,
         label=float(event.label),
-        timestamp=event.timestamp,
     )
 
 
@@ -266,7 +261,6 @@ class Batch:
     item_nbrs: Array
     item_mask: Array
     labels: Array
-    timestamps: Array
 
     @classmethod
     def from_instances(cls, instances: list[EncodedInstance]) -> "Batch":
@@ -280,7 +274,6 @@ class Batch:
             item_nbrs=np.stack([i.item_nbrs for i in instances]),
             item_mask=np.stack([i.item_mask for i in instances]),
             labels=np.array([i.label for i in instances], dtype=np.float64),
-            timestamps=np.array([i.timestamp for i in instances], dtype=np.int64),
         )
 
     def __len__(self) -> int:
@@ -295,5 +288,4 @@ class Batch:
             self.item_nbrs[idx],
             self.item_mask[idx],
             self.labels[idx],
-            self.timestamps[idx],
         )

@@ -16,7 +16,7 @@ wrong analytic gradient does not, so the retry cannot hide a real bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,18 +38,13 @@ RETRY_THRESHOLD = 1e-4
 REL_ERR_FLOOR = 1e-6
 
 
-def toy_config(confidence: str = "ce", attention: str = "ffn-3", **overrides) -> TrainConfig:
-    base = dict(
-        confidence=confidence,
-        attention=attention,
-        max_neighbors=4,
-        user_embed_width=8,
-        item_embed_width=8,
-        dropout=0.0,
-        graph_mode="dynamic",
-    )
-    base.update(overrides)
-    return TrainConfig(**base).validate()
+def toy_config(config: TrainConfig) -> TrainConfig:
+    """The configured model at toy size: a 4-slot window, 8-wide embeddings, no dropout.
+
+    Every other field keeps its configured value, the hidden width and the
+    neighbor filter included.
+    """
+    return replace(config, max_neighbors=4, user_embed_width=8, item_embed_width=8, dropout=0.0).validate()
 
 
 def toy_schema(config: TrainConfig) -> FeatureSchema:
@@ -66,14 +61,11 @@ def _toy_batch(schema: FeatureSchema, config: TrainConfig, rng: np.random.Genera
     segs, cats = ["a", "b"], ["x", "y"]
 
     def event(u, i, ts, label):
-        uname, iname = f"u{u}", f"i{i}"
         return InteractionEvent(
-            user=schema.node_index(USER, uname),
-            item=schema.node_index(ITEM, iname),
+            user_ids=schema.encode_profile(USER, (f"u{u}", segs[u % 2])),
+            item_ids=schema.encode_profile(ITEM, (f"i{i}", cats[i % 2])),
             timestamp=ts,
             label=label,
-            user_ids=schema.encode_profile(USER, (uname, segs[u % 2])),
-            item_ids=schema.encode_profile(ITEM, (iname, cats[i % 2])),
         )
 
     history = [(0, 0), (0, 1), (1, 2), (0, 2), (1, 0), (0, 3), (0, 1)]
@@ -81,7 +73,8 @@ def _toy_batch(schema: FeatureSchema, config: TrainConfig, rng: np.random.Genera
     end = len(history) + 1
     # The queries share one timestamp, so none sees another in its window.
     queries = [event(0, 3, end, 1), event(1, 1, end, 0), event(2, 0, end, 1)]
-    instances = build_instances(schema, events + queries, "dynamic", config.max_neighbors)
+    positives_only = not config.include_negative_neighbors
+    instances = build_instances(schema, events + queries, "dynamic", config.max_neighbors, positives_only)
     return Batch.from_instances(instances[-len(queries):])
 
 
@@ -133,7 +126,6 @@ def relative_error(a: float, f: float) -> float:
 @dataclass
 class GradCheckReport:
     per_group: dict[str, float]  # parameter name -> max relative error
-    checked: dict[str, int]  # parameter name -> coordinates compared
 
     @property
     def max_rel_err(self) -> float:
@@ -141,11 +133,7 @@ class GradCheckReport:
 
 
 def check_gradients(
-    params,
-    batch: Batch,
-    samples_per_array: int | None = 6,
-    h: float = DEFAULT_STEP,
-    sample_seed: int = 0,
+    params, batch: Batch, samples_per_array: int | None = 6, sample_seed: int = 0
 ) -> GradCheckReport:
     """Compare backward() to finite differences on sampled coordinates.
 
@@ -167,7 +155,6 @@ def check_gradients(
 
     rng = np.random.default_rng(sample_seed)
     per_group: dict[str, float] = {}
-    checked: dict[str, int] = {}
     for name, arr in named.items():
         if samples_per_array is None or samples_per_array >= arr.size:
             coords = np.arange(arr.size)
@@ -177,44 +164,17 @@ def check_gradients(
         g_flat = grads[name].reshape(-1)
         for c in coords:
             analytic = float(g_flat[c])
-            err = relative_error(analytic, fd_coordinate(loss_now, arr, c, h))
+            err = relative_error(analytic, fd_coordinate(loss_now, arr, c, DEFAULT_STEP))
             for step in RETRY_STEPS:
                 if err <= RETRY_THRESHOLD:
                     break
                 err = min(err, relative_error(analytic, fd_coordinate(loss_now, arr, c, step)))
             worst = max(worst, err)
         per_group[name] = worst
-        checked[name] = len(coords)
-    return GradCheckReport(per_group, checked)
+    return GradCheckReport(per_group)
 
 
-def run_case(
-    confidence: str,
-    attention: str,
-    seed: int,
-    samples_per_array: int | None = 6,
-    h: float = DEFAULT_STEP,
-    **config_overrides,
-) -> GradCheckReport:
-    config = toy_config(confidence, attention, **config_overrides)
-    params, batch = build_case(config, seed)
-    return check_gradients(params, batch, samples_per_array, h, sample_seed=seed)
-
-
-def run_matrix(
-    confidences: tuple[str, ...],
-    attentions: tuple[str, ...],
-    seeds: range,
-    samples_per_array: int | None = 6,
-    h: float = DEFAULT_STEP,
-) -> dict[tuple[str, str], float]:
-    """Max relative error per (confidence, attention) combination."""
-    results: dict[tuple[str, str], float] = {}
-    for conf in confidences:
-        for att in attentions:
-            worst = 0.0
-            for seed in seeds:
-                report = run_case(conf, att, seed, samples_per_array, h)
-                worst = max(worst, report.max_rel_err)
-            results[(conf, att)] = worst
-    return results
+def run_case(config: TrainConfig, seed: int, samples_per_array: int | None = 6) -> GradCheckReport:
+    """Check the configured model, shrunk by toy_config, at one verification point."""
+    params, batch = build_case(toy_config(config), seed)
+    return check_gradients(params, batch, samples_per_array, sample_seed=seed)

@@ -24,15 +24,15 @@ class InteractionEvent:
     """One user-item interaction.
 
     user_ids / item_ids hold the embedding-table ids of the two profiles
-    as they were at interaction time.
+    as they were at interaction time. The identity field's block starts
+    each table and its out-of-vocabulary id is its cardinality, so
+    user_ids[0] and item_ids[0] are also the graph's node numbers.
     """
 
-    user: int
-    item: int
+    user_ids: tuple[int, ...]
+    item_ids: tuple[int, ...]
     timestamp: int
-    label: int = 1
-    user_ids: tuple[int, ...] = ()
-    item_ids: tuple[int, ...] = ()
+    label: int
 
 
 class InteractionGraph:
@@ -59,12 +59,13 @@ class InteractionGraph:
                 f"out-of-order insert: timestamp {event.timestamp} after {self._last_ts}; "
                 "sort interactions before building the graph"
             )
-        for part, index in ((USER, event.user), (ITEM, event.item)):
+        nodes = ((USER, event.user_ids[0]), (ITEM, event.item_ids[0]))
+        for part, index in nodes:
             bound = self._bounds[part]
             if index < 0 or (bound is not None and index >= bound):
                 raise DataError(f"{part} index {index} outside frozen vocabulary of size {bound}")
         self._last_ts = event.timestamp
-        for part, index in ((USER, event.user), (ITEM, event.item)):
+        for part, index in nodes:
             timestamps, events = self._logs[part].setdefault(index, ([], []))
             timestamps.append(event.timestamp)
             events.append(event)

@@ -51,17 +51,12 @@ class ScoredSet:
 
 def _tie_averaged_ranks(scores: Array) -> Array:
     """1-based ranks by ascending score; tied scores share the mean rank."""
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    start = 0
-    for stop in range(1, len(scores) + 1):
-        if stop == len(scores) or sorted_scores[stop] != sorted_scores[start]:
-            # positions start..stop-1 hold one tie group; mean of the
-            # 1-based ranks start+1 .. stop is (start + stop + 1) / 2
-            ranks[order[start:stop]] = (start + stop + 1) / 2.0
-            start = stop
-    return ranks
+    ordered = np.sort(scores)
+    # A score's tie group fills sorted positions start..stop-1; the mean
+    # of the 1-based ranks start+1 .. stop is (start + stop + 1) / 2.
+    start = np.searchsorted(ordered, scores, side="left")
+    stop = np.searchsorted(ordered, scores, side="right")
+    return (start + stop + 1) / 2.0
 
 
 def auc(scored: ScoredSet) -> float:

@@ -66,7 +66,6 @@ from .nn import (
 
 Array = np.ndarray
 
-LEAKY_SLOPE = 0.01
 PROB_CLAMP = 1e-7
 MLP_HIDDEN = (80, 40)
 ATT_HIDDEN = {"ffn-1": (), "ffn-2": (32,), "ffn-3": (64, 32)}
@@ -108,7 +107,7 @@ class AttentionHead:
 def _init_head(rng: np.random.Generator, kind: str, q_width: int, k_width: int) -> AttentionHead:
     if kind in ATT_HIDDEN:
         dims = [q_width + k_width, *ATT_HIDDEN[kind], 1]
-        return AttentionHead(kind, ffn=ffn_init(rng, dims, LEAKY_SLOPE))
+        return AttentionHead(kind, ffn=ffn_init(rng, dims))
     if kind in ("dot", "scaled-dot"):
         if q_width == k_width:
             return AttentionHead(kind)
@@ -158,7 +157,7 @@ def init_params(rng: np.random.Generator, schema: FeatureSchema, config: TrainCo
         name: (glorot_uniform(rng, dh, widths[left] + widths[right]), np.zeros(dh))
         for name, left, right in INTEGRATE
     }
-    mlp = ffn_init(rng, [len(INTEGRATE) * dh, *MLP_HIDDEN, 1], LEAKY_SLOPE)
+    mlp = ffn_init(rng, [len(INTEGRATE) * dh, *MLP_HIDDEN, 1])
     return PigatParams(schema, config, tables, conf, heads, integrate, mlp)
 
 
@@ -186,7 +185,6 @@ def named_parameters(params: PigatParams) -> dict[str, Array]:
 
 @dataclass
 class HeadState:
-    logits: Array  # (B, k)
     weights: Array  # (B, k)
     query: Array | None = None  # the scoring query, for dot kinds
     keys: Array | None = None  # the scored window, for dot kinds
@@ -199,18 +197,14 @@ class ForwardState:
     """Everything backward() needs, plus the outputs."""
 
     batch: Batch
-    mode: str
     profiles: dict[str, Array]  # side -> (B, profile width)
     raw: dict[str, Array]  # window side -> looked-up window (B, k, width)
     aug: dict[str, Array]  # window side -> raw plus confidence
     heads: dict[str, HeadState]
     pools: dict[str, Array]
     int_states: dict[str, tuple[Array, Array]]  # name -> (concat input, pre-activation)
-    merged: Array
     drop: Array | None
     mlp_cache: FfnCache
-    logit: Array
-    prob_raw: Array
     prob: Array
     clamp_active: Array
 
@@ -239,13 +233,13 @@ def attention_logits(head: AttentionHead, query: Array, keys: Array) -> tuple[Ar
     if head.kind in ATT_HIDDEN:
         out, cache = ffn_forward(head.ffn, (query, keys))
         logits = out[..., 0]
-        state = HeadState(logits, np.empty(0), ffn_cache=cache)
+        state = HeadState(np.empty(0), ffn_cache=cache)
     else:
         q = query if head.proj_w is None else affine_forward(head.proj_w, query, head.proj_b)
         logits = np.einsum("bw,bkw->bk", q, keys)
         if head.kind == "scaled-dot":
             logits = logits / np.sqrt(keys.shape[-1])
-        state = HeadState(logits, np.empty(0), query=query, keys=keys, q_proj=q)
+        state = HeadState(np.empty(0), query=query, keys=keys, q_proj=q)
     return logits, state
 
 
@@ -258,7 +252,7 @@ def integrate_forward(w: Array, b: Array, left: Array, right: Array) -> tuple[Ar
     """leaky(W [left || right] + b); returns (out, pre-activation, concat)."""
     x = np.concatenate([left, right], axis=-1)
     pre = affine_forward(w, x, b)
-    return leaky_relu(pre, LEAKY_SLOPE), pre, x
+    return leaky_relu(pre), pre, x
 
 
 def forward(
@@ -289,7 +283,7 @@ def forward(
             logits, state = attention_logits(params.heads[name], profiles[query], aug[window])
             state.weights = masked_softmax(logits, mask)
         else:
-            state = HeadState(np.zeros_like(mask, dtype=np.float64), uniform_coefficients(mask))
+            state = HeadState(uniform_coefficients(mask))
         head_states[name] = state
         pools[name] = pooled_embedding(state.weights, pool_src[window])
 
@@ -306,31 +300,26 @@ def forward(
     if mode == "train" and cfg.dropout > 0.0:
         if rng is None:
             raise UsageError("training forward with dropout needs a random generator")
-        drop = np.stack([dropout_mask(merged.shape[1], cfg.dropout, rng) for _ in range(b)])
+        drop = dropout_mask(merged.shape, cfg.dropout, rng)
         merged_in = merged * drop
     else:
         merged_in = merged
 
     mlp_out, mlp_cache = ffn_forward(params.mlp, merged_in)
-    logit = mlp_out[:, 0]
-    prob_raw = sigmoid(logit)
+    prob_raw = sigmoid(mlp_out[:, 0])
     prob = np.clip(prob_raw, PROB_CLAMP, 1.0 - PROB_CLAMP)
     clamp_active = (prob_raw > PROB_CLAMP) & (prob_raw < 1.0 - PROB_CLAMP)
 
     return ForwardState(
         batch=batch,
-        mode=mode,
         profiles=profiles,
         raw=raw,
         aug=aug,
         heads=head_states,
         pools=pools,
         int_states=int_states,
-        merged=merged,
         drop=drop,
         mlp_cache=mlp_cache,
-        logit=logit,
-        prob_raw=prob_raw,
         prob=prob,
         clamp_active=clamp_active,
     )
@@ -386,7 +375,7 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
     for idx, (name, left, right) in enumerate(INTEGRATE):
         x, pre = state.int_states[name]
         d_out = d_merged[:, idx * dh : (idx + 1) * dh]
-        d_pre = d_out * leaky_relu_slope_at(pre, LEAKY_SLOPE)
+        d_pre = d_out * leaky_relu_slope_at(pre)
         grads[f"{name}.w"] = d_pre.T @ x
         grads[f"{name}.b"] = d_pre.sum(axis=0)
         d_x = d_pre @ params.integrate[name][0]

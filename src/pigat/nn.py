@@ -16,6 +16,9 @@ from .errors import DomainError, ShapeError, UsageError
 
 Array = np.ndarray
 
+# Negative-side slope of every leaky-relu in the model.
+LEAKY_SLOPE = 0.01
+
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> Array:
     """Sample a (out_dim, in_dim) matrix uniform in +-sqrt(6 / (in + out))."""
@@ -41,18 +44,16 @@ def affine_forward(w: Array, x: Array, b: Array) -> Array:
 # np.where forms, signed zeros, infinities and nan included.
 
 
-def leaky_relu(x: Array, slope: float = 0.01) -> Array:
-    """Elementwise max(x, slope * x); slope must sit in (0, 1)."""
-    if not 0.0 < slope < 1.0:
-        raise DomainError(f"leaky-relu slope must be in (0, 1), got {slope}")
-    # np.maximum returns its first argument when both are nan; slope * x
+def leaky_relu(x: Array) -> Array:
+    """Elementwise max(x, LEAKY_SLOPE * x)."""
+    # np.maximum returns its first argument when both are nan; LEAKY_SLOPE * x
     # first gives nan inputs the same (quieted) bytes as the np.where form.
-    return np.maximum(slope * x, x)
+    return np.maximum(LEAKY_SLOPE * x, x)
 
 
-def leaky_relu_slope_at(x: Array, slope: float = 0.01) -> Array:
-    """Derivative factor of leaky_relu: 1 where x >= 0, else slope (nan included)."""
-    return np.maximum((x >= 0.0).astype(np.float64), slope)
+def leaky_relu_slope_at(x: Array) -> Array:
+    """Derivative factor of leaky_relu: 1 where x >= 0, else LEAKY_SLOPE (nan included)."""
+    return np.maximum((x >= 0.0).astype(np.float64), LEAKY_SLOPE)
 
 
 def masked_softmax(z: Array, mask: Array) -> Array:
@@ -92,13 +93,13 @@ def sigmoid(x: Array | float) -> Array | float:
     return float(out) if out.ndim == 0 else out
 
 
-def dropout_mask(n: int, ratio: float, rng: np.random.Generator) -> Array:
-    """Inverted-dropout scaling vector: kept units scale by 1/(1-ratio)."""
+def dropout_mask(shape: int | tuple[int, ...], ratio: float, rng: np.random.Generator) -> Array:
+    """Inverted-dropout scaling array: kept units scale by 1/(1-ratio)."""
     if not 0.0 <= ratio < 1.0:
         raise DomainError(f"dropout ratio must be in [0, 1), got {ratio}")
     if ratio == 0.0:
-        return np.ones(n)
-    keep = rng.random(n) >= ratio
+        return np.ones(shape)
+    keep = rng.random(shape) >= ratio
     return keep / (1.0 - ratio)
 
 
@@ -106,22 +107,21 @@ def dropout_mask(n: int, ratio: float, rng: np.random.Generator) -> Array:
 class FfnParams:
     """A stack of affine layers with leaky-relu between them.
 
-    The final layer is linear; hidden layers apply leaky-relu with the
-    given slope. weights[i] has shape (dims[i + 1], dims[i]).
+    The final layer is linear; hidden layers apply leaky-relu.
+    weights[i] has shape (dims[i + 1], dims[i]).
     """
 
     weights: list[Array]
     biases: list[Array]
-    slope: float = 0.01
 
 
-def ffn_init(rng: np.random.Generator, dims: list[int], slope: float = 0.01) -> FfnParams:
+def ffn_init(rng: np.random.Generator, dims: list[int]) -> FfnParams:
     """Build an FFN with the given layer widths, glorot weights, zero biases."""
     if len(dims) < 2:
         raise DomainError("an FFN needs at least an input and an output width")
     weights = [glorot_uniform(rng, dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
     biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    return FfnParams(weights, biases, slope)
+    return FfnParams(weights, biases)
 
 
 @dataclass
@@ -161,7 +161,7 @@ def ffn_forward(params: FfnParams, x: Array | tuple[Array, Array]) -> tuple[Arra
         inputs.append(h)
         pre = _pair_affine_forward(w, *h, b) if pair and i == 0 else affine_forward(w, h, b)
         pre_acts.append(pre)
-        h = pre if i == last else leaky_relu(pre, params.slope)
+        h = pre if i == last else leaky_relu(pre)
     return h, FfnCache(inputs, pre_acts)
 
 
@@ -189,7 +189,7 @@ def ffn_backward(
                 f"stale cache: upstream grad {g.shape} does not match pre-activation {pre.shape}"
             )
         if i != n_layers - 1:
-            g = g * leaky_relu_slope_at(pre, params.slope)
+            g = g * leaky_relu_slope_at(pre)
         if isinstance(x_in, tuple):  # only the first layer takes a pair
             query, keys = x_in
             qw = query.shape[1]

@@ -124,7 +124,6 @@ def generate(spec: SynthSpec) -> tuple[InteractionLog, GroundTruth]:
                 user_values=(f"u{u}", f"s{segments[u]}"),
                 item_values=(f"i{i}", f"c{clusters[i]}"),
                 signal=float(label),
-                line_no=0,
             )
         )
         if spec.drift > 0.0:

@@ -111,12 +111,3 @@ def format_metrics(history: list[EpochStats]) -> str:
 def write_metrics(path: str, history: list[EpochStats]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_metrics(history))
-
-
-def read_metrics(path: str) -> list[EpochStats]:
-    history = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            epoch, loss, val_auc, lr = line.rstrip("\n").split("\t")
-            history.append(EpochStats(int(epoch), float(loss), float(val_auc), float(lr)))
-    return history

@@ -219,8 +219,24 @@ class TestGradcheckVerb:
         assert out.splitlines()[-1].startswith("max\t")
         assert "user_table\t" in out
 
+    def test_checks_the_configured_model(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("attention = dot\nhidden_width = 8\ninclude_negative_neighbors = false\n")
+        checked = []
+        real = cli_mod.gradcheck.check_gradients
+
+        def spy(params, *args, **kwargs):
+            checked.append(params)
+            return real(params, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod.gradcheck, "check_gradients", spy)
+        assert main(["gradcheck", "--config", str(cfg), "--seeds", "1", "--samples", "1"]) == 0
+        (params,) = checked
+        assert params.integrate["int_user"][0].shape[0] == 8
+        assert not params.config.include_negative_neighbors
+
     def test_exit_3_on_mismatch(self, monkeypatch, capsys):
-        fake = GradCheckReport(per_group={"mlp.w0": 0.5}, checked={"mlp.w0": 1})
+        fake = GradCheckReport(per_group={"mlp.w0": 0.5})
         monkeypatch.setattr(cli_mod.gradcheck, "run_case", lambda *a, **k: fake)
         assert main(["gradcheck", "--seeds", "1"]) == 3
         assert "numeric failure" in capsys.readouterr().err
@@ -293,6 +309,20 @@ class TestExitCodes:
             "--data", str(bad),
             "--out", str(tmp_path / "r"),
         ]) == 2
+
+    @pytest.mark.parametrize("verb", ["train", "ablate"])
+    def test_non_utf8_input_exits_2(self, workspace, tmp_path, capsys, verb):
+        data = workspace / "data.tsv"
+        if verb == "train":
+            data = tmp_path / "data.tsv"
+            data.write_bytes((workspace / "data.tsv").read_bytes().replace(b"uid=u", b"uid=\xffu", 1))
+            flags = ["--config", str(workspace / "config.txt")]
+        else:
+            matrix = tmp_path / "matrix.ini"
+            matrix.write_bytes(b"[avg]\npooling = average\xff\n")
+            flags = ["--matrix", str(matrix)]
+        assert main([verb, *flags, "--data", str(data), "--out", str(tmp_path / "r")]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_bad_config_key_is_data_error(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "config.txt"

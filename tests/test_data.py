@@ -1,8 +1,10 @@
 """Log parsing, splits, and leakage-free instance construction."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pigat.config import TrainConfig
@@ -23,8 +25,8 @@ from pigat.errors import DataError
 from pigat.graph import ITEM, USER
 
 
-def mk_record(ts, uid, seg, iid, cat, signal, line_no=0):
-    return RawInteraction(ts, (uid, seg), (iid, cat), float(signal), line_no)
+def mk_record(ts, uid, seg, iid, cat, signal):
+    return RawInteraction(ts, (uid, seg), (iid, cat), float(signal))
 
 
 def mk_log(rows):
@@ -131,25 +133,82 @@ class TestParsing:
             read_interactions(str(path))
 
     def test_delimiter_in_value_refuses_to_serialize(self, tmp_path):
-        log = mk_log([(1, "u;0", "a", "i0", "x", 1)])
-        with pytest.raises(DataError, match="delimiter"):
-            write_interactions(str(tmp_path / "log.tsv"), log)
+        for value in ("u;0", "u\t0", "u\n0", "u\r0"):  # reading splits lines at a bare CR
+            log = mk_log([(1, value, "a", "i0", "x", 1)])
+            with pytest.raises(DataError, match="delimiter"):
+                write_interactions(str(tmp_path / "log.tsv"), log)
+
+
+VALID_LINES = [
+    "1\tuid=u0;seg=a\tiid=i0;cat=x\t1",
+    "2\tuid=u1;seg=b\tiid=i1;cat=y\t0",
+    "2\tuid=u0;seg=a\tiid=i1;cat=y\t4.5",
+]
+TRICKY = [
+    "", " ", "=", "a=b", ";", "\t", "\r", "\r\n", "\x85", "\u2028", "\ufeff1", "nan", "inf", "1e400",
+    "-0.0", "+7", "-1", " 3", "1_0", "0x10", "\u0663",
+]
+log_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+log_mutation = st.tuples(
+    st.integers(0, 100),
+    st.sampled_from(["field", "separator", "drop"]),
+    st.integers(0, 100),
+    st.sampled_from(TRICKY) | log_text,
+)
+
+
+def mutate_log(lines: list[str], edits) -> str:
+    """Replace a token or a separator of a line, or drop the line."""
+    lines = list(lines)
+    for line_pos, kind, pos, arg in edits:
+        if not lines:
+            break
+        i = line_pos % len(lines)
+        if kind == "drop":
+            del lines[i]
+            continue
+        parts = re.split(r"([\t;=])", lines[i])  # tokens at even, separators at odd positions
+        slots = range(0 if kind == "field" else 1, len(parts), 2)
+        parts[slots[pos % len(slots)]] = arg
+        lines[i] = "".join(parts)
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    edits=st.lists(log_mutation, min_size=1, max_size=4),
+    splice=st.none() | st.tuples(st.integers(0, 200), st.binary(min_size=1, max_size=2)),
+)
+@example(edits=[(0, "field", 2, "a=b")], splice=None)
+@example(edits=[(1, "field", 0, "\u0663")], splice=None)
+@example(edits=[(0, "drop", 0, "")], splice=(0, b"\xff"))
+def test_mutated_log_is_rejected_or_round_trips(tmp_path, edits, splice):
+    raw = mutate_log(VALID_LINES, edits).encode()
+    if splice is not None:  # raw bytes, possibly not UTF-8
+        at, junk = splice
+        raw = raw[:at] + junk + raw[at:]
+    path = tmp_path / "log.tsv"
+    path.write_bytes(raw)
+    try:
+        log = read_interactions(str(path))
+    except DataError:
+        return
+    echoed = tmp_path / "echoed.tsv"
+    write_interactions(str(echoed), log)
+    assert read_interactions(str(echoed)) == log
 
 
 class TestLabels:
     def test_ratings_above_three_are_positive(self):
-        labels, kind = derive_labels([mk_record(1, "u", "a", "i", "x", s) for s in (5, 3, 1)])
-        assert kind == "rating"
+        labels = derive_labels([mk_record(1, "u", "a", "i", "x", s) for s in (5, 3, 1)])
         assert labels.tolist() == [1.0, 0.0, 0.0]
 
     def test_binary_signals_pass_through(self):
-        labels, kind = derive_labels([mk_record(1, "u", "a", "i", "x", s) for s in (0, 1, 1)])
-        assert kind == "binary"
+        labels = derive_labels([mk_record(1, "u", "a", "i", "x", s) for s in (0, 1, 1)])
         assert labels.tolist() == [0.0, 1.0, 1.0]
 
     def test_mixed_signals_use_the_rating_rule(self):
-        labels, kind = derive_labels([mk_record(1, "u", "a", "i", "x", s) for s in (0, 1, 5)])
-        assert kind == "rating"
+        labels = derive_labels([mk_record(1, "u", "a", "i", "x", s) for s in (0, 1, 5)])
         assert labels.tolist() == [0.0, 0.0, 1.0]
 
 
@@ -184,10 +243,10 @@ class TestSchemaAndEvents:
     def test_events_carry_node_indices_and_profiles(self):
         log = mk_log([(1, "u0", "a", "i0", "x", 1), (2, "u1", "b", "i0", "x", 0)])
         schema = build_schema(log, 4, 4)
-        labels, _ = derive_labels(log.records)
+        labels = derive_labels(log.records)
         events = encode_events(schema, log.records, labels)
-        assert events[0].user == schema.node_index(USER, "u0")
-        assert events[1].item == events[0].item
+        assert events[0].user_ids == schema.encode_profile(USER, ("u0", "a"))
+        assert events[1].item_ids[0] == events[0].item_ids[0]
         assert events[0].item_ids == schema.encode_profile(ITEM, ("i0", "x"))
         assert events[1].label == 0
 
@@ -200,8 +259,8 @@ def reference_windows(events, mode, k, positives_only=False):
         seen = events[:n_train] if mode == "static" else [p for p in events if p.timestamp < e.timestamp]
         if positives_only:
             seen = [p for p in seen if p.label > 0]
-        user_side = [p.item_ids for p in seen if p.user == e.user][-k:]
-        item_side = [p.user_ids[0] for p in seen if p.item == e.item][-k:]
+        user_side = [p.item_ids for p in seen if p.user_ids[0] == e.user_ids[0]][-k:]
+        item_side = [p.user_ids[0] for p in seen if p.item_ids[0] == e.item_ids[0]][-k:]
         windows.append((user_side, item_side))
     return windows
 
@@ -223,7 +282,7 @@ class TestInstanceConstruction:
     def _prep(self, rows, mode="dynamic", k=10):
         log = mk_log(rows)
         schema = build_schema(log, 4, 4)
-        labels, _ = derive_labels(log.records)
+        labels = derive_labels(log.records)
         events = encode_events(schema, log.records, labels)
         return schema, events, build_instances(schema, events, mode, k)
 
@@ -249,7 +308,7 @@ class TestInstanceConstruction:
         rows = demo_rows(n=24, users=3, items=4, seed=seed)
         log = mk_log(rows)
         schema = build_schema(log, 4, 4)
-        labels, _ = derive_labels(log.records)
+        labels = derive_labels(log.records)
         events = encode_events(schema, log.records, labels)
         instances = build_instances(schema, events, "dynamic", k=5)
         probe = int(rng.integers(len(events)))
@@ -287,7 +346,7 @@ class TestInstanceConstruction:
         log = mk_log(rows)
         # A schema from the first half leaves later newcomers on the shared OOV node.
         schema = build_schema(mk_log(rows[: len(rows) // 2]) if half_vocab else log, 4, 4)
-        labels, _ = derive_labels(log.records)
+        labels = derive_labels(log.records)
         events = encode_events(schema, log.records, labels)
         instances = build_instances(schema, events, mode, k, positives_only)
         for inst, (user_side, item_side) in zip(
@@ -301,7 +360,7 @@ class TestInstanceConstruction:
     def test_unknown_mode_rejected(self):
         log = mk_log(demo_rows(12))
         schema = build_schema(log, 4, 4)
-        labels, _ = derive_labels(log.records)
+        labels = derive_labels(log.records)
         events = encode_events(schema, log.records, labels)
         with pytest.raises(DataError, match="graph mode"):
             build_instances(schema, events, "frozen", k=5)
@@ -311,13 +370,13 @@ class TestGraphLogRoundTrip:
     def test_dump_and_reload_preserve_answers(self, tmp_path):
         log = mk_log(demo_rows(20))
         schema = build_schema(log, 4, 4)
-        labels, _ = derive_labels(log.records)
+        labels = derive_labels(log.records)
         graph = rebuild_graph(schema, encode_events(schema, log.records, labels))
 
         path = tmp_path / "dump.tsv"
         write_interactions(str(path), log)
         reloaded = read_interactions(str(path))
-        labels2, _ = derive_labels(reloaded.records)
+        labels2 = derive_labels(reloaded.records)
         graph2 = rebuild_graph(schema, encode_events(schema, reloaded.records, labels2))
 
         for part in (USER, ITEM):
@@ -336,7 +395,7 @@ class TestPrepareDataset:
         for rec in log.records[:32]:
             want[rec.item_values[0]] = want.get(rec.item_values[0], 0) + 1
         for name, count in want.items():
-            node = data.schema.node_index(ITEM, name)
+            node = data.schema.global_id(ITEM, 0, name)
             assert data.item_degrees[node] == count
         assert data.degrees_for(data.test).shape == (4,)
 

@@ -41,8 +41,7 @@ def test_field_blocks_are_disjoint_and_sized():
 def test_oov_maps_to_reserved_slot():
     s = toy_schema()
     assert s.global_id(USER, 0, "unseen") == 3
-    assert s.node_index(USER, "unseen") == 3
-    assert s.node_count(USER) == 4
+    assert s.node_count(USER) == 4  # the OOV identity id is the last graph node
 
 
 def test_encode_profile_checks_arity():
@@ -117,12 +116,10 @@ def _graph_with_history(schema, n_prior, user="u0"):
         t = j + 1
         g.insert(
             InteractionEvent(
-                user=schema.node_index(USER, user),
-                item=schema.node_index(ITEM, name),
-                timestamp=t,
-                label=1,
                 user_ids=schema.encode_profile(USER, (user, "a")),
                 item_ids=schema.encode_profile(ITEM, (name, cats[j % 2])),
+                timestamp=t,
+                label=1,
             )
         )
     return g, t
@@ -130,12 +127,10 @@ def _graph_with_history(schema, n_prior, user="u0"):
 
 def _query_event(schema, ts, user="u0", item="i3"):
     return InteractionEvent(
-        user=schema.node_index(USER, user),
-        item=schema.node_index(ITEM, item),
-        timestamp=ts,
-        label=1,
         user_ids=schema.encode_profile(USER, (user, "a")),
         item_ids=schema.encode_profile(ITEM, (item, "y")),
+        timestamp=ts,
+        label=1,
     )
 
 
@@ -187,12 +182,10 @@ def test_encode_positives_only_filters_before_truncation():
     for t, (name, label) in enumerate(seq, start=1):
         g.insert(
             InteractionEvent(
-                user=0,
-                item=s.node_index(ITEM, name),
-                timestamp=t,
-                label=label,
                 user_ids=s.encode_profile(USER, ("u0", "a")),
                 item_ids=s.encode_profile(ITEM, (name, "x")),
+                timestamp=t,
+                label=label,
             )
         )
     inst = encode_instance(s, _query_event(s, 9), g, 9, k=2, positives_only=True)

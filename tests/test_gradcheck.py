@@ -5,20 +5,19 @@ harness notices; without it a silently broken comparison would pass
 everything forever.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import pigat.gradcheck as gradcheck
+from pigat.config import TrainConfig
 from pigat.errors import NumericError
-from pigat.gradcheck import (
-    GradCheckReport,
-    build_case,
-    check_gradients,
-    relative_error,
-    run_case,
-    run_matrix,
-    toy_config,
-)
+from pigat.gradcheck import GradCheckReport, _toy_batch, build_case, relative_error, run_case, toy_config, toy_schema
+
+
+def case(confidence: str, attention: str, **overrides) -> TrainConfig:
+    return TrainConfig(confidence=confidence, attention=attention, **overrides)
 
 
 class TestRelativeError:
@@ -38,17 +37,33 @@ class TestRelativeError:
 
 class TestCaseConstruction:
     def test_same_seed_same_case(self):
-        config = toy_config("ce", "ffn-1")
+        config = toy_config(case("ce", "ffn-1"))
         p1, b1 = build_case(config, seed=5)
         p2, b2 = build_case(config, seed=5)
         assert np.array_equal(p1.tables["user"].weight, p2.tables["user"].weight)
         assert np.array_equal(b1.user_nbrs, b2.user_nbrs)
         assert np.array_equal(b1.labels, b2.labels)
 
+    def test_toy_config_shrinks_only_the_sizes(self):
+        config = TrainConfig(hidden_width=8, dropout=0.3, pooling="average", include_negative_neighbors=False)
+        toy = toy_config(config)
+        assert (toy.max_neighbors, toy.user_embed_width, toy.item_embed_width, toy.dropout) == (4, 8, 8, 0.0)
+        sizes = ("max_neighbors", "user_embed_width", "item_embed_width", "dropout")
+        assert dataclasses.replace(toy, **{name: getattr(config, name) for name in sizes}) == config
+
+    def test_toy_windows_follow_the_neighbor_filter(self):
+        every = toy_config(TrainConfig())
+        positives = toy_config(TrainConfig(include_negative_neighbors=False))
+        schema = toy_schema(every)
+        a = _toy_batch(schema, every, np.random.default_rng(0))
+        b = _toy_batch(schema, positives, np.random.default_rng(0))
+        assert np.array_equal(a.labels, b.labels)
+        assert b.user_mask.sum() + b.item_mask.sum() < a.user_mask.sum() + a.item_mask.sum()
+
     def test_accepted_points_sit_away_from_kinks(self):
         from pigat.model import forward
 
-        config = toy_config("rce", "ffn-3")
+        config = toy_config(case("rce", "ffn-3"))
         params, batch = build_case(config, seed=2)
         state = forward(params, batch, mode="train")
         assert gradcheck.leaky_margin(state) > gradcheck.SMOOTH_MARGIN
@@ -58,7 +73,7 @@ class TestCaseConstruction:
     def test_leaky_margin_is_min_over_every_leaky_pre_activation(self, attention):
         from pigat.model import INTEGRATE, forward
 
-        params, batch = build_case(toy_config("ce", attention), seed=4)
+        params, batch = build_case(toy_config(case("ce", attention)), seed=4)
         state = forward(params, batch, mode="train")
         pre_acts = [state.int_states[name][1] for name, _, _ in INTEGRATE]
         pre_acts += state.mlp_cache.pre_acts[:-1]
@@ -78,7 +93,7 @@ class TestCaseConstruction:
         assert gradcheck.leaky_margin(state) == expected
 
     def test_impossible_margin_raises(self):
-        config = toy_config("none", "dot")
+        config = toy_config(case("none", "dot"))
         old = gradcheck.SMOOTH_MARGIN
         gradcheck.SMOOTH_MARGIN = 1e9
         try:
@@ -100,12 +115,17 @@ class TestGradientAgreement:
         ],
     )
     def test_analytic_matches_differences(self, confidence, attention):
-        report = run_case(confidence, attention, seed=0)
+        report = run_case(case(confidence, attention), seed=0)
         assert report.max_rel_err < 1e-4, report.per_group
 
     def test_small_matrix_stays_tight(self):
-        results = run_matrix(("none", "ce"), ("dot", "ffn-1"), range(2))
-        assert max(results.values()) < 1e-4
+        worst = max(
+            run_case(case(confidence, attention), seed).max_rel_err
+            for confidence in ("none", "ce")
+            for attention in ("dot", "ffn-1")
+            for seed in range(2)
+        )
+        assert worst < 1e-4
 
     @pytest.mark.parametrize(
         "attention,overrides",
@@ -127,22 +147,37 @@ class TestGradientAgreement:
         ],
     )
     def test_rewired_model_still_agrees(self, attention, overrides):
-        report = run_case("ce", attention, seed=1, **overrides)
+        report = run_case(case("ce", attention, **overrides), seed=1)
         assert report.max_rel_err < 1e-4, report.per_group
         if overrides.get("pooling") == "average":
             assert not any(name.startswith("att_") for name in report.per_group)
         if attention == "scaled-dot":
             assert {"att_ii.proj_w", "att_ia.proj_w"} <= set(report.per_group)
 
-    def test_full_coordinate_sweep_on_smallest_head(self):
-        report = run_case("none", "dot", seed=3, samples_per_array=None)
-        assert report.max_rel_err < 1e-4
-        # every coordinate of every parameter was compared
+    def test_full_coordinate_sweep_on_smallest_head(self, monkeypatch):
         from pigat.model import named_parameters
 
-        params, _ = build_case(toy_config("none", "dot"), seed=3)
-        for name, arr in named_parameters(params).items():
-            assert report.checked[name] == arr.size
+        cases, compared = [], {}  # compared: id of a parameter array -> coordinates
+        real_build, real_fd = gradcheck.build_case, gradcheck.fd_coordinate
+
+        def recording_build(*args):
+            cases.append(real_build(*args))
+            return cases[-1]
+
+        def recording_fd(f, x, i, h):
+            compared.setdefault(id(x), set()).add(int(i))
+            return real_fd(f, x, i, h)
+
+        monkeypatch.setattr(gradcheck, "build_case", recording_build)
+        monkeypatch.setattr(gradcheck, "fd_coordinate", recording_fd)
+        report = run_case(case("none", "dot"), seed=3, samples_per_array=None)
+        assert report.max_rel_err < 1e-4
+        # every coordinate of every parameter was compared
+        ((params, _),) = cases
+        named = named_parameters(params)
+        assert set(report.per_group) == set(named)
+        for name, arr in named.items():
+            assert compared[id(arr)] == set(range(arr.size)), name
 
 
 class TestNegativeControl:
@@ -155,7 +190,7 @@ class TestNegativeControl:
             return grads
 
         monkeypatch.setattr(gradcheck, "backward", corrupted)
-        report = run_case("ce", "ffn-1", seed=0)
+        report = run_case(case("ce", "ffn-1"), seed=0)
         assert report.max_rel_err > 1e-4
         assert report.per_group["mlp.b2"] > 1e-4
 
@@ -169,13 +204,13 @@ class TestNegativeControl:
 
         monkeypatch.setattr(gradcheck, "backward", dropping)
         with pytest.raises(NumericError, match="backward covered"):
-            run_case("ce", "ffn-1", seed=0)
+            run_case(case("ce", "ffn-1"), seed=0)
 
 
 class TestReport:
     def test_worst_group_wins(self):
-        report = GradCheckReport({"a": 1e-6, "b": 3e-5}, {"a": 4, "b": 4})
+        report = GradCheckReport({"a": 1e-6, "b": 3e-5})
         assert report.max_rel_err == 3e-5
 
     def test_empty_report_is_clean(self):
-        assert GradCheckReport({}, {}).max_rel_err == 0.0
+        assert GradCheckReport({}).max_rel_err == 0.0

@@ -10,11 +10,11 @@ from pigat.graph import ITEM, USER, InteractionEvent, InteractionGraph
 
 
 def ev(u, i, ts, label=1):
-    return InteractionEvent(user=u, item=i, timestamp=ts, label=label)
+    return InteractionEvent(user_ids=(u,), item_ids=(i,), timestamp=ts, label=label)
 
 
 def items_of(events):
-    return [e.item for e in events]
+    return [e.item_ids[0] for e in events]
 
 
 def test_first_interaction_gets_order_one_on_both_sides():
@@ -32,7 +32,7 @@ def test_orders_count_per_head_independently():
     g.insert(ev(0, 1, 3))
     assert items_of(g.neighbor_events(USER, 0)) == [0, 1]  # user 0's second interaction
     assert len(g.neighbor_events(ITEM, 1)) == 1  # item 1's first
-    assert [e.user for e in g.neighbor_events(ITEM, 0)] == [0, 1]
+    assert [e.user_ids[0] for e in g.neighbor_events(ITEM, 0)] == [0, 1]
 
 
 def test_twelve_inserts_window_of_ten():
@@ -130,14 +130,14 @@ def test_orders_are_gapless_from_one(history):
     for e in events:
         g.insert(e)
     for idx in range(4):
-        assert g.neighbor_events(USER, idx) == [e for e in events if e.user == idx]
+        assert g.neighbor_events(USER, idx) == [e for e in events if e.user_ids[0] == idx]
     for idx in range(5):
-        assert g.neighbor_events(ITEM, idx) == [e for e in events if e.item == idx]
+        assert g.neighbor_events(ITEM, idx) == [e for e in events if e.item_ids[0] == idx]
 
 
 def test_neighbor_events_expose_payload():
     g = InteractionGraph()
-    g.insert(InteractionEvent(user=0, item=7, timestamp=1, label=0, item_ids=(3, 9)))
+    g.insert(InteractionEvent(user_ids=(0, 5), item_ids=(7, 9), timestamp=1, label=0))
     (event,) = g.neighbor_events(USER, 0)
-    assert event.item == 7
-    assert event.label == 0 and event.item_ids == (3, 9)
+    assert g.neighbor_events(ITEM, 7) == [event]
+    assert event.label == 0 and event.item_ids == (7, 9)

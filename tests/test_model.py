@@ -21,7 +21,7 @@ from pigat.errors import DataError, DomainError, UsageError
 from pigat.features import Batch, EncodedInstance, FeatureSchema, FieldVocab
 from pigat.gradcheck import _toy_batch, toy_config, toy_schema
 from pigat.graph import ITEM, USER
-from pigat.nn import masked_softmax, masked_softmax_backward
+from pigat.nn import LEAKY_SLOPE, masked_softmax, masked_softmax_backward
 from pigat.synth import SynthSpec, generate
 from pigat.model import (
     ATT_HIDDEN,
@@ -86,7 +86,6 @@ def tiny_batch(schema: FeatureSchema) -> Batch:
         item_nbrs=np.array([gid_u("a"), gid_u("b")]),
         item_mask=np.array([True, True]),
         label=1.0,
-        timestamp=5,
     )
     sparse = EncodedInstance(
         user_ids=np.array([gid_u("b")]),
@@ -96,7 +95,6 @@ def tiny_batch(schema: FeatureSchema) -> Batch:
         item_nbrs=np.array([pad_u, pad_u]),
         item_mask=np.array([False, False]),
         label=0.0,
-        timestamp=6,
     )
     return Batch.from_instances([full, sparse])
 
@@ -238,7 +236,7 @@ def concat_head_reference(head, query, keys, d_logits, mag=lambda a: a):
     enters by its magnitude, so each output becomes a bound on the rounding
     error of the same output computed in any summation order.
     """
-    ws, bs, slope = [mag(w) for w in head.ffn.weights], [mag(b) for b in head.ffn.biases], head.ffn.slope
+    ws, bs, slope = [mag(w) for w in head.ffn.weights], [mag(b) for b in head.ffn.biases], LEAKY_SLOPE
     query, keys, d_logits = mag(query), mag(keys), mag(d_logits)
     k, qw = keys.shape[1], query.shape[1]
     inputs = [np.concatenate([np.repeat(query[:, None, :], k, axis=1), keys], axis=2)]
@@ -438,7 +436,7 @@ class TestChunkedScoring:
 
 class TestMasking:
     def test_masked_slot_content_never_reaches_output_or_gradients(self):
-        config = toy_config("ce", "ffn-3")
+        config = toy_config(TrainConfig(confidence="ce", attention="ffn-3"))
         schema = toy_schema(config)
         rng = np.random.default_rng(0)
         params = init_params(rng, schema, config)
@@ -458,7 +456,6 @@ class TestMasking:
             item_nbrs=batch.item_nbrs.copy(),
             item_mask=batch.item_mask,
             labels=batch.labels,
-            timestamps=batch.timestamps,
         )
         tampered.user_nbrs[~batch.user_mask] = filler_item
         tampered.item_nbrs[~batch.item_mask] = filler_user
@@ -490,14 +487,13 @@ class TestPermutation:
             item_nbrs=batch.item_nbrs,
             item_mask=batch.item_mask,
             labels=batch.labels,
-            timestamps=batch.timestamps,
         )
         shuffled.user_nbrs[0] = shuffled.user_nbrs[0][perm]
         shuffled.user_mask[0] = shuffled.user_mask[0][perm]
         return shuffled
 
     def test_no_confidence_ignores_slot_order(self):
-        config = toy_config("none", "ffn-2")
+        config = toy_config(TrainConfig(confidence="none", attention="ffn-2"))
         schema = toy_schema(config)
         rng = np.random.default_rng(1)
         params = init_params(rng, schema, config)
@@ -507,7 +503,7 @@ class TestPermutation:
         assert np.max(np.abs(base - swapped)) < 1e-10
 
     def test_positional_confidence_sees_slot_order(self):
-        config = toy_config("fce", "ffn-2")
+        config = toy_config(TrainConfig(confidence="fce", attention="ffn-2"))
         schema = toy_schema(config)
         rng = np.random.default_rng(1)
         params = init_params(rng, schema, config)

@@ -41,14 +41,8 @@ def test_affine_shape_mismatch_names_shapes():
 
 def test_leaky_relu_values():
     assert nn.leaky_relu(np.array(3.0)) == 3.0
-    assert nn.leaky_relu(np.array(-5.0), slope=0.2) == -1.0
+    assert nn.leaky_relu(np.array(-100.0)) == -1.0
     assert nn.leaky_relu(np.array(0.0)) == 0.0
-
-
-def test_leaky_relu_slope_domain():
-    for bad in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(DomainError):
-            nn.leaky_relu(np.ones(2), slope=bad)
 
 
 def _bits(*words):
@@ -69,14 +63,15 @@ LEAKY_EDGES = np.tile(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(), max_size=40), st.sampled_from([0.01, 0.2, 0.999]))
-def test_leaky_kernels_equal_where_forms_bytewise(values, slope):
+@given(st.lists(st.floats(), max_size=40))
+def test_leaky_kernels_equal_where_forms_bytewise(values):
+    slope = nn.LEAKY_SLOPE
     x = np.concatenate([LEAKY_EDGES, np.array(values, dtype=np.float64)])
     with np.errstate(invalid="ignore"):
         want = np.where(x >= 0.0, x, slope * x)
-        got = nn.leaky_relu(x, slope)
+        got = nn.leaky_relu(x)
     assert got.tobytes() == want.tobytes()
-    assert nn.leaky_relu_slope_at(x, slope).tobytes() == np.where(x >= 0.0, 1.0, slope).tobytes()
+    assert nn.leaky_relu_slope_at(x).tobytes() == np.where(x >= 0.0, 1.0, slope).tobytes()
 
 
 def softmax(z):
@@ -214,7 +209,7 @@ def test_finite_difference_refuses_a_copy():
 
 def _ffn_case(seed, dims):
     rng = np.random.default_rng(seed)
-    params = nn.ffn_init(rng, dims, slope=0.1)
+    params = nn.ffn_init(rng, dims)
     for w in params.weights:
         w += 0.05 * np.sign(w)  # push pre-activations away from the kink
     x = rng.normal(size=(4, dims[0]))

@@ -1,8 +1,10 @@
-"""No function, class or method under src/pigat is referenced only from tests.
+"""No function, class, method or dataclass field under src/pigat is used only by tests.
 
 A name counts as referenced when the program itself uses it: a name or an
 attribute in src/pigat or scripts/, or the console-script entry point in
-pyproject.toml. Dunder methods are called by Python and do not count.
+pyproject.toml. Dunder methods are called by Python and do not count. A
+dataclass field counts as used when the program reads an attribute of its
+name; assignments alone do not count.
 """
 
 import ast
@@ -11,8 +13,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pigat"
-# Called by argparse, or kept as public helpers with no caller in the program.
-ALLOWED = {"error", "read_metrics", "run_matrix"}
+# Called by argparse.
+ALLOWED = {"error"}
+# Generator ground truth that the tests compare a generated log against.
+UNREAD_FIELDS = {"GroundTruth.clusters", "GroundTruth.segments"}
 
 
 def _trees(*dirs: Path) -> list[ast.AST]:
@@ -54,6 +58,29 @@ def program_names() -> tuple[set[str], set[str]]:
     return defined, used
 
 
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name == "dataclass"
+
+
+def dataclass_fields(tree: ast.AST) -> set[str]:
+    """`Class.field` for every annotated field of a module-level @dataclass."""
+    fields = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass_decorator, node.decorator_list)):
+            fields.update(
+                f"{node.name}.{item.target.id}"
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            )
+    return fields
+
+
+def read_attributes(tree: ast.AST) -> set[str]:
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_program_name_has_a_program_reference():
     defined, used = program_names()
     assert sorted(defined - used - ALLOWED) == []
@@ -69,3 +96,19 @@ def test_check_sees_a_test_only_function():
     tree = ast.parse("def helper():\n    pass\n\nclass Box:\n    def open(self):\n        pass\n")
     assert defined_names(tree) == {"helper", "Box", "open"}
     assert not defined_names(tree) <= used_names(tree)
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    fields = set().union(*map(dataclass_fields, _trees(PACKAGE)))
+    read = set().union(*map(read_attributes, _trees(PACKAGE, ROOT / "scripts")))
+    unread = {name for name in fields if name.split(".")[1] not in read}
+    assert sorted(unread) == sorted(UNREAD_FIELDS)
+
+
+def test_field_check_sees_a_field_that_is_only_written():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\nclass Box:\n    size: int\n    note: str = ''\n\n"
+        "def label(box):\n    box.note = 'x'\n    return box.size\n"
+    )
+    assert dataclass_fields(tree) == {"Box.size", "Box.note"}
+    assert read_attributes(tree) == {"size"}

@@ -10,7 +10,7 @@ from pigat.errors import NumericError
 from pigat.metrics import ScoredSet, auc
 from pigat.model import predict, save_checkpoint
 from pigat.synth import SynthSpec, generate
-from pigat.train import EpochStats, format_metrics, read_metrics, train, write_metrics
+from pigat.train import EpochStats, format_metrics, train, write_metrics
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +136,15 @@ class TestNanAbort:
         assert "=" in msg  # carries parameter norms for the postmortem
 
 
+def read_metrics(path) -> list[EpochStats]:
+    """Parse metrics.tsv back into epoch records."""
+    history = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        epoch, loss, val_auc, lr = line.split("\t")
+        history.append(EpochStats(int(epoch), float(loss), float(val_auc), float(lr)))
+    return history
+
+
 class TestMetricsFile:
     def test_round_trip(self, tmp_path):
         history = [
@@ -144,7 +153,7 @@ class TestMetricsFile:
         ]
         path = tmp_path / "metrics.tsv"
         write_metrics(str(path), history)
-        assert read_metrics(str(path)) == history
+        assert read_metrics(path) == history
 
     def test_format_is_headerless_tsv(self):
         text = format_metrics([EpochStats(1, 0.5, 0.75, 0.001)])
@@ -155,7 +164,7 @@ class TestMetricsFile:
         result = train(cfg, prepare_dataset(small_log, cfg))
         path = tmp_path / "metrics.tsv"
         write_metrics(str(path), result.history)
-        back = read_metrics(str(path))
+        back = read_metrics(path)
         for ours, theirs in zip(result.history, back):
             assert ours.train_loss == theirs.train_loss
             assert ours.val_auc == theirs.val_auc
