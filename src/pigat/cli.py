@@ -120,6 +120,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    for flag, value in (("--seeds", args.seeds), ("--samples", args.samples)):
+        if value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
     config = _load_config(args.config)
     reports = [gradcheck.run_case(config, seed, samples_per_array=args.samples) for seed in range(args.seeds)]
     for name in sorted(reports[0].per_group):

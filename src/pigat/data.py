@@ -31,7 +31,8 @@ from .graph import ITEM, USER, InteractionEvent, InteractionGraph
 Array = np.ndarray
 
 RATING_POSITIVE_ABOVE = 3.0
-# A value may hold "=": only a field's first one separates name from value.
+# A value may hold "=", a field name may not: a field's first "=" separates
+# name from value.
 # Reading splits lines at "\r" too (universal newlines).
 _FORBIDDEN = set("\t;\r\n")
 
@@ -105,6 +106,9 @@ def format_signal(signal: float) -> str:
 
 def write_interactions(path: str, log: InteractionLog) -> None:
     """Serialize canonically; a write/read round trip is the identity."""
+    for name in (*log.user_field_names, *log.item_field_names):
+        if (_FORBIDDEN | {"="}) & set(name):
+            raise DataError(f"field name {name!r} contains a delimiter character")
     with open(path, "w", encoding="utf-8") as fh:
         for rec in log.records:
             for value in (*rec.user_values, *rec.item_values):

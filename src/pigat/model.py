@@ -183,6 +183,11 @@ def named_parameters(params: PigatParams) -> dict[str, Array]:
     return out
 
 
+def touched_rows(params: PigatParams) -> dict[str, Array]:
+    """Per table parameter, the rows its last backward gradient may be nonzero on."""
+    return {f"{side}_table": params.tables[side].touched for side in SIDES}
+
+
 @dataclass
 class HeadState:
     weights: Array  # (B, k)

@@ -207,6 +207,21 @@ def ffn_backward(
 
 
 @dataclass
+class RowMoments:
+    """Adam moments of a table's live rows, kept compactly in first-touch order.
+
+    A row is live once it has had a gradient; until then its moments are
+    exactly +0.0 and its update is exactly zero, so it is not stored.
+    """
+
+    slot: Array  # (rows,) position of each row in `live`, -1 while it has none
+    live: Array  # (rows,) live rows in first-touch order; the first n are valid
+    m: Array  # (rows, ...) row i holds the moments of live[i]
+    v: Array
+    n: int = 0
+
+
+@dataclass
 class AdamState:
     """Adam accumulators plus the schedule knobs the trainer mutates."""
 
@@ -218,6 +233,9 @@ class AdamState:
     t: int = 0
     m: dict[str, Array] | None = None
     v: dict[str, Array] | None = None
+    # Row-sparse arrays whose moments are still compact; each moves to m
+    # and v once half its rows are live.
+    compact: dict[str, RowMoments] = field(default_factory=dict, repr=False)
     # Two flat buffers as large as the largest parameter; every step's
     # temporaries are written into slices of them instead of allocated.
     scratch: tuple[Array, Array] = field(default_factory=lambda: (np.empty(0), np.empty(0)), repr=False)
@@ -229,14 +247,31 @@ class AdamState:
             self.v = {}
 
 
-def adam_step(state: AdamState, params: dict[str, Array], grads: dict[str, Array]) -> None:
+def adam_step(
+    state: AdamState,
+    params: dict[str, Array],
+    grads: dict[str, Array],
+    rows: dict[str, Array] | None = None,
+) -> None:
     """One bias-corrected Adam update, in place, over named arrays.
 
     L2 enters as coupled weight decay: the effective gradient is
     grad + l2 * param. The step counter increments exactly once per call.
-    The update allocates no parameter-sized array after its first call;
-    each operation keeps the operand order of the plain expression
+    After an array's first update it allocates no parameter-sized array,
+    except once, when a row-sparse array's moments turn dense. Each
+    operation keeps the operand order of the plain expression
     p -= lr * (m / c1) / (sqrt(v / c2) + eps), so the bytes match it.
+
+    rows optionally names, per array, the distinct first-axis rows
+    where its gradient may be nonzero; every other row must be +0.0. With
+    l2 == 0 such an array is updated row-sparsely with the same bytes as
+    the dense update: the gradient terms are added on those rows only,
+    and rows that never had a gradient are skipped. On a row with a zero
+    gradient the dense update adds +0.0 to m * beta1 and v * beta2, and on
+    a row whose moments are +0.0 it subtracts +0.0 / (0 + eps) from p;
+    both leave every bit unchanged. The one exception: where m * beta1
+    underflows to -0.0 on an idle row, the dense update makes it +0.0.
+    That reaches p only when p is exactly -0.0, after some 7000 idle steps.
     """
     state.t += 1
     t = state.t
@@ -245,10 +280,15 @@ def adam_step(state: AdamState, params: dict[str, Array], grads: dict[str, Array
     largest = max((p.size for p in params.values()), default=0)
     if state.scratch[0].size < largest:
         state.scratch = (np.empty(largest), np.empty(largest))
+    rows = rows if rows is not None and state.l2 == 0.0 else {}
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(f"grad shape {g.shape} != param shape {p.shape} for {name}")
+        if name in rows and _row_sparse_update(state, name, p, g, rows[name], c1, c2):
+            continue
+        if name in state.compact:
+            _to_dense(state, name)
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
@@ -263,11 +303,77 @@ def adam_step(state: AdamState, params: dict[str, Array], grads: dict[str, Array
         v *= state.beta2
         np.multiply(g, g, out=b)
         v += np.multiply(1.0 - state.beta2, b, out=b)
-        m_hat = np.divide(m, c1, out=a)
-        step = np.multiply(state.learning_rate, m_hat, out=a)
-        denom = np.sqrt(np.divide(v, c2, out=b), out=b)
-        denom += state.eps
-        p -= np.divide(step, denom, out=a)
+        p -= _step(state, m, v, c1, c2)
+
+
+def _step(state: AdamState, m: Array, v: Array, c1: float, c2: float) -> Array:
+    """lr * (m / c1) / (sqrt(v / c2) + eps), in the first scratch buffer; the second is free after."""
+    a, b = (buf[: m.size].reshape(m.shape) for buf in state.scratch)
+    m_hat = np.divide(m, c1, out=a)
+    step = np.multiply(state.learning_rate, m_hat, out=a)
+    denom = np.sqrt(np.divide(v, c2, out=b), out=b)
+    denom += state.eps
+    return np.divide(step, denom, out=a)
+
+
+def _to_dense(state: AdamState, name: str) -> None:
+    """Move an array's compact moments into table-shaped m and v."""
+    rm = state.compact.pop(name)
+    live = rm.live[: rm.n]
+    for dense, compact in ((state.m, rm.m), (state.v, rm.v)):
+        dense[name] = np.zeros_like(compact)
+        dense[name][live] = compact[: rm.n]
+
+
+# Once moments are dense, a larger share of touched rows is updated faster
+# by the plain dense update than by gathering and scattering those rows
+# (measured on tables of 1.5k-11k rows and widths 8-32).
+ROW_SPARSE_MAX_SHARE = 1 / 8
+
+
+def _row_sparse_update(
+    state: AdamState, name: str, p: Array, g: Array, touched: Array, c1: float, c2: float
+) -> bool:
+    """The l2 == 0 update of adam_step where only the `touched` rows of g are nonzero.
+
+    Returns False, having updated nothing, when the plain dense update is
+    the faster way to do it.
+    """
+    if name not in state.m and name not in state.compact:
+        state.compact[name] = RowMoments(
+            np.full(p.shape[0], -1, dtype=np.intp), np.empty(p.shape[0], dtype=np.intp),
+            np.zeros_like(p), np.zeros_like(p),
+        )
+    rm = state.compact.get(name)
+    if rm is not None:
+        new = touched[rm.slot[touched] < 0]
+        rm.slot[new] = np.arange(rm.n, rm.n + new.size)
+        rm.live[rm.n : rm.n + new.size] = new
+        rm.n += new.size
+        if 2 * rm.n > p.shape[0]:
+            _to_dense(state, name)
+            rm = None
+    if rm is None and touched.size > ROW_SPARSE_MAX_SHARE * p.shape[0]:
+        return False
+    g = g[touched]
+    if rm is None:  # dense moments: decay every row, add gradient terms on touched rows
+        m, v, at = state.m[name], state.v[name], touched
+    else:
+        m, v, at = rm.m[: rm.n], rm.v[: rm.n], rm.slot[touched]
+    m *= state.beta1
+    m[at] += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v[at] += (1.0 - state.beta2) * (g * g)
+    step = _step(state, m, v, c1, c2)
+    if rm is None:
+        p -= step
+        return True
+    live = rm.live[: rm.n]
+    # mode="clip" writes straight into out; the default mode buffers.
+    q = np.take(p, live, axis=0, out=state.scratch[1][: m.size].reshape(m.shape), mode="clip")
+    q -= step
+    p[live] = q
+    return True
 
 
 def fd_coordinate(f, x: Array, i: int, h: float = 1e-5) -> float:

@@ -7,7 +7,6 @@ with the same config and data are bit-for-bit reproducible.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ from .model import (
     init_params,
     named_parameters,
     predict,
+    touched_rows,
 )
 from .nn import AdamState, adam_step
 
@@ -67,7 +67,9 @@ def train(config: TrainConfig, data: PreparedData) -> TrainResult:
 
     adam = AdamState(learning_rate=config.learning_rate, l2=config.l2)
     result = TrainResult(params=params)
-    best_params = copy.deepcopy(params)
+    # Parameter arrays of the best epoch so far, kept only while a later
+    # epoch may overwrite them.
+    best: dict[str, np.ndarray] | None = None
     n = len(data.train)
 
     for epoch in range(1, config.epochs + 1):
@@ -87,7 +89,7 @@ def train(config: TrainConfig, data: PreparedData) -> TrainResult:
                 )
             loss_sum += loss * len(batch)
             grads = backward(params, state, batch.labels)
-            adam_step(adam, named_parameters(params), grads)
+            adam_step(adam, named_parameters(params), grads, touched_rows(params))
         train_loss = loss_sum / n
 
         val_probs = predict(params, data.val)
@@ -97,9 +99,14 @@ def train(config: TrainConfig, data: PreparedData) -> TrainResult:
         if result.best_epoch == 0 or val_auc > result.best_val_auc:
             result.best_epoch = epoch
             result.best_val_auc = float(val_auc)
-            best_params = copy.deepcopy(params)
+            if epoch < config.epochs:
+                best = {name: arr.copy() for name, arr in named_parameters(params).items()}
+            else:
+                best = None
 
-    result.params = best_params
+    if best is not None:
+        for name, arr in named_parameters(params).items():
+            np.copyto(arr, best[name])
     return result
 
 

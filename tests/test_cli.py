@@ -235,6 +235,15 @@ class TestGradcheckVerb:
         assert params.integrate["int_user"][0].shape[0] == 8
         assert not params.config.include_negative_neighbors
 
+    @pytest.mark.parametrize("flags", [["--seeds", "0"], ["--seeds", "1", "--samples", "0"], ["--samples", "-2"]])
+    def test_nothing_to_compare_is_usage(self, monkeypatch, capsys, flags):
+        cases = []
+        monkeypatch.setattr(cli_mod.gradcheck, "run_case", lambda *a, **k: cases.append(a))
+        assert main(["gradcheck", *flags]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and flags[-2] in err
+        assert cases == []
+
     def test_exit_3_on_mismatch(self, monkeypatch, capsys):
         fake = GradCheckReport(per_group={"mlp.w0": 0.5})
         monkeypatch.setattr(cli_mod.gradcheck, "run_case", lambda *a, **k: fake)

@@ -178,11 +178,19 @@ def mutate_log(lines: list[str], edits) -> str:
 @given(
     edits=st.lists(log_mutation, min_size=1, max_size=4),
     splice=st.none() | st.tuples(st.integers(0, 200), st.binary(min_size=1, max_size=2)),
+    rename=st.none() | st.tuples(st.integers(0, 3), st.sampled_from(TRICKY) | log_text),
 )
-@example(edits=[(0, "field", 2, "a=b")], splice=None)
-@example(edits=[(1, "field", 0, "\u0663")], splice=None)
-@example(edits=[(0, "drop", 0, "")], splice=(0, b"\xff"))
-def test_mutated_log_is_rejected_or_round_trips(tmp_path, edits, splice):
+@example(edits=[(0, "field", 2, "a=b")], splice=None, rename=None)
+@example(edits=[(1, "field", 0, "\u0663")], splice=None, rename=None)
+@example(edits=[(0, "drop", 0, "")], splice=(0, b"\xff"), rename=None)
+@example(edits=[(0, "drop", 0, "")], splice=None, rename=(0, "u=id"))
+@example(edits=[(0, "drop", 0, "")], splice=None, rename=(3, "c;d"))
+def test_mutated_log_is_rejected_or_round_trips(tmp_path, edits, splice, rename):
+    """A mutated file is rejected or reads as a log its write -> read keeps.
+
+    rename then gives one field of the log read a new name, which the
+    writer must refuse or keep through the round trip as well.
+    """
     raw = mutate_log(VALID_LINES, edits).encode()
     if splice is not None:  # raw bytes, possibly not UTF-8
         at, junk = splice
@@ -193,8 +201,18 @@ def test_mutated_log_is_rejected_or_round_trips(tmp_path, edits, splice):
         log = read_interactions(str(path))
     except DataError:
         return
+    if rename is not None:
+        pos, name = rename
+        names = log.user_field_names + log.item_field_names
+        names[pos % len(names)] = name
+        cut = len(log.user_field_names)
+        log = InteractionLog(names[:cut], names[cut:], log.records)
     echoed = tmp_path / "echoed.tsv"
-    write_interactions(str(echoed), log)
+    try:
+        write_interactions(str(echoed), log)
+    except DataError:
+        assert rename is not None and set("\t;\r\n=") & set(rename[1])
+        return
     assert read_interactions(str(echoed)) == log
 
 

@@ -14,6 +14,7 @@ from pigat.features import (
     table_for_side,
     table_init,
     write_schema,
+    zero_gradients,
 )
 from pigat.graph import ITEM, USER, InteractionEvent, InteractionGraph
 
@@ -98,6 +99,19 @@ def test_scatter_accumulates_repeats_and_skips_padding():
     scatter_gradient(table, ids, up)
     np.testing.assert_array_equal(table.grad[0], 2 * np.ones(4))
     np.testing.assert_array_equal(table.grad[4], np.zeros(4))
+
+
+def test_zero_gradients_clears_exactly_the_scattered_rows():
+    s = toy_schema()
+    table = table_for_side(np.random.default_rng(2), s, USER)
+    scatter_gradient(table, np.array([3, 0, 4, 3]), np.ones((4, 4)))  # 4 is uid padding
+    scatter_gradient(table, np.array([[7], [0]]), np.ones((2, 1, 4)))
+    assert table.touched.tolist() == [0, 3, 7]
+    table.grad[1] = 5.0  # a row no scatter wrote is not the zeroing's to clear
+    zero_gradients(table)
+    assert table.touched.size == 0
+    assert not np.delete(table.grad, 1, axis=0).any()
+    assert (table.grad[1] == 5.0).all()
 
 
 def test_scatter_shape_check():

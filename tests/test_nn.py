@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pigat import nn
+from pigat import features, nn
 from pigat.errors import DomainError, ShapeError, UsageError
 
 # Hand-derived expected values. softmax(ln 2, 0) exponentiates to (2, 1)
@@ -355,19 +355,90 @@ def test_adam_step_equals_allocating_reference_bytewise(seed, l2, steps, rows):
     assert state.t == reference["t"] == steps
 
 
-def test_adam_steady_state_step_allocates_less_than_one_parameter():
+def _dense_moments(state: nn.AdamState, name: str) -> tuple[np.ndarray, np.ndarray]:
+    rm = state.compact.get(name)
+    if rm is None:
+        return state.m[name], state.v[name]
+    live = rm.live[: rm.n]
+    assert (rm.slot[live] == np.arange(rm.n)).all() and (np.delete(rm.slot, live) == -1).all()
+    m, v = np.zeros_like(rm.m), np.zeros_like(rm.v)
+    m[live], v[live] = rm.m[: rm.n], rm.v[: rm.n]
+    return m, v
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    l2=st.sampled_from([0.0, 0.0, 1e-4]),
+    steps=st.integers(min_value=20, max_value=40),
+    rows=st.integers(min_value=4, max_value=80),
+    hot=st.floats(min_value=0.1, max_value=1.0),
+    dense_steps=st.sampled_from([(), (7,), (3, 11)]),
+)
+def test_row_sparse_adam_equals_dense_bytewise(seed, l2, steps, rows, hot, dense_steps):
+    """Passing the rows a table's gradient was scattered to changes no byte.
+
+    Ids repeat and are drawn from the first `hot` share of the rows, so
+    some rows never get a gradient and a small share keeps the moments
+    compact throughout. Zeroed upstream slices touch rows with an all-zero
+    gradient, and the frozen padding rows silently drop theirs. With
+    l2 > 0 the rows are ignored. On dense_steps no rows are passed.
+    Gradient magnitudes stay far above the range where a decayed moment
+    underflows to -0.0, the one case where the bytes may differ.
+    """
+    rng = np.random.default_rng(seed)
+    frozen = rng.random(rows) < 0.2
+    table = features.table_init(rng, rows, 3, frozen)
+    params = {"table": table.weight, "w": rng.normal(size=(2, 3))}
+    dense = {name: p.copy() for name, p in params.items()}
+    sparse_state = nn.AdamState(learning_rate=1.0, l2=l2)
+    dense_state = nn.AdamState(learning_rate=1.0, l2=l2)
+    n_hot = max(1, int(hot * rows))
+    for step in range(steps):
+        lr = float(10.0 ** rng.uniform(-4, -1))
+        sparse_state.learning_rate = dense_state.learning_rate = lr
+        features.zero_gradients(table)
+        ids = rng.integers(0, n_hot, size=(int(rng.integers(1, 8)), 2))
+        upstream = rng.normal(size=(*ids.shape, 3)) * 10.0 ** rng.uniform(-3, 3)
+        upstream *= rng.random((*ids.shape, 1)) < 0.7
+        features.scatter_gradient(table, ids, upstream)
+        grads = {"table": table.grad, "w": rng.normal(size=(2, 3))}
+        rows_arg = None if step in dense_steps else {"table": table.touched}
+        nn.adam_step(sparse_state, params, grads, rows_arg)
+        nn.adam_step(dense_state, dense, grads)
+        for name in params:
+            m, v = _dense_moments(sparse_state, name)
+            assert params[name].tobytes() == dense[name].tobytes(), (step, name)
+            assert m.tobytes() == dense_state.m[name].tobytes(), (step, name)
+            assert v.tobytes() == dense_state.v[name].tobytes(), (step, name)
+    assert (table.weight[frozen] == 0.0).all()
+
+
+def _second_step_peak(rows=None) -> tuple[int, int]:
+    """Peak bytes traced during a second Adam step on a large table, and the table's bytes."""
     rng = np.random.default_rng(8)
     params = {"table": rng.normal(size=(20000, 32))}
     grads = {"table": rng.normal(size=(20000, 32))}
     state = nn.AdamState(learning_rate=1e-3)
-    nn.adam_step(state, params, grads)  # the first step allocates the moments and scratch
+    nn.adam_step(state, params, grads, rows)  # the first step allocates the moments and scratch
     tracemalloc.start()
     try:
-        nn.adam_step(state, params, grads)
+        nn.adam_step(state, params, grads, rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < params["table"].nbytes
+    return peak, params["table"].nbytes
+
+
+def test_adam_steady_state_step_allocates_less_than_one_parameter():
+    peak, size = _second_step_peak()
+    assert peak < size
+
+
+@pytest.mark.parametrize("touched", [20000, 300], ids=["dense-moments", "compact-moments"])
+def test_row_sparse_adam_steady_state_step_allocates_less_than_one_parameter(touched):
+    peak, size = _second_step_peak({"table": np.arange(touched)})
+    assert peak < size
 
 
 @settings(max_examples=25)

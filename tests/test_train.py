@@ -1,5 +1,7 @@
 """Training-loop tests: progress, decay, determinism, selection, failure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from pigat.config import TrainConfig
 from pigat.data import prepare_dataset
 from pigat.errors import NumericError
 from pigat.metrics import ScoredSet, auc
-from pigat.model import predict, save_checkpoint
+from pigat.model import checkpoint_arrays, predict, save_checkpoint
 from pigat.synth import SynthSpec, generate
 from pigat.train import EpochStats, format_metrics, train, write_metrics
 
@@ -115,6 +117,16 @@ class TestBestEpoch:
         probs = predict(result.params, data.val)
         score = auc(ScoredSet(probs, data.val.labels, data.degrees_for(data.val)))
         assert score == result.best_val_auc
+
+    def test_returned_params_are_the_best_epochs_bytes(self, small_log):
+        cfg = small_config(epochs=6)
+        data = prepare_dataset(small_log, cfg)
+        result = train(cfg, data)
+        assert result.best_epoch < cfg.epochs  # later epochs overwrote the best one
+        cut = train(dataclasses.replace(cfg, epochs=result.best_epoch), data)
+        ours, theirs = checkpoint_arrays(result.params), checkpoint_arrays(cut.params)
+        assert ours.keys() == theirs.keys()
+        assert all(ours[name].tobytes() == theirs[name].tobytes() for name in ours)
 
 
 class TestNanAbort:
