@@ -24,7 +24,11 @@ oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+import os
+from collections.abc import Iterator
+from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -83,6 +87,7 @@ INTEGRATE = (
     ("adp_user", "ui", "ua"),
     ("adp_item", "ii", "ia"),
 )
+TABLES = tuple(f"{side}_table" for side in SIDES)  # the row-sparse parameters
 CKPT_MAGIC = b"PIGATCKPT1\n"
 
 
@@ -124,8 +129,13 @@ class PigatParams:
     tables: dict[str, EmbeddingTable]  # side -> embedding rows
     conf: dict[str, ConfidenceTable]  # window side -> confidence rows
     heads: dict[str, AttentionHead]
-    integrate: dict[str, tuple[Array, Array]]  # INTEGRATE name -> (weight, bias)
+    integrate: dict[str, list[Array]]  # INTEGRATE name -> [weight, bias]
     mlp: FfnParams
+    # Every trainable array but the tables, flat in named_parameters order;
+    # the arrays above are views of it, so one Adam call updates them all.
+    dense: Array = field(default_factory=lambda: np.empty(0))
+    dense_grad: Array = field(default_factory=lambda: np.empty(0))  # same layout
+    dense_grads: dict[str, Array] = field(default_factory=dict)  # name -> view of dense_grad
 
 
 def head_wiring(config: TrainConfig) -> dict[str, tuple[str, str]]:
@@ -135,12 +145,27 @@ def head_wiring(config: TrainConfig) -> dict[str, tuple[str, str]]:
     return HEADS
 
 
+def _widths(schema: FeatureSchema) -> tuple[dict[str, int], dict[str, int]]:
+    """(profile width, window width) per side."""
+    profile_w = {side: len(schema.fields(side)) * schema.width(side) for side in SIDES}
+    # A user window holds whole item profiles, an item window bare user ids.
+    return profile_w, {USER: profile_w[ITEM], ITEM: schema.user_width}
+
+
+def _sizing_shapes(schema: FeatureSchema, config: TrainConfig) -> dict[str, tuple[int, ...]]:
+    """Shapes init_params gives the arrays whose dimensions bound every other array's size."""
+    profile_w, window_w = _widths(schema)
+    k = config.max_neighbors
+    shapes = {f"{side}_table": (schema.table_size(side), schema.width(side)) for side in SIDES}
+    shapes.update({f"conf_{side}": (k, k, window_w[side]) for side in SIDES})
+    shapes["int_user.w"] = (config.hidden_width, profile_w[USER] + window_w[USER])
+    return shapes
+
+
 def init_params(rng: np.random.Generator, schema: FeatureSchema, config: TrainConfig) -> PigatParams:
     """Build all trainable state. Draw order is fixed for determinism."""
     config.validate()
-    profile_w = {side: len(schema.fields(side)) * schema.width(side) for side in SIDES}
-    # A user window holds whole item profiles, an item window bare user ids.
-    window_w = {USER: profile_w[ITEM], ITEM: schema.user_width}
+    profile_w, window_w = _widths(schema)
     k = config.max_neighbors
 
     tables = {side: table_for_side(rng, schema, side) for side in SIDES}
@@ -154,33 +179,58 @@ def init_params(rng: np.random.Generator, schema: FeatureSchema, config: TrainCo
     dh = config.hidden_width
     widths = {**profile_w, **{name: window_w[window] for name, (window, _) in HEADS.items()}}
     integrate = {
-        name: (glorot_uniform(rng, dh, widths[left] + widths[right]), np.zeros(dh))
+        name: [glorot_uniform(rng, dh, widths[left] + widths[right]), np.zeros(dh)]
         for name, left, right in INTEGRATE
     }
     mlp = ffn_init(rng, [len(INTEGRATE) * dh, *MLP_HIDDEN, 1])
-    return PigatParams(schema, config, tables, conf, heads, integrate, mlp)
+    params = PigatParams(schema, config, tables, conf, heads, integrate, mlp)
+    _pack_dense(params)
+    return params
+
+
+def _slots(params: PigatParams) -> Iterator[tuple[str, Any, Any]]:
+    """(name, holder, key) of every trainable array, in a stable order; the array is holder[key].
+
+    Attributes are reached through vars(), so every holder can be rebound by item assignment.
+    """
+    for side in SIDES:
+        yield f"{side}_table", vars(params.tables[side]), "weight"
+    for side in SIDES:
+        if params.conf[side].trainable:
+            yield f"conf_{side}", vars(params.conf[side]), "rows"
+    for name, head in params.heads.items():
+        if head.ffn is not None:
+            for i in range(len(head.ffn.weights)):
+                yield f"att_{name}.w{i}", head.ffn.weights, i
+                yield f"att_{name}.b{i}", head.ffn.biases, i
+        elif head.proj_w is not None:
+            yield f"att_{name}.proj_w", vars(head), "proj_w"
+            yield f"att_{name}.proj_b", vars(head), "proj_b"
+    for name, _, _ in INTEGRATE:
+        yield f"{name}.w", params.integrate[name], 0
+        yield f"{name}.b", params.integrate[name], 1
+    for i in range(len(params.mlp.weights)):
+        yield f"mlp.w{i}", params.mlp.weights, i
+        yield f"mlp.b{i}", params.mlp.biases, i
+
+
+def _pack_dense(params: PigatParams) -> None:
+    """Copy every non-table trainable into params.dense and rebind its holder to a view of it."""
+    slots = [(name, holder, key) for name, holder, key in _slots(params) if name not in TABLES]
+    params.dense = np.concatenate([holder[key].reshape(-1) for _, holder, key in slots])
+    params.dense_grad = np.zeros_like(params.dense)
+    start = 0
+    for name, holder, key in slots:
+        shape = holder[key].shape
+        stop = start + holder[key].size
+        holder[key] = params.dense[start:stop].reshape(shape)
+        params.dense_grads[name] = params.dense_grad[start:stop].reshape(shape)
+        start = stop
 
 
 def named_parameters(params: PigatParams) -> dict[str, Array]:
     """Stable name -> array view of everything the optimizer may touch."""
-    out = {f"{side}_table": params.tables[side].weight for side in SIDES}
-    for side in SIDES:
-        if params.conf[side].trainable:
-            out[f"conf_{side}"] = params.conf[side].rows
-    for name, head in params.heads.items():
-        if head.ffn is not None:
-            for i, (w, b) in enumerate(zip(head.ffn.weights, head.ffn.biases)):
-                out[f"att_{name}.w{i}"] = w
-                out[f"att_{name}.b{i}"] = b
-        elif head.proj_w is not None:
-            out[f"att_{name}.proj_w"] = head.proj_w
-            out[f"att_{name}.proj_b"] = head.proj_b
-    for name, _, _ in INTEGRATE:
-        out[f"{name}.w"], out[f"{name}.b"] = params.integrate[name]
-    for i, (w, b) in enumerate(zip(params.mlp.weights, params.mlp.biases)):
-        out[f"mlp.w{i}"] = w
-        out[f"mlp.b{i}"] = b
-    return out
+    return {name: holder[key] for name, holder, key in _slots(params)}
 
 
 def touched_rows(params: PigatParams) -> dict[str, Array]:
@@ -201,6 +251,7 @@ class HeadState:
 class ForwardState:
     """Everything backward() needs, plus the outputs."""
 
+    mode: str  # backward() takes only "train" states; "eval" ones drop the ffn-head caches
     batch: Batch
     profiles: dict[str, Array]  # side -> (B, profile width)
     raw: dict[str, Array]  # window side -> looked-up window (B, k, width)
@@ -287,6 +338,8 @@ def forward(
         if cfg.pooling == "attention":
             logits, state = attention_logits(params.heads[name], profiles[query], aug[window])
             state.weights = masked_softmax(logits, mask)
+            if mode == "eval":
+                state.ffn_cache = None  # only backward reads it; freed now, its memory serves the next head
         else:
             state = HeadState(uniform_coefficients(mask))
         head_states[name] = state
@@ -316,6 +369,7 @@ def forward(
     clamp_active = (prob_raw > PROB_CLAMP) & (prob_raw < 1.0 - PROB_CLAMP)
 
     return ForwardState(
+        mode=mode,
         batch=batch,
         profiles=profiles,
         raw=raw,
@@ -358,8 +412,11 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
 
     Embedding and confidence accumulators are zeroed before this batch's
     gradients are scattered into them, so the returned dict always holds
-    exactly this batch's gradients.
+    exactly this batch's gradients. The non-table gradients are views of
+    params.dense_grad, laid out like params.dense.
     """
+    if state.mode != "train":
+        raise UsageError(f"backward needs a forward state computed in train mode, got {state.mode!r}")
     cfg = params.config
     batch = state.batch
     b = len(batch)
@@ -425,6 +482,8 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
         scatter_gradient(table, ids[side], d_sources[side].reshape(-1, table.width))
         scatter_gradient(table, nbrs[OTHER[side]], d_raw[OTHER[side]].reshape(-1, table.width))
         grads[f"{side}_table"] = table.grad
+    np.concatenate([grads[name].reshape(-1) for name in params.dense_grads], out=params.dense_grad)
+    grads.update(params.dense_grads)
     return grads
 
 
@@ -516,25 +575,37 @@ def load_checkpoint(path: str) -> tuple[PigatParams, dict]:
                 item_width=widths[1],
             )
             config = config_from_dict(header["config"])
-            manifest = {name: tuple(shape) for name, shape in header["arrays"]}
+            entries = [(name, tuple(shape)) for name, shape in header["arrays"]]
+            if not all(type(n) is int and n >= 0 for _, shape in entries for n in shape):
+                raise ValueError("array shapes must be lists of non-negative integers")
+            manifest = dict(entries)
+            extra = header.get("extra", {})
+            if not isinstance(extra, dict):
+                raise TypeError(f"extra is a {type(extra).__name__}, not an object")
         except DataError:
             raise
         except (KeyError, TypeError, ValueError, AttributeError) as err:
             raise DataError(f"{path}: malformed checkpoint header: {type(err).__name__}: {err}") from None
+        # The payload size and the dimensions that size the model are checked
+        # before it is built, so a corrupt header cannot make init_params
+        # allocate far more than the file holds.
+        need = 8 * sum(math.prod(shape) for _, shape in entries)
+        have = os.fstat(fh.fileno()).st_size - fh.tell()
+        if have != need:
+            what = "truncated checkpoint" if have < need else "trailing bytes after the last array"
+            raise DataError(f"{path}: {what}: the manifest needs {need} payload bytes, the file holds {have}")
+        for name, shape in _sizing_shapes(schema, config).items():
+            if manifest.get(name) != shape:
+                raise DataError(f"{path}: array {name} has shape {manifest.get(name)}, expected {shape}")
         params = init_params(np.random.default_rng(0), schema, config)
         arrays = checkpoint_arrays(params)
-        if set(manifest) != set(arrays):
+        if len(manifest) != len(entries) or set(manifest) != set(arrays):
             raise DataError(f"{path}: array manifest does not match the rebuilt model")
-        for name, shape in header["arrays"]:
+        for name, shape in entries:
             target = arrays[name]
-            if tuple(target.shape) != tuple(shape):
+            if target.shape != shape:
                 raise DataError(f"{path}: array {name} has shape {shape}, expected {target.shape}")
-            raw = fh.read(target.size * 8)
-            if len(raw) != target.size * 8:
-                raise DataError(f"{path}: truncated checkpoint while reading {name}")
-            np.copyto(target, np.frombuffer(raw, dtype=np.float64).reshape(target.shape))
-        if fh.read(1):
-            raise DataError(f"{path}: trailing bytes after the last array")
+            np.copyto(target, np.frombuffer(fh.read(target.size * 8), dtype=np.float64).reshape(shape))
     if header.get("schema_hash") != schema.structural_hash():
         raise DataError(f"{path}: schema hash does not match the stored schema")
-    return params, header.get("extra", {})
+    return params, extra

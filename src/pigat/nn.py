@@ -262,6 +262,11 @@ def adam_step(
     operation keeps the operand order of the plain expression
     p -= lr * (m / c1) / (sqrt(v / c2) + eps), so the bytes match it.
 
+    Every operation is elementwise, so one update of a flat vector gives
+    the bytes of separate updates of the arrays it holds, at the cost of
+    one array's fixed per-call overhead (14 numpy calls) instead of one per
+    array. The model keeps all its non-table parameters in one such vector.
+
     rows optionally names, per array, the distinct first-axis rows
     where its gradient may be nonzero; every other row must be +0.0. With
     l2 == 0 such an array is updated row-sparsely with the same bytes as

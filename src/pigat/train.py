@@ -16,6 +16,7 @@ from .data import PreparedData
 from .errors import NumericError, UndefinedMetricError
 from .metrics import ScoredSet, auc
 from .model import (
+    TABLES,
     PigatParams,
     backward,
     bce_loss,
@@ -50,6 +51,25 @@ def _param_norms(params: PigatParams) -> str:
     return ", ".join(f"{name}={value:.3e}" for name, value in top)
 
 
+def _group(name: str) -> str:
+    """The parameter group of a named parameter: tables, conf_*, att_*, integrate or mlp."""
+    if name in TABLES:
+        return "tables"
+    if name.startswith(("conf_", "att_")):
+        return name.split("_")[0] + "_*"
+    return "mlp" if name.startswith("mlp.") else "integrate"
+
+
+def _non_finite(params: PigatParams, grads: dict[str, np.ndarray], rows: dict[str, np.ndarray]) -> str | None:
+    """The first parameter whose gradient holds a NaN or an infinity, or None.
+
+    Table rows outside `rows` are +0.0, so only the touched rows are checked.
+    """
+    if np.isfinite(params.dense_grad).all() and all(np.isfinite(grads[n][r]).all() for n, r in rows.items()):
+        return None
+    return next(name for name in named_parameters(params) if not np.isfinite(grads[name]).all())
+
+
 def train(config: TrainConfig, data: PreparedData) -> TrainResult:
     config.validate()
     # Epoch selection ranks by validation AUC; fail before the first step,
@@ -66,9 +86,12 @@ def train(config: TrainConfig, data: PreparedData) -> TrainResult:
     dropout_rng = np.random.default_rng(dropout_ss)
 
     adam = AdamState(learning_rate=config.learning_rate, l2=config.l2)
+    # Adam updates the tables row-sparsely and every other parameter as one flat vector.
+    named = named_parameters(params)
+    arrays = {name: named[name] for name in TABLES} | {"dense": params.dense}
     result = TrainResult(params=params)
-    # Parameter arrays of the best epoch so far, kept only while a later
-    # epoch may overwrite them.
+    # The arrays of the best epoch so far, kept only while a later epoch
+    # may overwrite them.
     best: dict[str, np.ndarray] | None = None
     n = len(data.train)
 
@@ -89,7 +112,13 @@ def train(config: TrainConfig, data: PreparedData) -> TrainResult:
                 )
             loss_sum += loss * len(batch)
             grads = backward(params, state, batch.labels)
-            adam_step(adam, named_parameters(params), grads, touched_rows(params))
+            rows = touched_rows(params)
+            bad = _non_finite(params, grads, rows)
+            if bad is not None:
+                raise NumericError(
+                    f"non-finite gradient at epoch {epoch}, batch {batch_idx}: {bad} (group {_group(bad)})"
+                )
+            adam_step(adam, arrays, {name: grads[name] for name in TABLES} | {"dense": params.dense_grad}, rows)
         train_loss = loss_sum / n
 
         val_probs = predict(params, data.val)
@@ -100,12 +129,12 @@ def train(config: TrainConfig, data: PreparedData) -> TrainResult:
             result.best_epoch = epoch
             result.best_val_auc = float(val_auc)
             if epoch < config.epochs:
-                best = {name: arr.copy() for name, arr in named_parameters(params).items()}
+                best = {name: arr.copy() for name, arr in arrays.items()}
             else:
                 best = None
 
     if best is not None:
-        for name, arr in named_parameters(params).items():
+        for name, arr in arrays.items():
             np.copyto(arr, best[name])
     return result
 

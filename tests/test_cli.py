@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import pigat.cli as cli_mod
+import pigat.train as train_mod
 from pigat.cli import main
 from pigat.data import read_interactions
 from pigat.gradcheck import GradCheckReport
@@ -363,6 +365,23 @@ class TestExitCodes:
         assert "data error" in err and "validation" in err
         assert steps == []
         assert not (tmp_path / "r").exists()
+
+    def test_non_finite_gradient_exits_3(self, workspace, tmp_path, monkeypatch, capsys):
+        real = train_mod.backward
+
+        def poisoned(params, state, labels):
+            grads = real(params, state, labels)
+            grads["mlp.b0"][0] = np.inf
+            return grads
+
+        monkeypatch.setattr(train_mod, "backward", poisoned)
+        assert main([
+            "train",
+            "--config", str(workspace / "config.txt"),
+            "--data", str(workspace / "data.tsv"),
+            "--out", str(tmp_path / "r"),
+        ]) == 3
+        assert "non-finite gradient at epoch 1, batch 0: mlp.b0 (group mlp)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key,value,flags",

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pigat.config import TrainConfig
@@ -32,6 +32,7 @@ from pigat.model import (
     attention_logits,
     backward,
     bce_loss,
+    checkpoint_arrays,
     forward,
     head_wiring,
     init_params,
@@ -529,6 +530,16 @@ class TestLossAndModes:
         with pytest.raises(DomainError):
             forward(params, tiny_batch(schema), mode="test")
 
+    @pytest.mark.parametrize("attention", ["ffn-3", "dot"])
+    def test_backward_rejects_an_eval_state(self, attention):
+        schema = tiny_schema()
+        params = init_params(np.random.default_rng(0), schema, tiny_config(attention=attention))
+        batch = tiny_batch(schema)
+        state = forward(params, batch, mode="eval")
+        assert all(h.ffn_cache is None for h in state.heads.values())
+        with pytest.raises(UsageError, match="train mode"):
+            backward(params, state, batch.labels)
+
     def test_dropout_training_needs_generator(self):
         schema = tiny_schema()
         params = init_params(np.random.default_rng(0), schema, tiny_config(dropout=0.4))
@@ -563,6 +574,44 @@ class TestLossAndModes:
             assert abs(fd - g_flat[c]) < 1e-6 + 1e-4 * abs(fd)
 
 
+def assert_tiles(flat, views):
+    """The views cover flat exactly, in order, each contiguous, with no gap or overlap."""
+    offset = 0
+    for name, view in views.items():
+        assert view.base is flat and view.flags.c_contiguous, name
+        start = (view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]) // flat.itemsize
+        assert start == offset, name
+        offset += view.size
+    assert offset == flat.size
+
+
+LAYOUT_CONFIGS = [
+    dict(confidence="rce", attention="ffn-3"),
+    dict(confidence="ce", attention="dot", user_embed_width=3),  # projected dot heads
+    dict(pooling="average"),  # no head parameters, frozen confidence
+    dict(confidence="rce", attention="ffn-1", user_query_only=True),
+]
+
+
+class TestDenseLayout:
+    @pytest.mark.parametrize("overrides", LAYOUT_CONFIGS)
+    def test_non_table_parameters_tile_the_dense_vector(self, overrides, tmp_path):
+        config = tiny_config(**overrides)
+        schema = FeatureSchema(tiny_schema().user_fields, tiny_schema().item_fields, config.user_embed_width, 2)
+        params = init_params(np.random.default_rng(1), schema, config)
+        path = tmp_path / "model.bin"
+        save_checkpoint(str(path), params)
+        loaded, _ = load_checkpoint(str(path))
+        for p in (params, loaded):
+            dense = {n: a for n, a in named_parameters(p).items() if not n.endswith("_table")}
+            assert_tiles(p.dense, dense)
+            batch = tiny_batch(schema)
+            grads = backward(p, forward(p, batch, mode="train"), batch.labels)
+            assert_tiles(p.dense_grad, {n: grads[n] for n in dense})
+            assert list(p.dense_grads) == list(dense)
+        assert loaded.dense.tobytes() == params.dense.tobytes()
+
+
 class TestCheckpoint:
     def _trained_like_params(self, seed=3):
         config = tiny_config(confidence="rce")
@@ -579,8 +628,6 @@ class TestCheckpoint:
         save_checkpoint(str(path), params, extra={"epoch": 4})
         loaded, extra = load_checkpoint(str(path))
         assert extra == {"epoch": 4}
-        from pigat.model import checkpoint_arrays
-
         orig, back = checkpoint_arrays(params), checkpoint_arrays(loaded)
         assert set(orig) == set(back)
         for name in orig:
@@ -630,3 +677,84 @@ class TestCheckpoint:
             fh.write(b"\x00")
         with pytest.raises(DataError, match="trailing"):
             load_checkpoint(str(path))
+
+
+JSON_LEAF = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-2, max_value=2**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4)
+)
+JSON_VALUE = st.recursive(
+    JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    schema = tiny_schema()
+    params = init_params(np.random.default_rng(4), schema, tiny_config(confidence="rce", attention="ffn-2"))
+    path = tmp_path_factory.mktemp("ckpt") / "model.bin"
+    save_checkpoint(str(path), params, extra={"best_epoch": 2})
+    return path.read_bytes()
+
+
+def mutate_header(header, path: list[int], value):
+    """Replace (value None: delete) the node that path walks to, choosing children by index."""
+    parent, key = None, None
+    node = header
+    for step in path:
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        parent, key = node, list(node)[step % len(node)] if isinstance(node, dict) else step % len(node)
+        node = parent[key]
+    if parent is None:
+        return value
+    if value is None:
+        del parent[key]
+    else:
+        parent[key] = value
+    return header
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    path=st.lists(st.integers(min_value=0, max_value=63), max_size=5),
+    value=st.none() | JSON_VALUE.map(lambda v: [v]),  # None deletes the node; [v] writes v, JSON null included
+    splice=st.none() | st.tuples(st.integers(min_value=0), st.integers(0, 12), st.binary(max_size=4)),
+)
+@example(path=[2], value=[[]], splice=None)  # extra no longer an object
+@example(path=[1, 14], value=[10**6], splice=None)  # max_neighbors far beyond the payload
+@example(path=[1, 9], value=[10**5], splice=None)  # hidden_width likewise
+def test_mutated_checkpoint_is_rejected_or_round_trips(tmp_path, checkpoint_bytes, path, value, splice):
+    """A mutated checkpoint raises DataError, or loads with the dense layout and saves back unchanged.
+
+    The header is mutated as JSON (one node replaced or deleted), then the
+    raw bytes are spliced: some deleted at a position and a few inserted.
+    """
+    magic, header_line, payload = checkpoint_bytes.split(b"\n", 2)
+    header = mutate_header(json.loads(header_line), path, None if value is None else value[0])
+    raw = magic + b"\n" + json.dumps(header).encode() + b"\n" + payload
+    if splice is not None:
+        at, drop, junk = splice
+        at %= len(raw) + 1
+        raw = raw[:at] + junk + raw[at + drop :]
+    mutated = tmp_path / "mutated.bin"
+    mutated.write_bytes(raw)
+    try:
+        params, extra = load_checkpoint(str(mutated))
+    except DataError:
+        return
+    assert_tiles(params.dense, {n: a for n, a in named_parameters(params).items() if not n.endswith("_table")})
+    echoed = tmp_path / "echoed.bin"
+    save_checkpoint(str(echoed), params, extra)
+    again, extra_again = load_checkpoint(str(echoed))
+    assert extra_again == extra
+    assert again.config == params.config
+    first, second = checkpoint_arrays(params), checkpoint_arrays(again)
+    assert list(first) == list(second)
+    assert all(first[n].tobytes() == second[n].tobytes() for n in first)
+    assert echoed.read_bytes().endswith(b"".join(a.tobytes() for a in first.values()))

@@ -355,6 +355,40 @@ def test_adam_step_equals_allocating_reference_bytewise(seed, l2, steps, rows):
     assert state.t == reference["t"] == steps
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    l2=st.sampled_from([0.0, 1e-4, 0.3]),
+    steps=st.integers(min_value=20, max_value=30),
+    shapes=st.lists(
+        st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=3).map(tuple),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_adam_on_one_flat_vector_equals_per_array_steps_bytewise(seed, l2, steps, shapes):
+    """Adam is elementwise: one update of a flat vector equals one per view of it, bit for bit."""
+    rng = np.random.default_rng(seed)
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    cuts = np.cumsum([0, *sizes])
+    flat = rng.normal(size=cuts[-1])
+    flat_grad = np.empty_like(flat)
+    names = [f"p{i}" for i in range(len(shapes))]
+    per_array = {name: flat[a:b].reshape(shape).copy() for name, a, b, shape in zip(names, cuts, cuts[1:], shapes)}
+    views = {name: flat_grad[a:b].reshape(shape) for name, a, b, shape in zip(names, cuts, cuts[1:], shapes)}
+    flat_state = nn.AdamState(learning_rate=1.0, l2=l2)
+    array_state = nn.AdamState(learning_rate=1.0, l2=l2)
+    for _ in range(steps):
+        flat_state.learning_rate = array_state.learning_rate = float(10.0 ** rng.uniform(-5, 0))
+        flat_grad[:] = rng.normal(size=flat.size) * (rng.random(flat.size) < 0.6) * 10.0 ** rng.uniform(-8, 3)
+        nn.adam_step(flat_state, {"dense": flat}, {"dense": flat_grad})
+        nn.adam_step(array_state, per_array, views)
+        for got, name in ((flat, None), (flat_state.m["dense"], "m"), (flat_state.v["dense"], "v")):
+            source = per_array if name is None else getattr(array_state, name)
+            want = np.concatenate([source[n].reshape(-1) for n in names])
+            assert got.tobytes() == want.tobytes(), name
+
+
 def _dense_moments(state: nn.AdamState, name: str) -> tuple[np.ndarray, np.ndarray]:
     rm = state.compact.get(name)
     if rm is None:

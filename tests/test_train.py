@@ -1,6 +1,7 @@
 """Training-loop tests: progress, decay, determinism, selection, failure."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,35 @@ class TestNanAbort:
         msg = str(err.value)
         assert "epoch 1" in msg and "batch 1" in msg
         assert "=" in msg  # carries parameter norms for the postmortem
+
+
+    @pytest.mark.parametrize(
+        "name,group,attention",
+        [
+            ("item_table", "tables", "dot"),
+            ("conf_user", "conf_*", "dot"),
+            ("att_ia.w0", "att_*", "ffn-1"),
+            ("int_item.b", "integrate", "dot"),
+            ("mlp.w1", "mlp", "dot"),
+        ],
+    )
+    def test_non_finite_gradient_names_parameter_and_group(self, small_log, monkeypatch, name, group, attention):
+        cfg = small_config(attention=attention)
+        data = prepare_dataset(small_log, cfg)
+        real = train_mod.backward
+        calls = {"n": 0}
+
+        def poisoned(params, state, labels):
+            grads = real(params, state, labels)
+            calls["n"] += 1
+            if calls["n"] == 2:
+                row = params.tables["item"].touched[-1] if name == "item_table" else 0
+                grads[name].reshape(len(grads[name]), -1)[row, -1] = np.nan
+            return grads
+
+        monkeypatch.setattr(train_mod, "backward", poisoned)
+        with pytest.raises(NumericError, match=re.escape(f"gradient at epoch 1, batch 1: {name} (group {group})")):
+            train(cfg, data)
 
 
 def read_metrics(path) -> list[EpochStats]:
