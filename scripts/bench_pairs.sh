@@ -10,9 +10,14 @@
 #   <pair> <side> <facts JSON> <result JSON>
 #
 # holding the run's `facts` line and its last (result) line. A summary
-# follows: per end-to-end metric, the median and quartiles of each side
-# and the pairs the change won. Two checkouts of the same repository at
-# two commits can be made with `git clone` and `git checkout`.
+# follows: per end-to-end metric, the median and quartiles of each side,
+# the pairs the change won, and the verdict of the gain and regression
+# rules: the change's median minus the parent's against the parent's
+# interquartile range, whether the change won at least 9 of 10 pairs, and
+# whether its median is worse than the parent's by more than the metric's
+# `bound` in the change checkout's BENCHMARK.json (a fraction of the
+# parent's median). Two checkouts of the same repository at two commits
+# can be made with `git clone` and `git checkout`.
 set -eu
 
 if [ $# -lt 5 ]; then
@@ -50,7 +55,7 @@ while [ "$pair" -le "$PAIRS" ]; do
     pair=$((pair + 1))
 done
 
-python3 - "$LINES" <<'EOF'
+python3 - "$LINES" "$CHANGE/BENCHMARK.json" <<'EOF'
 import json
 import statistics
 import sys
@@ -60,7 +65,8 @@ for line in open(sys.argv[1], encoding="utf-8"):
     pair, side, _, result = line.rstrip("\n").split("\t")
     runs[int(pair), side] = {k: v["value"] for k, v in json.loads(result)["metrics"].items()}
 pairs = sorted({p for p, _ in runs})
-higher = {"train_events_per_s", "score_events_per_s", "test_auc", "ok_frac"}
+with open(sys.argv[2], encoding="utf-8") as fh:
+    declared = {m["name"]: m for m in json.load(fh)["end_to_end"]}
 
 
 def quartiles(values):
@@ -70,16 +76,24 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def yes(flag):
+    return "yes" if flag else "no"
+
+
 for name in runs[pairs[0], "parent"]:
     sides = {s: [runs[p, s][name] for p in pairs] for s in ("parent", "change")}
     if any(v is None for vs in sides.values() for v in vs):
         print(f"{name}\tabsent in some run")
         continue
-    sign = 1 if name in higher else -1
+    sign = 1 if declared[name]["better"] == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
     (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(sides["parent"]), quartiles(sides["change"])
+    gap, iqr, bound = cm - pm, pq3 - pq1, declared[name]["bound"]
     print(
         f"{name}\tparent {pm:.6g} [{pq1:.6g}, {pq3:.6g}]\tchange {cm:.6g} [{cq1:.6g}, {cq3:.6g}]"
         f"\tchange wins {wins}/{len(pairs)}"
+        f"\tgap {gap:+.6g}, parent IQR {iqr:.6g}: better by more than the IQR {yes(sign * gap > iqr)}"
+        f"\twon >= 9/10 {yes(10 * wins >= 9 * len(pairs))}"
+        f"\tworse by more than bound {bound:g} {yes(-sign * gap > bound * abs(pm))}"
     )
 EOF

@@ -44,8 +44,9 @@ class TrainConfig:
     # Add confidence vectors to the pooled values too, not only to the
     # attention inputs.
     confidence_in_pooling: bool = True
-    # Negative interactions still create edges; drop them from neighbor
-    # windows by turning this off.
+    # Off: the interaction graph records positive interactions only, so no
+    # window shows a negative one. Negatives are still checked, scored and
+    # trained on.
     include_negative_neighbors: bool = True
 
     def validate(self) -> "TrainConfig":

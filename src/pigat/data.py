@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import TrainConfig, read_utf8_lines
 from .errors import DataError
-from .features import Batch, FeatureSchema, FieldVocab, encode_instance
+from .features import Batch, FeatureSchema, FieldVocab, encode_instance, window_pads
 from .graph import ITEM, USER, InteractionEvent, InteractionGraph
 
 Array = np.ndarray
@@ -154,12 +154,20 @@ def build_schema(log: InteractionLog, user_width: int, item_width: int) -> Featu
 def encode_events(
     schema: FeatureSchema, records: list[RawInteraction], labels: Array
 ) -> list[InteractionEvent]:
+    """Resolve every record's profiles into table ids, one dict lookup per field."""
+    user_maps, user_oovs = zip(*schema.value_ids(USER))
+    item_maps, item_oovs = zip(*schema.value_ids(ITEM))
     events = []
     for rec, label in zip(records, labels):
+        if len(rec.user_values) != len(user_maps) or len(rec.item_values) != len(item_maps):
+            raise DataError(
+                f"profiles of {len(rec.user_values)} user and {len(rec.item_values)} item values "
+                f"for {len(user_maps)} user and {len(item_maps)} item schema fields"
+            )
         events.append(
             InteractionEvent(
-                user_ids=schema.encode_profile(USER, rec.user_values),
-                item_ids=schema.encode_profile(ITEM, rec.item_values),
+                user_ids=tuple(map(dict.get, user_maps, rec.user_values, user_oovs)),
+                item_ids=tuple(map(dict.get, item_maps, rec.item_values, item_oovs)),
                 timestamp=rec.timestamp,
                 label=int(label),
             )
@@ -167,8 +175,10 @@ def encode_events(
     return events
 
 
-def rebuild_graph(schema: FeatureSchema, events: list[InteractionEvent]) -> InteractionGraph:
-    graph = InteractionGraph(schema.node_count(USER), schema.node_count(ITEM))
+def rebuild_graph(
+    schema: FeatureSchema, events: list[InteractionEvent], positives_only: bool = False
+) -> InteractionGraph:
+    graph = InteractionGraph(schema.node_count(USER), schema.node_count(ITEM), positives_only)
     for event in events:
         graph.insert(event)
     return graph
@@ -188,20 +198,22 @@ def build_instances(
     strictly-earlier interactions (later splits keep inserting; the graph
     grows through validation and test time, only the model stays fixed).
     static: the graph of the training period, with no cutoff, serves
-    everyone.
+    everyone. positives_only builds a graph that records only positive
+    interactions, so every window holds positives alone.
     """
+    pads = window_pads(schema, k)
     if mode == "dynamic":
-        graph = InteractionGraph(schema.node_count(USER), schema.node_count(ITEM))
+        graph = InteractionGraph(schema.node_count(USER), schema.node_count(ITEM), positives_only)
         instances = []
         for event in events:
-            instances.append(encode_instance(schema, event, graph, event.timestamp, k, positives_only))
+            instances.append(encode_instance(schema, event, graph, event.timestamp, k, pads))
             graph.insert(event)
         return instances
     if mode != "static":
         raise DataError(f"graph mode must be dynamic or static, got {mode!r}")
     n_train, _ = timeline_split(len(events))
-    frozen = rebuild_graph(schema, events[:n_train])
-    return [encode_instance(schema, ev, frozen, math.inf, k, positives_only) for ev in events]
+    frozen = rebuild_graph(schema, events[:n_train], positives_only)
+    return [encode_instance(schema, ev, frozen, math.inf, k, pads) for ev in events]
 
 
 @dataclass
@@ -233,11 +245,16 @@ def prepare_dataset(
     """Everything the trainer and evaluator need from one log file.
 
     Passing a schema (from a checkpoint) scores the log against that
-    model's vocabulary; unseen values collapse onto the OOV rows.
+    model's vocabulary; unseen values collapse onto the OOV rows. The
+    log's field names must then be the schema's, in the schema's order.
     """
     labels = derive_labels(log.records)
     if schema is None:
         schema = build_schema(log, config.user_embed_width, config.item_embed_width)
+    for side, names in ((USER, log.user_field_names), (ITEM, log.item_field_names)):
+        expected = [f.name for f in schema.fields(side)]
+        if names != expected:
+            raise DataError(f"the log's {side} fields {names} are not the schema's {expected}")
     events = encode_events(schema, log.records, labels)
     n_train, n_val = timeline_split(len(events))
     instances = build_instances(

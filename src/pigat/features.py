@@ -90,6 +90,14 @@ class FeatureSchema:
             mask[self.pad_id(side, pos)] = True
         return mask
 
+    def value_ids(self, side: str) -> list[tuple[dict[str, int], int]]:
+        """Per field: its value -> table id map and its out-of-vocabulary id."""
+        out = []
+        for pos, f in enumerate(self.fields(side)):
+            base = self.field_base(side, pos)
+            out.append(({v: base + i for i, v in enumerate(f.values)}, base + f.card))
+        return out
+
     def encode_profile(self, side: str, values: tuple[str, ...]) -> tuple[int, ...]:
         fields = self.fields(side)
         if len(values) != len(fields):
@@ -114,7 +122,7 @@ class FeatureSchema:
 
 def write_schema(schema: FeatureSchema, path: str) -> None:
     """Write the side/field/cardinality summary plus embedding widths."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for side, name, card in schema.shape():
             fh.write(f"{side} {name} {card}\n")
         fh.write(f"embed user {schema.user_width}\n")
@@ -209,39 +217,40 @@ class EncodedInstance:
     label: float
 
 
+def window_pads(schema: FeatureSchema, k: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The k padding slots of each window: item-table pad profiles, user-table pad ids."""
+    item_pad = tuple(schema.pad_id(ITEM, p) for p in range(len(schema.item_fields)))
+    return [item_pad] * k, [schema.pad_id(USER, 0)] * k
+
+
 def encode_instance(
     schema: FeatureSchema,
     event: InteractionEvent,
     graph: InteractionGraph,
     before: float,
     k: int,
-    positives_only: bool = False,
+    pads: tuple[list[tuple[int, ...]], list[int]] | None = None,
 ) -> EncodedInstance:
     """Encode one interaction against the graph's history before a cutoff.
 
     The caller controls leakage through the cutoff: pass the event's own
-    timestamp for causal encoding. positives_only drops negative-label
-    interactions from the windows before truncation.
+    timestamp for causal encoding. The windows show what the graph
+    recorded, so a positives-only graph gives positives-only windows.
+    pads, from window_pads(schema, k), may be built once and shared.
     """
     if k < 1:
         raise DomainError(f"neighbor window k must be >= 1, got {k}")
-    u_events = _window(graph, USER, event.user_ids[0], before, k, positives_only)
-    i_events = _window(graph, ITEM, event.item_ids[0], before, k, positives_only)
-
-    n_item_fields = len(schema.item_fields)
-    user_nbrs = np.empty((k, n_item_fields), dtype=np.int64)
-    user_nbrs[:] = [schema.pad_id(ITEM, p) for p in range(n_item_fields)]
+    user_pad, item_pad = window_pads(schema, k) if pads is None else pads
+    u_events = graph.neighbor_events(USER, event.user_ids[0], k, before)
+    i_events = graph.neighbor_events(ITEM, event.item_ids[0], k, before)
+    # Live slots first, in interaction order; the item side carries the
+    # user identity field only.
+    user_nbrs = np.array([ev.item_ids for ev in u_events] + user_pad[len(u_events) :], dtype=np.int64)
+    item_nbrs = np.array([ev.user_ids[0] for ev in i_events] + item_pad[len(i_events) :], dtype=np.int64)
     user_mask = np.zeros(k, dtype=bool)
-    for slot, ev in enumerate(u_events):
-        user_nbrs[slot] = ev.item_ids
-        user_mask[slot] = True
-
-    item_nbrs = np.full(k, schema.pad_id(USER, 0), dtype=np.int64)
+    user_mask[: len(u_events)] = True
     item_mask = np.zeros(k, dtype=bool)
-    for slot, ev in enumerate(i_events):
-        item_nbrs[slot] = ev.user_ids[0]  # identity field only on this path
-        item_mask[slot] = True
-
+    item_mask[: len(i_events)] = True
     return EncodedInstance(
         user_ids=np.asarray(event.user_ids, dtype=np.int64),
         item_ids=np.asarray(event.item_ids, dtype=np.int64),
@@ -251,15 +260,6 @@ def encode_instance(
         item_mask=item_mask,
         label=float(event.label),
     )
-
-
-def _window(
-    graph: InteractionGraph, part: str, index: int, before: float, k: int, positives_only: bool
-) -> list[InteractionEvent]:
-    if positives_only:
-        kept = [e for e in graph.neighbor_events(part, index, before=before) if e.label > 0]
-        return kept[-k:]
-    return graph.neighbor_events(part, index, k, before)
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Append-only bipartite interaction graph with one query: history before t.
 
 Every inserted interaction joins the history of its user and of its
-item. neighbor_events returns a node's last interactions with timestamp
-strictly below a cutoff, so a window built for an interaction at time t
-sees exactly the strictly-earlier history: never an interaction tied at
-t, never one inserted later.
+item; a positives-only graph records only positive-label interactions,
+so its histories hold exactly what a positives-only window may show.
+neighbor_events returns a node's last recorded interactions with
+timestamp strictly below a cutoff, so a window built for an interaction
+at time t sees exactly the strictly-earlier history: never an
+interaction tied at t, never one inserted later.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ class InteractionEvent:
 class InteractionGraph:
     """Per-node interaction histories in insertion order."""
 
-    def __init__(self, num_users: int | None = None, num_items: int | None = None):
+    def __init__(
+        self, num_users: int | None = None, num_items: int | None = None, positives_only: bool = False
+    ):
         # part -> node index -> (timestamps, events). Timestamps are
         # non-decreasing, which is what lets a query bisect its cutoff.
         self._logs: dict[str, dict[int, tuple[list[int], list[InteractionEvent]]]] = {
@@ -47,12 +51,15 @@ class InteractionGraph:
         }
         self._bounds = {USER: num_users, ITEM: num_items}
         self._last_ts: int | None = None
+        self._positives_only = positives_only
 
     def insert(self, event: InteractionEvent) -> None:
         """Append an interaction to the histories of its user and its item.
 
         Inserts must arrive with non-decreasing timestamps; ties keep
-        their arrival order. Unknown nodes come into existence here.
+        their arrival order. Unknown nodes come into existence here. A
+        positives-only graph checks a negative interaction like any other,
+        then leaves it out of both histories.
         """
         if self._last_ts is not None and event.timestamp < self._last_ts:
             raise DataError(
@@ -65,6 +72,8 @@ class InteractionGraph:
             if index < 0 or (bound is not None and index >= bound):
                 raise DataError(f"{part} index {index} outside frozen vocabulary of size {bound}")
         self._last_ts = event.timestamp
+        if self._positives_only and event.label <= 0:
+            return
         for part, index in nodes:
             timestamps, events = self._logs[part].setdefault(index, ([], []))
             timestamps.append(event.timestamp)

@@ -1,10 +1,15 @@
 """End-to-end command tests: every verb on real files, plus exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pigat
 import pigat.cli as cli_mod
 import pigat.train as train_mod
 from pigat.cli import main
@@ -109,6 +114,28 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "best_epoch\t" in out and "best_val_auc\t" in out
 
+    def test_non_ascii_field_name_under_an_ascii_locale(self, workspace, tmp_path):
+        # Text files are UTF-8 whatever the locale says.
+        data = tmp_path / "data.tsv"
+        text = (workspace / "data.tsv").read_text(encoding="utf-8")
+        data.write_text(text.replace(";seg=", ";città="), encoding="utf-8")
+        src = str(Path(pigat.__file__).resolve().parents[1])
+        env = {
+            **os.environ,
+            "LC_ALL": "POSIX",
+            "PYTHONCOERCECLOCALE": "0",
+            "PYTHONUTF8": "0",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        out = tmp_path / "r"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pigat", "train", "--config", str(workspace / "config.txt"),
+             "--data", str(data), "--out", str(out)],
+            env=env, capture_output=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        assert "user città " in (out / "schema.txt").read_text(encoding="utf-8")
+
 
 def _without(header, key):
     return {k: v for k, v in header.items() if k != key}
@@ -197,6 +224,22 @@ class TestEval:
             "--data", str(workspace / "data.tsv"),
         ]) == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_reordered_fields_exit_2_naming_both_lists(self, workspace, tmp_path, capsys):
+        # Matching fields by position would read each user's segment as its identity.
+        lines = []
+        for line in (workspace / "data.tsv").read_text(encoding="utf-8").splitlines():
+            ts, user, item, signal = line.split("\t")
+            lines.append("\t".join([ts, ";".join(reversed(user.split(";"))), item, signal]))
+        swapped = tmp_path / "swapped.tsv"
+        swapped.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main([
+            "eval",
+            "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+            "--data", str(swapped),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "['seg', 'uid']" in err and "['uid', 'seg']" in err
 
     def test_foreign_data_still_scores(self, workspace, tmp_path, capsys):
         # a log full of unseen users and items maps onto the fallback

@@ -296,6 +296,25 @@ log_rows = st.lists(
 )
 
 
+@settings(max_examples=60, deadline=None)
+@given(log_rows, st.booleans())
+def test_encoded_ids_match_per_field_global_ids(rows, half_vocab):
+    log = mk_log(rows)
+    # A schema from the first half leaves later values on the OOV ids.
+    schema = build_schema(mk_log(rows[: len(rows) // 2]) if half_vocab else log, 4, 4)
+    events = encode_events(schema, log.records, derive_labels(log.records))
+    for rec, event in zip(log.records, events, strict=True):
+        assert event.user_ids == tuple(schema.global_id(USER, p, v) for p, v in enumerate(rec.user_values))
+        assert event.item_ids == tuple(schema.global_id(ITEM, p, v) for p, v in enumerate(rec.item_values))
+
+
+def test_profile_arity_mismatch_rejected():
+    schema = build_schema(mk_log(demo_rows(12)), 4, 4)
+    short = RawInteraction(1, ("u0",), ("i0", "x"), 1.0)
+    with pytest.raises(DataError, match="schema fields"):
+        encode_events(schema, [short], np.ones(1))
+
+
 class TestInstanceConstruction:
     def _prep(self, rows, mode="dynamic", k=10):
         log = mk_log(rows)

@@ -191,7 +191,7 @@ def test_encode_item_side_carries_user_identity_only():
 
 def test_encode_positives_only_filters_before_truncation():
     s = toy_schema()
-    g = InteractionGraph()
+    g = InteractionGraph(positives_only=True)
     seq = [("i0", 1), ("i1", 0), ("i2", 1), ("i3", 0)]
     for t, (name, label) in enumerate(seq, start=1):
         g.insert(
@@ -202,7 +202,7 @@ def test_encode_positives_only_filters_before_truncation():
                 label=label,
             )
         )
-    inst = encode_instance(s, _query_event(s, 9), g, 9, k=2, positives_only=True)
+    inst = encode_instance(s, _query_event(s, 9), g, 9, k=2)
     np.testing.assert_array_equal(inst.user_nbrs[0], s.encode_profile(ITEM, ("i0", "x")))
     np.testing.assert_array_equal(inst.user_nbrs[1], s.encode_profile(ITEM, ("i2", "x")))
 

@@ -77,6 +77,20 @@ def test_frozen_bounds_enforced():
     assert g.neighbor_events(USER, 0) == []  # a rejected insert leaves no trace
 
 
+def test_positives_only_checks_every_insert_but_records_positives_alone():
+    g = InteractionGraph(num_users=2, num_items=3, positives_only=True)
+    g.insert(ev(0, 0, 5))
+    g.insert(ev(0, 1, 6, label=0))
+    with pytest.raises(DataError):
+        g.insert(ev(0, 2, 5, label=0))  # before the negative at 6
+    with pytest.raises(DataError):
+        g.insert(ev(2, 0, 7, label=0))
+    with pytest.raises(DataError):
+        g.insert(ev(0, 3, 7, label=0))
+    assert items_of(g.neighbor_events(USER, 0)) == [0]
+    assert g.neighbor_events(ITEM, 1) == []
+
+
 def test_snapshot_cutoff_is_strict():
     g = InteractionGraph()
     g.insert(ev(0, 0, 1))
