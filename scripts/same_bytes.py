@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Check that two checkouts train and score byte-identically.
+
+    python3 scripts/same_bytes.py PARENT_DIR CHANGE_DIR
+
+Each checkout runs in its own subprocess (this script with --worker), which
+imports pigat from the checkout's src/ and the benchmark workloads from its
+perfbench/bench.py. Per case the worker trains, saves the checkpoint,
+reloads it and scores every prepared instance (train, val, test) with the
+reloaded model, then prints one JSON line with the SHA-256 of the
+checkpoint bytes and of the scores. The cases:
+
+- each perfbench workload, its spec and config as that checkout defines
+  them, with seeds 5 and 2;
+- a small synthetic log under every confidence variant x attention kind x
+  pooling, plus user_query_only, l2 > 0, dropout,
+  confidence_in_pooling = false, static graphs and positives-only windows.
+
+One line is printed per case, and the exit status is 1 if any case
+differs or is missing on one side.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SEEDS = (5, 2)
+DIGESTS = ("checkpoint bytes", "scores")  # the keys of a worker's line besides "case"
+VARIANTS = ("none", "pe", "fce", "rce", "ce")
+KINDS = ("ffn-1", "ffn-2", "ffn-3", "dot", "scaled-dot")
+POOLINGS = ("attention", "average")
+SMALL_SPEC = dict(users=40, items=120, events=600, drift=0.02, seed=5)
+# Unequal widths, so dot heads project some queries and not others.
+SMALL_CONFIG = dict(
+    max_neighbors=4, user_embed_width=4, item_embed_width=6, hidden_width=8, batch_size=64, epochs=2, seed=5
+)
+SINGLE_KNOBS = (
+    dict(user_query_only=True),
+    dict(l2=0.01),
+    dict(dropout=0.3),
+    dict(confidence_in_pooling=False),
+    dict(graph_mode="static"),
+    dict(include_negative_neighbors=False),
+)
+
+
+def cases(bench) -> list[tuple[str, dict, dict]]:
+    """(name, SynthSpec fields, TrainConfig fields) of every case."""
+    out = []
+    for name, workload in bench.WORKLOADS.items():
+        for seed in SEEDS:
+            spec, config = workload.synth_spec(seed), workload.train_config(seed)
+            out.append((f"{name}/seed{seed}", vars(spec), vars(config)))
+    for variant in VARIANTS:
+        for kind in KINDS:
+            for pooling in POOLINGS:
+                knobs = dict(confidence=variant, attention=kind, pooling=pooling)
+                out.append((f"small/{variant}/{kind}/{pooling}", SMALL_SPEC, {**SMALL_CONFIG, **knobs}))
+    for knob in SINGLE_KNOBS:
+        label = ",".join(f"{k}={v}" for k, v in knob.items())
+        out.append((f"small/ce/ffn-2/{label}", SMALL_SPEC, {**SMALL_CONFIG, "confidence": "ce", **knob}))
+    return out
+
+
+def run_case(spec: dict, config: dict, workdir: str) -> dict[str, str]:
+    """Train as perfbench does, reload the checkpoint and score every instance with it."""
+    # Imported here: only a worker has a checkout's src/ on its path.
+    import numpy as np
+
+    from pigat import data, model, train
+    from pigat.config import TrainConfig
+    from pigat.synth import SynthSpec, generate
+
+    log_path, ckpt_path = os.path.join(workdir, "log.tsv"), os.path.join(workdir, "checkpoint.bin")
+    log, _ = generate(SynthSpec(**spec))
+    data.write_interactions(log_path, log)
+    cfg = TrainConfig(**config).validate()
+    prepared = data.prepare_dataset(data.read_interactions(log_path), cfg)
+    result = train.train(cfg, prepared)
+    model.save_checkpoint(
+        ckpt_path, result.params, extra={"best_epoch": result.best_epoch, "best_val_auc": result.best_val_auc}
+    )
+    params, _ = model.load_checkpoint(ckpt_path)
+    scores = np.concatenate([model.predict(params, split) for split in (prepared.train, prepared.val, prepared.test)])
+    with open(ckpt_path, "rb") as fh:
+        checkpoint = fh.read()
+    return {
+        "checkpoint bytes": hashlib.sha256(checkpoint).hexdigest(),
+        "scores": hashlib.sha256(scores.tobytes()).hexdigest(),
+    }
+
+
+def worker(checkout: str) -> None:
+    import bench
+    import pigat
+
+    if not os.path.realpath(pigat.__file__).startswith(os.path.realpath(checkout) + os.sep):
+        sys.exit(f"imported pigat from {pigat.__file__}, not from {checkout}")
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, spec, config in cases(bench):
+            print(json.dumps({"case": name, **run_case(spec, config, workdir)}), flush=True)
+
+
+def digests(checkout: str) -> subprocess.Popen:
+    """Start a worker on one checkout; its stdout carries one JSON line per case."""
+    env = dict(os.environ)
+    paths = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
+    env["PYTHONPATH"] = os.pathsep.join(paths + [env["PYTHONPATH"]] if env.get("PYTHONPATH") else paths)
+    return subprocess.Popen(
+        [sys.executable, os.path.abspath(__file__), "--worker", os.path.abspath(checkout)],
+        cwd=checkout,
+        env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--worker":
+        worker(argv[1])
+        return 0
+    if len(argv) != 2:
+        print("usage: same_bytes.py PARENT_DIR CHANGE_DIR", file=sys.stderr)
+        return 1
+    procs = [digests(checkout) for checkout in argv]
+    results = []
+    for checkout, proc in zip(argv, procs):
+        out, _ = proc.communicate()
+        if proc.returncode != 0:
+            print(f"{checkout}: the worker exited with status {proc.returncode}", file=sys.stderr)
+        results.append({row["case"]: row for row in map(json.loads, out.splitlines())})
+    parent, change = results
+    differ = any(proc.returncode != 0 for proc in procs)
+    for name in dict.fromkeys([*parent, *change]):
+        a, b = parent.get(name), change.get(name)
+        if a is None or b is None:
+            verdict = f"missing in {'parent' if a is None else 'change'}"
+        else:
+            verdict = ", ".join(f"{what} differ" for what in DIGESTS if a[what] != b[what])
+        differ |= bool(verdict)
+        print(f"{name}\t{verdict or 'same'}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

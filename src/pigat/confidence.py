@@ -25,8 +25,6 @@ from .errors import DomainError, ShapeError
 
 Array = np.ndarray
 
-VARIANTS = ("none", "pe", "fce", "rce", "ce")
-
 
 def recency_profile(k: int, width: int) -> Array:
     """Fixed decay-times-cosine surface.
@@ -51,6 +49,24 @@ def positional_profile(k: int, width: int) -> Array:
     return np.broadcast_to(row, (k, k, width)).copy()
 
 
+def _random_rows(k: int, width: int, rng: np.random.Generator | None) -> Array:
+    if rng is None:
+        raise DomainError("rce needs a random generator")
+    return rng.uniform(-0.01, 0.01, size=(k, k, width))
+
+
+# variant -> (rows builder (k, width, rng) -> (k, k, width) array, trainable)
+BUILDERS = {
+    "none": (lambda k, width, rng: np.zeros((k, k, width)), False),
+    "pe": (lambda k, width, rng: positional_profile(k, width), False),
+    "fce": (lambda k, width, rng: recency_profile(k, width), False),
+    "rce": (_random_rows, True),
+    "ce": (lambda k, width, rng: recency_profile(k, width), True),  # recency-initialized, then learned
+}
+VARIANTS = tuple(BUILDERS)
+TRAINABLE = frozenset(variant for variant, (_, trainable) in BUILDERS.items() if trainable)
+
+
 @dataclass
 class ConfidenceTable:
     rows: Array  # (k, k, width)
@@ -67,26 +83,19 @@ class ConfidenceTable:
 
 
 def build_confidence(
-    variant: str, k: int, width: int, rng: np.random.Generator | None = None
+    variant: str, k: int, width: int, rng: np.random.Generator | None = None, out: Array | None = None
 ) -> ConfidenceTable:
+    """The variant's (k, k, width) rows, written into `out` when one is given."""
     if variant not in VARIANTS:
         raise DomainError(f"unknown confidence variant {variant!r}, expected one of {VARIANTS}")
     if k < 1 or width < 1:
         raise DomainError(f"window {k} and width {width} must be positive")
-    if variant == "none":
-        rows, trainable = np.zeros((k, k, width)), False
-    elif variant == "pe":
-        rows, trainable = positional_profile(k, width), False
-    elif variant == "fce":
-        rows, trainable = recency_profile(k, width), False
-    elif variant == "rce":
-        if rng is None:
-            raise DomainError("rce needs a random generator")
-        rows, trainable = rng.uniform(-0.01, 0.01, size=(k, k, width)), True
-    else:  # ce: recency-initialized, then learned
-        rows, trainable = recency_profile(k, width), True
-    grad = np.zeros_like(rows) if trainable else None
-    return ConfidenceTable(rows, trainable, grad)
+    builder, trainable = BUILDERS[variant]
+    rows = builder(k, width, rng)
+    if out is not None:
+        out[...] = rows
+        rows = out
+    return ConfidenceTable(rows, trainable, np.zeros_like(rows) if trainable else None)
 
 
 def live_lengths(mask: Array) -> Array:

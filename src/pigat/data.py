@@ -250,6 +250,8 @@ def prepare_dataset(
     """
     labels = derive_labels(log.records)
     if schema is None:
+        if config.max_neighbors > len(log.records):  # no window can hold more entries than the log
+            raise DataError(f"max_neighbors {config.max_neighbors} exceeds the log's {len(log.records)} events")
         schema = build_schema(log, config.user_embed_width, config.item_embed_width)
     for side, names in ((USER, log.user_field_names), (ITEM, log.item_field_names)):
         expected = [f.name for f in schema.fields(side)]

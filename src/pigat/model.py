@@ -26,13 +26,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Iterator
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
 from .confidence import (
+    TRAINABLE,
     ConfidenceTable,
     apply_confidence,
     build_confidence,
@@ -59,7 +58,6 @@ from .nn import (
     dropout_mask,
     ffn_backward,
     ffn_forward,
-    ffn_init,
     glorot_uniform,
     leaky_relu,
     leaky_relu_slope_at,
@@ -88,6 +86,7 @@ INTEGRATE = (
     ("adp_item", "ii", "ia"),
 )
 TABLES = tuple(f"{side}_table" for side in SIDES)  # the row-sparse parameters
+CONF = tuple(f"conf_{side}" for side in SIDES)  # confidence rows, per window side
 CKPT_MAGIC = b"PIGATCKPT1\n"
 
 
@@ -109,19 +108,6 @@ class AttentionHead:
     proj_b: Array | None = None
 
 
-def _init_head(rng: np.random.Generator, kind: str, q_width: int, k_width: int) -> AttentionHead:
-    if kind in ATT_HIDDEN:
-        dims = [q_width + k_width, *ATT_HIDDEN[kind], 1]
-        return AttentionHead(kind, ffn=ffn_init(rng, dims))
-    if kind in ("dot", "scaled-dot"):
-        if q_width == k_width:
-            return AttentionHead(kind)
-        return AttentionHead(
-            kind, proj_w=glorot_uniform(rng, k_width, q_width), proj_b=np.zeros(k_width)
-        )
-    raise DomainError(f"unknown attention kind {kind!r}")
-
-
 @dataclass
 class PigatParams:
     schema: FeatureSchema
@@ -129,13 +115,14 @@ class PigatParams:
     tables: dict[str, EmbeddingTable]  # side -> embedding rows
     conf: dict[str, ConfidenceTable]  # window side -> confidence rows
     heads: dict[str, AttentionHead]
-    integrate: dict[str, list[Array]]  # INTEGRATE name -> [weight, bias]
+    integrate: dict[str, tuple[Array, Array]]  # INTEGRATE name -> (weight, bias)
     mlp: FfnParams
-    # Every trainable array but the tables, flat in named_parameters order;
-    # the arrays above are views of it, so one Adam call updates them all.
-    dense: Array = field(default_factory=lambda: np.empty(0))
-    dense_grad: Array = field(default_factory=lambda: np.empty(0))  # same layout
-    dense_grads: dict[str, Array] = field(default_factory=dict)  # name -> view of dense_grad
+    # Every trainable array but the tables, flat in layout order; the arrays
+    # above are views of it, so one Adam call updates them all.
+    dense: Array
+    dense_grad: Array  # same layout
+    dense_params: dict[str, Array]  # name -> view of dense, in layout order
+    dense_grads: dict[str, Array]  # name -> view of dense_grad
 
 
 def head_wiring(config: TrainConfig) -> dict[str, tuple[str, str]]:
@@ -152,85 +139,93 @@ def _widths(schema: FeatureSchema) -> tuple[dict[str, int], dict[str, int]]:
     return profile_w, {USER: profile_w[ITEM], ITEM: schema.user_width}
 
 
-def _sizing_shapes(schema: FeatureSchema, config: TrainConfig) -> dict[str, tuple[int, ...]]:
-    """Shapes init_params gives the arrays whose dimensions bound every other array's size."""
-    profile_w, window_w = _widths(schema)
-    k = config.max_neighbors
-    shapes = {f"{side}_table": (schema.table_size(side), schema.width(side)) for side in SIDES}
-    shapes.update({f"conf_{side}": (k, k, window_w[side]) for side in SIDES})
-    shapes["int_user.w"] = (config.hidden_width, profile_w[USER] + window_w[USER])
+def _ffn_layout(prefix: str, dims: list[int]) -> dict[str, tuple[int, ...]]:
+    """Weight (out, in) and bias of each layer of an FFN with the given layer widths."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
+        shapes |= {f"{prefix}.w{i}": (d_out, d_in), f"{prefix}.b{i}": (d_out,)}
     return shapes
 
 
-def init_params(rng: np.random.Generator, schema: FeatureSchema, config: TrainConfig) -> PigatParams:
-    """Build all trainable state. Draw order is fixed for determinism."""
-    config.validate()
+def layout(schema: FeatureSchema, config: TrainConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every array a checkpoint holds, in checkpoint order.
+
+    The tables, trainable confidence rows, heads, integrate layers and MLP,
+    then frozen confidence rows. This is the one description of the
+    model's arrays: init_params lays them out from it, and a checkpoint's
+    manifest must match it.
+    """
     profile_w, window_w = _widths(schema)
-    k = config.max_neighbors
-
-    tables = {side: table_for_side(rng, schema, side) for side in SIDES}
-    conf = {side: build_confidence(config.confidence, k, window_w[side], rng) for side in SIDES}
-
-    heads: dict[str, AttentionHead] = {}
+    k, dh = config.max_neighbors, config.hidden_width
+    conf = {f"conf_{side}": (k, k, window_w[side]) for side in SIDES}
+    front, back = (conf, {}) if config.confidence in TRAINABLE else ({}, conf)
+    shapes = {f"{side}_table": (schema.table_size(side), schema.width(side)) for side in SIDES} | front
     if config.pooling == "attention":
         for name, (window, query) in head_wiring(config).items():
-            heads[name] = _init_head(rng, config.attention, profile_w[query], window_w[window])
-
-    dh = config.hidden_width
+            q_w, k_w, prefix = profile_w[query], window_w[window], f"att_{name}"
+            if config.attention in ATT_HIDDEN:
+                shapes |= _ffn_layout(prefix, [q_w + k_w, *ATT_HIDDEN[config.attention], 1])
+            elif q_w != k_w:  # a dot head projects the query to the window width
+                shapes |= {f"{prefix}.proj_w": (k_w, q_w), f"{prefix}.proj_b": (k_w,)}
     widths = {**profile_w, **{name: window_w[window] for name, (window, _) in HEADS.items()}}
-    integrate = {
-        name: [glorot_uniform(rng, dh, widths[left] + widths[right]), np.zeros(dh)]
-        for name, left, right in INTEGRATE
-    }
-    mlp = ffn_init(rng, [len(INTEGRATE) * dh, *MLP_HIDDEN, 1])
-    params = PigatParams(schema, config, tables, conf, heads, integrate, mlp)
-    _pack_dense(params)
-    return params
+    for name, left, right in INTEGRATE:
+        shapes |= {f"{name}.w": (dh, widths[left] + widths[right]), f"{name}.b": (dh,)}
+    return shapes | _ffn_layout("mlp", [len(INTEGRATE) * dh, *MLP_HIDDEN, 1]) | back
 
 
-def _slots(params: PigatParams) -> Iterator[tuple[str, Any, Any]]:
-    """(name, holder, key) of every trainable array, in a stable order; the array is holder[key].
+def _views(flat: Array, shapes: dict[str, tuple[int, ...]]) -> dict[str, Array]:
+    """Consecutive views of flat with the given shapes, in order."""
+    ends = np.cumsum([0, *map(math.prod, shapes.values())])
+    return {name: flat[a:b].reshape(shape) for (name, shape), a, b in zip(shapes.items(), ends, ends[1:])}
 
-    Attributes are reached through vars(), so every holder can be rebound by item assignment.
+
+def _ffn(views: dict[str, Array], prefix: str) -> FfnParams:
+    """The FFN whose layers are views[f"{prefix}.w{i}"] and views[f"{prefix}.b{i}"]."""
+    layers = range(sum(name.startswith(f"{prefix}.w") for name in views))
+    return FfnParams(
+        tuple(views[f"{prefix}.w{i}"] for i in layers), tuple(views[f"{prefix}.b{i}"] for i in layers)
+    )
+
+
+def init_params(rng: np.random.Generator, schema: FeatureSchema, config: TrainConfig) -> PigatParams:
+    """Build all trainable state, every non-table array a view of one flat vector.
+
+    Draw order is fixed for determinism: the tables, the confidence rows,
+    then every weight matrix in layout order; biases start at zero.
     """
-    for side in SIDES:
-        yield f"{side}_table", vars(params.tables[side]), "weight"
-    for side in SIDES:
-        if params.conf[side].trainable:
-            yield f"conf_{side}", vars(params.conf[side]), "rows"
-    for name, head in params.heads.items():
-        if head.ffn is not None:
-            for i in range(len(head.ffn.weights)):
-                yield f"att_{name}.w{i}", head.ffn.weights, i
-                yield f"att_{name}.b{i}", head.ffn.biases, i
-        elif head.proj_w is not None:
-            yield f"att_{name}.proj_w", vars(head), "proj_w"
-            yield f"att_{name}.proj_b", vars(head), "proj_b"
-    for name, _, _ in INTEGRATE:
-        yield f"{name}.w", params.integrate[name], 0
-        yield f"{name}.b", params.integrate[name], 1
-    for i in range(len(params.mlp.weights)):
-        yield f"mlp.w{i}", params.mlp.weights, i
-        yield f"mlp.b{i}", params.mlp.biases, i
-
-
-def _pack_dense(params: PigatParams) -> None:
-    """Copy every non-table trainable into params.dense and rebind its holder to a view of it."""
-    slots = [(name, holder, key) for name, holder, key in _slots(params) if name not in TABLES]
-    params.dense = np.concatenate([holder[key].reshape(-1) for _, holder, key in slots])
-    params.dense_grad = np.zeros_like(params.dense)
-    start = 0
-    for name, holder, key in slots:
-        shape = holder[key].shape
-        stop = start + holder[key].size
-        holder[key] = params.dense[start:stop].reshape(shape)
-        params.dense_grads[name] = params.dense_grad[start:stop].reshape(shape)
-        start = stop
+    config.validate()
+    _, window_w = _widths(schema)
+    apart = TABLES if config.confidence in TRAINABLE else TABLES + CONF  # the arrays not in dense
+    shapes = {name: shape for name, shape in layout(schema, config).items() if name not in apart}
+    size = sum(math.prod(shape) for shape in shapes.values())
+    dense, dense_grad = np.zeros(size), np.zeros(size)
+    views = _views(dense, shapes)
+    tables = {side: table_for_side(rng, schema, side) for side in SIDES}
+    conf = {
+        side: build_confidence(config.confidence, config.max_neighbors, width, rng, views.get(f"conf_{side}"))
+        for side, width in window_w.items()
+    }
+    for view in views.values():
+        if view.ndim == 2:  # the weight matrices; confidence rows are 3-D, biases 1-D
+            view[...] = glorot_uniform(rng, *view.shape)
+    kind = config.attention
+    heads = {
+        name: AttentionHead(
+            kind,
+            _ffn(views, f"att_{name}") if kind in ATT_HIDDEN else None,
+            views.get(f"att_{name}.proj_w"),
+            views.get(f"att_{name}.proj_b"),
+        )
+        for name in (head_wiring(config) if config.pooling == "attention" else ())
+    }
+    integrate = {name: (views[f"{name}.w"], views[f"{name}.b"]) for name, _, _ in INTEGRATE}
+    mlp, grads = _ffn(views, "mlp"), _views(dense_grad, shapes)
+    return PigatParams(schema, config, tables, conf, heads, integrate, mlp, dense, dense_grad, views, grads)
 
 
 def named_parameters(params: PigatParams) -> dict[str, Array]:
-    """Stable name -> array view of everything the optimizer may touch."""
-    return {name: holder[key] for name, holder, key in _slots(params)}
+    """Stable name -> array view of everything the optimizer may touch, in layout order."""
+    return {**{f"{side}_table": params.tables[side].weight for side in SIDES}, **params.dense_params}
 
 
 def touched_rows(params: PigatParams) -> dict[str, Array]:
@@ -512,11 +507,9 @@ def _head_backward(
 
 
 def checkpoint_arrays(params: PigatParams) -> dict[str, Array]:
-    """All persisted arrays: trainables plus any frozen confidence rows."""
-    arrays = dict(named_parameters(params))
-    for side in SIDES:
-        arrays.setdefault(f"conf_{side}", params.conf[side].rows)
-    return arrays
+    """All persisted arrays in layout order: trainables plus any frozen confidence rows."""
+    arrays = {**{f"conf_{side}": params.conf[side].rows for side in SIDES}, **named_parameters(params)}
+    return {name: arrays[name] for name in layout(params.schema, params.config)}
 
 
 def save_checkpoint(path: str, params: PigatParams, extra: dict | None = None) -> None:
@@ -586,25 +579,24 @@ def load_checkpoint(path: str) -> tuple[PigatParams, dict]:
             raise
         except (KeyError, TypeError, ValueError, AttributeError) as err:
             raise DataError(f"{path}: malformed checkpoint header: {type(err).__name__}: {err}") from None
-        # The payload size and the dimensions that size the model are checked
-        # before it is built, so a corrupt header cannot make init_params
-        # allocate far more than the file holds.
+        # The payload size is checked against the manifest and the manifest
+        # against the layout before the model is built, so a corrupt header
+        # cannot make init_params allocate far more than the file holds.
         need = 8 * sum(math.prod(shape) for _, shape in entries)
         have = os.fstat(fh.fileno()).st_size - fh.tell()
         if have != need:
             what = "truncated checkpoint" if have < need else "trailing bytes after the last array"
             raise DataError(f"{path}: {what}: the manifest needs {need} payload bytes, the file holds {have}")
-        for name, shape in _sizing_shapes(schema, config).items():
-            if manifest.get(name) != shape:
-                raise DataError(f"{path}: array {name} has shape {manifest.get(name)}, expected {shape}")
-        params = init_params(np.random.default_rng(0), schema, config)
-        arrays = checkpoint_arrays(params)
-        if len(manifest) != len(entries) or set(manifest) != set(arrays):
+        expected = layout(schema, config)
+        if len(manifest) != len(entries) or set(manifest) != set(expected):
             raise DataError(f"{path}: array manifest does not match the rebuilt model")
         for name, shape in entries:
+            if shape != expected[name]:
+                raise DataError(f"{path}: array {name} has shape {shape}, expected {expected[name]}")
+        params = init_params(np.random.default_rng(0), schema, config)
+        arrays = checkpoint_arrays(params)
+        for name, shape in entries:
             target = arrays[name]
-            if target.shape != shape:
-                raise DataError(f"{path}: array {name} has shape {shape}, expected {target.shape}")
             np.copyto(target, np.frombuffer(fh.read(target.size * 8), dtype=np.float64).reshape(shape))
     if header.get("schema_hash") != schema.structural_hash():
         raise DataError(f"{path}: schema hash does not match the stored schema")

@@ -111,17 +111,8 @@ class FfnParams:
     weights[i] has shape (dims[i + 1], dims[i]).
     """
 
-    weights: list[Array]
-    biases: list[Array]
-
-
-def ffn_init(rng: np.random.Generator, dims: list[int]) -> FfnParams:
-    """Build an FFN with the given layer widths, glorot weights, zero biases."""
-    if len(dims) < 2:
-        raise DomainError("an FFN needs at least an input and an output width")
-    weights = [glorot_uniform(rng, dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
-    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    return FfnParams(weights, biases)
+    weights: tuple[Array, ...]
+    biases: tuple[Array, ...]
 
 
 @dataclass

@@ -114,6 +114,19 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "best_epoch\t" in out and "best_val_auc\t" in out
 
+    def test_window_longer_than_the_log_exits_2(self, workspace, tmp_path, capsys):
+        # No window can hold more entries than the log: k = 21 on 20 events is a data error, k = 20 is not.
+        data = tmp_path / "data.tsv"
+        data.write_text("".join(f"{t}\tuid=u{t % 4}\tiid=i{t % 5}\t{t % 2}\n" for t in range(20)))
+        text = (workspace / "config.txt").read_text()
+        codes = {}
+        for k in (20, 21):
+            config = tmp_path / f"k{k}.txt"
+            config.write_text(text.replace("max_neighbors = 4", f"max_neighbors = {k}"))
+            codes[k] = main(["train", "--config", str(config), "--data", str(data), "--out", str(tmp_path / f"r{k}")])
+        assert codes == {20: 0, 21: 2}
+        assert "max_neighbors 21 exceeds the log's 20 events" in capsys.readouterr().err
+
     def test_non_ascii_field_name_under_an_ascii_locale(self, workspace, tmp_path):
         # Text files are UTF-8 whatever the locale says.
         data = tmp_path / "data.tsv"

@@ -15,20 +15,20 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import pigat.model as model_mod
 from pigat.config import TrainConfig
 from pigat.data import prepare_dataset
 from pigat.errors import DataError, DomainError, UsageError
 from pigat.features import Batch, EncodedInstance, FeatureSchema, FieldVocab
 from pigat.gradcheck import _toy_batch, toy_config, toy_schema
 from pigat.graph import ITEM, USER
-from pigat.nn import LEAKY_SLOPE, masked_softmax, masked_softmax_backward
+from pigat.nn import LEAKY_SLOPE, FfnParams, glorot_uniform, masked_softmax, masked_softmax_backward
 from pigat.synth import SynthSpec, generate
 from pigat.model import (
     ATT_HIDDEN,
     AttentionHead,
     CKPT_MAGIC,
     _head_backward,
-    _init_head,
     attention_logits,
     backward,
     bce_loss,
@@ -36,6 +36,7 @@ from pigat.model import (
     forward,
     head_wiring,
     init_params,
+    layout,
     load_checkpoint,
     named_parameters,
     pooled_embedding,
@@ -49,6 +50,17 @@ DOT_PAIR = (0.7310585786300049, 0.2689414213699951)
 # same with the scaled variant on width-2 keys: logits (1/sqrt(2), 0)
 SCALED_PAIR = (0.6697615493266569, 0.3302384506733431)
 LN2 = 0.6931471805599453
+
+
+def make_head(rng, kind, q_width, k_width) -> AttentionHead:
+    """A head drawn as the model draws one: glorot weights layer by layer, zero biases."""
+    if kind in ATT_HIDDEN:
+        dims = [q_width + k_width, *ATT_HIDDEN[kind], 1]
+        weights = tuple(glorot_uniform(rng, d_out, d_in) for d_in, d_out in zip(dims, dims[1:]))
+        return AttentionHead(kind, ffn=FfnParams(weights, tuple(np.zeros(d) for d in dims[1:])))
+    if q_width == k_width:
+        return AttentionHead(kind)
+    return AttentionHead(kind, proj_w=glorot_uniform(rng, k_width, q_width), proj_b=np.zeros(k_width))
 
 
 def tiny_schema() -> FeatureSchema:
@@ -214,7 +226,7 @@ class TestAttentionScores:
 
     def test_projected_query_matches_loop(self):
         rng = np.random.default_rng(4)
-        head = _init_head(rng, "scaled-dot", q_width=3, k_width=2)
+        head = make_head(rng, "scaled-dot", q_width=3, k_width=2)
         head.proj_b[:] = rng.normal(size=2)
         query = rng.normal(size=(2, 3))
         keys = rng.normal(size=(2, 4, 2))
@@ -274,7 +286,7 @@ class TestFfnHeadAgainstConcatReference:
     )
     def test_logits_and_gradients_match(self, kind, q_width, k_width, window, lengths, seed):
         rng = np.random.default_rng(seed)
-        head = _init_head(rng, kind, q_width, k_width)
+        head = make_head(rng, kind, q_width, k_width)
         for b in head.ffn.biases:
             b[:] = rng.normal(size=b.shape)
         n = len(lengths)
@@ -590,14 +602,20 @@ LAYOUT_CONFIGS = [
     dict(confidence="ce", attention="dot", user_embed_width=3),  # projected dot heads
     dict(pooling="average"),  # no head parameters, frozen confidence
     dict(confidence="rce", attention="ffn-1", user_query_only=True),
+    dict(confidence="pe", attention="dot"),  # dot heads without projection, frozen confidence
+    dict(confidence="none", attention="scaled-dot", user_embed_width=3, user_query_only=True),
 ]
+
+
+def layout_case(overrides):
+    config = tiny_config(**overrides)
+    return FeatureSchema(tiny_schema().user_fields, tiny_schema().item_fields, config.user_embed_width, 2), config
 
 
 class TestDenseLayout:
     @pytest.mark.parametrize("overrides", LAYOUT_CONFIGS)
     def test_non_table_parameters_tile_the_dense_vector(self, overrides, tmp_path):
-        config = tiny_config(**overrides)
-        schema = FeatureSchema(tiny_schema().user_fields, tiny_schema().item_fields, config.user_embed_width, 2)
+        schema, config = layout_case(overrides)
         params = init_params(np.random.default_rng(1), schema, config)
         path = tmp_path / "model.bin"
         save_checkpoint(str(path), params)
@@ -610,6 +628,22 @@ class TestDenseLayout:
             assert_tiles(p.dense_grad, {n: grads[n] for n in dense})
             assert list(p.dense_grads) == list(dense)
         assert loaded.dense.tobytes() == params.dense.tobytes()
+
+    @pytest.mark.parametrize("overrides", LAYOUT_CONFIGS)
+    def test_layout_lists_the_checkpoint_arrays_in_order(self, overrides):
+        schema, config = layout_case(overrides)
+        arrays = checkpoint_arrays(init_params(np.random.default_rng(1), schema, config))
+        assert list(layout(schema, config).items()) == [(name, a.shape) for name, a in arrays.items()]
+
+    def test_frozen_confidence_rows_come_last(self):
+        heads = [f"att_{head}.{p}0" for head in ("ui", "ua", "ii", "ia") for p in "wb"]
+        integrate = [f"{name}.{p}" for name in ("int_user", "int_item", "adp_user", "adp_item") for p in "wb"]
+        mlp = [f"mlp.{p}{i}" for i in range(3) for p in "wb"]
+        names = ["user_table", "item_table", *heads, *integrate, *mlp, "conf_user", "conf_item"]
+        assert list(layout(tiny_schema(), tiny_config(confidence="fce", attention="ffn-1"))) == names
+        assert list(layout(tiny_schema(), tiny_config(confidence="ce", attention="ffn-1"))) == [
+            *names[:2], "conf_user", "conf_item", *names[2:-2]
+        ]
 
 
 class TestCheckpoint:
@@ -700,6 +734,35 @@ def checkpoint_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "model.bin"
     save_checkpoint(str(path), params, extra={"best_epoch": 2})
     return path.read_bytes()
+
+
+@pytest.mark.parametrize("mutation", ["missing", "extra", "duplicated", "renamed", "transposed"])
+def test_manifest_is_checked_against_the_layout_before_the_model_is_built(
+    tmp_path, checkpoint_bytes, monkeypatch, mutation
+):
+    magic, header_line, payload = checkpoint_bytes.split(b"\n", 2)
+    header = json.loads(header_line)
+    arrays = header["arrays"]
+    assert arrays[-1] == ["mlp.b2", [1]] and ["mlp.w1", [40, 80]] in arrays
+    if mutation == "missing":
+        arrays.pop()
+        payload = payload[:-8]
+    elif mutation in ("extra", "duplicated"):
+        arrays.append(["mlp.b3" if mutation == "extra" else "mlp.b2", [1]])
+        payload += bytes(8)
+    elif mutation == "renamed":
+        arrays[-1][0] = "mlp.b3"
+    else:  # the same payload size
+        arrays[arrays.index(["mlp.w1", [40, 80]])][1] = [80, 40]
+    path = tmp_path / "mutated.bin"
+    path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + payload)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("init_params ran before the manifest was checked")
+
+    monkeypatch.setattr(model_mod, "init_params", refuse)
+    with pytest.raises(DataError, match="manifest does not match|has shape"):
+        load_checkpoint(str(path))
 
 
 def mutate_header(header, path: list[int], value):

@@ -207,9 +207,17 @@ def test_finite_difference_refuses_a_copy():
         nn.fd_coordinate(lambda v: float(v.sum()), np.zeros((3, 4))[:, :2], 0)
 
 
+def ffn_init(rng, dims):
+    """An FFN drawn as the model draws its FFNs: glorot weights layer by layer, zero biases."""
+    return nn.FfnParams(
+        tuple(nn.glorot_uniform(rng, d_out, d_in) for d_in, d_out in zip(dims, dims[1:])),
+        tuple(np.zeros(d_out) for d_out in dims[1:]),
+    )
+
+
 def _ffn_case(seed, dims):
     rng = np.random.default_rng(seed)
-    params = nn.ffn_init(rng, dims)
+    params = ffn_init(rng, dims)
     for w in params.weights:
         w += 0.05 * np.sign(w)  # push pre-activations away from the kink
     x = rng.normal(size=(4, dims[0]))
@@ -250,14 +258,14 @@ def test_ffn_backward_matches_finite_differences(dims):
 
 def test_ffn_single_layer_is_affine():
     rng = np.random.default_rng(2)
-    params = nn.ffn_init(rng, [4, 2])
+    params = ffn_init(rng, [4, 2])
     x = rng.normal(size=4)
     out, _ = nn.ffn_forward(params, x)
     np.testing.assert_allclose(out, nn.affine_forward(params.weights[0], x, params.biases[0]))
 
 
 def test_ffn_pair_input_shapes_must_chain():
-    params = nn.ffn_init(np.random.default_rng(6), [5, 3, 1])
+    params = ffn_init(np.random.default_rng(6), [5, 3, 1])
     for query, keys in [
         (np.zeros((2, 2)), np.zeros((2, 4, 2))),  # widths sum to 4, not 5
         (np.zeros((2, 2)), np.zeros((3, 4, 3))),  # batch sizes differ
@@ -269,8 +277,8 @@ def test_ffn_pair_input_shapes_must_chain():
 
 def test_ffn_backward_rejects_stale_cache():
     rng = np.random.default_rng(5)
-    params = nn.ffn_init(rng, [3, 2])
-    other = nn.ffn_init(rng, [3, 4, 2])
+    params = ffn_init(rng, [3, 2])
+    other = ffn_init(rng, [3, 4, 2])
     _, cache = nn.ffn_forward(params, rng.normal(size=3))
     with pytest.raises(UsageError):
         nn.ffn_backward(other, cache, np.zeros(2))
