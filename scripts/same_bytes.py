@@ -8,7 +8,8 @@ imports pigat from the checkout's src/ and the benchmark workloads from its
 perfbench/bench.py. Per case the worker trains, saves the checkpoint,
 reloads it and scores every prepared instance (train, val, test) with the
 reloaded model, then prints one JSON line with the SHA-256 of the
-checkpoint bytes and of the scores. The cases:
+checkpoint bytes and of the scores, the scores themselves and the test
+AUC. The cases:
 
 - each perfbench workload, its spec and config as that checkout defines
   them, with seeds 5 and 2;
@@ -17,11 +18,14 @@ checkpoint bytes and of the scores. The cases:
   confidence_in_pooling = false, static graphs and positives-only windows.
 
 One line is printed per case, and the exit status is 1 if any case
-differs or is missing on one side.
+differs or is missing on one side. A case that differs also prints both
+sides' test AUC and the largest absolute score difference, so a change
+that moves bytes shows how far its results moved.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
@@ -67,13 +71,14 @@ def cases(bench) -> list[tuple[str, dict, dict]]:
     return out
 
 
-def run_case(spec: dict, config: dict, workdir: str) -> dict[str, str]:
+def run_case(spec: dict, config: dict, workdir: str) -> dict:
     """Train as perfbench does, reload the checkpoint and score every instance with it."""
     # Imported here: only a worker has a checkout's src/ on its path.
     import numpy as np
 
     from pigat import data, model, train
     from pigat.config import TrainConfig
+    from pigat.metrics import ScoredSet, auc
     from pigat.synth import SynthSpec, generate
 
     log_path, ckpt_path = os.path.join(workdir, "log.tsv"), os.path.join(workdir, "checkpoint.bin")
@@ -86,13 +91,28 @@ def run_case(spec: dict, config: dict, workdir: str) -> dict[str, str]:
         ckpt_path, result.params, extra={"best_epoch": result.best_epoch, "best_val_auc": result.best_val_auc}
     )
     params, _ = model.load_checkpoint(ckpt_path)
-    scores = np.concatenate([model.predict(params, split) for split in (prepared.train, prepared.val, prepared.test)])
+    splits = [model.predict(params, split) for split in (prepared.train, prepared.val, prepared.test)]
+    scores = np.concatenate(splits).tobytes()
     with open(ckpt_path, "rb") as fh:
         checkpoint = fh.read()
     return {
         "checkpoint bytes": hashlib.sha256(checkpoint).hexdigest(),
-        "scores": hashlib.sha256(scores.tobytes()).hexdigest(),
+        "scores": hashlib.sha256(scores).hexdigest(),
+        "raw scores": base64.b64encode(scores).decode(),
+        "test AUC": auc(ScoredSet(splits[2], prepared.test.labels, prepared.degrees_for(prepared.test))),
     }
+
+
+def quality(a: dict, b: dict) -> str:
+    """Both sides' test AUC and the largest absolute difference between their scores."""
+    import numpy as np
+
+    ours, theirs = (np.frombuffer(base64.b64decode(row["raw scores"])) for row in (a, b))
+    if ours.shape != theirs.shape:
+        gap = f"{ours.size} and {theirs.size} scores"
+    else:
+        gap = f"largest score difference {float(np.abs(ours - theirs).max(initial=0.0)):.3e}"
+    return f"test AUC {a['test AUC']!r} -> {b['test AUC']!r}, {gap}"
 
 
 def worker(checkout: str) -> None:
@@ -142,6 +162,7 @@ def main(argv: list[str]) -> int:
             verdict = f"missing in {'parent' if a is None else 'change'}"
         else:
             verdict = ", ".join(f"{what} differ" for what in DIGESTS if a[what] != b[what])
+            verdict += f"; {quality(a, b)}" if verdict else ""
         differ |= bool(verdict)
         print(f"{name}\t{verdict or 'same'}")
     return 1 if differ else 0

@@ -82,20 +82,13 @@ class ConfidenceTable:
         return self.rows.shape[2]
 
 
-def build_confidence(
-    variant: str, k: int, width: int, rng: np.random.Generator | None = None, out: Array | None = None
-) -> ConfidenceTable:
-    """The variant's (k, k, width) rows, written into `out` when one is given."""
+def build_confidence(variant: str, k: int, width: int, rng: np.random.Generator | None = None) -> Array:
+    """The variant's (k, k, width) rows."""
     if variant not in VARIANTS:
         raise DomainError(f"unknown confidence variant {variant!r}, expected one of {VARIANTS}")
     if k < 1 or width < 1:
         raise DomainError(f"window {k} and width {width} must be positive")
-    builder, trainable = BUILDERS[variant]
-    rows = builder(k, width, rng)
-    if out is not None:
-        out[...] = rows
-        rows = out
-    return ConfidenceTable(rows, trainable, np.zeros_like(rows) if trainable else None)
+    return BUILDERS[variant][0](k, width, rng)
 
 
 def live_lengths(mask: Array) -> Array:

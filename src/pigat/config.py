@@ -172,11 +172,14 @@ def config_to_dict(cfg: TrainConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> TrainConfig:
-    """Inverse of config_to_dict; values must already have their field's type."""
+    """Inverse of config_to_dict: every field, each value already of its field's type."""
     kinds = field_types(TrainConfig)
     unknown = set(d) - set(kinds)
     if unknown:
         raise DataError(f"unknown config keys {sorted(unknown)}")
+    missing = [key for key in kinds if key not in d]
+    if missing:
+        raise DataError(f"missing config keys {missing}")
     for key, value in d.items():
         kind = kinds[key]
         # bool is an int subclass and int widens to float; nothing else converts.

@@ -149,19 +149,6 @@ class EmbeddingTable:
         return self.weight.shape[1]
 
 
-def table_init(rng: np.random.Generator, count: int, width: int, frozen_rows: Array | None = None) -> EmbeddingTable:
-    bound = np.sqrt(6.0 / (count + width))
-    weight = rng.uniform(-bound, bound, size=(count, width))
-    if frozen_rows is None:
-        frozen_rows = np.zeros(count, dtype=bool)
-    weight[frozen_rows] = 0.0
-    return EmbeddingTable(weight, np.zeros_like(weight), frozen_rows.copy())
-
-
-def table_for_side(rng: np.random.Generator, schema: FeatureSchema, side: str) -> EmbeddingTable:
-    return table_init(rng, schema.table_size(side), schema.width(side), schema.pad_rows(side))
-
-
 def lookup(table: EmbeddingTable, ids: Array) -> Array:
     """Gather rows; output shape is ids.shape + (width,)."""
     ids = np.asarray(ids)

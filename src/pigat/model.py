@@ -47,7 +47,6 @@ from .features import (
     FieldVocab,
     lookup,
     scatter_gradient,
-    table_for_side,
     zero_gradients,
 )
 from .graph import ITEM, USER
@@ -88,6 +87,9 @@ INTEGRATE = (
 TABLES = tuple(f"{side}_table" for side in SIDES)  # the row-sparse parameters
 CONF = tuple(f"conf_{side}" for side in SIDES)  # confidence rows, per window side
 CKPT_MAGIC = b"PIGATCKPT1\n"
+# Float64 values (1 GiB) a new model may hold: far beyond any real config,
+# so a mistyped width or window fails typed instead of in an allocation.
+MAX_MODEL_SIZE = 2**27
 
 
 @dataclass
@@ -117,11 +119,12 @@ class PigatParams:
     heads: dict[str, AttentionHead]
     integrate: dict[str, tuple[Array, Array]]  # INTEGRATE name -> (weight, bias)
     mlp: FfnParams
-    # Every trainable array but the tables, flat in layout order; the arrays
-    # above are views of it, so one Adam call updates them all.
-    dense: Array
+    # Every array layout() lists, flat in layout order; the arrays above are
+    # views of it, so a checkpoint's payload is its bytes.
+    store: Array
+    views: dict[str, Array]  # layout name -> view of store
+    dense: Array  # the slice of store after the tables: the trainables one Adam call updates
     dense_grad: Array  # same layout
-    dense_params: dict[str, Array]  # name -> view of dense, in layout order
     dense_grads: dict[str, Array]  # name -> view of dense_grad
 
 
@@ -187,27 +190,31 @@ def _ffn(views: dict[str, Array], prefix: str) -> FfnParams:
     )
 
 
-def init_params(rng: np.random.Generator, schema: FeatureSchema, config: TrainConfig) -> PigatParams:
-    """Build all trainable state, every non-table array a view of one flat vector.
+def _build(schema: FeatureSchema, config: TrainConfig) -> PigatParams:
+    """A zeroed model whose every array is a view of one new store, laid out by layout().
 
-    Draw order is fixed for determinism: the tables, the confidence rows,
-    then every weight matrix in layout order; biases start at zero.
+    The only allocation of model-sized memory; one above MAX_MODEL_SIZE
+    values is a DataError. Trainable confidence rows get views of dense_grad.
     """
-    config.validate()
-    _, window_w = _widths(schema)
-    apart = TABLES if config.confidence in TRAINABLE else TABLES + CONF  # the arrays not in dense
-    shapes = {name: shape for name, shape in layout(schema, config).items() if name not in apart}
-    size = sum(math.prod(shape) for shape in shapes.values())
-    dense, dense_grad = np.zeros(size), np.zeros(size)
-    views = _views(dense, shapes)
-    tables = {side: table_for_side(rng, schema, side) for side in SIDES}
-    conf = {
-        side: build_confidence(config.confidence, config.max_neighbors, width, rng, views.get(f"conf_{side}"))
-        for side, width in window_w.items()
+    shapes = layout(schema, config)
+    size = sum(map(math.prod, shapes.values()))
+    if size > MAX_MODEL_SIZE:
+        raise DataError(f"the model would hold {size} values, more than the {MAX_MODEL_SIZE} allowed")
+    store = np.zeros(size)
+    views = _views(store, shapes)
+    trainable = config.confidence in TRAINABLE
+    # Layout order: the tables, every other trainable array, then any frozen rows.
+    dense_shapes = dict(list(shapes.items())[len(TABLES) : None if trainable else -len(CONF)])
+    dense_grad = np.zeros(sum(map(math.prod, dense_shapes.values())))
+    start = sum(views[name].size for name in TABLES)
+    dense, grads = store[start : start + dense_grad.size], _views(dense_grad, dense_shapes)
+    tables = {
+        side: EmbeddingTable(views[f"{side}_table"], np.zeros(shapes[f"{side}_table"]), schema.pad_rows(side))
+        for side in SIDES
     }
-    for view in views.values():
-        if view.ndim == 2:  # the weight matrices; confidence rows are 3-D, biases 1-D
-            view[...] = glorot_uniform(rng, *view.shape)
+    conf = {
+        side: ConfidenceTable(views[f"conf_{side}"], trainable, grads.get(f"conf_{side}")) for side in SIDES
+    }
     kind = config.attention
     heads = {
         name: AttentionHead(
@@ -219,13 +226,34 @@ def init_params(rng: np.random.Generator, schema: FeatureSchema, config: TrainCo
         for name in (head_wiring(config) if config.pooling == "attention" else ())
     }
     integrate = {name: (views[f"{name}.w"], views[f"{name}.b"]) for name, _, _ in INTEGRATE}
-    mlp, grads = _ffn(views, "mlp"), _views(dense_grad, shapes)
-    return PigatParams(schema, config, tables, conf, heads, integrate, mlp, dense, dense_grad, views, grads)
+    mlp = _ffn(views, "mlp")
+    return PigatParams(schema, config, tables, conf, heads, integrate, mlp, store, views, dense, dense_grad, grads)
+
+
+def init_params(rng: np.random.Generator, schema: FeatureSchema, config: TrainConfig) -> PigatParams:
+    """Build and draw all trainable state.
+
+    Draw order is fixed for determinism: the tables (padding rows zeroed),
+    the confidence rows, then every weight matrix in layout order; biases
+    start at zero.
+    """
+    config.validate()
+    params = _build(schema, config)
+    for table in params.tables.values():
+        bound = np.sqrt(6.0 / (table.count + table.width))
+        table.weight[...] = rng.uniform(-bound, bound, size=table.weight.shape)
+        table.weight[table.frozen_rows] = 0.0
+    for conf in params.conf.values():
+        conf.rows[...] = build_confidence(config.confidence, config.max_neighbors, conf.width, rng)
+    for name, view in params.views.items():
+        if view.ndim == 2 and name not in TABLES:  # the weight matrices; confidence rows are 3-D, biases 1-D
+            view[...] = glorot_uniform(rng, *view.shape)
+    return params
 
 
 def named_parameters(params: PigatParams) -> dict[str, Array]:
     """Stable name -> array view of everything the optimizer may touch, in layout order."""
-    return {**{f"{side}_table": params.tables[side].weight for side in SIDES}, **params.dense_params}
+    return {name: params.views[name] for name in TABLES + tuple(params.dense_grads)}
 
 
 def touched_rows(params: PigatParams) -> dict[str, Array]:
@@ -506,23 +534,16 @@ def _head_backward(
     return d_keys, d_q_proj @ head.proj_w
 
 
-def checkpoint_arrays(params: PigatParams) -> dict[str, Array]:
-    """All persisted arrays in layout order: trainables plus any frozen confidence rows."""
-    arrays = {**{f"conf_{side}": params.conf[side].rows for side in SIDES}, **named_parameters(params)}
-    return {name: arrays[name] for name in layout(params.schema, params.config)}
-
-
 def save_checkpoint(path: str, params: PigatParams, extra: dict | None = None) -> None:
     """Write a self-describing checkpoint.
 
     Layout: a magic line, one JSON header line (schema with full
-    vocabularies, config, array manifest, metadata), then the raw
-    float64 bytes of each array in manifest order. Nothing in the file
-    depends on wall-clock time, so identical runs produce identical
-    bytes.
+    vocabularies, config, array manifest, metadata), then the store's
+    float64 bytes: every array of the manifest, in its order. Nothing in
+    the file depends on wall-clock time, so identical runs produce
+    identical bytes.
     """
     schema = params.schema
-    arrays = checkpoint_arrays(params)
     header = {
         "version": 1,
         "schema_hash": schema.structural_hash(),
@@ -533,18 +554,16 @@ def save_checkpoint(path: str, params: PigatParams, extra: dict | None = None) -
             "item_width": schema.item_width,
         },
         "config": config_to_dict(params.config),
-        "arrays": [[name, list(a.shape)] for name, a in arrays.items()],
+        "arrays": [[name, list(view.shape)] for name, view in params.views.items()],
         "extra": extra or {},
     }
     with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
-        for arr in arrays.values():
-            fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        fh.write(CKPT_MAGIC + json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        fh.write(params.store)
 
 
 def load_checkpoint(path: str) -> tuple[PigatParams, dict]:
-    """Rebuild params bit-for-bit from a checkpoint; returns (params, extra)."""
+    """Rebuild params bit-for-bit from a checkpoint; returns (params, extra). Draws nothing."""
     with open(path, "rb") as fh:
         if fh.readline() != CKPT_MAGIC:
             raise DataError(f"{path}: not a model checkpoint")
@@ -569,9 +588,6 @@ def load_checkpoint(path: str) -> tuple[PigatParams, dict]:
             )
             config = config_from_dict(header["config"])
             entries = [(name, tuple(shape)) for name, shape in header["arrays"]]
-            if not all(type(n) is int and n >= 0 for _, shape in entries for n in shape):
-                raise ValueError("array shapes must be lists of non-negative integers")
-            manifest = dict(entries)
             extra = header.get("extra", {})
             if not isinstance(extra, dict):
                 raise TypeError(f"extra is a {type(extra).__name__}, not an object")
@@ -579,25 +595,24 @@ def load_checkpoint(path: str) -> tuple[PigatParams, dict]:
             raise
         except (KeyError, TypeError, ValueError, AttributeError) as err:
             raise DataError(f"{path}: malformed checkpoint header: {type(err).__name__}: {err}") from None
-        # The payload size is checked against the manifest and the manifest
-        # against the layout before the model is built, so a corrupt header
-        # cannot make init_params allocate far more than the file holds.
-        need = 8 * sum(math.prod(shape) for _, shape in entries)
+        # The manifest must be the layout, entry for entry, and the payload
+        # its size, before the model is built: a corrupt header cannot make
+        # the reader allocate more than the file holds, or load two
+        # same-shape arrays into each other's places.
+        expected = list(layout(schema, config).items())
+        if entries != expected:
+            got, want = entries + ["the end"], expected + ["the end"]
+            i = next(i for i, entry in enumerate(got) if entry != want[i])
+            raise DataError(
+                f"{path}: array manifest does not match the layout: entry {i} is {got[i]}, expected {want[i]}"
+            )
+        need = 8 * sum(math.prod(shape) for _, shape in expected)
         have = os.fstat(fh.fileno()).st_size - fh.tell()
         if have != need:
             what = "truncated checkpoint" if have < need else "trailing bytes after the last array"
             raise DataError(f"{path}: {what}: the manifest needs {need} payload bytes, the file holds {have}")
-        expected = layout(schema, config)
-        if len(manifest) != len(entries) or set(manifest) != set(expected):
-            raise DataError(f"{path}: array manifest does not match the rebuilt model")
-        for name, shape in entries:
-            if shape != expected[name]:
-                raise DataError(f"{path}: array {name} has shape {shape}, expected {expected[name]}")
-        params = init_params(np.random.default_rng(0), schema, config)
-        arrays = checkpoint_arrays(params)
-        for name, shape in entries:
-            target = arrays[name]
-            np.copyto(target, np.frombuffer(fh.read(target.size * 8), dtype=np.float64).reshape(shape))
+        params = _build(schema, config)
+        fh.readinto(memoryview(params.store).cast("B"))
     if header.get("schema_hash") != schema.structural_hash():
         raise DataError(f"{path}: schema hash does not match the stored schema")
     return params, extra

@@ -87,12 +87,11 @@ def train(config: TrainConfig, data: PreparedData) -> TrainResult:
 
     adam = AdamState(learning_rate=config.learning_rate, l2=config.l2)
     # Adam updates the tables row-sparsely and every other parameter as one flat vector.
-    named = named_parameters(params)
-    arrays = {name: named[name] for name in TABLES} | {"dense": params.dense}
+    arrays = {name: params.views[name] for name in TABLES} | {"dense": params.dense}
     result = TrainResult(params=params)
-    # The arrays of the best epoch so far, kept only while a later epoch
-    # may overwrite them.
-    best: dict[str, np.ndarray] | None = None
+    # The store of the best epoch so far, kept only while a later epoch may
+    # overwrite it.
+    best: np.ndarray | None = None
     n = len(data.train)
 
     for epoch in range(1, config.epochs + 1):
@@ -128,14 +127,10 @@ def train(config: TrainConfig, data: PreparedData) -> TrainResult:
         if result.best_epoch == 0 or val_auc > result.best_val_auc:
             result.best_epoch = epoch
             result.best_val_auc = float(val_auc)
-            if epoch < config.epochs:
-                best = {name: arr.copy() for name, arr in arrays.items()}
-            else:
-                best = None
+            best = params.store.copy() if epoch < config.epochs else None
 
     if best is not None:
-        for name, arr in arrays.items():
-            np.copyto(arr, best[name])
+        np.copyto(params.store, best)
     return result
 
 

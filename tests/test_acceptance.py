@@ -62,7 +62,7 @@ def test_recency_surface_matches_closed_form():
     worst = 0.0
     for width in (8, 64, 128):
         for variant in ("fce", "ce"):
-            rows = build_confidence(variant, 10, width).rows
+            rows = build_confidence(variant, 10, width)
             for live in range(1, 11):
                 for slot in range(1, live + 1):
                     for i in range(1, width + 1):

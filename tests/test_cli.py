@@ -127,6 +127,30 @@ class TestTrain:
         assert codes == {20: 0, 21: 2}
         assert "max_neighbors 21 exceeds the log's 20 events" in capsys.readouterr().err
 
+    def test_model_too_large_to_allocate_exits_2(self, workspace, tmp_path):
+        # A mistyped width: the user table alone would take tens of GiB. The run
+        # has a 2 GiB address-space limit, so without the size bound it fails
+        # in an allocation instead of exhausting the host.
+        config = tmp_path / "huge.txt"
+        text = (workspace / "config.txt").read_text()
+        config.write_text(text.replace("user_embed_width = 4", "user_embed_width = 100000000"))
+        src = str(Path(pigat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # One BLAS thread: per-thread buffers on a many-core host would fill the address space.
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        limited = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+            "from pigat.cli import entry; entry()"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", limited, "train", "--config", str(config),
+             "--data", str(workspace / "data.tsv"), "--out", str(tmp_path / "r")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "more than the 134217728 allowed" in proc.stderr
+        assert not (tmp_path / "r" / "checkpoint.bin").exists()
+
     def test_non_ascii_field_name_under_an_ascii_locale(self, workspace, tmp_path):
         # Text files are UTF-8 whatever the locale says.
         data = tmp_path / "data.tsv"
@@ -165,6 +189,8 @@ HEADER_MUTATIONS = {
     "string-config-int": (lambda h: {**h, "config": {**h["config"], "max_neighbors": "4"}}, 2),
     "bool-config-int": (lambda h: {**h, "config": {**h["config"], "epochs": True}}, 2),
     "config-not-object": (lambda h: {**h, "config": []}, 2),
+    # A model trained without confidence in pooling must not load as one with it.
+    "config-key-missing": (lambda h: {**h, "config": _without(h["config"], "confidence_in_pooling")}, 2),
     "field-without-values": (lambda h: {**h, "schema": {**h["schema"], "item_fields": [{"name": "iid"}]}}, 2),
     "header-not-object": (lambda h: [h], 2),
 }

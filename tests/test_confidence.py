@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pigat.confidence import (
+    TRAINABLE,
     VARIANTS,
+    ConfidenceTable,
     apply_confidence,
     build_confidence,
     recency_profile,
@@ -15,6 +17,13 @@ from pigat.confidence import (
 from pigat.errors import DomainError, ShapeError
 
 E_INV = 0.36787944117144233  # exp(-1), the newest slot's leading entry
+
+
+def conf_table(variant, k, width, rng=None):
+    """The variant's rows wired as the model wires them, with a gradient when trainable."""
+    rows = build_confidence(variant, k, width, rng)
+    trainable = variant in TRAINABLE
+    return ConfidenceTable(rows, trainable, np.zeros_like(rows) if trainable else None)
 
 
 def test_recency_profile_matches_scalar_formula():
@@ -54,33 +63,33 @@ def test_recency_row_norms_grow_toward_newest():
 def test_build_variants_flags():
     rng = np.random.default_rng(0)
     for variant in VARIANTS:
-        table = build_confidence(variant, 4, 6, rng)
+        table = conf_table(variant, 4, 6, rng)
         assert table.rows.shape == (4, 4, 6)
         assert table.trainable == (variant in ("rce", "ce"))
         assert (table.grad is not None) == table.trainable
     with pytest.raises(DomainError):
-        build_confidence("wat", 4, 6, rng)
+        conf_table("wat", 4, 6, rng)
 
 
 def test_none_is_zero_and_ce_starts_at_fce():
-    none = build_confidence("none", 5, 4)
+    none = conf_table("none", 5, 4)
     assert not none.rows.any()
-    ce = build_confidence("ce", 5, 4)
-    fce = build_confidence("fce", 5, 4)
+    ce = conf_table("ce", 5, 4)
+    fce = conf_table("fce", 5, 4)
     np.testing.assert_array_equal(ce.rows, fce.rows)
     assert ce.trainable and not fce.trainable
 
 
 def test_rce_is_small_seeded_noise():
-    a = build_confidence("rce", 4, 6, np.random.default_rng(7))
-    b = build_confidence("rce", 4, 6, np.random.default_rng(7))
+    a = conf_table("rce", 4, 6, np.random.default_rng(7))
+    b = conf_table("rce", 4, 6, np.random.default_rng(7))
     np.testing.assert_array_equal(a.rows, b.rows)
     assert np.abs(a.rows).max() <= 0.01
     assert np.abs(a.rows).max() > 0
 
 
 def test_pe_rows_do_not_depend_on_live_length():
-    table = build_confidence("pe", 5, 8)
+    table = conf_table("pe", 5, 8)
     for live in range(1, 5):
         np.testing.assert_array_equal(table.rows[live - 1], table.rows[4])
     assert np.abs(table.rows).max() <= 1.0
@@ -90,14 +99,14 @@ def test_pe_rows_do_not_depend_on_live_length():
 
 
 def test_apply_none_is_identity():
-    table = build_confidence("none", 4, 3)
+    table = conf_table("none", 4, 3)
     nbrs = np.random.default_rng(1).normal(size=(4, 3))
     mask = np.array([True, True, False, False])
     np.testing.assert_array_equal(apply_confidence(table, nbrs, mask), nbrs)
 
 
 def test_apply_adds_correct_live_rows():
-    table = build_confidence("fce", 4, 6)
+    table = conf_table("fce", 4, 6)
     nbrs = np.zeros((4, 6))
     mask = np.array([True, True, False, False])
     out = apply_confidence(table, nbrs, mask)
@@ -107,7 +116,7 @@ def test_apply_adds_correct_live_rows():
 
 
 def test_apply_batched_uses_per_row_lengths():
-    table = build_confidence("fce", 3, 4)
+    table = conf_table("fce", 3, 4)
     nbrs = np.zeros((2, 3, 4))
     mask = np.array([[True, False, False], [True, True, True]])
     out = apply_confidence(table, nbrs, mask)
@@ -116,14 +125,14 @@ def test_apply_batched_uses_per_row_lengths():
 
 
 def test_apply_all_masked_passes_through():
-    table = build_confidence("fce", 3, 4)
+    table = conf_table("fce", 3, 4)
     nbrs = np.ones((3, 4))
     out = apply_confidence(table, nbrs, np.zeros(3, dtype=bool))
     np.testing.assert_array_equal(out, nbrs)
 
 
 def test_apply_width_mismatch():
-    table = build_confidence("fce", 3, 4)
+    table = conf_table("fce", 3, 4)
     with pytest.raises(ShapeError):
         apply_confidence(table, np.zeros((3, 5)), np.ones(3, dtype=bool))
     with pytest.raises(ShapeError):
@@ -131,7 +140,7 @@ def test_apply_width_mismatch():
 
 
 def test_scatter_confidence_targets_live_surface():
-    table = build_confidence("ce", 3, 2)
+    table = conf_table("ce", 3, 2)
     mask = np.array([[True, True, False]])
     up = np.ones((1, 3, 2))
     scatter_confidence_gradient(table, mask, up)
@@ -151,7 +160,7 @@ def test_scatter_confidence_equals_add_at_bytewise(window, width, lengths, seed)
     # Live lengths 0 (all-dead rows) up to the window, which may be 1.
     mask = np.arange(window)[None, :] < np.minimum(lengths, window)[:, None]
     up = np.random.default_rng(seed).normal(size=(len(lengths), window, width))
-    table = build_confidence("ce", window, width)
+    table = conf_table("ce", window, width)
     scatter_confidence_gradient(table, mask, up)
     want = np.zeros((window, window, width))
     np.add.at(want, np.maximum(mask.sum(axis=1) - 1, 0), np.where(mask[..., None], up, 0.0))

@@ -2,10 +2,11 @@
 
 import dataclasses
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pigat.config import TrainConfig, format_config, read_config
+from pigat.config import TrainConfig, config_from_dict, config_to_dict, format_config, read_config
 from pigat.errors import DataError
 
 VALID = format_config(TrainConfig(l2=0.01, dropout=0.25, seed=7, pooling="average"))
@@ -75,3 +76,13 @@ def test_valid_file_round_trips(tmp_path):
     path.write_text(VALID)
     assert format_config(read_config(str(path))) == VALID
 
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_config_dict_must_name_every_field(key):
+    # A checkpoint header missing a key would otherwise load that key's default.
+    values = config_to_dict(TrainConfig(confidence_in_pooling=False, l2=0.01))
+    assert config_from_dict(values) == TrainConfig(confidence_in_pooling=False, l2=0.01)
+    del values[key]
+    with pytest.raises(DataError, match=f"missing config keys \\['{key}'\\]"):
+        config_from_dict(values)

@@ -1,21 +1,22 @@
 import numpy as np
 import pytest
 
+from pigat.config import TrainConfig
 from pigat.errors import DataError, DomainError, ShapeError
 from pigat import features
 from pigat.features import (
     Batch,
+    EmbeddingTable,
     EncodedInstance,
     FeatureSchema,
     FieldVocab,
     encode_instance,
     lookup,
     scatter_gradient,
-    table_for_side,
-    table_init,
     write_schema,
     zero_gradients,
 )
+from pigat.model import init_params
 from pigat.graph import ITEM, USER, InteractionEvent, InteractionGraph
 
 
@@ -71,10 +72,22 @@ def test_schema_file_round_trip(tmp_path):
     assert lines[-2:] == [["embed", "user", "4"], ["embed", "item", "3"]]
 
 
+def user_table(rng, schema):
+    """The user table of a model built on the schema, drawn first from rng."""
+    return init_params(rng, schema, TrainConfig(max_neighbors=2)).tables[USER]
+
+
+def plain_table(rng, count, width):
+    """A table with no padding rows, drawn as the model draws one."""
+    bound = np.sqrt(6.0 / (count + width))
+    weight = rng.uniform(-bound, bound, size=(count, width))
+    return EmbeddingTable(weight, np.zeros_like(weight), np.zeros(count, dtype=bool))
+
+
 def test_table_init_pins_padding_rows():
     s = toy_schema()
     rng = np.random.default_rng(0)
-    table = table_for_side(rng, s, USER)
+    table = user_table(rng, s)
     assert table.count == 9 and table.width == 4
     np.testing.assert_array_equal(table.weight[4], np.zeros(4))
     np.testing.assert_array_equal(table.weight[8], np.zeros(4))
@@ -83,7 +96,7 @@ def test_table_init_pins_padding_rows():
 
 def test_lookup_shapes_and_bounds():
     rng = np.random.default_rng(1)
-    table = table_init(rng, 6, 3)
+    table = plain_table(rng, 6, 3)
     out = lookup(table, np.array([[0, 1], [2, 3]]))
     assert out.shape == (2, 2, 3)
     np.testing.assert_array_equal(out[0, 1], table.weight[1])
@@ -93,7 +106,7 @@ def test_lookup_shapes_and_bounds():
 
 def test_scatter_accumulates_repeats_and_skips_padding():
     s = toy_schema()
-    table = table_for_side(np.random.default_rng(2), s, USER)
+    table = user_table(np.random.default_rng(2), s)
     ids = np.array([0, 0, 4])  # slot 4 is uid padding
     up = np.ones((3, 4))
     scatter_gradient(table, ids, up)
@@ -103,7 +116,7 @@ def test_scatter_accumulates_repeats_and_skips_padding():
 
 def test_zero_gradients_clears_exactly_the_scattered_rows():
     s = toy_schema()
-    table = table_for_side(np.random.default_rng(2), s, USER)
+    table = user_table(np.random.default_rng(2), s)
     scatter_gradient(table, np.array([3, 0, 4, 3]), np.ones((4, 4)))  # 4 is uid padding
     scatter_gradient(table, np.array([[7], [0]]), np.ones((2, 1, 4)))
     assert table.touched.tolist() == [0, 3, 7]
@@ -115,7 +128,7 @@ def test_zero_gradients_clears_exactly_the_scattered_rows():
 
 
 def test_scatter_shape_check():
-    table = table_init(np.random.default_rng(3), 5, 4)
+    table = plain_table(np.random.default_rng(3), 5, 4)
     with pytest.raises(ShapeError):
         scatter_gradient(table, np.array([0, 1]), np.ones((2, 3)))
 

@@ -8,6 +8,7 @@ invariants (masking, permutation, determinism, checkpoint round trips).
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,7 +33,6 @@ from pigat.model import (
     attention_logits,
     backward,
     bce_loss,
-    checkpoint_arrays,
     forward,
     head_wiring,
     init_params,
@@ -586,15 +586,45 @@ class TestLossAndModes:
             assert abs(fd - g_flat[c]) < 1e-6 + 1e-4 * abs(fd)
 
 
+def offset_in(flat, view) -> int:
+    """Where view starts in flat's memory, in elements."""
+    return (view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]) // flat.itemsize
+
+
 def assert_tiles(flat, views):
     """The views cover flat exactly, in order, each contiguous, with no gap or overlap."""
+    owner = flat if flat.base is None else flat.base
     offset = 0
     for name, view in views.items():
-        assert view.base is flat and view.flags.c_contiguous, name
-        start = (view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]) // flat.itemsize
-        assert start == offset, name
+        assert view.base is owner and view.flags.c_contiguous, name
+        assert offset_in(flat, view) == offset, name
         offset += view.size
     assert offset == flat.size
+
+
+def model_arrays(p) -> dict:
+    """Every array the model computes with, by layout name, read off its tables, heads and layers."""
+    arrays = {f"{side}_table": p.tables[side].weight for side in (USER, ITEM)}
+    arrays |= {f"conf_{side}": p.conf[side].rows for side in (USER, ITEM)}
+    for name, head in p.heads.items():
+        if head.ffn is not None:
+            for i, (w, b) in enumerate(zip(head.ffn.weights, head.ffn.biases)):
+                arrays |= {f"att_{name}.w{i}": w, f"att_{name}.b{i}": b}
+        if head.proj_w is not None:
+            arrays |= {f"att_{name}.proj_w": head.proj_w, f"att_{name}.proj_b": head.proj_b}
+    for name, (w, b) in p.integrate.items():
+        arrays |= {f"{name}.w": w, f"{name}.b": b}
+    for i, (w, b) in enumerate(zip(p.mlp.weights, p.mlp.biases)):
+        arrays |= {f"mlp.w{i}": w, f"mlp.b{i}": b}
+    return arrays
+
+
+def assert_store_layout(p):
+    """The model's arrays tile store in layout order; dense is the slice of it after the tables."""
+    arrays = model_arrays(p)
+    assert_tiles(p.store, {name: arrays[name] for name in layout(p.schema, p.config)})
+    assert_tiles(p.dense, {n: a for n, a in named_parameters(p).items() if not n.endswith("_table")})
+    assert offset_in(p.store, p.dense) == sum(p.tables[side].weight.size for side in (USER, ITEM))
 
 
 LAYOUT_CONFIGS = [
@@ -621,19 +651,23 @@ class TestDenseLayout:
         save_checkpoint(str(path), params)
         loaded, _ = load_checkpoint(str(path))
         for p in (params, loaded):
+            assert_store_layout(p)
             dense = {n: a for n, a in named_parameters(p).items() if not n.endswith("_table")}
-            assert_tiles(p.dense, dense)
             batch = tiny_batch(schema)
             grads = backward(p, forward(p, batch, mode="train"), batch.labels)
             assert_tiles(p.dense_grad, {n: grads[n] for n in dense})
             assert list(p.dense_grads) == list(dense)
-        assert loaded.dense.tobytes() == params.dense.tobytes()
+            for side in (USER, ITEM):  # trainable confidence rows get their gradient in dense_grad
+                conf = p.conf[side]
+                assert conf.grad is grads.get(f"conf_{side}") and (conf.grad is None) != conf.trainable
+        assert loaded.store.tobytes() == params.store.tobytes()
 
     @pytest.mark.parametrize("overrides", LAYOUT_CONFIGS)
     def test_layout_lists_the_checkpoint_arrays_in_order(self, overrides):
         schema, config = layout_case(overrides)
-        arrays = checkpoint_arrays(init_params(np.random.default_rng(1), schema, config))
-        assert list(layout(schema, config).items()) == [(name, a.shape) for name, a in arrays.items()]
+        params = init_params(np.random.default_rng(1), schema, config)
+        arrays = sorted(model_arrays(params).items(), key=lambda item: offset_in(params.store, item[1]))
+        assert list(layout(schema, config).items()) == [(name, a.shape) for name, a in arrays]
 
     def test_frozen_confidence_rows_come_last(self):
         heads = [f"att_{head}.{p}0" for head in ("ui", "ua", "ii", "ia") for p in "wb"]
@@ -662,10 +696,7 @@ class TestCheckpoint:
         save_checkpoint(str(path), params, extra={"epoch": 4})
         loaded, extra = load_checkpoint(str(path))
         assert extra == {"epoch": 4}
-        orig, back = checkpoint_arrays(params), checkpoint_arrays(loaded)
-        assert set(orig) == set(back)
-        for name in orig:
-            assert np.array_equal(orig[name], back[name]), name
+        assert loaded.store.tobytes() == params.store.tobytes()
         batch = tiny_batch(params.schema)
         assert np.array_equal(predict(params, batch), predict(loaded, batch))
 
@@ -736,7 +767,18 @@ def checkpoint_bytes(tmp_path_factory):
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("mutation", ["missing", "extra", "duplicated", "renamed", "transposed"])
+# mutation -> how the error names the first manifest entry that differs from the layout
+MANIFEST_ERRORS = {
+    "missing": "is the end, expected ('mlp.b2', (1,))",
+    "extra": "is ('mlp.b3', (1,)), expected the end",
+    "duplicated": "is ('mlp.b2', (1,)), expected the end",
+    "renamed": "is ('mlp.b3', (1,)), expected ('mlp.b2', (1,))",
+    "transposed": "is ('mlp.w1', (80, 40)), expected ('mlp.w1', (40, 80))",
+    "swapped": "is ('int_item.b', (3,)), expected ('int_user.b', (3,))",
+}
+
+
+@pytest.mark.parametrize("mutation", list(MANIFEST_ERRORS))
 def test_manifest_is_checked_against_the_layout_before_the_model_is_built(
     tmp_path, checkpoint_bytes, monkeypatch, mutation
 ):
@@ -744,6 +786,7 @@ def test_manifest_is_checked_against_the_layout_before_the_model_is_built(
     header = json.loads(header_line)
     arrays = header["arrays"]
     assert arrays[-1] == ["mlp.b2", [1]] and ["mlp.w1", [40, 80]] in arrays
+    swap = [arrays.index(["int_user.b", [3]]), arrays.index(["int_item.b", [3]])]
     if mutation == "missing":
         arrays.pop()
         payload = payload[:-8]
@@ -752,17 +795,39 @@ def test_manifest_is_checked_against_the_layout_before_the_model_is_built(
         payload += bytes(8)
     elif mutation == "renamed":
         arrays[-1][0] = "mlp.b3"
-    else:  # the same payload size
+    elif mutation == "transposed":  # the same payload size
         arrays[arrays.index(["mlp.w1", [40, 80]])][1] = [80, 40]
+    else:  # two same-shape arrays exchange places; names, shapes and size still add up
+        arrays[swap[0]], arrays[swap[1]] = arrays[swap[1]], arrays[swap[0]]
     path = tmp_path / "mutated.bin"
     path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + payload)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("init_params ran before the manifest was checked")
+        raise AssertionError("the store was allocated before the manifest was checked")
 
-    monkeypatch.setattr(model_mod, "init_params", refuse)
-    with pytest.raises(DataError, match="manifest does not match|has shape"):
+    monkeypatch.setattr(model_mod, "_build", refuse)
+    with pytest.raises(DataError, match=re.escape(MANIFEST_ERRORS[mutation])):
         load_checkpoint(str(path))
+
+
+def test_save_writes_the_store_and_load_draws_nothing(tmp_path, monkeypatch):
+    params = init_params(np.random.default_rng(6), tiny_schema(), tiny_config(confidence="rce", attention="ffn-2"))
+    params.store += np.random.default_rng(7).normal(scale=0.01, size=params.store.size)
+    path = tmp_path / "model.bin"
+    save_checkpoint(str(path), params)
+    assert path.read_bytes().split(b"\n", 2)[2] == params.store.tobytes()
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint used numpy.random")
+
+    for name in dir(np.random):  # every generator constructor and legacy draw function
+        if not name.startswith("_") and callable(getattr(np.random, name)):
+            monkeypatch.setattr(np.random, name, no_draws)
+    loaded, _ = load_checkpoint(str(path))
+    monkeypatch.undo()
+    assert loaded.store.tobytes() == params.store.tobytes()
+    batch = tiny_batch(params.schema)
+    assert predict(loaded, batch).tobytes() == predict(params, batch).tobytes()
 
 
 def mutate_header(header, path: list[int], value):
@@ -811,13 +876,11 @@ def test_mutated_checkpoint_is_rejected_or_round_trips(tmp_path, checkpoint_byte
         params, extra = load_checkpoint(str(mutated))
     except DataError:
         return
-    assert_tiles(params.dense, {n: a for n, a in named_parameters(params).items() if not n.endswith("_table")})
+    assert_store_layout(params)
     echoed = tmp_path / "echoed.bin"
     save_checkpoint(str(echoed), params, extra)
     again, extra_again = load_checkpoint(str(echoed))
     assert extra_again == extra
     assert again.config == params.config
-    first, second = checkpoint_arrays(params), checkpoint_arrays(again)
-    assert list(first) == list(second)
-    assert all(first[n].tobytes() == second[n].tobytes() for n in first)
-    assert echoed.read_bytes().endswith(b"".join(a.tobytes() for a in first.values()))
+    assert again.store.tobytes() == params.store.tobytes()
+    assert echoed.read_bytes().endswith(params.store.tobytes())

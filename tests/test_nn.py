@@ -430,7 +430,10 @@ def test_row_sparse_adam_equals_dense_bytewise(seed, l2, steps, rows, hot, dense
     """
     rng = np.random.default_rng(seed)
     frozen = rng.random(rows) < 0.2
-    table = features.table_init(rng, rows, 3, frozen)
+    bound = np.sqrt(6.0 / (rows + 3))
+    weight = rng.uniform(-bound, bound, size=(rows, 3))
+    weight[frozen] = 0.0
+    table = features.EmbeddingTable(weight, np.zeros_like(weight), frozen)
     params = {"table": table.weight, "w": rng.normal(size=(2, 3))}
     dense = {name: p.copy() for name, p in params.items()}
     sparse_state = nn.AdamState(learning_rate=1.0, l2=l2)

@@ -11,7 +11,7 @@ from pigat.config import TrainConfig
 from pigat.data import prepare_dataset
 from pigat.errors import NumericError
 from pigat.metrics import ScoredSet, auc
-from pigat.model import checkpoint_arrays, predict, save_checkpoint
+from pigat.model import predict, save_checkpoint
 from pigat.synth import SynthSpec, generate
 from pigat.train import EpochStats, format_metrics, train, write_metrics
 
@@ -125,9 +125,7 @@ class TestBestEpoch:
         result = train(cfg, data)
         assert result.best_epoch < cfg.epochs  # later epochs overwrote the best one
         cut = train(dataclasses.replace(cfg, epochs=result.best_epoch), data)
-        ours, theirs = checkpoint_arrays(result.params), checkpoint_arrays(cut.params)
-        assert ours.keys() == theirs.keys()
-        assert all(ours[name].tobytes() == theirs[name].tobytes() for name in ours)
+        assert result.params.store.tobytes() == cut.params.store.tobytes()
 
 
 class TestNanAbort:
