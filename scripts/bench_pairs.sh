@@ -7,10 +7,12 @@
 # pairs start with the parent, even pairs with the change, so a drift of
 # the host's speed does not favour one side. Every run prints one line
 #
-#   <pair> <side> <facts JSON> <result JSON>
+#   <pair> <side> <passes> <facts JSON> <result JSON>
 #
-# holding the run's `facts` line and its last (result) line. A summary
-# follows: per end-to-end metric, the median and quartiles of each side,
+# holding the run's pipeline pass count, its `facts` line and its last
+# (result) line. A summary follows: each side's pass counts, pair by pair
+# (`peak_rss_mb` grows with the passes a run makes), then per end-to-end
+# metric, the median and quartiles of each side,
 # the pairs the change won, and the verdict of the gain and regression
 # rules: the change's median minus the parent's against the parent's
 # interquartile range, whether the change won at least 9 of 10 pairs, and
@@ -40,7 +42,8 @@ run() {  # run <pair> <side> <checkout>
         exit 1
     }
     facts=$(printf '%s\n' "$out" | sed -n 's/^facts\t//p')
-    printf '%s\t%s\t%s\t%s\n' "$1" "$2" "$facts" "$(printf '%s\n' "$out" | tail -n 1)" | tee -a "$LINES"
+    passes=$(printf '%s\n' "$out" | sed -n 's/^passes\t\([0-9]*\).*/\1/p')
+    printf '%s\t%s\t%s\t%s\t%s\n' "$1" "$2" "$passes" "$facts" "$(printf '%s\n' "$out" | tail -n 1)" | tee -a "$LINES"
 }
 
 pair=1
@@ -61,9 +64,11 @@ import statistics
 import sys
 
 runs = {}  # (pair, side) -> metrics
+passes = {}  # (pair, side) -> pipeline passes of the run
 for line in open(sys.argv[1], encoding="utf-8"):
-    pair, side, _, result = line.rstrip("\n").split("\t")
+    pair, side, count, _, result = line.rstrip("\n").split("\t")
     runs[int(pair), side] = {k: v["value"] for k, v in json.loads(result)["metrics"].items()}
+    passes[int(pair), side] = count
 pairs = sorted({p for p, _ in runs})
 with open(sys.argv[2], encoding="utf-8") as fh:
     declared = {m["name"]: m for m in json.load(fh)["end_to_end"]}
@@ -80,6 +85,7 @@ def yes(flag):
     return "yes" if flag else "no"
 
 
+print("passes\t" + "\t".join(f"{s} {' '.join(passes[p, s] for p in pairs)}" for s in ("parent", "change")))
 for name in runs[pairs[0], "parent"]:
     sides = {s: [runs[p, s][name] for p in pairs] for s in ("parent", "change")}
     if any(v is None for vs in sides.values() for v in vs):

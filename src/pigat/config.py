@@ -18,6 +18,10 @@ from .errors import DataError
 ATTENTION_KINDS = ("ffn-1", "ffn-2", "ffn-3", "dot", "scaled-dot")
 GRAPH_MODES = ("dynamic", "static")
 POOLING_KINDS = ("attention", "average")
+# Values (1 GiB of float64) one model, or one run's prepared windows, may
+# hold: far beyond any real config, so a mistyped width or window fails
+# typed instead of in an allocation.
+MAX_MODEL_SIZE = 2**27
 
 
 @dataclass

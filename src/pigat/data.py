@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TrainConfig, read_utf8_lines
+from .config import MAX_MODEL_SIZE, TrainConfig, read_utf8_lines
 from .errors import DataError
 from .features import Batch, FeatureSchema, FieldVocab, encode_instance, window_pads
 from .graph import ITEM, USER, InteractionEvent, InteractionGraph
@@ -257,6 +257,12 @@ def prepare_dataset(
         expected = [f.name for f in schema.fields(side)]
         if names != expected:
             raise DataError(f"the log's {side} fields {names} are not the schema's {expected}")
+    # Each event's windows: k item profiles on the user side, k user ids on the item side.
+    window_ids = len(log.records) * config.max_neighbors * (len(log.item_field_names) + 1)
+    if window_ids > MAX_MODEL_SIZE:
+        raise DataError(
+            f"the windows would hold {window_ids} ids, more than the {MAX_MODEL_SIZE} allowed; lower max_neighbors"
+        )
     events = encode_events(schema, log.records, labels)
     n_train, n_val = timeline_split(len(events))
     instances = build_instances(

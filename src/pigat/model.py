@@ -19,14 +19,23 @@ Every array keeps the batch axis first. backward() consumes the state
 returned by forward() and produces a gradient per named parameter; the
 test suite holds those gradients to the central finite-difference
 oracle.
+
+In training, heads with two hidden layers (ffn-3 under attention pooling)
+run on up to HEAD_THREADS threads, one per CPU; numpy releases the GIL
+inside their kernels. Each head only reads shared state; the calling
+thread adds every head's results into shared state in head order, so the
+bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
@@ -38,7 +47,7 @@ from .confidence import (
     scatter_confidence_gradient,
     zero_confidence_gradient,
 )
-from .config import TrainConfig, config_from_dict, config_to_dict
+from .config import MAX_MODEL_SIZE, TrainConfig, config_from_dict, config_to_dict
 from .errors import DataError, DomainError, UsageError
 from .features import (
     Batch,
@@ -66,6 +75,7 @@ from .nn import (
 )
 
 Array = np.ndarray
+T = TypeVar("T")
 
 PROB_CLAMP = 1e-7
 MLP_HIDDEN = (80, 40)
@@ -87,9 +97,10 @@ INTEGRATE = (
 TABLES = tuple(f"{side}_table" for side in SIDES)  # the row-sparse parameters
 CONF = tuple(f"conf_{side}" for side in SIDES)  # confidence rows, per window side
 CKPT_MAGIC = b"PIGATCKPT1\n"
-# Float64 values (1 GiB) a new model may hold: far beyond any real config,
-# so a mistyped width or window fails typed instead of in an allocation.
-MAX_MODEL_SIZE = 2**27
+# Threads the ffn-3 heads of a training step may use: the caller and one
+# pool thread. Two is the only count measured (on 2 CPUs); a pool of four
+# threads there raised the peak memory by 16 %.
+HEAD_THREADS = 2
 
 
 @dataclass
@@ -354,9 +365,10 @@ def forward(
     aug = {side: apply_confidence(params.conf[side], raw[side], masks[side]) for side in SIDES}
     pool_src = aug if cfg.confidence_in_pooling else raw
 
-    head_states: dict[str, HeadState] = {}
-    pools: dict[str, Array] = {}
-    for name, (window, query) in head_wiring(cfg).items():
+    wiring = head_wiring(cfg)
+
+    def head_forward(name: str) -> tuple[HeadState, Array]:
+        window, query = wiring[name]
         mask = masks[window]
         if cfg.pooling == "attention":
             logits, state = attention_logits(params.heads[name], profiles[query], aug[window])
@@ -365,8 +377,12 @@ def forward(
                 state.ffn_cache = None  # only backward reads it; freed now, its memory serves the next head
         else:
             state = HeadState(uniform_coefficients(mask))
-        head_states[name] = state
-        pools[name] = pooled_embedding(state.weights, pool_src[window])
+        return state, pooled_embedding(state.weights, pool_src[window])
+
+    head_states: dict[str, HeadState] = {}
+    pools: dict[str, Array] = {}
+    for name, (state, pool) in _each_head(cfg, head_forward, threaded=mode == "train"):
+        head_states[name], pools[name] = state, pool
 
     sources = {**profiles, **pools}
     int_states: dict[str, tuple[Array, Array]] = {}
@@ -474,20 +490,30 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
     # Pooling reads the windows with or without confidence; its gradient goes there.
     pool_src, d_pool_src = (state.aug, d_aug) if cfg.confidence_in_pooling else (state.raw, d_raw)
 
-    for name, (window, query) in head_wiring(cfg).items():
-        hstate = state.heads[name]
-        d_pool = d_sources[name]
+    wiring = head_wiring(cfg)
 
-        # Pooling backward: weights and values both carry gradient.
-        d_weights = np.einsum("bw,bkw->bk", d_pool, pool_src[window])
-        d_pool_src[window] += hstate.weights[:, :, None] * d_pool[:, None, :]
+    def head_backward(name: str) -> tuple[Array, Array | None, Array | None, dict[str, Array]]:
+        """(d pooled values, d_keys, d_query, the head's grads); writes nothing shared."""
+        window, _ = wiring[name]
+        hstate, d_pool = state.heads[name], d_sources[name]
+        d_keys = d_query = None
+        head_grads: dict[str, Array] = {}
+        # Pooling backward: weights and values both carry gradient; uniform weights carry no parameters.
+        if cfg.pooling == "attention":
+            d_weights = np.einsum("bw,bkw->bk", d_pool, pool_src[window])
+            d_logits = masked_softmax_backward(hstate.weights, d_weights)
+            d_keys, d_query = _head_backward(params.heads[name], name, hstate, d_logits, head_grads)
+        # After _head_backward has freed its temporaries, so this does not raise the peak memory.
+        return hstate.weights[:, :, None] * d_pool[:, None, :], d_keys, d_query, head_grads
 
-        if cfg.pooling != "attention":
-            continue  # uniform weights carry no parameters
-        d_logits = masked_softmax_backward(hstate.weights, d_weights)
-        d_keys, d_query = _head_backward(params.heads[name], name, hstate, d_logits, grads)
-        d_aug[window] += d_keys
-        d_sources[query] += d_query
+    for name, (d_values, d_keys, d_query, head_grads) in _each_head(cfg, head_backward, threaded=True):
+        window, query = wiring[name]
+        d_pool_src[window] += d_values
+        if d_keys is not None:
+            grads.update(head_grads)
+            d_aug[window] += d_keys
+            d_sources[query] += d_query
+        del d_values, d_keys  # freed before the next head runs, so its memory serves that head
 
     # Confidence addition: augmented = raw + mask * rows.
     for side in SIDES:
@@ -512,6 +538,53 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
 
 def _acc(current: Array | None, delta: Array) -> Array:
     return delta.copy() if current is None else current + delta
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on (taskset narrows them where the OS has affinity)."""
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+@functools.cache
+def _pool(workers: int):
+    """The persistent pool of worker threads that runs heads besides the caller."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="pigat-head")
+
+
+def _each_head(cfg: TrainConfig, run: Callable[[str], T], threaded: bool) -> Iterator[tuple[str, T]]:
+    """Yield (name, run(name)) for each head of head_wiring(cfg), in order.
+
+    When threaded, heads with two hidden layers (ffn-3) run on W =
+    min(HEAD_THREADS, heads, CPUs) threads: head i on thread i % W, where
+    thread 0 is the caller and a persistent pool holds the others.
+    Shallower heads, a single CPU, or an unthreaded call (scoring) run
+    each head only when the caller asks for its result, so the caller can
+    add one head into shared state before the next one starts: their work
+    per head is too light to pay for a thread. run must write nothing
+    shared; an error it raises on any thread reaches the caller.
+    """
+    names = list(head_wiring(cfg))
+    deep = cfg.pooling == "attention" and len(ATT_HIDDEN.get(cfg.attention, ())) > 1
+    threads = min(HEAD_THREADS, len(names), _cpus()) if threaded and deep else 1
+    if threads == 1:
+        yield from ((name, run(name)) for name in names)
+        return
+    from concurrent.futures import wait
+
+    def share(t: int) -> list[T]:
+        return [run(name) for name in names[t::threads]]
+
+    futures = [_pool(threads - 1).submit(share, t) for t in range(1, threads)]
+    try:
+        shares = [share(0)]
+    finally:
+        wait(futures)  # no head outlives the call, even when the caller's share raised
+    shares += [future.result() for future in futures]
+    for i, name in enumerate(names):
+        yield name, shares[i % threads][i // threads]
 
 
 def _head_backward(

@@ -151,6 +151,31 @@ class TestTrain:
         assert "more than the 134217728 allowed" in proc.stderr
         assert not (tmp_path / "r" / "checkpoint.bin").exists()
 
+    def test_windows_too_large_to_build_exits_2(self, workspace, tmp_path):
+        # k = 8200 on 8200 events passes the log-length bound, but the windows
+        # would hold 8200 x 8200 x 2 ids, just above 2**27. Without the bound
+        # the per-event windows exhaust the 2 GiB address-space limit, or run
+        # into the timeout, before training starts.
+        data = tmp_path / "data.tsv"
+        data.write_text("".join(f"{t}\tuid=u{t % 4}\tiid=i{t % 5}\t{t % 2}\n" for t in range(8200)))
+        config = tmp_path / "wide.txt"
+        config.write_text((workspace / "config.txt").read_text().replace("max_neighbors = 4", "max_neighbors = 8200"))
+        src = str(Path(pigat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        limited = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+            "from pigat.cli import entry; entry()"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", limited, "train", "--config", str(config),
+             "--data", str(data), "--out", str(tmp_path / "r")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "the windows would hold 134480000 ids, more than the 134217728 allowed" in proc.stderr
+        assert not (tmp_path / "r" / "checkpoint.bin").exists()
+
     def test_non_ascii_field_name_under_an_ascii_locale(self, workspace, tmp_path):
         # Text files are UTF-8 whatever the locale says.
         data = tmp_path / "data.tsv"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import pigat.data as data_mod
 from pigat.config import TrainConfig
 from pigat.data import (
     InteractionLog,
@@ -445,3 +446,24 @@ class TestPrepareDataset:
         oov_user = schema.global_id(USER, 0, "never-seen")
         assert np.all(data.train.user_ids[:, 0] == oov_user)
         assert data.item_degrees.shape == (schema.node_count(ITEM),)
+
+    @pytest.mark.parametrize("given_schema", [False, True], ids=["train", "eval"])
+    def test_windows_are_bounded_before_they_are_built(self, monkeypatch, given_schema):
+        # 6700 events x k 6700 x (2 item fields + 1 user id) = 134 670 000 ids > 2**27.
+        # eval passes the checkpoint's schema and k; the bound holds there too.
+        log = mk_log(demo_rows(6700))
+        config = TrainConfig(user_embed_width=4, item_embed_width=4, max_neighbors=6700).validate()
+        schema = build_schema(log, 4, 4) if given_schema else None
+
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built
+
+        monkeypatch.setattr(data_mod, "encode_events", built)
+        with pytest.raises(DataError, match="the windows would hold 134670000 ids, more than the 134217728 allowed"):
+            prepare_dataset(log, config, schema=schema)
+        monkeypatch.setattr(data_mod, "MAX_MODEL_SIZE", 134_670_000)  # exactly at the bound: allowed
+        with pytest.raises(Built):
+            prepare_dataset(log, config, schema=schema)

@@ -1,0 +1,241 @@
+"""The ffn-3 attention heads on threads in training: same bytes at any CPU count, threads only where they pay.
+
+The model reads its CPU count from model._cpus; each test patches it to
+force 1, 2 or 4 CPUs, whatever the runner has. At most
+model.HEAD_THREADS threads run, whatever the CPU count.
+"""
+
+import itertools
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+import pigat.model as model_mod
+from pigat.config import TrainConfig
+from pigat.data import prepare_dataset
+from pigat.errors import NumericError
+from pigat.model import HEAD_THREADS, backward, forward, head_wiring, init_params, predict
+from pigat.synth import SynthSpec, generate
+from pigat.train import train
+
+CPUS = (1, 2, 4)
+
+
+@pytest.fixture(scope="module")
+def small_log():
+    log, _ = generate(SynthSpec(users=12, items=20, events=200, exponent=1.0, seed=7))
+    return log
+
+
+def config(**kw) -> TrainConfig:
+    base = dict(
+        epochs=2,
+        batch_size=32,
+        max_neighbors=4,
+        user_embed_width=4,
+        item_embed_width=4,
+        hidden_width=8,
+        confidence="ce",
+        seed=3,
+    )
+    return TrainConfig(**{**base, **kw}).validate()
+
+
+def run_at(monkeypatch, cpus, cfg, data):
+    """(trained store, first-step grads, test scores) with the model seeing `cpus` CPUs.
+
+    The interpreter switches threads every microsecond, so the heads'
+    Python code interleaves as finely as it can.
+    """
+    monkeypatch.setattr(model_mod, "_cpus", lambda: cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        params = init_params(np.random.default_rng(4), data.schema, cfg)
+        batch = data.train.take(np.arange(cfg.batch_size))
+        state = forward(params, batch, mode="train", rng=np.random.default_rng(9))
+        grads = {name: g.tobytes() for name, g in backward(params, state, batch.labels).items()}
+        result = train(cfg, data)
+        return result.params.store.tobytes(), grads, predict(result.params, data.test).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "attention, user_query_only, confidence_in_pooling, dropout",
+    list(itertools.product(["ffn-2", "ffn-3"], [False, True], [False, True], [0.0, 0.3])),
+)
+def test_same_bytes_at_every_cpu_count(monkeypatch, small_log, attention, user_query_only, confidence_in_pooling, dropout):
+    cfg = config(
+        attention=attention,
+        user_query_only=user_query_only,
+        confidence_in_pooling=confidence_in_pooling,
+        dropout=dropout,
+    )
+    data = prepare_dataset(small_log, cfg)
+    runs = {cpus: run_at(monkeypatch, cpus, cfg, data) for cpus in CPUS}
+    store, grads, scores = runs[1]
+    for cpus in CPUS[1:]:
+        assert runs[cpus][0] == store, f"store bytes at {cpus} CPUs"
+        assert runs[cpus][1] == grads, f"grads at {cpus} CPUs"
+        assert runs[cpus][2] == scores, f"scores at {cpus} CPUs"
+
+
+def submissions(monkeypatch) -> list:
+    """The functions handed to any thread pool from now on, in order."""
+    submitted, submit = [], ThreadPoolExecutor.submit
+
+    def counted(self, fn, *args, **kwargs):
+        submitted.append(fn)
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
+    return submitted
+
+
+def one_step(monkeypatch, cfg, data, cpus, spies):
+    """Pool submissions of one forward and backward at `cpus` CPUs.
+
+    spies(params) maps model function names to wrappers of the originals.
+    """
+    monkeypatch.setattr(model_mod, "_cpus", lambda: cpus)
+    submitted = submissions(monkeypatch)
+    params = init_params(np.random.default_rng(4), data.schema, cfg)
+    for name, spy in spies(params).items():
+        monkeypatch.setattr(model_mod, name, spy(getattr(model_mod, name)))
+    batch = data.train.take(np.arange(cfg.batch_size))
+    backward(params, forward(params, batch, mode="train"), batch.labels)
+    return submitted
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(attention="dot"), dict(attention="scaled-dot"), dict(attention="ffn-1"), dict(attention="ffn-2"),
+     dict(attention="ffn-3", pooling="average")],
+    ids=["dot", "scaled-dot", "ffn-1", "ffn-2", "average"],
+)
+def test_heads_without_two_hidden_layers_start_no_thread(monkeypatch, small_log, overrides):
+    cfg = config(**overrides)
+    threads = []
+
+    def spy(fn):
+        def pooled(weights, values):
+            threads.append(threading.get_ident())
+            return fn(weights, values)
+
+        return pooled
+
+    submitted = one_step(monkeypatch, cfg, prepare_dataset(small_log, cfg), 4, lambda _: {"pooled_embedding": spy})
+    assert threads == [threading.get_ident()] * len(head_wiring(cfg))
+    assert submitted == []
+
+
+def test_scoring_starts_no_thread(monkeypatch, small_log):
+    # A forward alone is too light to pay for a thread: predict and eval-mode forwards stay on the caller.
+    cfg = config(attention="ffn-3")
+    data = prepare_dataset(small_log, cfg)
+    monkeypatch.setattr(model_mod, "_cpus", lambda: 4)
+    submitted = submissions(monkeypatch)
+    params = init_params(np.random.default_rng(4), data.schema, cfg)
+    predict(params, data.test)
+    forward(params, data.test, mode="eval")
+    assert submitted == []
+    backward(params, forward(params, data.test, mode="train"), data.test.labels)
+    assert len(submitted) == 2 * (HEAD_THREADS - 1)  # the control: a training step submits a share per worker, twice
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_head_i_runs_on_thread_i_mod_w(monkeypatch, small_log, cpus):
+    cfg = config(attention="ffn-3")
+    names = list(head_wiring(cfg))
+    forward_on, backward_on = {}, {}
+
+    def spies(params):
+        heads = {id(head): name for name, head in params.heads.items()}
+
+        def logits_spy(fn):
+            def logits(head, query, keys):
+                forward_on[heads[id(head)]] = threading.get_ident()
+                return fn(head, query, keys)
+
+            return logits
+
+        return {"attention_logits": logits_spy, "_head_backward": backward_spy}
+
+    def backward_spy(fn):
+        def head_backward(head, name, hstate, d_logits, grads):
+            backward_on[name] = threading.get_ident()
+            return fn(head, name, hstate, d_logits, grads)
+
+        return head_backward
+
+    submitted = one_step(monkeypatch, cfg, prepare_dataset(small_log, cfg), cpus, spies)
+    w = min(cpus, HEAD_THREADS, len(names))
+    for on in (forward_on, backward_on):
+        assert sorted(on) == sorted(names)
+        assert len(set(on.values())) <= w
+        for i, name in enumerate(names):
+            # Thread 0 is the caller; the heads of one share (equal i mod W) run on one thread.
+            assert (on[name] == threading.get_ident()) == (i % w == 0), name
+            assert {on[other] == on[name] for other in names[i % w :: w]} == {True}, name
+        # Two workers' shares may share a pool thread, when one ended before the next was submitted.
+    assert len(submitted) == 2 * (w - 1)  # one share per worker thread, in forward and in backward
+
+
+@pytest.mark.parametrize("head", ["ui", "ua", "ia"])
+def test_an_error_in_a_head_reaches_the_caller(monkeypatch, small_log, head):
+    # At 2 CPUs ua and ia run on the worker thread, ui on the caller.
+    cfg = config(attention="ffn-3")
+    data = prepare_dataset(small_log, cfg)
+    monkeypatch.setattr(model_mod, "_cpus", lambda: 2)
+    params = init_params(np.random.default_rng(4), data.schema, cfg)
+    batch = data.train.take(np.arange(cfg.batch_size))
+    error = NumericError(f"head {head} failed")
+    logits_fn, backward_fn = model_mod.attention_logits, model_mod._head_backward
+
+    def failing_logits(att_head, query, keys):
+        if att_head is params.heads[head]:
+            raise error
+        return logits_fn(att_head, query, keys)
+
+    def failing_backward(att_head, name, hstate, d_logits, grads):
+        if name == head:
+            raise error
+        return backward_fn(att_head, name, hstate, d_logits, grads)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(model_mod, "attention_logits", failing_logits)
+        with pytest.raises(NumericError) as raised:
+            forward(params, batch, mode="train")
+        assert raised.value is error
+    state = forward(params, batch, mode="train")  # the pool still serves the next call
+    with monkeypatch.context() as patched:
+        patched.setattr(model_mod, "_head_backward", failing_backward)
+        with pytest.raises(NumericError) as raised:
+            backward(params, state, batch.labels)
+        assert raised.value is error
+    assert backward(params, state, batch.labels)["att_ia.w0"].shape == params.heads["ia"].ffn.weights[0].shape
+
+
+def test_a_step_runs_where_the_os_has_no_cpu_affinity(monkeypatch, small_log):
+    # os.sched_getaffinity exists on Linux only; elsewhere the model counts the machine's CPUs.
+    cfg = config(attention="ffn-3")
+    data = prepare_dataset(small_log, cfg)
+    batch = data.train.take(np.arange(cfg.batch_size))
+
+    def step_grads() -> dict[str, bytes]:
+        params = init_params(np.random.default_rng(4), data.schema, cfg)
+        state = forward(params, batch, mode="train", rng=np.random.default_rng(9))
+        return {name: g.tobytes() for name, g in backward(params, state, batch.labels).items()}
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert model_mod._cpus() == 2
+    grads = step_grads()
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # cpu_count may not know
+    assert model_mod._cpus() == 1
+    assert step_grads() == grads
