@@ -21,6 +21,12 @@ One line is printed per case, and the exit status is 1 if any case
 differs or is missing on one side. A case that differs also prints both
 sides' test AUC and the largest absolute score difference, so a change
 that moves bytes shows how far its results moved.
+
+A third worker runs the change checkout's ffn-3 cases again with its own
+process pinned to one CPU (os.sched_setaffinity, where the OS has it), so
+its attention heads run one after another on one thread. One more line per
+such case, "<case> on one CPU", compares it with the all-CPU run of the
+change: threaded and sequential heads must give the same bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import sys
 import tempfile
 
 SEEDS = (5, 2)
-DIGESTS = ("checkpoint bytes", "scores")  # the keys of a worker's line besides "case"
+DIGESTS = ("checkpoint bytes", "scores")  # the keys of a worker's line compared between runs
 VARIANTS = ("none", "pe", "fce", "rce", "ce")
 KINDS = ("ffn-1", "ffn-2", "ffn-3", "dot", "scaled-dot")
 POOLINGS = ("attention", "average")
@@ -67,7 +73,8 @@ def cases(bench) -> list[tuple[str, dict, dict]]:
                 out.append((f"small/{variant}/{kind}/{pooling}", SMALL_SPEC, {**SMALL_CONFIG, **knobs}))
     for knob in SINGLE_KNOBS:
         label = ",".join(f"{k}={v}" for k, v in knob.items())
-        out.append((f"small/ce/ffn-2/{label}", SMALL_SPEC, {**SMALL_CONFIG, "confidence": "ce", **knob}))
+        knobs = dict(confidence="ce", attention="ffn-3", **knob)
+        out.append((f"small/ce/ffn-3/{label}", SMALL_SPEC, {**SMALL_CONFIG, **knobs}))
     return out
 
 
@@ -115,24 +122,30 @@ def quality(a: dict, b: dict) -> str:
     return f"test AUC {a['test AUC']!r} -> {b['test AUC']!r}, {gap}"
 
 
-def worker(checkout: str) -> None:
+def worker(checkout: str, one_cpu: bool) -> None:
+    """Print every case's digests; on one CPU, only the ffn-3 cases', in a process pinned to one CPU."""
+    if one_cpu:  # before numpy loads, so its BLAS sees one CPU too
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     import bench
     import pigat
+    from pigat.config import TrainConfig
 
     if not os.path.realpath(pigat.__file__).startswith(os.path.realpath(checkout) + os.sep):
         sys.exit(f"imported pigat from {pigat.__file__}, not from {checkout}")
     with tempfile.TemporaryDirectory() as workdir:
         for name, spec, config in cases(bench):
-            print(json.dumps({"case": name, **run_case(spec, config, workdir)}), flush=True)
+            attention = TrainConfig(**config).attention
+            if not one_cpu or attention == "ffn-3":
+                print(json.dumps({"case": name, "attention": attention, **run_case(spec, config, workdir)}), flush=True)
 
 
-def digests(checkout: str) -> subprocess.Popen:
+def digests(checkout: str, mode: str = "--worker") -> subprocess.Popen:
     """Start a worker on one checkout; its stdout carries one JSON line per case."""
     env = dict(os.environ)
     paths = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
     env["PYTHONPATH"] = os.pathsep.join(paths + [env["PYTHONPATH"]] if env.get("PYTHONPATH") else paths)
     return subprocess.Popen(
-        [sys.executable, os.path.abspath(__file__), "--worker", os.path.abspath(checkout)],
+        [sys.executable, os.path.abspath(__file__), mode, os.path.abspath(checkout)],
         cwd=checkout,
         env=env,
         stdout=subprocess.PIPE,
@@ -140,32 +153,44 @@ def digests(checkout: str) -> subprocess.Popen:
     )
 
 
+def verdict(a: dict | None, b: dict | None, sides: tuple[str, str]) -> str:
+    """'' when both rows hold the same digests, else what differs or which side is missing."""
+    if a is None or b is None:
+        return f"missing in {sides[0] if a is None else sides[1]}"
+    differ = ", ".join(f"{what} differ" for what in DIGESTS if a[what] != b[what])
+    return f"{differ}; {quality(a, b)}" if differ else ""
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) == 2 and argv[0] == "--worker":
-        worker(argv[1])
+    if len(argv) == 2 and argv[0] in ("--worker", "--one-cpu-worker"):
+        worker(argv[1], one_cpu=argv[0] == "--one-cpu-worker")
         return 0
     if len(argv) != 2:
         print("usage: same_bytes.py PARENT_DIR CHANGE_DIR", file=sys.stderr)
         return 1
-    procs = [digests(checkout) for checkout in argv]
+    runs = [(checkout, digests(checkout)) for checkout in argv]
+    pinned = hasattr(os, "sched_setaffinity")
+    if pinned:
+        runs.append((f"{argv[1]} on one CPU", digests(argv[1], "--one-cpu-worker")))
     results = []
-    for checkout, proc in zip(argv, procs):
+    for label, proc in runs:
         out, _ = proc.communicate()
         if proc.returncode != 0:
-            print(f"{checkout}: the worker exited with status {proc.returncode}", file=sys.stderr)
+            print(f"{label}: the worker exited with status {proc.returncode}", file=sys.stderr)
         results.append({row["case"]: row for row in map(json.loads, out.splitlines())})
-    parent, change = results
-    differ = any(proc.returncode != 0 for proc in procs)
-    for name in dict.fromkeys([*parent, *change]):
-        a, b = parent.get(name), change.get(name)
-        if a is None or b is None:
-            verdict = f"missing in {'parent' if a is None else 'change'}"
-        else:
-            verdict = ", ".join(f"{what} differ" for what in DIGESTS if a[what] != b[what])
-            verdict += f"; {quality(a, b)}" if verdict else ""
-        differ |= bool(verdict)
-        print(f"{name}\t{verdict or 'same'}")
-    return 1 if differ else 0
+    parent, change = results[:2]
+    lines = [(name, verdict(parent.get(name), change.get(name), ("parent", "change")))
+             for name in dict.fromkeys([*parent, *change])]
+    if pinned:
+        one_cpu = results[2]
+        names = [name for name, row in change.items() if row["attention"] == "ffn-3"]
+        lines += [(f"{name} on one CPU", verdict(change.get(name), one_cpu.get(name), ("change", "one CPU")))
+                  for name in dict.fromkeys([*names, *one_cpu])]
+    else:
+        print("one-CPU check skipped: this OS cannot pin a process to one CPU")
+    for name, differs in lines:
+        print(f"{name}\t{differs or 'same'}")
+    return 1 if any(proc.returncode != 0 for _, proc in runs) or any(differs for _, differs in lines) else 0
 
 
 if __name__ == "__main__":

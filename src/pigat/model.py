@@ -20,11 +20,13 @@ returned by forward() and produces a gradient per named parameter; the
 test suite holds those gradients to the central finite-difference
 oracle.
 
-In training, heads with two hidden layers (ffn-3 under attention pooling)
-run on up to HEAD_THREADS threads, one per CPU; numpy releases the GIL
-inside their kernels. Each head only reads shared state; the calling
-thread adds every head's results into shared state in head order, so the
-bytes do not depend on the thread count.
+Heads with two hidden layers (ffn-3 under attention pooling) run on up to
+HEAD_THREADS threads, one per CPU, in training and in scoring alike; numpy
+releases the GIL inside their kernels. Each head only reads shared state;
+the calling thread adds every head's results into shared state in head
+order, so the bytes do not depend on the thread count. Before the first
+head thread starts, the process asks glibc to keep the memory it frees
+(_keep_freed_memory), so each batch reuses the last one's pages.
 """
 
 from __future__ import annotations
@@ -97,10 +99,14 @@ INTEGRATE = (
 TABLES = tuple(f"{side}_table" for side in SIDES)  # the row-sparse parameters
 CONF = tuple(f"conf_{side}" for side in SIDES)  # confidence rows, per window side
 CKPT_MAGIC = b"PIGATCKPT1\n"
-# Threads the ffn-3 heads of a training step may use: the caller and one
+# Threads the ffn-3 heads of one forward or backward may use: the caller and one
 # pool thread. Two is the only count measured (on 2 CPUs); a pool of four
 # threads there raised the peak memory by 16 %.
 HEAD_THREADS = 2
+# glibc's mallopt parameters (malloc.h), and the size below which freed
+# memory stays in the process and arrays come from the heap, not mmap.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+KEEP_FREED_BYTES = 1 << 28
 
 
 @dataclass
@@ -381,7 +387,7 @@ def forward(
 
     head_states: dict[str, HeadState] = {}
     pools: dict[str, Array] = {}
-    for name, (state, pool) in _each_head(cfg, head_forward, threaded=mode == "train"):
+    for name, (state, pool) in _each_head(cfg, head_forward):
         head_states[name], pools[name] = state, pool
 
     sources = {**profiles, **pools}
@@ -506,7 +512,7 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
         # After _head_backward has freed its temporaries, so this does not raise the peak memory.
         return hstate.weights[:, :, None] * d_pool[:, None, :], d_keys, d_query, head_grads
 
-    for name, (d_values, d_keys, d_query, head_grads) in _each_head(cfg, head_backward, threaded=True):
+    for name, (d_values, d_keys, d_query, head_grads) in _each_head(cfg, head_backward):
         window, query = wiring[name]
         d_pool_src[window] += d_values
         if d_keys is not None:
@@ -547,20 +553,42 @@ def _cpus() -> int:
 
 
 @functools.cache
+def _keep_freed_memory() -> None:
+    """Ask glibc, once per process, to keep freed memory below KEEP_FREED_BYTES.
+
+    By default glibc hands a batch's head temporaries (about 20 MB per
+    ffn-3 chunk) back to the kernel, and the next batch faults them in
+    again. Both thresholds are set together: the trim threshold alone also
+    turns off glibc's dynamic mmap threshold, so every array above 128 KiB
+    would be mapped afresh. A C library without mallopt is left as it is.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        for param in (M_TRIM_THRESHOLD, M_MMAP_THRESHOLD):
+            mallopt(param, KEEP_FREED_BYTES)
+    except (OSError, AttributeError, TypeError):  # no C library to open, or one without mallopt
+        pass
+
+
+@functools.cache
 def _pool(workers: int):
     """The persistent pool of worker threads that runs heads besides the caller."""
     from concurrent.futures import ThreadPoolExecutor
 
+    _keep_freed_memory()  # before the pool's first thread allocates anything
     return ThreadPoolExecutor(workers, thread_name_prefix="pigat-head")
 
 
-def _each_head(cfg: TrainConfig, run: Callable[[str], T], threaded: bool) -> Iterator[tuple[str, T]]:
+def _each_head(cfg: TrainConfig, run: Callable[[str], T]) -> Iterator[tuple[str, T]]:
     """Yield (name, run(name)) for each head of head_wiring(cfg), in order.
 
-    When threaded, heads with two hidden layers (ffn-3) run on W =
-    min(HEAD_THREADS, heads, CPUs) threads: head i on thread i % W, where
-    thread 0 is the caller and a persistent pool holds the others.
-    Shallower heads, a single CPU, or an unthreaded call (scoring) run
+    Heads with two hidden layers (ffn-3 under attention pooling) run on W =
+    min(HEAD_THREADS, heads, CPUs) threads, in training and scoring: head i
+    on thread i % W, where thread 0 is the caller and a persistent pool
+    holds the others. Shallower heads, average pooling or a single CPU run
     each head only when the caller asks for its result, so the caller can
     add one head into shared state before the next one starts: their work
     per head is too light to pay for a thread. run must write nothing
@@ -568,7 +596,7 @@ def _each_head(cfg: TrainConfig, run: Callable[[str], T], threaded: bool) -> Ite
     """
     names = list(head_wiring(cfg))
     deep = cfg.pooling == "attention" and len(ATT_HIDDEN.get(cfg.attention, ())) > 1
-    threads = min(HEAD_THREADS, len(names), _cpus()) if threaded and deep else 1
+    threads = min(HEAD_THREADS, len(names), _cpus()) if deep else 1
     if threads == 1:
         yield from ((name, run(name)) for name in names)
         return

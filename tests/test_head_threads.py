@@ -1,15 +1,19 @@
-"""The ffn-3 attention heads on threads in training: same bytes at any CPU count, threads only where they pay.
+"""The ffn-3 attention heads on threads in training and scoring: same bytes at any CPU count, threads where they pay.
 
 The model reads its CPU count from model._cpus; each test patches it to
 force 1, 2 or 4 CPUs, whatever the runner has. At most
 model.HEAD_THREADS threads run, whatever the CPU count.
 """
 
+import ctypes
+import functools
 import itertools
+import math
 import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +22,17 @@ import pigat.model as model_mod
 from pigat.config import TrainConfig
 from pigat.data import prepare_dataset
 from pigat.errors import NumericError
-from pigat.model import HEAD_THREADS, backward, forward, head_wiring, init_params, predict
+from pigat.model import (
+    HEAD_THREADS,
+    KEEP_FREED_BYTES,
+    M_MMAP_THRESHOLD,
+    M_TRIM_THRESHOLD,
+    backward,
+    forward,
+    head_wiring,
+    init_params,
+    predict,
+)
 from pigat.synth import SynthSpec, generate
 from pigat.train import train
 
@@ -120,6 +134,7 @@ def one_step(monkeypatch, cfg, data, cpus, spies):
 )
 def test_heads_without_two_hidden_layers_start_no_thread(monkeypatch, small_log, overrides):
     cfg = config(**overrides)
+    data = prepare_dataset(small_log, cfg)
     threads = []
 
     def spy(fn):
@@ -129,23 +144,35 @@ def test_heads_without_two_hidden_layers_start_no_thread(monkeypatch, small_log,
 
         return pooled
 
-    submitted = one_step(monkeypatch, cfg, prepare_dataset(small_log, cfg), 4, lambda _: {"pooled_embedding": spy})
-    assert threads == [threading.get_ident()] * len(head_wiring(cfg))
+    submitted = one_step(monkeypatch, cfg, data, 4, lambda _: {"pooled_embedding": spy})
+    predict(init_params(np.random.default_rng(4), data.schema, cfg), data.test)
+    chunks = math.ceil(len(data.test) / cfg.batch_size)
+    assert threads == [threading.get_ident()] * len(head_wiring(cfg)) * (1 + chunks)  # the step's forward, then scoring
     assert submitted == []
 
 
-def test_scoring_starts_no_thread(monkeypatch, small_log):
-    # A forward alone is too light to pay for a thread: predict and eval-mode forwards stay on the caller.
+def test_scoring_submits_a_share_per_worker_per_chunk(monkeypatch, small_log):
     cfg = config(attention="ffn-3")
     data = prepare_dataset(small_log, cfg)
     monkeypatch.setattr(model_mod, "_cpus", lambda: 4)
     submitted = submissions(monkeypatch)
     params = init_params(np.random.default_rng(4), data.schema, cfg)
-    predict(params, data.test)
-    forward(params, data.test, mode="eval")
-    assert submitted == []
-    backward(params, forward(params, data.test, mode="train"), data.test.labels)
-    assert len(submitted) == 2 * (HEAD_THREADS - 1)  # the control: a training step submits a share per worker, twice
+    predict(params, data.train)
+    chunks = math.ceil(len(data.train) / cfg.batch_size)
+    assert chunks > 1
+    assert len(submitted) == chunks * (min(4, HEAD_THREADS, len(head_wiring(cfg))) - 1)
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_eval_states_hold_no_ffn_cache(monkeypatch, small_log, cpus):
+    # Only backward reads the caches, and it takes train states only; a worker-run eval head drops its cache too.
+    cfg = config(attention="ffn-3")
+    data = prepare_dataset(small_log, cfg)
+    monkeypatch.setattr(model_mod, "_cpus", lambda: cpus)
+    params = init_params(np.random.default_rng(4), data.schema, cfg)
+    batch = data.train.take(np.arange(cfg.batch_size))
+    assert all(h.ffn_cache is None for h in forward(params, batch, mode="eval").heads.values())
+    assert all(h.ffn_cache is not None for h in forward(params, batch, mode="train").heads.values())
 
 
 @pytest.mark.parametrize("cpus", CPUS)
@@ -209,9 +236,10 @@ def test_an_error_in_a_head_reaches_the_caller(monkeypatch, small_log, head):
 
     with monkeypatch.context() as patched:
         patched.setattr(model_mod, "attention_logits", failing_logits)
-        with pytest.raises(NumericError) as raised:
-            forward(params, batch, mode="train")
-        assert raised.value is error
+        for score in (lambda: forward(params, batch, mode="train"), lambda: predict(params, batch)):
+            with pytest.raises(NumericError) as raised:
+                score()
+            assert raised.value is error
     state = forward(params, batch, mode="train")  # the pool still serves the next call
     with monkeypatch.context() as patched:
         patched.setattr(model_mod, "_head_backward", failing_backward)
@@ -219,6 +247,7 @@ def test_an_error_in_a_head_reaches_the_caller(monkeypatch, small_log, head):
             backward(params, state, batch.labels)
         assert raised.value is error
     assert backward(params, state, batch.labels)["att_ia.w0"].shape == params.heads["ia"].ffn.weights[0].shape
+    assert predict(params, batch).tobytes() == forward(params, batch, mode="eval").prob.tobytes()
 
 
 def test_a_step_runs_where_the_os_has_no_cpu_affinity(monkeypatch, small_log):
@@ -239,3 +268,72 @@ def test_a_step_runs_where_the_os_has_no_cpu_affinity(monkeypatch, small_log):
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # cpu_count may not know
     assert model_mod._cpus() == 1
     assert step_grads() == grads
+
+
+@pytest.fixture
+def new_pools(monkeypatch):
+    """model._pool and model._keep_freed_memory with empty caches for one test.
+
+    Yields the list of pools built meanwhile; each is shut down afterwards,
+    and the process's own pool is back in place.
+    """
+    build, pools = model_mod._pool.__wrapped__, []
+
+    def pool(workers):
+        pools.append(build(workers))
+        return pools[-1]
+
+    monkeypatch.setattr(model_mod, "_pool", functools.cache(pool))
+    monkeypatch.setattr(model_mod, "_keep_freed_memory", functools.cache(model_mod._keep_freed_memory.__wrapped__))
+    yield pools
+    for built in pools:
+        built.shutdown()
+
+
+def step_and_scores(monkeypatch, cfg, data, cpus) -> tuple[dict[str, bytes], bytes]:
+    """(first-step grads, test scores) with the model seeing `cpus` CPUs."""
+    monkeypatch.setattr(model_mod, "_cpus", lambda: cpus)
+    params = init_params(np.random.default_rng(4), data.schema, cfg)
+    batch = data.train.take(np.arange(cfg.batch_size))
+    state = forward(params, batch, mode="train", rng=np.random.default_rng(9))
+    grads = {name: g.tobytes() for name, g in backward(params, state, batch.labels).items()}
+    return grads, predict(params, data.test).tobytes()
+
+
+def test_the_allocator_is_set_once_before_the_first_head_thread(monkeypatch, small_log, new_pools):
+    cfg = config(attention="ffn-3")
+    data = prepare_dataset(small_log, cfg)
+    calls, before = [], set(threading.enumerate())
+
+    def mallopt(param, value):
+        calls.append((param, value, set(threading.enumerate()) - before))  # threads started since the test began
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    step_and_scores(monkeypatch, cfg, data, 1)
+    assert calls == [] and new_pools == []  # one CPU starts no pool and leaves the allocator alone
+    for _ in range(2):
+        step_and_scores(monkeypatch, cfg, data, 2)
+    assert calls == [(M_TRIM_THRESHOLD, KEEP_FREED_BYTES, set()), (M_MMAP_THRESHOLD, KEEP_FREED_BYTES, set())]
+    assert len(new_pools) == 1
+    assert {t.name for t in set(threading.enumerate()) - before} == {"pigat-head_0"}  # the new pool's thread
+
+
+def no_library(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+def no_handle(name):
+    raise TypeError("a C library handle needs a name here")  # ctypes.CDLL(None) on Windows
+
+
+@pytest.mark.parametrize(
+    "cdll", [no_library, no_handle, lambda name: SimpleNamespace()], ids=["OSError", "TypeError", "no-mallopt"]
+)
+def test_a_c_library_without_mallopt_changes_no_byte(monkeypatch, small_log, new_pools, cdll):
+    cfg = config(attention="ffn-3")
+    data = prepare_dataset(small_log, cfg)
+    sequential = step_and_scores(monkeypatch, cfg, data, 1)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert step_and_scores(monkeypatch, cfg, data, 2) == sequential
+    assert len(new_pools) == 1  # the threaded path ran, and asked for mallopt
