@@ -37,7 +37,8 @@ class AblationRow:
 
 
 def read_matrix(path: str) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser()
+    # No interpolation: a value is the text after "=", a "%" included.
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive config field names
     lines = read_utf8_lines(path)
     try:
@@ -87,28 +88,24 @@ def run_ablation(
                 )
             per_seed.append(row)
             rows.append(row)
-        scores = [r.auc for r in per_seed if r.kind == "run"]
-        if scores:
-            mean = sum(scores) / len(scores)
-            var = sum((s - mean) ** 2 for s in scores) / len(scores)
+        runs = [r for r in per_seed if r.kind == "run"]
+        if runs:
+            mean, std = _mean_std([r.auc for r in runs])
+            tails = {
+                k: _mean_std([r.longtail[k] for r in runs if r.longtail[k] is not None]) for k in LONGTAIL_CUTS
+            }
             seconds = sum(r.seconds for r in per_seed)
-            rows.append(AblationRow(label, None, "mean", mean, _tail_summary(per_seed, mean=True), seconds))
-            rows.append(AblationRow(label, None, "std", var**0.5, _tail_summary(per_seed, mean=False), 0.0))
+            rows.append(AblationRow(label, None, "mean", mean, {k: m for k, (m, _) in tails.items()}, seconds))
+            rows.append(AblationRow(label, None, "std", std, {k: sd for k, (_, sd) in tails.items()}, 0.0))
     return rows
 
 
-def _tail_summary(per_seed: list[AblationRow], mean: bool) -> dict[int, float | None]:
-    out: dict[int, float | None] = {}
-    for k in LONGTAIL_CUTS:
-        vals = [r.longtail[k] for r in per_seed if r.kind == "run" and r.longtail[k] is not None]
-        if not vals:
-            out[k] = None
-        elif mean:
-            out[k] = sum(vals) / len(vals)
-        else:
-            m = sum(vals) / len(vals)
-            out[k] = (sum((v - m) ** 2 for v in vals) / len(vals)) ** 0.5
-    return out
+def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
+    """Population mean and standard deviation; (None, None) for no values."""
+    if not values:
+        return None, None
+    mean = sum(values) / len(values)
+    return mean, (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
 
 
 def _cell(value: float | None) -> str:

@@ -141,14 +141,16 @@ def build_schema(log: InteractionLog, user_width: int, item_width: int) -> Featu
     by validation/test interactions never receive gradient during
     training; files scored against a foreign schema fall back to OOV.
     """
-    user_fields = [FieldVocab(name) for name in log.user_field_names]
-    item_fields = [FieldVocab(name) for name in log.item_field_names]
+    fields = {
+        USER: [FieldVocab(name) for name in log.user_field_names],
+        ITEM: [FieldVocab(name) for name in log.item_field_names],
+    }
     for rec in log.records:
-        for vocab, value in zip(user_fields, rec.user_values):
+        for vocab, value in zip(fields[USER], rec.user_values):
             vocab.add(value)
-        for vocab, value in zip(item_fields, rec.item_values):
+        for vocab, value in zip(fields[ITEM], rec.item_values):
             vocab.add(value)
-    return FeatureSchema(user_fields, item_fields, user_width, item_width)
+    return FeatureSchema(fields, {USER: user_width, ITEM: item_width})
 
 
 def encode_events(
@@ -225,7 +227,7 @@ class PreparedData:
     item_degrees: Array  # per item node, counted over train interactions only
 
     def degrees_for(self, batch: Batch) -> Array:
-        return self.item_degrees[batch.item_ids[:, 0]]
+        return self.item_degrees[batch.ids[ITEM][:, 0]]
 
 
 # The config fields prepare_dataset reads: configs that agree on them
@@ -254,7 +256,7 @@ def prepare_dataset(
             raise DataError(f"max_neighbors {config.max_neighbors} exceeds the log's {len(log.records)} events")
         schema = build_schema(log, config.user_embed_width, config.item_embed_width)
     for side, names in ((USER, log.user_field_names), (ITEM, log.item_field_names)):
-        expected = [f.name for f in schema.fields(side)]
+        expected = [f.name for f in schema.fields[side]]
         if names != expected:
             raise DataError(f"the log's {side} fields {names} are not the schema's {expected}")
     # Each event's windows: k item profiles on the user side, k user ids on the item side.

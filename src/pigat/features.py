@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DomainError, ShapeError
-from .graph import ITEM, USER, InteractionEvent, InteractionGraph
+from .graph import ITEM, SIDES, USER, InteractionEvent, InteractionGraph
 
 Array = np.ndarray
 
@@ -47,76 +47,53 @@ class FieldVocab:
             self.values.append(value)
         return self._index[value]
 
-    def local_id(self, value: str) -> int:
-        # Unseen values collapse onto the shared out-of-vocabulary slot.
-        return self._index.get(value, self.card)
-
 
 @dataclass
 class FeatureSchema:
-    user_fields: list[FieldVocab]
-    item_fields: list[FieldVocab]
-    user_width: int
-    item_width: int
+    """Per side: its field vocabularies, identity field first, and its embedding width."""
+
+    fields: dict[str, list[FieldVocab]]
+    widths: dict[str, int]
 
     def __post_init__(self) -> None:
-        if not self.user_fields or not self.item_fields:
+        if not all(self.fields.get(side) for side in SIDES):
             raise DataError("schema needs at least one field per side")
-        if self.user_width < 1 or self.item_width < 1:
+        if not all(self.widths.get(side, 0) >= 1 for side in SIDES):
             raise DataError("embedding widths must be positive")
-
-    def fields(self, side: str) -> list[FieldVocab]:
-        return self.user_fields if side == USER else self.item_fields
-
-    def width(self, side: str) -> int:
-        return self.user_width if side == USER else self.item_width
 
     def field_base(self, side: str, pos: int) -> int:
         # Every field block reserves card + 2 slots: values, oov, padding.
-        return sum(f.card + 2 for f in self.fields(side)[:pos])
+        return sum(f.card + 2 for f in self.fields[side][:pos])
 
     def table_size(self, side: str) -> int:
-        return sum(f.card + 2 for f in self.fields(side))
-
-    def global_id(self, side: str, pos: int, value: str) -> int:
-        return self.field_base(side, pos) + self.fields(side)[pos].local_id(value)
+        return sum(f.card + 2 for f in self.fields[side])
 
     def pad_id(self, side: str, pos: int) -> int:
-        return self.field_base(side, pos) + self.fields(side)[pos].card + 1
+        return self.field_base(side, pos) + self.fields[side][pos].card + 1
 
     def pad_rows(self, side: str) -> Array:
         mask = np.zeros(self.table_size(side), dtype=bool)
-        for pos in range(len(self.fields(side))):
+        for pos in range(len(self.fields[side])):
             mask[self.pad_id(side, pos)] = True
         return mask
 
     def value_ids(self, side: str) -> list[tuple[dict[str, int], int]]:
         """Per field: its value -> table id map and its out-of-vocabulary id."""
         out = []
-        for pos, f in enumerate(self.fields(side)):
+        for pos, f in enumerate(self.fields[side]):
             base = self.field_base(side, pos)
             out.append(({v: base + i for i, v in enumerate(f.values)}, base + f.card))
         return out
 
-    def encode_profile(self, side: str, values: tuple[str, ...]) -> tuple[int, ...]:
-        fields = self.fields(side)
-        if len(values) != len(fields):
-            raise DataError(
-                f"{side} profile has {len(values)} values for {len(fields)} schema fields"
-            )
-        return tuple(self.global_id(side, p, v) for p, v in enumerate(values))
-
     def node_count(self, side: str) -> int:
-        return self.fields(side)[0].card + 1
+        return self.fields[side][0].card + 1
 
     def shape(self) -> list[tuple[str, str, int]]:
-        return [(USER, f.name, f.card) for f in self.user_fields] + [
-            (ITEM, f.name, f.card) for f in self.item_fields
-        ]
+        return [(side, f.name, f.card) for side in SIDES for f in self.fields[side]]
 
     def structural_hash(self) -> str:
         text = "|".join(f"{s}:{n}" for s, n, _ in self.shape())
-        text += f"|embed:{self.user_width}:{self.item_width}"
+        text += f"|embed:{self.widths[USER]}:{self.widths[ITEM]}"
         return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -125,8 +102,8 @@ def write_schema(schema: FeatureSchema, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for side, name, card in schema.shape():
             fh.write(f"{side} {name} {card}\n")
-        fh.write(f"embed user {schema.user_width}\n")
-        fh.write(f"embed item {schema.item_width}\n")
+        for side in SIDES:
+            fh.write(f"embed {side} {schema.widths[side]}\n")
 
 
 @dataclass
@@ -206,7 +183,7 @@ class EncodedInstance:
 
 def window_pads(schema: FeatureSchema, k: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """The k padding slots of each window: item-table pad profiles, user-table pad ids."""
-    item_pad = tuple(schema.pad_id(ITEM, p) for p in range(len(schema.item_fields)))
+    item_pad = tuple(schema.pad_id(ITEM, p) for p in range(len(schema.fields[ITEM])))
     return [item_pad] * k, [schema.pad_id(USER, 0)] * k
 
 
@@ -251,27 +228,25 @@ def encode_instance(
 
 @dataclass
 class Batch:
-    """Stacked encoded instances; every array keeps the batch axis first."""
+    """Stacked encoded instances, keyed by side; every array keeps the batch axis first."""
 
-    user_ids: Array
-    item_ids: Array
-    user_nbrs: Array
-    user_mask: Array
-    item_nbrs: Array
-    item_mask: Array
+    ids: dict[str, Array]  # side -> (B, fields of the side)
+    nbrs: dict[str, Array]  # window side -> user: (B, k, item fields), item: (B, k)
+    mask: dict[str, Array]  # window side -> (B, k) bool
     labels: Array
 
     @classmethod
     def from_instances(cls, instances: list[EncodedInstance]) -> "Batch":
         if not instances:
             raise DataError("cannot build an empty batch")
+
+        def by_side(user: list[Array], item: list[Array]) -> dict[str, Array]:
+            return {USER: np.stack(user), ITEM: np.stack(item)}
+
         return cls(
-            user_ids=np.stack([i.user_ids for i in instances]),
-            item_ids=np.stack([i.item_ids for i in instances]),
-            user_nbrs=np.stack([i.user_nbrs for i in instances]),
-            user_mask=np.stack([i.user_mask for i in instances]),
-            item_nbrs=np.stack([i.item_nbrs for i in instances]),
-            item_mask=np.stack([i.item_mask for i in instances]),
+            ids=by_side([i.user_ids for i in instances], [i.item_ids for i in instances]),
+            nbrs=by_side([i.user_nbrs for i in instances], [i.item_nbrs for i in instances]),
+            mask=by_side([i.user_mask for i in instances], [i.item_mask for i in instances]),
             labels=np.array([i.label for i in instances], dtype=np.float64),
         )
 
@@ -279,12 +254,5 @@ class Batch:
         return self.labels.shape[0]
 
     def take(self, idx: Array) -> "Batch":
-        return Batch(
-            self.user_ids[idx],
-            self.item_ids[idx],
-            self.user_nbrs[idx],
-            self.user_mask[idx],
-            self.item_nbrs[idx],
-            self.item_mask[idx],
-            self.labels[idx],
-        )
+        sides = ({side: a[idx] for side, a in arrays.items()} for arrays in (self.ids, self.nbrs, self.mask))
+        return Batch(*sides, self.labels[idx])

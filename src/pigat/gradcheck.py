@@ -21,10 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import TrainConfig
-from .data import build_instances
+from .data import RawInteraction, build_instances, derive_labels, encode_events
 from .errors import NumericError
 from .features import Batch, FeatureSchema, FieldVocab
-from .graph import ITEM, USER, InteractionEvent
+from .graph import ITEM, USER
 from .model import ForwardState, backward, bce_loss, forward, init_params, named_parameters
 from .nn import fd_coordinate
 
@@ -49,10 +49,11 @@ def toy_config(config: TrainConfig) -> TrainConfig:
 
 def toy_schema(config: TrainConfig) -> FeatureSchema:
     return FeatureSchema(
-        user_fields=[FieldVocab("uid", ["u0", "u1", "u2"]), FieldVocab("seg", ["a", "b"])],
-        item_fields=[FieldVocab("iid", ["i0", "i1", "i2", "i3"]), FieldVocab("cat", ["x", "y"])],
-        user_width=config.user_embed_width,
-        item_width=config.item_embed_width,
+        fields={
+            USER: [FieldVocab("uid", ["u0", "u1", "u2"]), FieldVocab("seg", ["a", "b"])],
+            ITEM: [FieldVocab("iid", ["i0", "i1", "i2", "i3"]), FieldVocab("cat", ["x", "y"])],
+        },
+        widths={USER: config.user_embed_width, ITEM: config.item_embed_width},
     )
 
 
@@ -60,21 +61,18 @@ def _toy_batch(schema: FeatureSchema, config: TrainConfig, rng: np.random.Genera
     """Three instances: full window, partial window, cold start."""
     segs, cats = ["a", "b"], ["x", "y"]
 
-    def event(u, i, ts, label):
-        return InteractionEvent(
-            user_ids=schema.encode_profile(USER, (f"u{u}", segs[u % 2])),
-            item_ids=schema.encode_profile(ITEM, (f"i{i}", cats[i % 2])),
-            timestamp=ts,
-            label=label,
-        )
+    def record(u, i, ts, label):
+        return RawInteraction(ts, (f"u{u}", segs[u % 2]), (f"i{i}", cats[i % 2]), float(label))
 
     history = [(0, 0), (0, 1), (1, 2), (0, 2), (1, 0), (0, 3), (0, 1)]
-    events = [event(u, i, ts, int(rng.random() < 0.5)) for ts, (u, i) in enumerate(history, start=1)]
+    records = [record(u, i, ts, int(rng.random() < 0.5)) for ts, (u, i) in enumerate(history, start=1)]
     end = len(history) + 1
     # The queries share one timestamp, so none sees another in its window.
-    queries = [event(0, 3, end, 1), event(1, 1, end, 0), event(2, 0, end, 1)]
+    queries = [record(0, 3, end, 1), record(1, 1, end, 0), record(2, 0, end, 1)]
+    log = records + queries
+    events = encode_events(schema, log, derive_labels(log))
     positives_only = not config.include_negative_neighbors
-    instances = build_instances(schema, events + queries, "dynamic", config.max_neighbors, positives_only)
+    instances = build_instances(schema, events, "dynamic", config.max_neighbors, positives_only)
     return Batch.from_instances(instances[-len(queries):])
 
 

@@ -19,6 +19,7 @@ from .errors import DataError, DomainError
 
 USER = "user"
 ITEM = "item"
+SIDES = (USER, ITEM)
 
 
 @dataclass(frozen=True)

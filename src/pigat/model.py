@@ -60,7 +60,7 @@ from .features import (
     scatter_gradient,
     zero_gradients,
 )
-from .graph import ITEM, USER
+from .graph import ITEM, SIDES, USER
 from .nn import (
     FfnCache,
     FfnParams,
@@ -82,7 +82,6 @@ T = TypeVar("T")
 PROB_CLAMP = 1e-7
 MLP_HIDDEN = (80, 40)
 ATT_HIDDEN = {"ffn-1": (), "ffn-2": (32,), "ffn-3": (64, 32)}
-SIDES = (USER, ITEM)
 OTHER = {USER: ITEM, ITEM: USER}  # a side's window holds the other side's nodes
 # Each head scores one history window against one profile:
 # head name -> (window side, query side).
@@ -154,9 +153,9 @@ def head_wiring(config: TrainConfig) -> dict[str, tuple[str, str]]:
 
 def _widths(schema: FeatureSchema) -> tuple[dict[str, int], dict[str, int]]:
     """(profile width, window width) per side."""
-    profile_w = {side: len(schema.fields(side)) * schema.width(side) for side in SIDES}
+    profile_w = {side: len(schema.fields[side]) * schema.widths[side] for side in SIDES}
     # A user window holds whole item profiles, an item window bare user ids.
-    return profile_w, {USER: profile_w[ITEM], ITEM: schema.user_width}
+    return profile_w, {USER: profile_w[ITEM], ITEM: schema.widths[USER]}
 
 
 def _ffn_layout(prefix: str, dims: list[int]) -> dict[str, tuple[int, ...]]:
@@ -179,7 +178,7 @@ def layout(schema: FeatureSchema, config: TrainConfig) -> dict[str, tuple[int, .
     k, dh = config.max_neighbors, config.hidden_width
     conf = {f"conf_{side}": (k, k, window_w[side]) for side in SIDES}
     front, back = (conf, {}) if config.confidence in TRAINABLE else ({}, conf)
-    shapes = {f"{side}_table": (schema.table_size(side), schema.width(side)) for side in SIDES} | front
+    shapes = {f"{side}_table": (schema.table_size(side), schema.widths[side]) for side in SIDES} | front
     if config.pooling == "attention":
         for name, (window, query) in head_wiring(config).items():
             q_w, k_w, prefix = profile_w[query], window_w[window], f"att_{name}"
@@ -305,15 +304,6 @@ class ForwardState:
     clamp_active: Array
 
 
-def _side_arrays(batch: Batch) -> tuple[dict[str, Array], dict[str, Array], dict[str, Array]]:
-    """(profile ids, window ids, window mask) of the batch, each keyed by side."""
-    return (
-        {USER: batch.user_ids, ITEM: batch.item_ids},
-        {USER: batch.user_nbrs, ITEM: batch.item_nbrs},
-        {USER: batch.user_mask, ITEM: batch.item_mask},
-    )
-
-
 def uniform_coefficients(mask: Array) -> Array:
     """Average pooling: equal weight on live slots, zero rows stay zero."""
     mask = np.asarray(mask, dtype=np.float64)
@@ -361,21 +351,20 @@ def forward(
         raise DomainError(f"mode must be train or eval, got {mode!r}")
     cfg = params.config
     b = len(batch)
-    ids, nbrs, masks = _side_arrays(batch)
 
-    profiles = {side: lookup(params.tables[side], ids[side]).reshape(b, -1) for side in SIDES}
+    profiles = {side: lookup(params.tables[side], batch.ids[side]).reshape(b, -1) for side in SIDES}
     raw = {
-        side: lookup(params.tables[OTHER[side]], nbrs[side]).reshape(*masks[side].shape, -1)
+        side: lookup(params.tables[OTHER[side]], batch.nbrs[side]).reshape(*batch.mask[side].shape, -1)
         for side in SIDES
     }
-    aug = {side: apply_confidence(params.conf[side], raw[side], masks[side]) for side in SIDES}
+    aug = {side: apply_confidence(params.conf[side], raw[side], batch.mask[side]) for side in SIDES}
     pool_src = aug if cfg.confidence_in_pooling else raw
 
     wiring = head_wiring(cfg)
 
     def head_forward(name: str) -> tuple[HeadState, Array]:
         window, query = wiring[name]
-        mask = masks[window]
+        mask = batch.mask[window]
         if cfg.pooling == "attention":
             logits, state = attention_logits(params.heads[name], profiles[query], aug[window])
             state.weights = masked_softmax(logits, mask)
@@ -490,7 +479,6 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
         d_sources[left] = _acc(d_sources.get(left), d_x[:, :cut])
         d_sources[right] = _acc(d_sources.get(right), d_x[:, cut:])
 
-    ids, nbrs, masks = _side_arrays(batch)
     d_aug = {side: np.zeros_like(state.aug[side]) for side in SIDES}
     d_raw = {side: np.zeros_like(state.raw[side]) for side in SIDES}
     # Pooling reads the windows with or without confidence; its gradient goes there.
@@ -525,7 +513,7 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
     for side in SIDES:
         conf = params.conf[side]
         zero_confidence_gradient(conf)
-        scatter_confidence_gradient(conf, masks[side], d_aug[side])
+        scatter_confidence_gradient(conf, batch.mask[side], d_aug[side])
         if conf.trainable:
             grads[f"conf_{side}"] = conf.grad
         d_raw[side] += d_aug[side]
@@ -534,8 +522,8 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
     for side in SIDES:
         table = params.tables[side]
         zero_gradients(table)
-        scatter_gradient(table, ids[side], d_sources[side].reshape(-1, table.width))
-        scatter_gradient(table, nbrs[OTHER[side]], d_raw[OTHER[side]].reshape(-1, table.width))
+        scatter_gradient(table, batch.ids[side], d_sources[side].reshape(-1, table.width))
+        scatter_gradient(table, batch.nbrs[OTHER[side]], d_raw[OTHER[side]].reshape(-1, table.width))
         grads[f"{side}_table"] = table.grad
     np.concatenate([grads[name].reshape(-1) for name in params.dense_grads], out=params.dense_grad)
     grads.update(params.dense_grads)
@@ -645,15 +633,12 @@ def save_checkpoint(path: str, params: PigatParams, extra: dict | None = None) -
     identical bytes.
     """
     schema = params.schema
+    fields = {side: [{"name": f.name, "values": f.values} for f in schema.fields[side]] for side in SIDES}
     header = {
         "version": 1,
         "schema_hash": schema.structural_hash(),
-        "schema": {
-            "user_fields": [{"name": f.name, "values": f.values} for f in schema.user_fields],
-            "item_fields": [{"name": f.name, "values": f.values} for f in schema.item_fields],
-            "user_width": schema.user_width,
-            "item_width": schema.item_width,
-        },
+        "schema": {f"{side}_fields": fields[side] for side in SIDES}
+        | {f"{side}_width": schema.widths[side] for side in SIDES},
         "config": config_to_dict(params.config),
         "arrays": [[name, list(view.shape)] for name, view in params.views.items()],
         "extra": extra or {},
@@ -678,14 +663,12 @@ def load_checkpoint(path: str) -> tuple[PigatParams, dict]:
             raise DataError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
         try:
             sch = header["schema"]
-            widths = (sch["user_width"], sch["item_width"])
-            if not all(type(w) is int for w in widths):
-                raise TypeError(f"embedding widths {widths} are not integers")
+            widths = {side: sch[f"{side}_width"] for side in SIDES}
+            if not all(type(w) is int for w in widths.values()):
+                raise TypeError(f"embedding widths {tuple(widths.values())} are not integers")
             schema = FeatureSchema(
-                user_fields=[FieldVocab(d["name"], list(d["values"])) for d in sch["user_fields"]],
-                item_fields=[FieldVocab(d["name"], list(d["values"])) for d in sch["item_fields"]],
-                user_width=widths[0],
-                item_width=widths[1],
+                {side: [FieldVocab(d["name"], list(d["values"])) for d in sch[f"{side}_fields"]] for side in SIDES},
+                widths,
             )
             config = config_from_dict(header["config"])
             entries = [(name, tuple(shape)) for name, shape in header["arrays"]]

@@ -222,20 +222,14 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict[str, Array] | None = None
-    v: dict[str, Array] | None = None
+    m: dict[str, Array] = field(default_factory=dict)
+    v: dict[str, Array] = field(default_factory=dict)
     # Row-sparse arrays whose moments are still compact; each moves to m
     # and v once half its rows are live.
     compact: dict[str, RowMoments] = field(default_factory=dict, repr=False)
     # Two flat buffers as large as the largest parameter; every step's
     # temporaries are written into slices of them instead of allocated.
     scratch: tuple[Array, Array] = field(default_factory=lambda: (np.empty(0), np.empty(0)), repr=False)
-
-    def __post_init__(self) -> None:
-        if self.m is None:
-            self.m = {}
-        if self.v is None:
-            self.v = {}
 
 
 def adam_step(

@@ -15,6 +15,7 @@ from pigat.ablation import (
 from pigat.config import TrainConfig, config_from_pairs
 from pigat.data import PREPARE_FIELDS, prepare_dataset
 from pigat.errors import DataError, UsageError
+from pigat.graph import ITEM, USER
 from pigat.synth import SynthSpec, generate
 
 
@@ -48,6 +49,11 @@ class TestMatrixFile:
         path = tmp_path / "matrix.ini"
         path.write_text("[a]\nmax_neighbors = 6\n")
         assert read_matrix(str(path)) == {"a": {"max_neighbors": "6"}}
+
+    def test_percent_sign_is_kept_raw(self, tmp_path):
+        path = tmp_path / "matrix.ini"
+        path.write_text("[a]\nlearning_rate = 5%\n")
+        assert read_matrix(str(path)) == {"a": {"learning_rate": "5%"}}
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "matrix.ini"
@@ -146,13 +152,9 @@ class TestPreparedDataCache:
         assert len(seen) == 4
         for config, data in seen:
             fresh = prepare_dataset(small_log, config)
-            assert (data.schema.user_width, data.schema.item_width) == (
-                config.user_embed_width,
-                config.item_embed_width,
-            )
+            assert data.schema.widths == {USER: config.user_embed_width, ITEM: config.item_embed_width}
             for split in ("train", "val", "test"):
-                for name, arr in vars(getattr(fresh, split)).items():
-                    np.testing.assert_array_equal(getattr(getattr(data, split), name), arr)
+                np.testing.assert_equal(vars(getattr(data, split)), vars(getattr(fresh, split)))
 
 
 class TestResultsTable:

@@ -21,6 +21,7 @@ from pigat.config import TrainConfig
 from pigat.confidence import build_confidence
 from pigat.data import prepare_dataset, write_interactions
 from pigat.gradcheck import build_case, run_case, toy_config
+from pigat.graph import USER
 from pigat.metrics import ScoredSet, auc, longtail_auc
 from pigat.model import forward, predict
 from pigat.synth import SynthSpec, generate
@@ -116,9 +117,9 @@ def _window_prob(confidence: str, perm) -> tuple[float, float]:
     params, batch = build_case(config, seed=3)
     base = float(forward(params, batch).prob[0])
     shuffled = copy.deepcopy(batch)
-    live = int(shuffled.user_mask[0].sum())
+    live = int(shuffled.mask[USER][0].sum())
     assert live == len(perm)
-    shuffled.user_nbrs[0, :live] = shuffled.user_nbrs[0, :live][list(perm)]
+    shuffled.nbrs[USER][0, :live] = shuffled.nbrs[USER][0, :live][list(perm)]
     return base, float(forward(params, shuffled).prob[0])
 
 

@@ -393,6 +393,21 @@ class TestAblateVerb:
         assert "failed" in capsys.readouterr().err
         assert "bad\t0\tfailed" in out.read_text()
 
+    def test_percent_value_is_a_failed_row(self, workspace, tmp_path, capsys):
+        matrix = tmp_path / "matrix.ini"
+        matrix.write_text("[pct]\nlearning_rate = 5%\n")
+        out = tmp_path / "results.tsv"
+        assert main([
+            "ablate",
+            "--matrix", str(matrix),
+            "--data", str(workspace / "data.tsv"),
+            "--out", str(out),
+            "--seeds", "1",
+        ]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert "pct\t0\tfailed" in out.read_text()
+        assert "5%" in out.read_text()
+
     def test_empty_matrix_exits_1(self, workspace, tmp_path, capsys):
         matrix = tmp_path / "matrix.ini"
         matrix.write_text("\n")

@@ -24,6 +24,7 @@ from pigat.data import (
 )
 from pigat.errors import DataError
 from pigat.graph import ITEM, USER
+from schema_ids import profile_ids, table_id
 
 
 def mk_record(ts, uid, seg, iid, cat, signal):
@@ -255,18 +256,18 @@ class TestSchemaAndEvents:
     def test_vocab_sizes_count_distinct_values(self):
         log = mk_log(demo_rows())
         schema = build_schema(log, 4, 4)
-        assert schema.user_fields[0].card == len({r.user_values[0] for r in log.records})
-        assert schema.item_fields[0].card == len({r.item_values[0] for r in log.records})
-        assert schema.user_fields[1].name == "seg"
+        assert schema.fields[USER][0].card == len({r.user_values[0] for r in log.records})
+        assert schema.fields[ITEM][0].card == len({r.item_values[0] for r in log.records})
+        assert schema.fields[USER][1].name == "seg"
 
     def test_events_carry_node_indices_and_profiles(self):
         log = mk_log([(1, "u0", "a", "i0", "x", 1), (2, "u1", "b", "i0", "x", 0)])
         schema = build_schema(log, 4, 4)
         labels = derive_labels(log.records)
         events = encode_events(schema, log.records, labels)
-        assert events[0].user_ids == schema.encode_profile(USER, ("u0", "a"))
+        assert events[0].user_ids == profile_ids(schema, USER, ("u0", "a"))
         assert events[1].item_ids[0] == events[0].item_ids[0]
-        assert events[0].item_ids == schema.encode_profile(ITEM, ("i0", "x"))
+        assert events[0].item_ids == profile_ids(schema, ITEM, ("i0", "x"))
         assert events[1].label == 0
 
 
@@ -305,8 +306,8 @@ def test_encoded_ids_match_per_field_global_ids(rows, half_vocab):
     schema = build_schema(mk_log(rows[: len(rows) // 2]) if half_vocab else log, 4, 4)
     events = encode_events(schema, log.records, derive_labels(log.records))
     for rec, event in zip(log.records, events, strict=True):
-        assert event.user_ids == tuple(schema.global_id(USER, p, v) for p, v in enumerate(rec.user_values))
-        assert event.item_ids == tuple(schema.global_id(ITEM, p, v) for p, v in enumerate(rec.item_values))
+        assert event.user_ids == profile_ids(schema, USER, rec.user_values)
+        assert event.item_ids == profile_ids(schema, ITEM, rec.item_values)
 
 
 def test_profile_arity_mismatch_rejected():
@@ -337,7 +338,7 @@ class TestInstanceConstruction:
         schema, _, instances = self._prep(rows)
         inst = instances[1]
         assert inst.user_mask.tolist()[:1] == [True]
-        assert tuple(inst.user_nbrs[0]) == schema.encode_profile(ITEM, ("i0", "x"))
+        assert tuple(inst.user_nbrs[0]) == profile_ids(schema, ITEM, ("i0", "x"))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
@@ -433,7 +434,7 @@ class TestPrepareDataset:
         for rec in log.records[:32]:
             want[rec.item_values[0]] = want.get(rec.item_values[0], 0) + 1
         for name, count in want.items():
-            node = data.schema.global_id(ITEM, 0, name)
+            node = table_id(data.schema, ITEM, 0, name)
             assert data.item_degrees[node] == count
         assert data.degrees_for(data.test).shape == (4,)
 
@@ -443,8 +444,8 @@ class TestPrepareDataset:
         schema = build_schema(base, 4, 4)
         foreign = mk_log([(t, f"u{90 + t}", "znew", f"i{90 + t}", "cnew", 1) for t in range(1, 13)])
         data = prepare_dataset(foreign, config, schema=schema)
-        oov_user = schema.global_id(USER, 0, "never-seen")
-        assert np.all(data.train.user_ids[:, 0] == oov_user)
+        oov_user = table_id(schema, USER, 0, "never-seen")
+        assert np.all(data.train.ids[USER][:, 0] == oov_user)
         assert data.item_degrees.shape == (schema.node_count(ITEM),)
 
     @pytest.mark.parametrize("given_schema", [False, True], ids=["train", "eval"])

@@ -18,14 +18,16 @@ from pigat.features import (
 )
 from pigat.model import init_params
 from pigat.graph import ITEM, USER, InteractionEvent, InteractionGraph
+from schema_ids import profile_ids, table_id
 
 
 def toy_schema():
     return FeatureSchema(
-        user_fields=[FieldVocab("uid", ["u0", "u1", "u2"]), FieldVocab("seg", ["a", "b"])],
-        item_fields=[FieldVocab("iid", ["i0", "i1", "i2", "i3"]), FieldVocab("cat", ["x", "y"])],
-        user_width=4,
-        item_width=3,
+        fields={
+            USER: [FieldVocab("uid", ["u0", "u1", "u2"]), FieldVocab("seg", ["a", "b"])],
+            ITEM: [FieldVocab("iid", ["i0", "i1", "i2", "i3"]), FieldVocab("cat", ["x", "y"])],
+        },
+        widths={USER: 4, ITEM: 3},
     )
 
 
@@ -34,32 +36,29 @@ def test_field_blocks_are_disjoint_and_sized():
     # uid block: 3 values + oov + pad = 5 slots, then seg block of 4.
     assert s.table_size(USER) == 9
     assert s.table_size(ITEM) == 10
-    assert s.global_id(USER, 0, "u0") == 0
-    assert s.global_id(USER, 1, "a") == 5
+    (uid, _), (seg, _) = s.value_ids(USER)
+    assert uid["u0"] == table_id(s, USER, 0, "u0") == 0
+    assert seg["a"] == table_id(s, USER, 1, "a") == 5
+    (iid, _), (cat, _) = s.value_ids(ITEM)
+    assert (iid["i2"], cat["y"]) == profile_ids(s, ITEM, ("i2", "y")) == (2, 7)
     assert s.pad_id(USER, 0) == 4
     assert s.pad_id(USER, 1) == 8
 
 
 def test_oov_maps_to_reserved_slot():
     s = toy_schema()
-    assert s.global_id(USER, 0, "unseen") == 3
+    assert s.value_ids(USER)[0][1] == table_id(s, USER, 0, "unseen") == 3
+    assert s.value_ids(ITEM)[1][1] == table_id(s, ITEM, 1, "unseen") == 8
     assert s.node_count(USER) == 4  # the OOV identity id is the last graph node
-
-
-def test_encode_profile_checks_arity():
-    s = toy_schema()
-    assert s.encode_profile(ITEM, ("i2", "y")) == (2, 7)
-    with pytest.raises(DataError):
-        s.encode_profile(ITEM, ("i2",))
 
 
 def test_structural_hash_ignores_vocab_growth_but_not_fields():
     s1 = toy_schema()
     s2 = toy_schema()
-    s2.user_fields[0].add("u99")
+    s2.fields[USER][0].add("u99")
     assert s1.structural_hash() == s2.structural_hash()
     s3 = toy_schema()
-    s3.user_fields[1].name = "device"
+    s3.fields[USER][1].name = "device"
     assert s1.structural_hash() != s3.structural_hash()
 
 
@@ -143,8 +142,8 @@ def _graph_with_history(schema, n_prior, user="u0"):
         t = j + 1
         g.insert(
             InteractionEvent(
-                user_ids=schema.encode_profile(USER, (user, "a")),
-                item_ids=schema.encode_profile(ITEM, (name, cats[j % 2])),
+                user_ids=profile_ids(schema, USER, (user, "a")),
+                item_ids=profile_ids(schema, ITEM, (name, cats[j % 2])),
                 timestamp=t,
                 label=1,
             )
@@ -154,8 +153,8 @@ def _graph_with_history(schema, n_prior, user="u0"):
 
 def _query_event(schema, ts, user="u0", item="i3"):
     return InteractionEvent(
-        user_ids=schema.encode_profile(USER, (user, "a")),
-        item_ids=schema.encode_profile(ITEM, (item, "y")),
+        user_ids=profile_ids(schema, USER, (user, "a")),
+        item_ids=profile_ids(schema, ITEM, (item, "y")),
         timestamp=ts,
         label=1,
     )
@@ -177,8 +176,8 @@ def test_encode_two_priors_live_slots_first():
     inst = encode_instance(s, _query_event(s, t + 1), g, t + 1, k=4)
     assert inst.user_mask.tolist() == [True, True, False, False]
     # Window position 1 is the earliest: i0 then i1, with their categories.
-    np.testing.assert_array_equal(inst.user_nbrs[0], s.encode_profile(ITEM, ("i0", "x")))
-    np.testing.assert_array_equal(inst.user_nbrs[1], s.encode_profile(ITEM, ("i1", "y")))
+    np.testing.assert_array_equal(inst.user_nbrs[0], profile_ids(s, ITEM, ("i0", "x")))
+    np.testing.assert_array_equal(inst.user_nbrs[1], profile_ids(s, ITEM, ("i1", "y")))
     assert inst.label == 1.0
 
 
@@ -188,7 +187,7 @@ def test_encode_truncates_to_most_recent_window():
     inst = encode_instance(s, _query_event(s, t + 1), g, t + 1, k=10)
     assert inst.user_mask.all()
     # Interactions 3..12 survive; their item names cycle i0..i3.
-    want_first = s.encode_profile(ITEM, ("i2", "x"))
+    want_first = profile_ids(s, ITEM, ("i2", "x"))
     np.testing.assert_array_equal(inst.user_nbrs[0], want_first)
 
 
@@ -199,7 +198,7 @@ def test_encode_item_side_carries_user_identity_only():
     q = _query_event(s, t + 1, user="u2", item="i1")
     inst = encode_instance(s, q, g, t + 1, k=4)
     assert inst.item_mask.tolist() == [True, False, False, False]
-    assert inst.item_nbrs[0] == s.global_id(USER, 0, "u1")
+    assert inst.item_nbrs[0] == table_id(s, USER, 0, "u1")
 
 
 def test_encode_positives_only_filters_before_truncation():
@@ -209,15 +208,15 @@ def test_encode_positives_only_filters_before_truncation():
     for t, (name, label) in enumerate(seq, start=1):
         g.insert(
             InteractionEvent(
-                user_ids=s.encode_profile(USER, ("u0", "a")),
-                item_ids=s.encode_profile(ITEM, (name, "x")),
+                user_ids=profile_ids(s, USER, ("u0", "a")),
+                item_ids=profile_ids(s, ITEM, (name, "x")),
                 timestamp=t,
                 label=label,
             )
         )
     inst = encode_instance(s, _query_event(s, 9), g, 9, k=2)
-    np.testing.assert_array_equal(inst.user_nbrs[0], s.encode_profile(ITEM, ("i0", "x")))
-    np.testing.assert_array_equal(inst.user_nbrs[1], s.encode_profile(ITEM, ("i2", "x")))
+    np.testing.assert_array_equal(inst.user_nbrs[0], profile_ids(s, ITEM, ("i0", "x")))
+    np.testing.assert_array_equal(inst.user_nbrs[1], profile_ids(s, ITEM, ("i2", "x")))
 
 
 def test_encoding_is_leakage_free():
@@ -242,8 +241,12 @@ def test_batch_stacking_and_take():
     ]
     batch = Batch.from_instances(insts)
     assert len(batch) == 2
-    assert batch.user_nbrs.shape == (2, 4, 2)
+    assert batch.nbrs[USER].shape == (2, 4, 2)
     sub = batch.take(np.array([1]))
-    np.testing.assert_array_equal(sub.user_ids[0], insts[1].user_ids)
+    np.testing.assert_array_equal(sub.ids[USER][0], insts[1].user_ids)
+    np.testing.assert_array_equal(sub.ids[ITEM][0], insts[1].item_ids)
+    np.testing.assert_array_equal(sub.nbrs[ITEM][0], insts[1].item_nbrs)
+    np.testing.assert_array_equal(sub.mask[USER][0], insts[1].user_mask)
+    assert sub.labels.tolist() == [insts[1].label]
     with pytest.raises(DataError):
         Batch.from_instances([])

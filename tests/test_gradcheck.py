@@ -14,6 +14,7 @@ import pigat.gradcheck as gradcheck
 from pigat.config import TrainConfig
 from pigat.errors import NumericError
 from pigat.gradcheck import GradCheckReport, _toy_batch, build_case, relative_error, run_case, toy_config, toy_schema
+from pigat.graph import SIDES, USER
 
 
 def case(confidence: str, attention: str, **overrides) -> TrainConfig:
@@ -41,7 +42,7 @@ class TestCaseConstruction:
         p1, b1 = build_case(config, seed=5)
         p2, b2 = build_case(config, seed=5)
         assert np.array_equal(p1.tables["user"].weight, p2.tables["user"].weight)
-        assert np.array_equal(b1.user_nbrs, b2.user_nbrs)
+        assert np.array_equal(b1.nbrs[USER], b2.nbrs[USER])
         assert np.array_equal(b1.labels, b2.labels)
 
     def test_toy_config_shrinks_only_the_sizes(self):
@@ -58,7 +59,7 @@ class TestCaseConstruction:
         a = _toy_batch(schema, every, np.random.default_rng(0))
         b = _toy_batch(schema, positives, np.random.default_rng(0))
         assert np.array_equal(a.labels, b.labels)
-        assert b.user_mask.sum() + b.item_mask.sum() < a.user_mask.sum() + a.item_mask.sum()
+        assert sum(b.mask[side].sum() for side in SIDES) < sum(a.mask[side].sum() for side in SIDES)
 
     def test_accepted_points_sit_away_from_kinks(self):
         from pigat.model import forward

@@ -44,6 +44,7 @@ from pigat.model import (
     save_checkpoint,
     uniform_coefficients,
 )
+from schema_ids import profile_ids, table_id
 
 # softmax of logits (1, 0); the first entry equals 1 / (1 + e^-1)
 DOT_PAIR = (0.7310585786300049, 0.2689414213699951)
@@ -65,10 +66,8 @@ def make_head(rng, kind, q_width, k_width) -> AttentionHead:
 
 def tiny_schema() -> FeatureSchema:
     return FeatureSchema(
-        user_fields=[FieldVocab("uid", ["a", "b"])],
-        item_fields=[FieldVocab("iid", ["p", "q", "r"])],
-        user_width=2,
-        item_width=2,
+        fields={USER: [FieldVocab("uid", ["a", "b"])], ITEM: [FieldVocab("iid", ["p", "q", "r"])]},
+        widths={USER: 2, ITEM: 2},
     )
 
 
@@ -88,8 +87,8 @@ def tiny_config(**overrides) -> TrainConfig:
 
 def tiny_batch(schema: FeatureSchema) -> Batch:
     """Two hand-built instances: full windows, and partial/cold windows."""
-    gid_u = lambda v: schema.global_id(USER, 0, v)
-    gid_i = lambda v: schema.global_id(ITEM, 0, v)
+    gid_u = lambda v: table_id(schema, USER, 0, v)
+    gid_i = lambda v: table_id(schema, ITEM, 0, v)
     pad_u, pad_i = schema.pad_id(USER, 0), schema.pad_id(ITEM, 0)
     full = EncodedInstance(
         user_ids=np.array([gid_u("a")]),
@@ -123,11 +122,11 @@ def straightline_prob(params, batch: Batch, idx: int) -> float:
     def row(table, gid):
         return [float(v) for v in table.weight[int(gid)]]
 
-    e_u = [x for gid in batch.user_ids[idx] for x in row(params.tables[USER], gid)]
-    e_i = [x for gid in batch.item_ids[idx] for x in row(params.tables[ITEM], gid)]
+    e_u = [x for gid in batch.ids[USER][idx] for x in row(params.tables[USER], gid)]
+    e_i = [x for gid in batch.ids[ITEM][idx] for x in row(params.tables[ITEM], gid)]
 
     def user_window():
-        ids, mask, conf = batch.user_nbrs[idx], batch.user_mask[idx], params.conf[USER]
+        ids, mask, conf = batch.nbrs[USER][idx], batch.mask[USER][idx], params.conf[USER]
         live = int(mask.sum())
         slots = []
         for s in range(ids.shape[0]):
@@ -138,7 +137,7 @@ def straightline_prob(params, batch: Batch, idx: int) -> float:
         return slots, [bool(m) for m in mask]
 
     def item_window():
-        ids, mask, conf = batch.item_nbrs[idx], batch.item_mask[idx], params.conf[ITEM]
+        ids, mask, conf = batch.nbrs[ITEM][idx], batch.mask[ITEM][idx], params.conf[ITEM]
         live = int(mask.sum())
         slots = []
         for s in range(ids.shape[0]):
@@ -335,7 +334,7 @@ class TestPooling:
         params = init_params(np.random.default_rng(2), schema, config)
         batch = tiny_batch(schema)
         state = forward(params, batch)
-        live = state.aug[USER][1][batch.user_mask[1]]
+        live = state.aug[USER][1][batch.mask[USER][1]]
         assert np.allclose(state.pools["ui"][1], live.mean(axis=0), rtol=0, atol=1e-15)
         assert np.all(state.pools["ii"][1] == 0.0)  # cold window pools to zero
 
@@ -363,7 +362,7 @@ class TestForwardOracle:
         for idx in range(len(batch)):
             for name in ("ui", "ua", "ii", "ia"):
                 weights = state.heads[name].weights[idx]
-                mask = batch.user_mask[idx] if name in ("ui", "ua") else batch.item_mask[idx]
+                mask = batch.mask[USER if name in ("ui", "ua") else ITEM][idx]
                 live = mask.sum()
                 assert np.allclose(weights[mask], (1.0 / live if live else 0.0), rtol=0, atol=0)
 
@@ -459,19 +458,11 @@ class TestMasking:
 
         # Stuff real profiles into every dead slot; the mask must make
         # forward and backward blind to them.
-        filler_item = schema.encode_profile(ITEM, ("i3", "y"))
-        filler_user = schema.global_id(USER, 0, "u1")
-        tampered = Batch(
-            user_ids=batch.user_ids,
-            item_ids=batch.item_ids,
-            user_nbrs=batch.user_nbrs.copy(),
-            user_mask=batch.user_mask,
-            item_nbrs=batch.item_nbrs.copy(),
-            item_mask=batch.item_mask,
-            labels=batch.labels,
-        )
-        tampered.user_nbrs[~batch.user_mask] = filler_item
-        tampered.item_nbrs[~batch.item_mask] = filler_user
+        filler_item = profile_ids(schema, ITEM, ("i3", "y"))
+        filler_user = table_id(schema, USER, 0, "u1")
+        tampered = Batch(batch.ids, {side: nbrs.copy() for side, nbrs in batch.nbrs.items()}, batch.mask, batch.labels)
+        tampered.nbrs[USER][~batch.mask[USER]] = filler_item
+        tampered.nbrs[ITEM][~batch.mask[ITEM]] = filler_user
 
         after = forward(params, tampered).prob
         assert np.array_equal(before, after)
@@ -492,18 +483,9 @@ class TestMasking:
 class TestPermutation:
     @staticmethod
     def _swap_window_slots(batch: Batch, perm) -> Batch:
-        shuffled = Batch(
-            user_ids=batch.user_ids,
-            item_ids=batch.item_ids,
-            user_nbrs=batch.user_nbrs.copy(),
-            user_mask=batch.user_mask.copy(),
-            item_nbrs=batch.item_nbrs,
-            item_mask=batch.item_mask,
-            labels=batch.labels,
-        )
-        shuffled.user_nbrs[0] = shuffled.user_nbrs[0][perm]
-        shuffled.user_mask[0] = shuffled.user_mask[0][perm]
-        return shuffled
+        nbrs, mask = batch.nbrs[USER].copy(), batch.mask[USER].copy()
+        nbrs[0], mask[0] = nbrs[0][perm], mask[0][perm]
+        return Batch(batch.ids, {**batch.nbrs, USER: nbrs}, {**batch.mask, USER: mask}, batch.labels)
 
     def test_no_confidence_ignores_slot_order(self):
         config = toy_config(TrainConfig(confidence="none", attention="ffn-2"))
@@ -639,7 +621,7 @@ LAYOUT_CONFIGS = [
 
 def layout_case(overrides):
     config = tiny_config(**overrides)
-    return FeatureSchema(tiny_schema().user_fields, tiny_schema().item_fields, config.user_embed_width, 2), config
+    return FeatureSchema(tiny_schema().fields, {USER: config.user_embed_width, ITEM: 2}), config
 
 
 class TestDenseLayout:
@@ -699,6 +681,32 @@ class TestCheckpoint:
         assert loaded.store.tobytes() == params.store.tobytes()
         batch = tiny_batch(params.schema)
         assert np.array_equal(predict(params, batch), predict(loaded, batch))
+
+    def test_header_line_is_pinned(self, tmp_path):
+        # The header is a file format: saved models must keep loading.
+        config = tiny_config(item_embed_width=3)
+        path = tmp_path / "model.bin"
+        save_checkpoint(str(path), init_params(np.random.default_rng(0), toy_schema(config), config), {"epoch": 4})
+        magic, header, _ = path.read_bytes().split(b"\n", 2)
+        assert magic + b"\n" == model_mod.CKPT_MAGIC
+        assert header.decode() == (
+            '{"arrays":[["user_table",[9,2]],["item_table",[10,3]],["att_ui.proj_w",[6,4]],'
+            '["att_ui.proj_b",[6]],["att_ii.proj_w",[2,6]],["att_ii.proj_b",[2]],["att_ia.proj_w",[2,4]],'
+            '["att_ia.proj_b",[2]],["int_user.w",[3,10]],["int_user.b",[3]],["int_item.w",[3,8]],'
+            '["int_item.b",[3]],["adp_user.w",[3,12]],["adp_user.b",[3]],["adp_item.w",[3,4]],'
+            '["adp_item.b",[3]],["mlp.w0",[80,12]],["mlp.b0",[80]],["mlp.w1",[40,80]],["mlp.b1",[40]],'
+            '["mlp.w2",[1,40]],["mlp.b2",[1]],["conf_user",[2,2,6]],["conf_item",[2,2,2]]],'
+            '"config":{"attention":"dot","batch_size":256,"confidence":"fce","confidence_in_pooling":true,'
+            '"decay_every":1,"decay_rate":1.0,"dropout":0.0,"epochs":10,"graph_mode":"dynamic",'
+            '"hidden_width":3,"include_negative_neighbors":true,"item_embed_width":3,"l2":0.0,'
+            '"learning_rate":0.001,"max_neighbors":2,"pooling":"attention","seed":0,"user_embed_width":2,'
+            '"user_query_only":false},"extra":{"epoch":4},'
+            '"schema":{"item_fields":[{"name":"iid","values":["i0","i1","i2","i3"]},'
+            '{"name":"cat","values":["x","y"]}],"item_width":3,'
+            '"user_fields":[{"name":"uid","values":["u0","u1","u2"]},{"name":"seg","values":["a","b"]}],'
+            '"user_width":2},'
+            '"schema_hash":"79d28f0eefd10c9c677460ae329a364a39b750dc925716558a6d0df8493409c5","version":1}'
+        )
 
     def test_identical_saves_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
