@@ -71,7 +71,7 @@ TRAINABLE = frozenset(variant for variant, (_, trainable) in BUILDERS.items() if
 class ConfidenceTable:
     rows: Array  # (k, k, width)
     trainable: bool
-    grad: Array | None = None
+    grad: Array  # same shape as rows; stays zero unless trainable
 
     @property
     def window(self) -> int:
@@ -137,7 +137,3 @@ def scatter_confidence_gradient(table: ConfidenceTable, mask: Array, upstream: A
         # over one entry numpy sums pairwise, while cumsum is always in order.
         table.grad[row] += hit.sum(axis=0) if hit[0].size > 1 else np.cumsum(hit, axis=0)[-1]
 
-
-def zero_confidence_gradient(table: ConfidenceTable) -> None:
-    if table.grad is not None:
-        table.grad[...] = 0.0

@@ -16,17 +16,18 @@ Dataflow per instance, with every per-side array keyed by side (USER, ITEM):
   head MLP            80 -> 40 -> 1, sigmoid, clamped away from {0, 1}
 
 Every array keeps the batch axis first. backward() consumes the state
-returned by forward() and produces a gradient per named parameter; the
-test suite holds those gradients to the central finite-difference
-oracle.
+returned by forward() and writes a gradient per named parameter into a
+second store laid out like the parameters; the test suite holds those
+gradients to the central finite-difference oracle.
 
 Heads with two hidden layers (ffn-3 under attention pooling) run on up to
 HEAD_THREADS threads, one per CPU, in training and in scoring alike; numpy
-releases the GIL inside their kernels. Each head only reads shared state;
-the calling thread adds every head's results into shared state in head
-order, so the bytes do not depend on the thread count. Before the first
-head thread starts, the process asks glibc to keep the memory it frees
-(_keep_freed_memory), so each batch reuses the last one's pages.
+releases the GIL inside their kernels. A head writes only its own gradient
+views and adds into nothing shared; the calling thread adds every head's
+results into shared state in head order, so the bytes do not depend on the
+thread count. Before the first head thread starts, the process asks glibc
+to keep the memory it frees (_keep_freed_memory), so each batch reuses the
+last one's pages.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .confidence import (
     apply_confidence,
     build_confidence,
     scatter_confidence_gradient,
-    zero_confidence_gradient,
 )
 from .config import MAX_MODEL_SIZE, TrainConfig, config_from_dict, config_to_dict
 from .errors import DataError, DomainError, UsageError
@@ -139,9 +139,10 @@ class PigatParams:
     # views of it, so a checkpoint's payload is its bytes.
     store: Array
     views: dict[str, Array]  # layout name -> view of store
+    # A second store of the same layout holds the gradients.
+    grads: dict[str, Array]  # layout name -> view of the gradient store
     dense: Array  # the slice of store after the tables: the trainables one Adam call updates
-    dense_grad: Array  # same layout
-    dense_grads: dict[str, Array]  # name -> view of dense_grad
+    dense_grad: Array  # the same slice of the gradient store
 
 
 def head_wiring(config: TrainConfig) -> dict[str, tuple[str, str]]:
@@ -207,30 +208,26 @@ def _ffn(views: dict[str, Array], prefix: str) -> FfnParams:
 
 
 def _build(schema: FeatureSchema, config: TrainConfig) -> PigatParams:
-    """A zeroed model whose every array is a view of one new store, laid out by layout().
+    """A zeroed model whose every array and gradient is a view of one of two new stores.
 
-    The only allocation of model-sized memory; one above MAX_MODEL_SIZE
-    values is a DataError. Trainable confidence rows get views of dense_grad.
+    Both stores are laid out by layout(); they are the only allocations of
+    model-sized memory, and a model above MAX_MODEL_SIZE values is a
+    DataError.
     """
     shapes = layout(schema, config)
     size = sum(map(math.prod, shapes.values()))
     if size > MAX_MODEL_SIZE:
         raise DataError(f"the model would hold {size} values, more than the {MAX_MODEL_SIZE} allowed")
-    store = np.zeros(size)
-    views = _views(store, shapes)
+    store, grad_store = np.zeros(size), np.zeros(size)
+    views, grads = _views(store, shapes), _views(grad_store, shapes)
     trainable = config.confidence in TRAINABLE
     # Layout order: the tables, every other trainable array, then any frozen rows.
-    dense_shapes = dict(list(shapes.items())[len(TABLES) : None if trainable else -len(CONF)])
-    dense_grad = np.zeros(sum(map(math.prod, dense_shapes.values())))
     start = sum(views[name].size for name in TABLES)
-    dense, grads = store[start : start + dense_grad.size], _views(dense_grad, dense_shapes)
+    dense = slice(start, size - (0 if trainable else sum(views[name].size for name in CONF)))
     tables = {
-        side: EmbeddingTable(views[f"{side}_table"], np.zeros(shapes[f"{side}_table"]), schema.pad_rows(side))
-        for side in SIDES
+        side: EmbeddingTable(views[f"{side}_table"], grads[f"{side}_table"], schema.pad_rows(side)) for side in SIDES
     }
-    conf = {
-        side: ConfidenceTable(views[f"conf_{side}"], trainable, grads.get(f"conf_{side}")) for side in SIDES
-    }
+    conf = {side: ConfidenceTable(views[f"conf_{side}"], trainable, grads[f"conf_{side}"]) for side in SIDES}
     kind = config.attention
     heads = {
         name: AttentionHead(
@@ -243,7 +240,9 @@ def _build(schema: FeatureSchema, config: TrainConfig) -> PigatParams:
     }
     integrate = {name: (views[f"{name}.w"], views[f"{name}.b"]) for name, _, _ in INTEGRATE}
     mlp = _ffn(views, "mlp")
-    return PigatParams(schema, config, tables, conf, heads, integrate, mlp, store, views, dense, dense_grad, grads)
+    return PigatParams(
+        schema, config, tables, conf, heads, integrate, mlp, store, views, grads, store[dense], grad_store[dense]
+    )
 
 
 def init_params(rng: np.random.Generator, schema: FeatureSchema, config: TrainConfig) -> PigatParams:
@@ -268,8 +267,12 @@ def init_params(rng: np.random.Generator, schema: FeatureSchema, config: TrainCo
 
 
 def named_parameters(params: PigatParams) -> dict[str, Array]:
-    """Stable name -> array view of everything the optimizer may touch, in layout order."""
-    return {name: params.views[name] for name in TABLES + tuple(params.dense_grads)}
+    """Stable name -> array view of everything the optimizer may touch, in layout order.
+
+    That is every array but frozen confidence rows.
+    """
+    trainable = params.config.confidence in TRAINABLE
+    return {name: view for name, view in params.views.items() if trainable or name not in CONF}
 
 
 def touched_rows(params: PigatParams) -> dict[str, Array]:
@@ -444,10 +447,11 @@ def bce_loss(prob: Array, labels: Array) -> float:
 def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[str, Array]:
     """Mean-BCE gradients for every named parameter of this batch.
 
-    Embedding and confidence accumulators are zeroed before this batch's
-    gradients are scattered into them, so the returned dict always holds
-    exactly this batch's gradients. The non-table gradients are views of
-    params.dense_grad, laid out like params.dense.
+    Each gradient is written into its view of params.grads; the embedding
+    and confidence accumulators are zeroed before this batch's gradients
+    are scattered into them, so the returned dict holds exactly this
+    batch's gradients. It maps each name of named_parameters to its view,
+    so the next call overwrites the arrays it returns.
     """
     if state.mode != "train":
         raise UsageError(f"backward needs a forward state computed in train mode, got {state.mode!r}")
@@ -455,14 +459,11 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
     batch = state.batch
     b = len(batch)
     labels = np.asarray(labels, dtype=np.float64)
-    grads: dict[str, Array] = {}
+    grads = params.grads
 
     # Head: d loss / d logit, zero where the output clamp is active.
     d_logit = np.where(state.clamp_active, (state.prob - labels) / b, 0.0)
-    d_merged_in, mlp_dw, mlp_db = ffn_backward(params.mlp, state.mlp_cache, d_logit[:, None])
-    for i in range(len(params.mlp.weights)):
-        grads[f"mlp.w{i}"] = mlp_dw[i]
-        grads[f"mlp.b{i}"] = mlp_db[i]
+    d_merged_in = ffn_backward(params.mlp, state.mlp_cache, d_logit[:, None], _ffn(grads, "mlp"))
     d_merged = d_merged_in * state.drop if state.drop is not None else d_merged_in
 
     dh = cfg.hidden_width
@@ -472,8 +473,8 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
         x, pre = state.int_states[name]
         d_out = d_merged[:, idx * dh : (idx + 1) * dh]
         d_pre = d_out * leaky_relu_slope_at(pre)
-        grads[f"{name}.w"] = d_pre.T @ x
-        grads[f"{name}.b"] = d_pre.sum(axis=0)
+        np.matmul(d_pre.T, x, out=grads[f"{name}.w"])
+        d_pre.sum(axis=0, out=grads[f"{name}.b"])
         d_x = d_pre @ params.integrate[name][0]
         cut = sources[left].shape[1]
         d_sources[left] = _acc(d_sources.get(left), d_x[:, :cut])
@@ -486,25 +487,23 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
 
     wiring = head_wiring(cfg)
 
-    def head_backward(name: str) -> tuple[Array, Array | None, Array | None, dict[str, Array]]:
-        """(d pooled values, d_keys, d_query, the head's grads); writes nothing shared."""
+    def head_backward(name: str) -> tuple[Array, Array | None, Array | None]:
+        """(d pooled values, d_keys, d_query); writes only the head's own gradient views."""
         window, _ = wiring[name]
         hstate, d_pool = state.heads[name], d_sources[name]
         d_keys = d_query = None
-        head_grads: dict[str, Array] = {}
         # Pooling backward: weights and values both carry gradient; uniform weights carry no parameters.
         if cfg.pooling == "attention":
             d_weights = np.einsum("bw,bkw->bk", d_pool, pool_src[window])
             d_logits = masked_softmax_backward(hstate.weights, d_weights)
-            d_keys, d_query = _head_backward(params.heads[name], name, hstate, d_logits, head_grads)
+            d_keys, d_query = _head_backward(params.heads[name], name, hstate, d_logits, grads)
         # After _head_backward has freed its temporaries, so this does not raise the peak memory.
-        return hstate.weights[:, :, None] * d_pool[:, None, :], d_keys, d_query, head_grads
+        return hstate.weights[:, :, None] * d_pool[:, None, :], d_keys, d_query
 
-    for name, (d_values, d_keys, d_query, head_grads) in _each_head(cfg, head_backward):
+    for name, (d_values, d_keys, d_query) in _each_head(cfg, head_backward):
         window, query = wiring[name]
         d_pool_src[window] += d_values
         if d_keys is not None:
-            grads.update(head_grads)
             d_aug[window] += d_keys
             d_sources[query] += d_query
         del d_values, d_keys  # freed before the next head runs, so its memory serves that head
@@ -512,10 +511,8 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
     # Confidence addition: augmented = raw + mask * rows.
     for side in SIDES:
         conf = params.conf[side]
-        zero_confidence_gradient(conf)
+        conf.grad[...] = 0.0
         scatter_confidence_gradient(conf, batch.mask[side], d_aug[side])
-        if conf.trainable:
-            grads[f"conf_{side}"] = conf.grad
         d_raw[side] += d_aug[side]
 
     # A side's table holds its profiles and the entries of the other side's window.
@@ -524,10 +521,7 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
         zero_gradients(table)
         scatter_gradient(table, batch.ids[side], d_sources[side].reshape(-1, table.width))
         scatter_gradient(table, batch.nbrs[OTHER[side]], d_raw[OTHER[side]].reshape(-1, table.width))
-        grads[f"{side}_table"] = table.grad
-    np.concatenate([grads[name].reshape(-1) for name in params.dense_grads], out=params.dense_grad)
-    grads.update(params.dense_grads)
-    return grads
+    return {name: grads[name] for name in named_parameters(params)}
 
 
 def _acc(current: Array | None, delta: Array) -> Array:
@@ -579,8 +573,10 @@ def _each_head(cfg: TrainConfig, run: Callable[[str], T]) -> Iterator[tuple[str,
     holds the others. Shallower heads, average pooling or a single CPU run
     each head only when the caller asks for its result, so the caller can
     add one head into shared state before the next one starts: their work
-    per head is too light to pay for a thread. run must write nothing
-    shared; an error it raises on any thread reaches the caller.
+    per head is too light to pay for a thread. run may write only what
+    belongs to its own head, such as the head's gradient views, and add
+    into nothing shared; an error it raises on any thread reaches the
+    caller.
     """
     names = list(head_wiring(cfg))
     deep = cfg.pooling == "attention" and len(ATT_HIDDEN.get(cfg.attention, ())) > 1
@@ -606,20 +602,17 @@ def _each_head(cfg: TrainConfig, run: Callable[[str], T]) -> Iterator[tuple[str,
 def _head_backward(
     head: AttentionHead, name: str, hstate: HeadState, d_logits: Array, grads: dict[str, Array]
 ) -> tuple[Array, Array]:
-    """Returns (d_keys, d_query) and records the head's parameter grads."""
+    """Returns (d_keys, d_query); writes the head's parameter grads into their views in grads."""
     if head.kind in ATT_HIDDEN:
-        (d_query, d_keys), d_ws, d_bs = ffn_backward(head.ffn, hstate.ffn_cache, d_logits[:, :, None])
-        for i in range(len(head.ffn.weights)):
-            grads[f"att_{name}.w{i}"] = d_ws[i]
-            grads[f"att_{name}.b{i}"] = d_bs[i]
+        d_query, d_keys = ffn_backward(head.ffn, hstate.ffn_cache, d_logits[:, :, None], _ffn(grads, f"att_{name}"))
         return d_keys, d_query
     scale = 1.0 / np.sqrt(hstate.keys.shape[-1]) if head.kind == "scaled-dot" else 1.0
     d_q_proj = np.einsum("bk,bkw->bw", d_logits, hstate.keys) * scale
     d_keys = d_logits[:, :, None] * hstate.q_proj[:, None, :] * scale
     if head.proj_w is None:
         return d_keys, d_q_proj
-    grads[f"att_{name}.proj_w"] = d_q_proj.T @ hstate.query
-    grads[f"att_{name}.proj_b"] = d_q_proj.sum(axis=0)
+    np.matmul(d_q_proj.T, hstate.query, out=grads[f"att_{name}.proj_w"])
+    d_q_proj.sum(axis=0, out=grads[f"att_{name}.proj_b"])
     return d_keys, d_q_proj @ head.proj_w
 
 

@@ -157,24 +157,24 @@ def ffn_forward(params: FfnParams, x: Array | tuple[Array, Array]) -> tuple[Arra
 
 
 def ffn_backward(
-    params: FfnParams, cache: FfnCache, d_out: Array
-) -> tuple[Array, list[Array], list[Array]]:
-    """Backprop through the FFN.
+    params: FfnParams, cache: FfnCache, d_out: Array, grads: FfnParams
+) -> Array | tuple[Array, Array]:
+    """Backprop through the FFN; writes each layer's gradients into grads.
 
-    Returns (d_input, d_weights, d_biases). Leading batch axes of d_out
-    are flattened into the accumulation, matching ffn_forward. After a
-    (query, keys) pair input, d_input is the pair (d_query, d_keys); the
-    query was broadcast over the slots, so its gradient sums over them,
-    and that sum is taken before the query-side matmuls.
+    grads holds arrays shaped like params' weights and biases, overwritten
+    in place. Returns d_input. Leading batch axes of d_out are flattened
+    into the accumulation, matching ffn_forward. After a (query, keys) pair
+    input, d_input is the pair (d_query, d_keys); the query was broadcast
+    over the slots, so its gradient sums over them, and that sum is taken
+    before the query-side matmuls.
     """
     n_layers = len(params.weights)
     if len(cache.inputs) != n_layers or len(cache.pre_acts) != n_layers:
         raise UsageError("forward cache does not match the FFN it came from")
-    d_weights: list[Array] = [np.empty(0)] * n_layers
-    d_biases: list[Array] = [np.empty(0)] * n_layers
     g = np.asarray(d_out, dtype=np.float64)
     for i in range(n_layers - 1, -1, -1):
         w, x_in, pre = params.weights[i], cache.inputs[i], cache.pre_acts[i]
+        d_w, d_b = grads.weights[i], grads.biases[i]
         if g.shape != pre.shape:
             raise UsageError(
                 f"stale cache: upstream grad {g.shape} does not match pre-activation {pre.shape}"
@@ -185,16 +185,15 @@ def ffn_backward(
             query, keys = x_in
             qw = query.shape[1]
             g_query = g.sum(axis=1)
-            d_keys_w = g.reshape(-1, g.shape[-1]).T @ keys.reshape(-1, keys.shape[-1])
-            d_weights[0] = np.concatenate([g_query.T @ query, d_keys_w], axis=1)
-            d_biases[0] = g_query.sum(axis=0)
-            return (g_query @ w[:, :qw], g @ w[:, qw:]), d_weights, d_biases
+            np.matmul(g_query.T, query, out=d_w[:, :qw])
+            np.matmul(g.reshape(-1, g.shape[-1]).T, keys.reshape(-1, keys.shape[-1]), out=d_w[:, qw:])
+            g_query.sum(axis=0, out=d_b)
+            return g_query @ w[:, :qw], g @ w[:, qw:]
         g2 = g.reshape(-1, g.shape[-1])
-        x2 = x_in.reshape(-1, x_in.shape[-1])
-        d_weights[i] = g2.T @ x2
-        d_biases[i] = g2.sum(axis=0)
+        np.matmul(g2.T, x_in.reshape(-1, x_in.shape[-1]), out=d_w)
+        g2.sum(axis=0, out=d_b)
         g = g @ w
-    return g, d_weights, d_biases
+    return g
 
 
 @dataclass

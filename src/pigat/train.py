@@ -45,12 +45,6 @@ class TrainResult:
     best_val_auc: float = float("nan")
 
 
-def _param_norms(params: PigatParams) -> str:
-    norms = {name: float(np.linalg.norm(arr)) for name, arr in named_parameters(params).items()}
-    top = sorted(norms.items(), key=lambda kv: -kv[1])[:5]
-    return ", ".join(f"{name}={value:.3e}" for name, value in top)
-
-
 def _group(name: str) -> str:
     """The parameter group of a named parameter: tables, conf_*, att_*, integrate or mlp."""
     if name in TABLES:
@@ -58,6 +52,14 @@ def _group(name: str) -> str:
     if name.startswith(("conf_", "att_")):
         return name.split("_")[0] + "_*"
     return "mlp" if name.startswith("mlp.") else "integrate"
+
+
+def _group_norms(params: PigatParams) -> str:
+    """The L2 norm of each parameter group's values, groups in layout order."""
+    squares: dict[str, float] = {}
+    for name, arr in named_parameters(params).items():
+        squares[_group(name)] = squares.get(_group(name), 0.0) + float(np.vdot(arr, arr))
+    return ", ".join(f"{group}={np.sqrt(total):.3e}" for group, total in squares.items())
 
 
 def _non_finite(params: PigatParams, grads: dict[str, np.ndarray], rows: dict[str, np.ndarray]) -> str | None:
@@ -88,6 +90,7 @@ def train(config: TrainConfig, data: PreparedData) -> TrainResult:
     adam = AdamState(learning_rate=config.learning_rate, l2=config.l2)
     # Adam updates the tables row-sparsely and every other parameter as one flat vector.
     arrays = {name: params.views[name] for name in TABLES} | {"dense": params.dense}
+    adam_grads = {name: params.grads[name] for name in TABLES} | {"dense": params.dense_grad}
     result = TrainResult(params=params)
     # The store of the best epoch so far, kept only while a later epoch may
     # overwrite it.
@@ -107,7 +110,7 @@ def train(config: TrainConfig, data: PreparedData) -> TrainResult:
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {batch_idx}; "
-                    f"largest parameter norms: {_param_norms(params)}"
+                    f"parameter norms by group: {_group_norms(params)}"
                 )
             loss_sum += loss * len(batch)
             grads = backward(params, state, batch.labels)
@@ -117,7 +120,7 @@ def train(config: TrainConfig, data: PreparedData) -> TrainResult:
                 raise NumericError(
                     f"non-finite gradient at epoch {epoch}, batch {batch_idx}: {bad} (group {_group(bad)})"
                 )
-            adam_step(adam, arrays, {name: grads[name] for name in TABLES} | {"dense": params.dense_grad}, rows)
+            adam_step(adam, arrays, adam_grads, rows)
         train_loss = loss_sum / n
 
         val_probs = predict(params, data.val)

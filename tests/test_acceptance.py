@@ -150,17 +150,19 @@ def test_overfits_small_dataset():
         attention="ffn-2",
         seed=0,
     )
-    started = time.perf_counter()
+    # This process's CPU time, not wall time: other processes sharing the
+    # CPUs stretch the wall time several-fold without this run doing more work.
+    started = time.process_time()
     data = prepare_dataset(log, config)
     assert len(data.train) == 256
     result = train(config, data)
-    elapsed = time.perf_counter() - started
+    elapsed = time.process_time() - started
     best = min(st.train_loss for st in result.history)
     ok = best < 0.05 and elapsed < 60.0
     report(
         "memorizes 256 training instances",
         ok,
-        f"best train loss {best:.2e} (< 0.05) within 500 epochs, {elapsed:.1f}s (< 60s)",
+        f"best train loss {best:.2e} (< 0.05) within 500 epochs, {elapsed:.1f} CPU s (< 60s)",
     )
 
 

@@ -20,10 +20,9 @@ E_INV = 0.36787944117144233  # exp(-1), the newest slot's leading entry
 
 
 def conf_table(variant, k, width, rng=None):
-    """The variant's rows wired as the model wires them, with a gradient when trainable."""
+    """The variant's rows wired as the model wires them, with a zeroed gradient."""
     rows = build_confidence(variant, k, width, rng)
-    trainable = variant in TRAINABLE
-    return ConfidenceTable(rows, trainable, np.zeros_like(rows) if trainable else None)
+    return ConfidenceTable(rows, variant in TRAINABLE, np.zeros_like(rows))
 
 
 def test_recency_profile_matches_scalar_formula():
@@ -66,7 +65,6 @@ def test_build_variants_flags():
         table = conf_table(variant, 4, 6, rng)
         assert table.rows.shape == (4, 4, 6)
         assert table.trainable == (variant in ("rce", "ce"))
-        assert (table.grad is not None) == table.trainable
     with pytest.raises(DomainError):
         conf_table("wat", 4, 6, rng)
 
@@ -147,6 +145,9 @@ def test_scatter_confidence_targets_live_surface():
     np.testing.assert_array_equal(table.grad[1, :2], np.ones((2, 2)))
     assert not table.grad[0].any() and not table.grad[2].any()
     assert not table.grad[1, 2].any()
+    frozen = conf_table("fce", 3, 2)
+    scatter_confidence_gradient(frozen, mask, up)
+    assert not frozen.grad.any()
 
 
 @settings(max_examples=60, deadline=None)

@@ -29,7 +29,9 @@ from pigat.model import (
     ATT_HIDDEN,
     AttentionHead,
     CKPT_MAGIC,
+    _ffn_layout,
     _head_backward,
+    _views,
     attention_logits,
     backward,
     bce_loss,
@@ -296,7 +298,9 @@ class TestFfnHeadAgainstConcatReference:
         logits, state = attention_logits(head, query, keys)
         state.weights = masked_softmax(logits, mask)
         d_logits = masked_softmax_backward(state.weights, rng.normal(size=(n, window)))
-        grads = {}
+        # Views of one NaN-filled store, as the model passes them: each must be overwritten.
+        shapes = _ffn_layout("att_ui", [q_width + k_width, *ATT_HIDDEN[kind], 1])
+        grads = _views(np.full(sum(map(math.prod, shapes.values())), np.nan), shapes)
         d_keys, d_query = _head_backward(head, "ui", state, d_logits, grads)
 
         want_logits, want_grads, want_d_keys, want_d_query = concat_head_reference(head, query, keys, d_logits)
@@ -634,14 +638,21 @@ class TestDenseLayout:
         loaded, _ = load_checkpoint(str(path))
         for p in (params, loaded):
             assert_store_layout(p)
-            dense = {n: a for n, a in named_parameters(p).items() if not n.endswith("_table")}
+            # The gradients tile a second store as the arrays tile store: each at its parameter's offset.
+            grad_store = p.dense_grad.base
+            assert_tiles(grad_store, {name: p.grads[name] for name in layout(schema, config)})
+            assert offset_in(grad_store, p.dense_grad) == offset_in(p.store, p.dense)
+            assert p.dense_grad.size == p.dense.size
+            for side in (USER, ITEM):
+                assert p.tables[side].grad is p.grads[f"{side}_table"]
+                assert p.conf[side].grad is p.grads[f"conf_{side}"]
+            # A gradient backward forgot to write would keep its NaN.
+            p.dense_grad[...] = np.nan
             batch = tiny_batch(schema)
             grads = backward(p, forward(p, batch, mode="train"), batch.labels)
-            assert_tiles(p.dense_grad, {n: grads[n] for n in dense})
-            assert list(p.dense_grads) == list(dense)
-            for side in (USER, ITEM):  # trainable confidence rows get their gradient in dense_grad
-                conf = p.conf[side]
-                assert conf.grad is grads.get(f"conf_{side}") and (conf.grad is None) != conf.trainable
+            assert np.isfinite(p.dense_grad).all()
+            assert list(grads) == list(named_parameters(p))
+            assert all(grads[name] is p.grads[name] for name in grads)
         assert loaded.store.tobytes() == params.store.tobytes()
 
     @pytest.mark.parametrize("overrides", LAYOUT_CONFIGS)

@@ -229,7 +229,11 @@ def _ffn_case(seed, dims):
 def test_ffn_backward_matches_finite_differences(dims):
     params, x, coef = _ffn_case(11, dims)
     out, cache = nn.ffn_forward(params, x)
-    d_in, d_ws, d_bs = nn.ffn_backward(params, cache, coef)
+    # NaN-filled, so a gradient ffn_backward does not overwrite fails the comparison.
+    weights, biases = (tuple(np.full_like(a, np.nan) for a in arrays) for arrays in (params.weights, params.biases))
+    grads = nn.FfnParams(weights, biases)
+    d_in = nn.ffn_backward(params, cache, coef, grads)
+    d_ws, d_bs = grads.weights, grads.biases
 
     def loss_with(arr, setter):
         def f(v):
@@ -281,7 +285,7 @@ def test_ffn_backward_rejects_stale_cache():
     other = ffn_init(rng, [3, 4, 2])
     _, cache = nn.ffn_forward(params, rng.normal(size=3))
     with pytest.raises(UsageError):
-        nn.ffn_backward(other, cache, np.zeros(2))
+        nn.ffn_backward(other, cache, np.zeros(2), other)
 
 
 def test_adam_first_step_moves_by_learning_rate():

@@ -130,21 +130,31 @@ class TestBestEpoch:
 
 class TestNanAbort:
     def test_non_finite_loss_raises_with_location(self, small_log, monkeypatch):
-        cfg = small_config()
-        data = prepare_dataset(small_log, cfg)
+        # Each config's parameter groups, in layout order: frozen confidence
+        # rows and average pooling have no conf_* or att_* parameters.
+        cases = [
+            (dict(attention="ffn-1"), ["tables", "conf_*", "att_*", "integrate", "mlp"]),
+            (dict(confidence="fce", pooling="average"), ["tables", "integrate", "mlp"]),
+        ]
         real = train_mod.bce_loss
-        calls = {"n": 0}
+        for overrides, groups in cases:
+            cfg = small_config(**overrides)
+            data = prepare_dataset(small_log, cfg)
+            calls = {"n": 0}
 
-        def poisoned(prob, labels):
-            calls["n"] += 1
-            return float("nan") if calls["n"] == 2 else real(prob, labels)
+            def poisoned(prob, labels):
+                calls["n"] += 1
+                return float("nan") if calls["n"] == 2 else real(prob, labels)
 
-        monkeypatch.setattr(train_mod, "bce_loss", poisoned)
-        with pytest.raises(NumericError) as err:
-            train(cfg, data)
-        msg = str(err.value)
-        assert "epoch 1" in msg and "batch 1" in msg
-        assert "=" in msg  # carries parameter norms for the postmortem
+            monkeypatch.setattr(train_mod, "bce_loss", poisoned)
+            with pytest.raises(NumericError) as err:
+                train(cfg, data)
+            msg = str(err.value)
+            assert "epoch 1" in msg and "batch 1" in msg
+            # The norm of each parameter group, for the postmortem.
+            norms = re.search(r"parameter norms by group: (.*)$", msg).group(1).split(", ")
+            assert [norm.split("=")[0] for norm in norms] == groups
+            assert all(float(norm.split("=")[1]) > 0.0 for norm in norms)
 
 
     @pytest.mark.parametrize(
