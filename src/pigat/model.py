@@ -21,18 +21,15 @@ second store laid out like the parameters; the test suite holds those
 gradients to the central finite-difference oracle.
 
 Heads with two hidden layers (ffn-3 under attention pooling) run on up to
-HEAD_THREADS threads, one per CPU, in training and in scoring alike; numpy
-releases the GIL inside their kernels. A head writes only its own gradient
-views and adds into nothing shared; the calling thread adds every head's
+HEAD_THREADS threads (_each_head). The calling thread adds every head's
 results into shared state in head order, so the bytes do not depend on the
-thread count. Before the first head thread starts, the process asks glibc
-to keep the memory it frees (_keep_freed_memory), so each batch reuses the
-last one's pages.
+thread count.
 """
 
 from __future__ import annotations
 
 import functools
+import glob
 import json
 import math
 import os
@@ -106,6 +103,9 @@ HEAD_THREADS = 2
 # memory stays in the process and arrays come from the heap, not mmap.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 KEEP_FREED_BYTES = 1 << 28
+# The environment variables that set a BLAS thread count; where the user
+# set one, pigat leaves BLAS as it is.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass
@@ -214,6 +214,7 @@ def _build(schema: FeatureSchema, config: TrainConfig) -> PigatParams:
     model-sized memory, and a model above MAX_MODEL_SIZE values is a
     DataError.
     """
+    _one_blas_thread()  # before the model's first matmul
     shapes = layout(schema, config)
     size = sum(map(math.prod, shapes.values()))
     if size > MAX_MODEL_SIZE:
@@ -556,47 +557,55 @@ def _keep_freed_memory() -> None:
 
 
 @functools.cache
-def _pool(workers: int):
-    """The persistent pool of worker threads that runs heads besides the caller."""
+def _one_blas_thread() -> None:
+    """Ask numpy's bundled OpenBLAS, once per process, for one thread, unless a count is set.
+
+    OpenBLAS otherwise starts one thread per CPU, and those threads share
+    the CPUs with the head threads. The call reaches the library numpy has
+    loaded, so it works after numpy's import too. A library or symbol that
+    is missing is left as it is.
+    """
+    if any(var in os.environ for var in BLAS_THREAD_VARS):
+        return
+    import ctypes
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*")
+    try:
+        for path in glob.glob(libs):
+            ctypes.CDLL(path).scipy_openblas_set_num_threads64_(1)
+    except (OSError, AttributeError, TypeError):  # no library to open, or one without the symbol
+        pass
+
+
+@functools.cache
+def _pool():
+    """The persistent pool of HEAD_THREADS - 1 threads that runs heads besides the caller."""
     from concurrent.futures import ThreadPoolExecutor
 
     _keep_freed_memory()  # before the pool's first thread allocates anything
-    return ThreadPoolExecutor(workers, thread_name_prefix="pigat-head")
+    return ThreadPoolExecutor(HEAD_THREADS - 1, thread_name_prefix="pigat-head")
 
 
 def _each_head(cfg: TrainConfig, run: Callable[[str], T]) -> Iterator[tuple[str, T]]:
-    """Yield (name, run(name)) for each head of head_wiring(cfg), in order.
+    """Yield (name, run(name)) for each head of head_wiring(cfg), in head order.
 
-    Heads with two hidden layers (ffn-3 under attention pooling) run on W =
-    min(HEAD_THREADS, heads, CPUs) threads, in training and scoring: head i
-    on thread i % W, where thread 0 is the caller and a persistent pool
-    holds the others. Shallower heads, average pooling or a single CPU run
-    each head only when the caller asks for its result, so the caller can
-    add one head into shared state before the next one starts: their work
-    per head is too light to pay for a thread. run may write only what
-    belongs to its own head, such as the head's gradient views, and add
-    into nothing shared; an error it raises on any thread reaches the
-    caller.
+    Heads with two hidden layers (ffn-3 under attention pooling) use W =
+    min(HEAD_THREADS, CPUs) threads; every other head kind uses one. When
+    the call starts, head i with i % W != 0 goes to the pool; every other
+    head runs on the caller when its turn comes. run may write only what
+    belongs to its own head and add into nothing shared. An error raised on
+    any thread reaches the caller, and no head outlives the call.
     """
     names = list(head_wiring(cfg))
     deep = cfg.pooling == "attention" and len(ATT_HIDDEN.get(cfg.attention, ())) > 1
-    threads = min(HEAD_THREADS, len(names), _cpus()) if deep else 1
-    if threads == 1:
-        yield from ((name, run(name)) for name in names)
-        return
-    from concurrent.futures import wait
-
-    def share(t: int) -> list[T]:
-        return [run(name) for name in names[t::threads]]
-
-    futures = [_pool(threads - 1).submit(share, t) for t in range(1, threads)]
+    threads = min(HEAD_THREADS, _cpus()) if deep else 1
+    futures = {i: _pool().submit(run, name) for i, name in enumerate(names) if i % threads}
     try:
-        shares = [share(0)]
+        for i, name in enumerate(names):
+            yield name, futures[i].result() if i in futures else run(name)
     finally:
-        wait(futures)  # no head outlives the call, even when the caller's share raised
-    shares += [future.result() for future in futures]
-    for i, name in enumerate(names):
-        yield name, shares[i % threads][i // threads]
+        for future in futures.values():
+            future.exception()  # waits, without raising: no head outlives the call
 
 
 def _head_backward(

@@ -18,6 +18,8 @@ Array = np.ndarray
 
 # Negative-side slope of every leaky-relu in the model.
 LEAKY_SLOPE = 0.01
+# Adam's moment decay rates and denominator shift.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> Array:
@@ -217,9 +219,6 @@ class AdamState:
 
     learning_rate: float
     l2: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, Array] = field(default_factory=dict)
     v: dict[str, Array] = field(default_factory=dict)
@@ -264,8 +263,8 @@ def adam_step(
     """
     state.t += 1
     t = state.t
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     largest = max((p.size for p in params.values()), default=0)
     if state.scratch[0].size < largest:
         state.scratch = (np.empty(largest), np.empty(largest))
@@ -287,11 +286,11 @@ def adam_step(
         if state.l2 != 0.0:
             np.multiply(state.l2, p, out=a)
             g = np.add(g, a, out=a)
-        m *= state.beta1
-        m += np.multiply(1.0 - state.beta1, g, out=b)
-        v *= state.beta2
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=b)
+        v *= ADAM_BETA2
         np.multiply(g, g, out=b)
-        v += np.multiply(1.0 - state.beta2, b, out=b)
+        v += np.multiply(1.0 - ADAM_BETA2, b, out=b)
         p -= _step(state, m, v, c1, c2)
 
 
@@ -301,7 +300,7 @@ def _step(state: AdamState, m: Array, v: Array, c1: float, c2: float) -> Array:
     m_hat = np.divide(m, c1, out=a)
     step = np.multiply(state.learning_rate, m_hat, out=a)
     denom = np.sqrt(np.divide(v, c2, out=b), out=b)
-    denom += state.eps
+    denom += ADAM_EPS
     return np.divide(step, denom, out=a)
 
 
@@ -349,10 +348,10 @@ def _row_sparse_update(
         m, v, at = state.m[name], state.v[name], touched
     else:
         m, v, at = rm.m[: rm.n], rm.v[: rm.n], rm.slot[touched]
-    m *= state.beta1
-    m[at] += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v[at] += (1.0 - state.beta2) * (g * g)
+    m *= ADAM_BETA1
+    m[at] += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v[at] += (1.0 - ADAM_BETA2) * (g * g)
     step = _step(state, m, v, c1, c2)
     if rm is None:
         p -= step

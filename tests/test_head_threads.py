@@ -2,27 +2,34 @@
 
 The model reads its CPU count from model._cpus; each test patches it to
 force 1, 2 or 4 CPUs, whatever the runner has. At most
-model.HEAD_THREADS threads run, whatever the CPU count.
+model.HEAD_THREADS threads run, whatever the CPU count. The BLAS tests at
+the end each start a new interpreter, since the thread count they read is
+process-wide.
 """
 
 import ctypes
 import functools
+import glob
 import itertools
 import math
 import os
+import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import pigat
 import pigat.model as model_mod
 from pigat.config import TrainConfig
 from pigat.data import prepare_dataset
 from pigat.errors import NumericError
 from pigat.model import (
+    BLAS_THREAD_VARS,
     HEAD_THREADS,
     KEEP_FREED_BYTES,
     M_MMAP_THRESHOLD,
@@ -100,11 +107,11 @@ def test_same_bytes_at_every_cpu_count(monkeypatch, small_log, attention, user_q
 
 
 def submissions(monkeypatch) -> list:
-    """The functions handed to any thread pool from now on, in order."""
+    """The arguments of every call handed to any thread pool from now on, in order."""
     submitted, submit = [], ThreadPoolExecutor.submit
 
     def counted(self, fn, *args, **kwargs):
-        submitted.append(fn)
+        submitted.append(args)
         return submit(self, fn, *args, **kwargs)
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
@@ -151,7 +158,12 @@ def test_heads_without_two_hidden_layers_start_no_thread(monkeypatch, small_log,
     assert submitted == []
 
 
-def test_scoring_submits_a_share_per_worker_per_chunk(monkeypatch, small_log):
+def off_caller(cfg, w) -> list[tuple[str]]:
+    """The heads that run off the caller at W = w threads, as submitted: head i where i % w != 0."""
+    return [(name,) for i, name in enumerate(head_wiring(cfg)) if i % w]
+
+
+def test_scoring_submits_the_off_caller_heads_per_chunk(monkeypatch, small_log):
     cfg = config(attention="ffn-3")
     data = prepare_dataset(small_log, cfg)
     monkeypatch.setattr(model_mod, "_cpus", lambda: 4)
@@ -160,7 +172,7 @@ def test_scoring_submits_a_share_per_worker_per_chunk(monkeypatch, small_log):
     predict(params, data.train)
     chunks = math.ceil(len(data.train) / cfg.batch_size)
     assert chunks > 1
-    assert len(submitted) == chunks * (min(4, HEAD_THREADS, len(head_wiring(cfg))) - 1)
+    assert submitted == off_caller(cfg, min(4, HEAD_THREADS)) * chunks
 
 
 @pytest.mark.parametrize("cpus", CPUS)
@@ -186,7 +198,7 @@ def test_head_i_runs_on_thread_i_mod_w(monkeypatch, small_log, cpus):
 
         def logits_spy(fn):
             def logits(head, query, keys):
-                forward_on[heads[id(head)]] = threading.get_ident()
+                forward_on[heads[id(head)]] = threading.current_thread()
                 return fn(head, query, keys)
 
             return logits
@@ -195,22 +207,21 @@ def test_head_i_runs_on_thread_i_mod_w(monkeypatch, small_log, cpus):
 
     def backward_spy(fn):
         def head_backward(head, name, hstate, d_logits, grads):
-            backward_on[name] = threading.get_ident()
+            backward_on[name] = threading.current_thread()
             return fn(head, name, hstate, d_logits, grads)
 
         return head_backward
 
     submitted = one_step(monkeypatch, cfg, prepare_dataset(small_log, cfg), cpus, spies)
-    w = min(cpus, HEAD_THREADS, len(names))
+    w = min(cpus, HEAD_THREADS)
     for on in (forward_on, backward_on):
         assert sorted(on) == sorted(names)
         assert len(set(on.values())) <= w
         for i, name in enumerate(names):
-            # Thread 0 is the caller; the heads of one share (equal i mod W) run on one thread.
-            assert (on[name] == threading.get_ident()) == (i % w == 0), name
-            assert {on[other] == on[name] for other in names[i % w :: w]} == {True}, name
-        # Two workers' shares may share a pool thread, when one ended before the next was submitted.
-    assert len(submitted) == 2 * (w - 1)  # one share per worker thread, in forward and in backward
+            # Head i runs on the caller iff i % W == 0, and on a pool thread otherwise.
+            assert (on[name] is threading.current_thread()) == (i % w == 0), name
+            assert i % w == 0 or on[name].name.startswith("pigat-head"), name
+    assert submitted == off_caller(cfg, w) * 2  # the off-caller heads, in forward and in backward
 
 
 @pytest.mark.parametrize("head", ["ui", "ua", "ia"])
@@ -279,8 +290,8 @@ def new_pools(monkeypatch):
     """
     build, pools = model_mod._pool.__wrapped__, []
 
-    def pool(workers):
-        pools.append(build(workers))
+    def pool():
+        pools.append(build())
         return pools[-1]
 
     monkeypatch.setattr(model_mod, "_pool", functools.cache(pool))
@@ -288,6 +299,26 @@ def new_pools(monkeypatch):
     yield pools
     for built in pools:
         built.shutdown()
+
+
+def test_no_head_outlives_the_call(monkeypatch):
+    # At 2 CPUs head 1 (ua) runs on the pool. It is still running when the
+    # consumer raises after the first head, and the call waits for it.
+    monkeypatch.setattr(model_mod, "_cpus", lambda: 2)
+    go, finished = threading.Event(), threading.Event()
+
+    def run(name):
+        if name == "ua":
+            go.wait(timeout=10)
+            time.sleep(0.05)
+            finished.set()
+        return name
+
+    with pytest.raises(RuntimeError, match="consumer failed"):
+        for _ in model_mod._each_head(config(attention="ffn-3"), run):
+            go.set()
+            raise RuntimeError("consumer failed")
+    assert finished.is_set()
 
 
 def step_and_scores(monkeypatch, cfg, data, cpus) -> tuple[dict[str, bytes], bytes]:
@@ -337,3 +368,62 @@ def test_a_c_library_without_mallopt_changes_no_byte(monkeypatch, small_log, new
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     assert step_and_scores(monkeypatch, cfg, data, 2) == sequential
     assert len(new_pools) == 1  # the threaded path ran, and asked for mallopt
+
+
+# Run in a fresh interpreter, since the BLAS thread count is process-wide:
+# prints OpenBLAS's thread count before and after init_params, then a hash
+# of one ffn-3 step's gradients. With the argument "no-symbol", the library
+# the model opens lacks the symbol that sets the count.
+BLAS_PROBE = """
+import ctypes, glob, hashlib, os, sys
+from types import SimpleNamespace
+import numpy as np
+from pigat.config import TrainConfig
+from pigat.data import prepare_dataset
+from pigat.model import backward, forward, init_params
+from pigat.synth import SynthSpec, generate
+
+lib = ctypes.CDLL(sys.argv[1])
+if sys.argv[2] == "no-symbol":
+    cdll = ctypes.CDLL
+    ctypes.CDLL = lambda name, *a, **kw: SimpleNamespace() if "openblas" in str(name) else cdll(name, *a, **kw)
+before = lib.scipy_openblas_get_num_threads64_()
+cfg = TrainConfig(epochs=1, batch_size=32, max_neighbors=4, user_embed_width=4, item_embed_width=4,
+                  hidden_width=8, attention="ffn-3", seed=3).validate()
+data = prepare_dataset(generate(SynthSpec(users=12, items=20, events=200, exponent=1.0, seed=7))[0], cfg)
+params = init_params(np.random.default_rng(4), data.schema, cfg)
+after = lib.scipy_openblas_get_num_threads64_()
+batch = data.train.take(np.arange(cfg.batch_size))
+grads = backward(params, forward(params, batch, mode="train"), batch.labels)
+print(before, after, hashlib.sha256(b"".join(g.tobytes() for g in grads.values())).hexdigest())
+"""
+
+
+def blas_probe(mode: str, **blas_env: str) -> tuple[int, int, str]:
+    """(thread count before init_params, after it, step hash) in a new process with only blas_env set."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*"))
+    if not libs:
+        pytest.skip("this numpy bundles no scipy-openblas")
+    src = os.path.dirname(os.path.dirname(pigat.__file__))
+    env = {var: value for var, value in os.environ.items() if var not in BLAS_THREAD_VARS}
+    env |= {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))} | blas_env
+    out = subprocess.run(
+        [sys.executable, "-c", BLAS_PROBE, libs[0], mode], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    before, after, digest = out.stdout.split()
+    return int(before), int(after), digest
+
+
+def test_the_model_asks_for_one_blas_thread_unless_a_count_is_set():
+    assert blas_probe("pin")[1] == 1
+    before, after, _ = blas_probe("pin", OPENBLAS_NUM_THREADS="2")
+    assert before == after == min(2, model_mod._cpus())
+    before, after, _ = blas_probe("pin", OMP_NUM_THREADS="2")
+    assert before == after == min(2, model_mod._cpus())
+
+
+def test_a_blas_library_without_the_symbol_changes_no_byte():
+    before, after, digest = blas_probe("no-symbol")
+    assert after == before  # left as it is
+    assert blas_probe("pin")[2] == digest
