@@ -34,6 +34,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pigat", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -56,15 +64,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients numerically")
     p.add_argument("--config", help="training config file (defaults apply if omitted)")
-    p.add_argument("--seeds", type=int, default=20, help="number of verification points")
-    p.add_argument("--samples", type=int, default=6, help="coordinates checked per array")
+    p.add_argument("--seeds", type=positive_int, default=20, help="number of verification points")
+    p.add_argument("--samples", type=positive_int, default=6, help="coordinates checked per array")
 
     p = sub.add_parser("ablate", help="train a grid of config variants")
     p.add_argument("--matrix", required=True, help="INI file of variant overrides")
     p.add_argument("--data", required=True, help="interaction log")
     p.add_argument("--out", required=True, help="results table to write")
     p.add_argument("--config", help="base training config file")
-    p.add_argument("--seeds", type=int, default=3, help="seeds per variant")
+    p.add_argument("--seeds", type=positive_int, default=3, help="seeds per variant")
     return parser
 
 
@@ -120,9 +128,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    for flag, value in (("--seeds", args.seeds), ("--samples", args.samples)):
-        if value < 1:
-            raise UsageError(f"{flag} must be at least 1, got {value}")
     config = _load_config(args.config)
     reports = [gradcheck.run_case(config, seed, samples_per_array=args.samples) for seed in range(args.seeds)]
     for name in sorted(reports[0].per_group):

@@ -26,7 +26,7 @@ from .errors import NumericError
 from .features import Batch, FeatureSchema, FieldVocab
 from .graph import ITEM, USER
 from .model import ForwardState, backward, bce_loss, forward, init_params, named_parameters
-from .nn import fd_coordinate
+from .nn import FfnCache, fd_coordinate
 
 SMOOTH_MARGIN = 2e-4
 DEFAULT_STEP = 1e-5
@@ -83,9 +83,9 @@ def leaky_margin(state: ForwardState) -> float:
     integrate layers and the hidden layers of the prediction MLP.
     """
     pre_acts = [pre for _, pre in state.int_states.values()] + state.mlp_cache.pre_acts[:-1]
-    for head in state.heads.values():
-        if head.ffn_cache is not None:
-            pre_acts += head.ffn_cache.pre_acts[:-1]
+    for cache in state.caches.values():
+        if isinstance(cache, FfnCache):
+            pre_acts += cache.pre_acts[:-1]
     return min((float(np.abs(pre).min()) for pre in pre_acts if pre.size), default=np.inf)
 
 
@@ -133,18 +133,12 @@ class GradCheckReport:
 def check_gradients(
     params, batch: Batch, samples_per_array: int | None = 6, sample_seed: int = 0
 ) -> GradCheckReport:
-    """Compare backward() to finite differences on sampled coordinates.
+    """Compare the gradients backward() writes to finite differences on sampled coordinates.
 
     samples_per_array=None checks every coordinate of every parameter.
     Parameters are perturbed in place and restored exactly.
     """
-    state = forward(params, batch, mode="train")
-    grads = backward(params, state, batch.labels)
-    named = named_parameters(params)
-    if set(grads) != set(named):
-        raise NumericError(
-            f"backward covered {sorted(grads)} but the model has {sorted(named)}"
-        )
+    backward(params, forward(params, batch, mode="train"), batch.labels)
 
     def loss_now(_: np.ndarray) -> float:
         # The perturbed array is a live parameter, so forward() reads it.
@@ -153,13 +147,13 @@ def check_gradients(
 
     rng = np.random.default_rng(sample_seed)
     per_group: dict[str, float] = {}
-    for name, arr in named.items():
+    for name, arr in named_parameters(params).items():
         if samples_per_array is None or samples_per_array >= arr.size:
             coords = np.arange(arr.size)
         else:
             coords = rng.choice(arr.size, size=samples_per_array, replace=False)
         worst = 0.0
-        g_flat = grads[name].reshape(-1)
+        g_flat = params.grads[name].reshape(-1)
         for c in coords:
             analytic = float(g_flat[c])
             err = relative_error(analytic, fd_coordinate(loss_now, arr, c, DEFAULT_STEP))

@@ -16,9 +16,9 @@ Dataflow per instance, with every per-side array keyed by side (USER, ITEM):
   head MLP            80 -> 40 -> 1, sigmoid, clamped away from {0, 1}
 
 Every array keeps the batch axis first. backward() consumes the state
-returned by forward() and writes a gradient per named parameter into a
-second store laid out like the parameters; the test suite holds those
-gradients to the central finite-difference oracle.
+returned by forward(), writes each gradient into its view of params.grads
+(a second store laid out like the parameters) and returns nothing; the test
+suite holds those gradients to the central finite-difference oracle.
 
 Heads with two hidden layers (ffn-3 under attention pooling) run on up to
 HEAD_THREADS threads (_each_head). The calling thread adds every head's
@@ -61,6 +61,7 @@ from .graph import ITEM, SIDES, USER
 from .nn import (
     FfnCache,
     FfnParams,
+    affine_backward,
     affine_forward,
     dropout_mask,
     ffn_backward,
@@ -282,24 +283,16 @@ def touched_rows(params: PigatParams) -> dict[str, Array]:
 
 
 @dataclass
-class HeadState:
-    weights: Array  # (B, k)
-    query: Array | None = None  # the scoring query, for dot kinds
-    keys: Array | None = None  # the scored window, for dot kinds
-    ffn_cache: FfnCache | None = None  # holds query and window for ffn kinds
-    q_proj: Array | None = None  # projected query for dot kinds
-
-
-@dataclass
 class ForwardState:
     """Everything backward() needs, plus the outputs."""
 
-    mode: str  # backward() takes only "train" states; "eval" ones drop the ffn-head caches
+    mode: str  # backward() takes only "train" states; "eval" ones keep no head caches
     batch: Batch
     profiles: dict[str, Array]  # side -> (B, profile width)
     raw: dict[str, Array]  # window side -> looked-up window (B, k, width)
     aug: dict[str, Array]  # window side -> raw plus confidence
-    heads: dict[str, HeadState]
+    weights: dict[str, Array]  # head -> (B, k) pooling weights
+    caches: dict[str, FfnCache | Array | None]  # head -> attention_logits' cache; None in eval mode
     pools: dict[str, Array]
     int_states: dict[str, tuple[Array, Array]]  # name -> (concat input, pre-activation)
     drop: Array | None
@@ -315,22 +308,21 @@ def uniform_coefficients(mask: Array) -> Array:
     return mask / np.maximum(total, 1.0)
 
 
-def attention_logits(head: AttentionHead, query: Array, keys: Array) -> tuple[Array, HeadState]:
+def attention_logits(head: AttentionHead, query: Array, keys: Array) -> tuple[Array, FfnCache | Array]:
     """Score each window slot against the query; returns logits and cache.
 
     query is (B, query width), keys (B, k, key width); logits are (B, k).
+    The cache is the FFN's for ffn kinds and the (projected) query for dot
+    kinds.
     """
-    if head.kind in ATT_HIDDEN:
+    if head.ffn is not None:
         out, cache = ffn_forward(head.ffn, (query, keys))
-        logits = out[..., 0]
-        state = HeadState(np.empty(0), ffn_cache=cache)
-    else:
-        q = query if head.proj_w is None else affine_forward(head.proj_w, query, head.proj_b)
-        logits = np.einsum("bw,bkw->bk", q, keys)
-        if head.kind == "scaled-dot":
-            logits = logits / np.sqrt(keys.shape[-1])
-        state = HeadState(np.empty(0), query=query, keys=keys, q_proj=q)
-    return logits, state
+        return out[..., 0], cache
+    q = query if head.proj_w is None else affine_forward(head.proj_w, query, head.proj_b)
+    logits = np.einsum("bw,bkw->bk", q, keys)
+    if head.kind == "scaled-dot":
+        logits = logits / np.sqrt(keys.shape[-1])
+    return logits, q
 
 
 def pooled_embedding(weights: Array, values: Array) -> Array:
@@ -366,22 +358,22 @@ def forward(
 
     wiring = head_wiring(cfg)
 
-    def head_forward(name: str) -> tuple[HeadState, Array]:
+    def head_forward(name: str) -> tuple[Array, FfnCache | Array | None, Array]:
+        """(weights, cache, pooled window) of one head."""
         window, query = wiring[name]
         mask = batch.mask[window]
         if cfg.pooling == "attention":
-            logits, state = attention_logits(params.heads[name], profiles[query], aug[window])
-            state.weights = masked_softmax(logits, mask)
+            logits, cache = attention_logits(params.heads[name], profiles[query], aug[window])
+            weights = masked_softmax(logits, mask)
             if mode == "eval":
-                state.ffn_cache = None  # only backward reads it; freed now, its memory serves the next head
+                cache = None  # only backward reads it; freed now, its memory serves the next head
         else:
-            state = HeadState(uniform_coefficients(mask))
-        return state, pooled_embedding(state.weights, pool_src[window])
+            weights, cache = uniform_coefficients(mask), None
+        return weights, cache, pooled_embedding(weights, pool_src[window])
 
-    head_states: dict[str, HeadState] = {}
-    pools: dict[str, Array] = {}
-    for name, (state, pool) in _each_head(cfg, head_forward):
-        head_states[name], pools[name] = state, pool
+    weights, caches, pools = {}, {}, {}
+    for name, (head_weights, cache, pool) in _each_head(cfg, head_forward):
+        weights[name], caches[name], pools[name] = head_weights, cache, pool
 
     sources = {**profiles, **pools}
     int_states: dict[str, tuple[Array, Array]] = {}
@@ -412,7 +404,8 @@ def forward(
         profiles=profiles,
         raw=raw,
         aug=aug,
-        heads=head_states,
+        weights=weights,
+        caches=caches,
         pools=pools,
         int_states=int_states,
         drop=drop,
@@ -445,14 +438,13 @@ def bce_loss(prob: Array, labels: Array) -> float:
     return float(-np.mean(labels * np.log(prob) + (1.0 - labels) * np.log(1.0 - prob)))
 
 
-def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[str, Array]:
-    """Mean-BCE gradients for every named parameter of this batch.
+def backward(params: PigatParams, state: ForwardState, labels: Array) -> None:
+    """Write this batch's mean-BCE gradient of every named parameter into params.grads.
 
-    Each gradient is written into its view of params.grads; the embedding
-    and confidence accumulators are zeroed before this batch's gradients
-    are scattered into them, so the returned dict holds exactly this
-    batch's gradients. It maps each name of named_parameters to its view,
-    so the next call overwrites the arrays it returns.
+    Each gradient goes into its view of the gradient store and nothing is
+    returned; the embedding and confidence accumulators are zeroed before
+    this batch's gradients are scattered into them, so after the call
+    params.grads holds exactly this batch's gradients.
     """
     if state.mode != "train":
         raise UsageError(f"backward needs a forward state computed in train mode, got {state.mode!r}")
@@ -472,11 +464,8 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
     d_sources: dict[str, Array] = {}  # gradient per INTEGRATE input
     for idx, (name, left, right) in enumerate(INTEGRATE):
         x, pre = state.int_states[name]
-        d_out = d_merged[:, idx * dh : (idx + 1) * dh]
-        d_pre = d_out * leaky_relu_slope_at(pre)
-        np.matmul(d_pre.T, x, out=grads[f"{name}.w"])
-        d_pre.sum(axis=0, out=grads[f"{name}.b"])
-        d_x = d_pre @ params.integrate[name][0]
+        d_pre = d_merged[:, idx * dh : (idx + 1) * dh] * leaky_relu_slope_at(pre)
+        d_x = affine_backward(params.integrate[name][0], x, d_pre, grads[f"{name}.w"], grads[f"{name}.b"])
         cut = sources[left].shape[1]
         d_sources[left] = _acc(d_sources.get(left), d_x[:, :cut])
         d_sources[right] = _acc(d_sources.get(right), d_x[:, cut:])
@@ -490,16 +479,17 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
 
     def head_backward(name: str) -> tuple[Array, Array | None, Array | None]:
         """(d pooled values, d_keys, d_query); writes only the head's own gradient views."""
-        window, _ = wiring[name]
-        hstate, d_pool = state.heads[name], d_sources[name]
+        window, query = wiring[name]
+        weights, d_pool = state.weights[name], d_sources[name]
         d_keys = d_query = None
         # Pooling backward: weights and values both carry gradient; uniform weights carry no parameters.
         if cfg.pooling == "attention":
-            d_weights = np.einsum("bw,bkw->bk", d_pool, pool_src[window])
-            d_logits = masked_softmax_backward(hstate.weights, d_weights)
-            d_keys, d_query = _head_backward(params.heads[name], name, hstate, d_logits, grads)
+            d_logits = masked_softmax_backward(weights, np.einsum("bw,bkw->bk", d_pool, pool_src[window]))
+            d_keys, d_query = _head_backward(
+                params.heads[name], name, state.caches[name], state.profiles[query], state.aug[window], d_logits, grads
+            )
         # After _head_backward has freed its temporaries, so this does not raise the peak memory.
-        return hstate.weights[:, :, None] * d_pool[:, None, :], d_keys, d_query
+        return weights[:, :, None] * d_pool[:, None, :], d_keys, d_query
 
     for name, (d_values, d_keys, d_query) in _each_head(cfg, head_backward):
         window, query = wiring[name]
@@ -522,7 +512,6 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> dict[st
         zero_gradients(table)
         scatter_gradient(table, batch.ids[side], d_sources[side].reshape(-1, table.width))
         scatter_gradient(table, batch.nbrs[OTHER[side]], d_raw[OTHER[side]].reshape(-1, table.width))
-    return {name: grads[name] for name in named_parameters(params)}
 
 
 def _acc(current: Array | None, delta: Array) -> Array:
@@ -609,20 +598,22 @@ def _each_head(cfg: TrainConfig, run: Callable[[str], T]) -> Iterator[tuple[str,
 
 
 def _head_backward(
-    head: AttentionHead, name: str, hstate: HeadState, d_logits: Array, grads: dict[str, Array]
+    head: AttentionHead, name: str, cache: FfnCache | Array, query: Array, keys: Array, d_logits: Array, grads: dict
 ) -> tuple[Array, Array]:
-    """Returns (d_keys, d_query); writes the head's parameter grads into their views in grads."""
-    if head.kind in ATT_HIDDEN:
-        d_query, d_keys = ffn_backward(head.ffn, hstate.ffn_cache, d_logits[:, :, None], _ffn(grads, f"att_{name}"))
+    """Returns (d_keys, d_query); writes the head's parameter grads into their views in grads.
+
+    cache is what attention_logits(head, query, keys) returned with the logits.
+    """
+    if head.ffn is not None:
+        d_query, d_keys = ffn_backward(head.ffn, cache, d_logits[:, :, None], _ffn(grads, f"att_{name}"))
         return d_keys, d_query
-    scale = 1.0 / np.sqrt(hstate.keys.shape[-1]) if head.kind == "scaled-dot" else 1.0
-    d_q_proj = np.einsum("bk,bkw->bw", d_logits, hstate.keys) * scale
-    d_keys = d_logits[:, :, None] * hstate.q_proj[:, None, :] * scale
+    scale = 1.0 / np.sqrt(keys.shape[-1]) if head.kind == "scaled-dot" else 1.0
+    d_q_proj = np.einsum("bk,bkw->bw", d_logits, keys) * scale
+    d_keys = d_logits[:, :, None] * cache[:, None, :] * scale
     if head.proj_w is None:
         return d_keys, d_q_proj
-    np.matmul(d_q_proj.T, hstate.query, out=grads[f"att_{name}.proj_w"])
-    d_q_proj.sum(axis=0, out=grads[f"att_{name}.proj_b"])
-    return d_keys, d_q_proj @ head.proj_w
+    d_query = affine_backward(head.proj_w, query, d_q_proj, grads[f"att_{name}.proj_w"], grads[f"att_{name}.proj_b"])
+    return d_keys, d_query
 
 
 def save_checkpoint(path: str, params: PigatParams, extra: dict | None = None) -> None:

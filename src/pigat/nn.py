@@ -40,6 +40,14 @@ def affine_forward(w: Array, x: Array, b: Array) -> Array:
     return x @ w.T + b
 
 
+def affine_backward(w: Array, x: Array, g: Array, d_w: Array, d_b: Array) -> Array:
+    """Backprop g through affine_forward(w, x, b): writes d_w and d_b summed over batch axes, returns d_x."""
+    g2 = g.reshape(-1, g.shape[-1])
+    np.matmul(g2.T, x.reshape(-1, x.shape[-1]), out=d_w)
+    g2.sum(axis=0, out=d_b)
+    return g @ w
+
+
 # The two leaky-relu kernels avoid np.where: selecting on a mask of random
 # signs mispredicts about half its branches, which on pre-activation arrays
 # costs several times the arithmetic. Both give the same bytes as the
@@ -186,15 +194,9 @@ def ffn_backward(
         if isinstance(x_in, tuple):  # only the first layer takes a pair
             query, keys = x_in
             qw = query.shape[1]
-            g_query = g.sum(axis=1)
-            np.matmul(g_query.T, query, out=d_w[:, :qw])
             np.matmul(g.reshape(-1, g.shape[-1]).T, keys.reshape(-1, keys.shape[-1]), out=d_w[:, qw:])
-            g_query.sum(axis=0, out=d_b)
-            return g_query @ w[:, :qw], g @ w[:, qw:]
-        g2 = g.reshape(-1, g.shape[-1])
-        np.matmul(g2.T, x_in.reshape(-1, x_in.shape[-1]), out=d_w)
-        g2.sum(axis=0, out=d_b)
-        g = g @ w
+            return affine_backward(w[:, :qw], query, g.sum(axis=1), d_w[:, :qw], d_b), g @ w[:, qw:]
+        g = affine_backward(w, x_in, g, d_w, d_b)
     return g
 
 

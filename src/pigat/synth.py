@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_finite_and_seed, coerce_pairs, field_types, parse_kv_lines
+from .config import MAX_MODEL_SIZE, check_finite_and_seed, coerce_pairs, field_types, parse_kv_lines
 from .data import InteractionLog, RawInteraction
 from .errors import DataError
 from .nn import sigmoid
@@ -52,6 +52,9 @@ class SynthSpec:
             raise DataError("latent_dim must be positive")
         if self.tastes < 1:
             raise DataError("tastes must be positive")
+        latents = max(self.users * self.tastes, self.items) * self.latent_dim
+        if latents > MAX_MODEL_SIZE:
+            raise DataError(f"the latents would hold {latents} values, more than the {MAX_MODEL_SIZE} allowed")
         if not 0.0 <= self.drift <= 1.0:
             raise DataError(f"drift must be in [0, 1], got {self.drift}")
         if self.exponent < 0.0:

@@ -62,14 +62,14 @@ def _group_norms(params: PigatParams) -> str:
     return ", ".join(f"{group}={np.sqrt(total):.3e}" for group, total in squares.items())
 
 
-def _non_finite(params: PigatParams, grads: dict[str, np.ndarray], rows: dict[str, np.ndarray]) -> str | None:
-    """The first parameter whose gradient holds a NaN or an infinity, or None.
+def _non_finite(params: PigatParams, rows: dict[str, np.ndarray]) -> str | None:
+    """The first parameter whose gradient in params.grads holds a NaN or an infinity, or None.
 
     Table rows outside `rows` are +0.0, so only the touched rows are checked.
     """
-    if np.isfinite(params.dense_grad).all() and all(np.isfinite(grads[n][r]).all() for n, r in rows.items()):
+    if np.isfinite(params.dense_grad).all() and all(np.isfinite(params.grads[n][r]).all() for n, r in rows.items()):
         return None
-    return next(name for name in named_parameters(params) if not np.isfinite(grads[name]).all())
+    return next(name for name, grad in params.grads.items() if not np.isfinite(grad).all())
 
 
 def train(config: TrainConfig, data: PreparedData) -> TrainResult:
@@ -113,9 +113,9 @@ def train(config: TrainConfig, data: PreparedData) -> TrainResult:
                     f"parameter norms by group: {_group_norms(params)}"
                 )
             loss_sum += loss * len(batch)
-            grads = backward(params, state, batch.labels)
+            backward(params, state, batch.labels)
             rows = touched_rows(params)
-            bad = _non_finite(params, grads, rows)
+            bad = _non_finite(params, rows)
             if bad is not None:
                 raise NumericError(
                     f"non-finite gradient at epoch {epoch}, batch {batch_idx}: {bad} (group {_group(bad)})"

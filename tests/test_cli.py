@@ -68,6 +68,16 @@ class TestSynth:
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d.tsv")]) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["users", "latent_dim"])
+    def test_oversized_spec_exits_2_and_writes_nothing(self, tmp_path, capsys, key):
+        pairs = {"users": "20", "items": "40", "events": "400", key: "100000000000"}
+        spec = tmp_path / "spec.txt"
+        spec.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "latents would hold" in err and "Traceback" not in err
+        assert not (tmp_path / "d.tsv").exists()
+
 
 class TestTrain:
     def test_writes_all_artifacts(self, workspace):
@@ -408,6 +418,22 @@ class TestAblateVerb:
         assert "pct\t0\tfailed" in out.read_text()
         assert "5%" in out.read_text()
 
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_no_seeds_is_usage_and_writes_nothing(self, workspace, tmp_path, capsys, seeds):
+        matrix = tmp_path / "matrix.ini"
+        matrix.write_text("[avg]\npooling = average\n")
+        out = tmp_path / "results.tsv"
+        assert main([
+            "ablate",
+            "--matrix", str(matrix),
+            "--data", str(workspace / "data.tsv"),
+            "--out", str(out),
+            "--seeds", seeds,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--seeds" in err
+        assert not out.exists()
+
     def test_empty_matrix_exits_1(self, workspace, tmp_path, capsys):
         matrix = tmp_path / "matrix.ini"
         matrix.write_text("\n")
@@ -492,9 +518,8 @@ class TestExitCodes:
         real = train_mod.backward
 
         def poisoned(params, state, labels):
-            grads = real(params, state, labels)
-            grads["mlp.b0"][0] = np.inf
-            return grads
+            real(params, state, labels)
+            params.grads["mlp.b0"][0] = np.inf
 
         monkeypatch.setattr(train_mod, "backward", poisoned)
         assert main([

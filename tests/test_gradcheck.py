@@ -15,6 +15,7 @@ from pigat.config import TrainConfig
 from pigat.errors import NumericError
 from pigat.gradcheck import GradCheckReport, _toy_batch, build_case, relative_error, run_case, toy_config, toy_schema
 from pigat.graph import SIDES, USER
+from pigat.nn import FfnCache
 
 
 def case(confidence: str, attention: str, **overrides) -> TrainConfig:
@@ -78,9 +79,9 @@ class TestCaseConstruction:
         state = forward(params, batch, mode="train")
         pre_acts = [state.int_states[name][1] for name, _, _ in INTEGRATE]
         pre_acts += state.mlp_cache.pre_acts[:-1]
-        for head in state.heads.values():
-            if head.ffn_cache is not None:
-                pre_acts += head.ffn_cache.pre_acts[:-1]
+        for cache in state.caches.values():
+            if isinstance(cache, FfnCache):
+                pre_acts += cache.pre_acts[:-1]
         assert len(pre_acts) == 6 + (8 if attention == "ffn-3" else 0)
         expected = min(float(np.abs(pre).min()) for pre in pre_acts)
         assert gradcheck.leaky_margin(state) == expected
@@ -186,26 +187,13 @@ class TestNegativeControl:
         from pigat.model import backward as real_backward
 
         def corrupted(params, state, labels):
-            grads = real_backward(params, state, labels)
-            grads["mlp.b2"] = grads["mlp.b2"] + 0.01
-            return grads
+            real_backward(params, state, labels)
+            params.grads["mlp.b2"] += 0.01
 
         monkeypatch.setattr(gradcheck, "backward", corrupted)
         report = run_case(case("ce", "ffn-1"), seed=0)
         assert report.max_rel_err > 1e-4
         assert report.per_group["mlp.b2"] > 1e-4
-
-    def test_missing_gradient_key_is_flagged(self, monkeypatch):
-        from pigat.model import backward as real_backward
-
-        def dropping(params, state, labels):
-            grads = real_backward(params, state, labels)
-            del grads["int_user.b"]
-            return grads
-
-        monkeypatch.setattr(gradcheck, "backward", dropping)
-        with pytest.raises(NumericError, match="backward covered"):
-            run_case(case("ce", "ffn-1"), seed=0)
 
 
 class TestReport:

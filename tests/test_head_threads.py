@@ -79,7 +79,8 @@ def run_at(monkeypatch, cpus, cfg, data):
         params = init_params(np.random.default_rng(4), data.schema, cfg)
         batch = data.train.take(np.arange(cfg.batch_size))
         state = forward(params, batch, mode="train", rng=np.random.default_rng(9))
-        grads = {name: g.tobytes() for name, g in backward(params, state, batch.labels).items()}
+        backward(params, state, batch.labels)
+        grads = {name: g.tobytes() for name, g in params.grads.items()}
         result = train(cfg, data)
         return result.params.store.tobytes(), grads, predict(result.params, data.test).tobytes()
     finally:
@@ -183,8 +184,8 @@ def test_eval_states_hold_no_ffn_cache(monkeypatch, small_log, cpus):
     monkeypatch.setattr(model_mod, "_cpus", lambda: cpus)
     params = init_params(np.random.default_rng(4), data.schema, cfg)
     batch = data.train.take(np.arange(cfg.batch_size))
-    assert all(h.ffn_cache is None for h in forward(params, batch, mode="eval").heads.values())
-    assert all(h.ffn_cache is not None for h in forward(params, batch, mode="train").heads.values())
+    assert all(cache is None for cache in forward(params, batch, mode="eval").caches.values())
+    assert all(cache is not None for cache in forward(params, batch, mode="train").caches.values())
 
 
 @pytest.mark.parametrize("cpus", CPUS)
@@ -206,9 +207,9 @@ def test_head_i_runs_on_thread_i_mod_w(monkeypatch, small_log, cpus):
         return {"attention_logits": logits_spy, "_head_backward": backward_spy}
 
     def backward_spy(fn):
-        def head_backward(head, name, hstate, d_logits, grads):
+        def head_backward(head, name, *args):
             backward_on[name] = threading.current_thread()
-            return fn(head, name, hstate, d_logits, grads)
+            return fn(head, name, *args)
 
         return head_backward
 
@@ -240,10 +241,10 @@ def test_an_error_in_a_head_reaches_the_caller(monkeypatch, small_log, head):
             raise error
         return logits_fn(att_head, query, keys)
 
-    def failing_backward(att_head, name, hstate, d_logits, grads):
+    def failing_backward(att_head, name, *args):
         if name == head:
             raise error
-        return backward_fn(att_head, name, hstate, d_logits, grads)
+        return backward_fn(att_head, name, *args)
 
     with monkeypatch.context() as patched:
         patched.setattr(model_mod, "attention_logits", failing_logits)
@@ -257,7 +258,9 @@ def test_an_error_in_a_head_reaches_the_caller(monkeypatch, small_log, head):
         with pytest.raises(NumericError) as raised:
             backward(params, state, batch.labels)
         assert raised.value is error
-    assert backward(params, state, batch.labels)["att_ia.w0"].shape == params.heads["ia"].ffn.weights[0].shape
+    params.grads["att_ia.w0"][...] = np.nan
+    backward(params, state, batch.labels)
+    assert np.isfinite(params.grads["att_ia.w0"]).all()
     assert predict(params, batch).tobytes() == forward(params, batch, mode="eval").prob.tobytes()
 
 
@@ -270,7 +273,8 @@ def test_a_step_runs_where_the_os_has_no_cpu_affinity(monkeypatch, small_log):
     def step_grads() -> dict[str, bytes]:
         params = init_params(np.random.default_rng(4), data.schema, cfg)
         state = forward(params, batch, mode="train", rng=np.random.default_rng(9))
-        return {name: g.tobytes() for name, g in backward(params, state, batch.labels).items()}
+        backward(params, state, batch.labels)
+        return {name: g.tobytes() for name, g in params.grads.items()}
 
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -327,7 +331,8 @@ def step_and_scores(monkeypatch, cfg, data, cpus) -> tuple[dict[str, bytes], byt
     params = init_params(np.random.default_rng(4), data.schema, cfg)
     batch = data.train.take(np.arange(cfg.batch_size))
     state = forward(params, batch, mode="train", rng=np.random.default_rng(9))
-    grads = {name: g.tobytes() for name, g in backward(params, state, batch.labels).items()}
+    backward(params, state, batch.labels)
+    grads = {name: g.tobytes() for name, g in params.grads.items()}
     return grads, predict(params, data.test).tobytes()
 
 
@@ -394,8 +399,8 @@ data = prepare_dataset(generate(SynthSpec(users=12, items=20, events=200, expone
 params = init_params(np.random.default_rng(4), data.schema, cfg)
 after = lib.scipy_openblas_get_num_threads64_()
 batch = data.train.take(np.arange(cfg.batch_size))
-grads = backward(params, forward(params, batch, mode="train"), batch.labels)
-print(before, after, hashlib.sha256(b"".join(g.tobytes() for g in grads.values())).hexdigest())
+backward(params, forward(params, batch, mode="train"), batch.labels)
+print(before, after, hashlib.sha256(b"".join(g.tobytes() for g in params.grads.values())).hexdigest())
 """
 
 

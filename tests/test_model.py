@@ -295,13 +295,12 @@ class TestFfnHeadAgainstConcatReference:
         query = rng.normal(size=(n, q_width))
         keys = rng.normal(size=(n, window, k_width))
 
-        logits, state = attention_logits(head, query, keys)
-        state.weights = masked_softmax(logits, mask)
-        d_logits = masked_softmax_backward(state.weights, rng.normal(size=(n, window)))
+        logits, cache = attention_logits(head, query, keys)
+        d_logits = masked_softmax_backward(masked_softmax(logits, mask), rng.normal(size=(n, window)))
         # Views of one NaN-filled store, as the model passes them: each must be overwritten.
         shapes = _ffn_layout("att_ui", [q_width + k_width, *ATT_HIDDEN[kind], 1])
         grads = _views(np.full(sum(map(math.prod, shapes.values())), np.nan), shapes)
-        d_keys, d_query = _head_backward(head, "ui", state, d_logits, grads)
+        d_keys, d_query = _head_backward(head, "ui", cache, query, keys, d_logits, grads)
 
         want_logits, want_grads, want_d_keys, want_d_query = concat_head_reference(head, query, keys, d_logits)
         mag_logits, mag_grads, mag_d_keys, mag_d_query = concat_head_reference(
@@ -365,7 +364,7 @@ class TestForwardOracle:
         state = forward(params, batch)
         for idx in range(len(batch)):
             for name in ("ui", "ua", "ii", "ia"):
-                weights = state.heads[name].weights[idx]
+                weights = state.weights[name][idx]
                 mask = batch.mask[USER if name in ("ui", "ua") else ITEM][idx]
                 live = mask.sum()
                 assert np.allclose(weights[mask], (1.0 / live if live else 0.0), rtol=0, atol=0)
@@ -458,7 +457,8 @@ class TestMasking:
         params = init_params(rng, schema, config)
         batch = _toy_batch(schema, config, rng)
         before = forward(params, batch).prob
-        grads_before = {k: v.copy() for k, v in backward(params, forward(params, batch, "train"), batch.labels).items()}
+        backward(params, forward(params, batch, "train"), batch.labels)
+        grads_before = {k: v.copy() for k, v in params.grads.items()}
 
         # Stuff real profiles into every dead slot; the mask must make
         # forward and backward blind to them.
@@ -470,10 +470,9 @@ class TestMasking:
 
         after = forward(params, tampered).prob
         assert np.array_equal(before, after)
-        grads_after = backward(params, forward(params, tampered, "train"), tampered.labels)
-        assert set(grads_before) == set(grads_after)
-        for name in grads_before:
-            assert np.array_equal(grads_before[name], grads_after[name]), name
+        backward(params, forward(params, tampered, "train"), tampered.labels)
+        for name, grad in grads_before.items():
+            assert np.array_equal(grad, params.grads[name]), name
 
     def test_all_masked_windows_produce_finite_outputs(self):
         schema = tiny_schema()
@@ -481,7 +480,7 @@ class TestMasking:
         batch = tiny_batch(schema)
         state = forward(params, batch)
         assert np.all(np.isfinite(state.prob))
-        assert np.all(state.heads["ii"].weights[1] == 0.0)
+        assert np.all(state.weights["ii"][1] == 0.0)
 
 
 class TestPermutation:
@@ -534,7 +533,7 @@ class TestLossAndModes:
         params = init_params(np.random.default_rng(0), schema, tiny_config(attention=attention))
         batch = tiny_batch(schema)
         state = forward(params, batch, mode="eval")
-        assert all(h.ffn_cache is None for h in state.heads.values())
+        assert all(cache is None for cache in state.caches.values())
         with pytest.raises(UsageError, match="train mode"):
             backward(params, state, batch.labels)
 
@@ -558,9 +557,9 @@ class TestLossAndModes:
             return bce_loss(st.prob, batch.labels)
 
         state = forward(params, batch, mode="train", rng=np.random.default_rng(17))
-        grads = backward(params, state, batch.labels)
+        backward(params, state, batch.labels)
         flat = params.mlp.weights[0].reshape(-1)
-        g_flat = grads["mlp.w0"].reshape(-1)
+        g_flat = params.grads["mlp.w0"].reshape(-1)
         for c in (0, 7, 23):
             keep = flat[c]
             flat[c] = keep + 1e-6
@@ -649,10 +648,8 @@ class TestDenseLayout:
             # A gradient backward forgot to write would keep its NaN.
             p.dense_grad[...] = np.nan
             batch = tiny_batch(schema)
-            grads = backward(p, forward(p, batch, mode="train"), batch.labels)
+            assert backward(p, forward(p, batch, mode="train"), batch.labels) is None
             assert np.isfinite(p.dense_grad).all()
-            assert list(grads) == list(named_parameters(p))
-            assert all(grads[name] is p.grads[name] for name in grads)
         assert loaded.store.tobytes() == params.store.tobytes()
 
     @pytest.mark.parametrize("overrides", LAYOUT_CONFIGS)

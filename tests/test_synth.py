@@ -217,6 +217,14 @@ class TestSpecFile:
         with pytest.raises(DataError, match="expects"):
             read_synth_spec(str(path))
 
+    @pytest.mark.parametrize("key", ["users", "items", "latent_dim"])
+    def test_oversized_latents_rejected_before_any_allocation(self, tmp_path, key):
+        pairs = {"users": "12", "items": "30", "events": "100", "tastes": "2", key: "100000000000"}
+        path = tmp_path / "spec.txt"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+        with pytest.raises(DataError, match="latents would hold"):
+            read_synth_spec(str(path))
+
 
 class TestLatentsFile:
     def test_dump_layout(self, tmp_path):
