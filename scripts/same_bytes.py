@@ -8,8 +8,8 @@ imports pigat from the checkout's src/ and the benchmark workloads from its
 perfbench/bench.py. Per case the worker trains, saves the checkpoint,
 reloads it and scores every prepared instance (train, val, test) with the
 reloaded model, then prints one JSON line with the SHA-256 of the
-checkpoint bytes and of the scores, the scores themselves and the test
-AUC. The cases:
+prepared arrays, of the checkpoint bytes and of the scores, the scores
+themselves and the test AUC. The cases:
 
 - each perfbench workload, its spec and config as that checkout defines
   them, with seeds 5 and 2;
@@ -40,7 +40,7 @@ import sys
 import tempfile
 
 SEEDS = (5, 2)
-DIGESTS = ("checkpoint bytes", "scores")  # the keys of a worker's line compared between runs
+DIGESTS = ("prepared arrays", "checkpoint bytes", "scores")  # the keys of a worker's line compared between runs
 VARIANTS = ("none", "pe", "fce", "rce", "ce")
 KINDS = ("ffn-1", "ffn-2", "ffn-3", "dot", "scaled-dot")
 POOLINGS = ("attention", "average")
@@ -78,6 +78,20 @@ def cases(bench) -> list[tuple[str, dict, dict]]:
     return out
 
 
+def prepared_digest(prepared) -> str:
+    """SHA-256 over every split's ids/nbrs/mask per side and labels, then item_degrees: dtype, shape, bytes."""
+    arrays = []
+    for split in (prepared.train, prepared.val, prepared.test):
+        for by_side in (split.ids, split.nbrs, split.mask):
+            arrays += [by_side[side] for side in sorted(by_side)]
+        arrays.append(split.labels)
+    digest = hashlib.sha256()
+    for a in arrays + [prepared.item_degrees]:
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
 def run_case(spec: dict, config: dict, workdir: str) -> dict:
     """Train as perfbench does, reload the checkpoint and score every instance with it."""
     # Imported here: only a worker has a checkout's src/ on its path.
@@ -103,6 +117,7 @@ def run_case(spec: dict, config: dict, workdir: str) -> dict:
     with open(ckpt_path, "rb") as fh:
         checkpoint = fh.read()
     return {
+        "prepared arrays": prepared_digest(prepared),
         "checkpoint bytes": hashlib.sha256(checkpoint).hexdigest(),
         "scores": hashlib.sha256(scores).hexdigest(),
         "raw scores": base64.b64encode(scores).decode(),

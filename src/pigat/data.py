@@ -9,24 +9,29 @@ The first line fixes the field names and their order; every later line
 must repeat them. Signals are either already-binary labels (all values
 in {0, 1}) or ratings, which become positive above 3.
 
-Instance construction is leakage-free by construction: each interaction
-is encoded against the graph's history strictly before its own timestamp,
-so a window never contains the interaction itself, a tie, or anything
-later. Static mode deliberately breaks this for the ablation: the whole
-training-period graph, with no cutoff, serves every instance.
+Instance construction builds every window of the log at once: one
+stable sort of the recorded events by (node, timestamp rank) and two
+binary searches per side, then one gather. It is leakage-free by
+construction: each interaction's window ends at the first recorded event
+of its node whose timestamp is not strictly below its own, so a window
+never contains the interaction itself, a tie, or anything later. Static
+mode deliberately breaks this for the ablation: the whole training
+period, with no cutoff, serves every instance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .config import MAX_MODEL_SIZE, TrainConfig, read_utf8_lines
 from .errors import DataError
-from .features import Batch, FeatureSchema, FieldVocab, encode_instance, window_pads
-from .graph import ITEM, USER, InteractionEvent, InteractionGraph
+from .features import Batch, FeatureSchema, FieldVocab
+from .features import encode_instance  # noqa: F401  perfbench's PROBES wrap pigat.data:encode_instance
+from .graph import ITEM, SIDES, USER
 
 Array = np.ndarray
 
@@ -141,81 +146,100 @@ def build_schema(log: InteractionLog, user_width: int, item_width: int) -> Featu
     by validation/test interactions never receive gradient during
     training; files scored against a foreign schema fall back to OOV.
     """
+    names = {USER: log.user_field_names, ITEM: log.item_field_names}
+    profiles = _profiles(log.records)
+    # dict.fromkeys keeps each value once, at its first occurrence in log order.
     fields = {
-        USER: [FieldVocab(name) for name in log.user_field_names],
-        ITEM: [FieldVocab(name) for name in log.item_field_names],
+        side: [FieldVocab(name, list(dict.fromkeys(column))) for name, column in zip(names[side], zip(*profiles[side]))]
+        for side in SIDES
     }
-    for rec in log.records:
-        for vocab, value in zip(fields[USER], rec.user_values):
-            vocab.add(value)
-        for vocab, value in zip(fields[ITEM], rec.item_values):
-            vocab.add(value)
     return FeatureSchema(fields, {USER: user_width, ITEM: item_width})
 
 
-def encode_events(
-    schema: FeatureSchema, records: list[RawInteraction], labels: Array
-) -> list[InteractionEvent]:
-    """Resolve every record's profiles into table ids, one dict lookup per field."""
-    user_maps, user_oovs = zip(*schema.value_ids(USER))
-    item_maps, item_oovs = zip(*schema.value_ids(ITEM))
-    events = []
-    for rec, label in zip(records, labels):
-        if len(rec.user_values) != len(user_maps) or len(rec.item_values) != len(item_maps):
-            raise DataError(
-                f"profiles of {len(rec.user_values)} user and {len(rec.item_values)} item values "
-                f"for {len(user_maps)} user and {len(item_maps)} item schema fields"
-            )
-        events.append(
-            InteractionEvent(
-                user_ids=tuple(map(dict.get, user_maps, rec.user_values, user_oovs)),
-                item_ids=tuple(map(dict.get, item_maps, rec.item_values, item_oovs)),
-                timestamp=rec.timestamp,
-                label=int(label),
-            )
+def _profiles(records: list[RawInteraction]) -> dict[str, list[tuple[str, ...]]]:
+    return {USER: [r.user_values for r in records], ITEM: [r.item_values for r in records]}
+
+
+def encode_events(schema: FeatureSchema, records: list[RawInteraction]) -> dict[str, Array]:
+    """Resolve every record's profiles into table ids: per side, an (N, fields) int64 array.
+
+    One dict lookup per value; one array per field.
+    """
+    profiles = _profiles(records)
+    value_ids = {side: schema.value_ids(side) for side in SIDES}
+    if any(set(map(len, profiles[side])) - {len(value_ids[side])} for side in SIDES):
+        arity = (len(value_ids[USER]), len(value_ids[ITEM]))
+        rec = next(r for r in records if (len(r.user_values), len(r.item_values)) != arity)
+        raise DataError(
+            f"profiles of {len(rec.user_values)} user and {len(rec.item_values)} item values "
+            f"for {arity[0]} user and {arity[1]} item schema fields"
         )
-    return events
-
-
-def rebuild_graph(
-    schema: FeatureSchema, events: list[InteractionEvent], positives_only: bool = False
-) -> InteractionGraph:
-    graph = InteractionGraph(schema.node_count(USER), schema.node_count(ITEM), positives_only)
-    for event in events:
-        graph.insert(event)
-    return graph
+    ids = {}
+    for side in SIDES:
+        ids[side] = np.empty((len(records), len(value_ids[side])), dtype=np.int64)
+        for pos, (column, (table_ids, oov)) in enumerate(zip(zip(*profiles[side]), value_ids[side])):
+            ids[side][:, pos] = np.fromiter(map(table_ids.get, column, repeat(oov)), np.int64, len(records))
+    return ids
 
 
 def build_instances(
     schema: FeatureSchema,
-    events: list[InteractionEvent],
+    timestamps,
+    ids: dict[str, Array],
+    labels: Array,
     mode: str,
     k: int,
     positives_only: bool = False,
-):
-    """Encode every event; returns instances aligned with the input order.
+) -> Batch:
+    """Both windows of every event, in log order, from one sort and two searches per side.
 
-    dynamic: encode against the history before the event's own
-    timestamp, then insert, so each window sees exactly the
-    strictly-earlier interactions (later splits keep inserting; the graph
-    grows through validation and test time, only the model stays fixed).
-    static: the graph of the training period, with no cutoff, serves
-    everyone. positives_only builds a graph that records only positive
-    interactions, so every window holds positives alone.
+    A window holds the last k recorded events of the event's node (its
+    user on the user side, its item on the item side), oldest first; dead
+    slots carry padding ids and a False mask. dynamic: only events whose
+    timestamp is strictly below the event's own, so never the event
+    itself, a tie or anything later; the log keeps recording through
+    validation and test time, only the model stays fixed. static: the
+    events of the training period, with no cutoff, serve everyone.
+    positives_only records positive events alone.
     """
-    pads = window_pads(schema, k)
-    if mode == "dynamic":
-        graph = InteractionGraph(schema.node_count(USER), schema.node_count(ITEM), positives_only)
-        instances = []
-        for event in events:
-            instances.append(encode_instance(schema, event, graph, event.timestamp, k, pads))
-            graph.insert(event)
-        return instances
-    if mode != "static":
+    if mode not in ("dynamic", "static"):
         raise DataError(f"graph mode must be dynamic or static, got {mode!r}")
-    n_train, _ = timeline_split(len(events))
-    frozen = rebuild_graph(schema, events[:n_train], positives_only)
-    return [encode_instance(schema, ev, frozen, math.inf, k, pads) for ev in events]
+    ts = np.asarray(timestamps)
+    if ts.dtype.kind not in "iu":  # beyond int64 (or empty): compare the Python ints exactly
+        ts = np.array(timestamps, dtype=object)
+    back = np.flatnonzero(ts[1:] < ts[:-1])
+    if back.size:
+        raise DataError(
+            f"out-of-order timestamp {ts[back[0] + 1]} after {ts[back[0]]}; sort interactions before building windows"
+        )
+    n = len(ts)
+    # Dense rank of each timestamp: equal timestamps share one, later ones count up.
+    rank = np.zeros(n, dtype=np.int64)
+    np.cumsum(ts[1:] != ts[:-1], out=rank[1:])
+    span = n  # above every rank: keeps (node, rank) keys apart, and cuts off nothing
+    positive = np.asarray(labels) > 0
+    rows = np.flatnonzero(positive) if positives_only else np.arange(n)  # the recorded events
+    cutoff = rank
+    if mode == "static":
+        rows, cutoff = rows[rows < timeline_split(n)[0]], span
+    slot = np.arange(k)
+    # What a window slot shows, by source row; row n is the padding.
+    pad_profile = [[schema.pad_id(ITEM, p) for p in range(ids[ITEM].shape[1])]]
+    shown = {USER: np.vstack([ids[ITEM], pad_profile]), ITEM: np.append(ids[USER][:, 0], schema.pad_id(USER, 0))}
+    nbrs, mask = {}, {}
+    for side in SIDES:
+        node = ids[side][:, 0]
+        # Recorded rows by (node, rank); the stable sort keeps log order on ties.
+        key = node[rows] * span + rank[rows]
+        order = np.argsort(key, kind="stable")
+        key, source = key[order], np.append(rows[order], n)
+        start = np.searchsorted(key, node * span, "left")
+        end = np.searchsorted(key, node * span + cutoff, "left")
+        length = np.minimum(end - start, k)
+        mask[side] = slot < length[:, None]
+        picked = np.where(mask[side], (end - length)[:, None] + slot, len(rows))
+        nbrs[side] = shown[side][source[picked]]
+    return Batch(ids=ids, nbrs=nbrs, mask=mask, labels=positive.astype(np.float64))
 
 
 @dataclass
@@ -265,20 +289,27 @@ def prepare_dataset(
         raise DataError(
             f"the windows would hold {window_ids} ids, more than the {MAX_MODEL_SIZE} allowed; lower max_neighbors"
         )
-    events = encode_events(schema, log.records, labels)
-    n_train, n_val = timeline_split(len(events))
-    instances = build_instances(
+    ids = encode_events(schema, log.records)
+    n_train, n_val = timeline_split(len(log.records))
+    batch = build_instances(
         schema,
-        events,
+        [r.timestamp for r in log.records],
+        ids,
+        labels,
         config.graph_mode,
         config.max_neighbors,
         positives_only=not config.include_negative_neighbors,
     )
-    degrees = np.bincount([e.item_ids[0] for e in events[:n_train]], minlength=schema.node_count(ITEM))
     return PreparedData(
         schema=schema,
-        train=Batch.from_instances(instances[:n_train]),
-        val=Batch.from_instances(instances[n_train:n_val]),
-        test=Batch.from_instances(instances[n_val:]),
-        item_degrees=degrees,
+        train=_rows(batch, 0, n_train),
+        val=_rows(batch, n_train, n_val),
+        test=_rows(batch, n_val, len(batch)),
+        item_degrees=np.bincount(ids[ITEM][:n_train, 0], minlength=schema.node_count(ITEM)),
     )
+
+
+def _rows(batch: Batch, lo: int, hi: int) -> Batch:
+    """Rows lo:hi in arrays of their own: training read slice views of the whole log measurably slower."""
+    sides = ({side: a[lo:hi].copy() for side, a in arrays.items()} for arrays in (batch.ids, batch.nbrs, batch.mask))
+    return Batch(*sides, batch.labels[lo:hi].copy())

@@ -33,19 +33,12 @@ class FieldVocab:
     values: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._index = {v: i for i, v in enumerate(self.values)}
-        if len(self._index) != len(self.values):
+        if len(set(self.values)) != len(self.values):
             raise DataError(f"field {self.name!r} has duplicate vocabulary entries")
 
     @property
     def card(self) -> int:
         return len(self.values)
-
-    def add(self, value: str) -> int:
-        if value not in self._index:
-            self._index[value] = len(self.values)
-            self.values.append(value)
-        return self._index[value]
 
 
 @dataclass

@@ -70,10 +70,9 @@ def _toy_batch(schema: FeatureSchema, config: TrainConfig, rng: np.random.Genera
     # The queries share one timestamp, so none sees another in its window.
     queries = [record(0, 3, end, 1), record(1, 1, end, 0), record(2, 0, end, 1)]
     log = records + queries
-    events = encode_events(schema, log, derive_labels(log))
-    positives_only = not config.include_negative_neighbors
-    instances = build_instances(schema, events, "dynamic", config.max_neighbors, positives_only)
-    return Batch.from_instances(instances[-len(queries):])
+    args = [r.timestamp for r in log], encode_events(schema, log), derive_labels(log)
+    batch = build_instances(schema, *args, "dynamic", config.max_neighbors, not config.include_negative_neighbors)
+    return batch.take(np.arange(len(records), len(log)))
 
 
 def leaky_margin(state: ForwardState) -> float:

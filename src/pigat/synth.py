@@ -48,6 +48,10 @@ class SynthSpec:
             raise DataError("need at least 2 users and 2 items")
         if self.events < 10:
             raise DataError(f"need at least 10 events, got {self.events}")
+        # At k >= 1 each event's windows hold at least 3 ids (2 item fields, 1 user id),
+        # so no larger log can be prepared.
+        if self.events > MAX_MODEL_SIZE // 3:
+            raise DataError(f"{self.events} events are more than the {MAX_MODEL_SIZE // 3} a log can be prepared with")
         if self.latent_dim < 1:
             raise DataError("latent_dim must be positive")
         if self.tastes < 1:

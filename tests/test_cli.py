@@ -562,6 +562,13 @@ class TestExitCodes:
         assert steps == []
         assert not (tmp_path / "r").exists()
 
+    def test_oversized_event_count_exits_2_without_writing(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("users = 20\nitems = 40\nevents = 100000000\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d.tsv")]) == 2
+        assert "100000000 events" in capsys.readouterr().err
+        assert not (tmp_path / "d.tsv").exists()
+
     @pytest.mark.parametrize("key,value", [("seed", "-1"), ("exponent", "nan"), ("scale", "inf")])
     def test_non_finite_or_negative_spec_value_exits_2(self, tmp_path, capsys, key, value):
         pairs = {"users": "20", "items": "40", "events": "400", "seed": "5", key: value}

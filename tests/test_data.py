@@ -1,6 +1,7 @@
 """Log parsing, splits, and leakage-free instance construction."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,13 +19,13 @@ from pigat.data import (
     encode_events,
     prepare_dataset,
     read_interactions,
-    rebuild_graph,
     timeline_split,
     write_interactions,
 )
 from pigat.errors import DataError
 from pigat.graph import ITEM, USER
 from schema_ids import profile_ids, table_id
+from window_reference import events_of, reference_batch
 
 
 def mk_record(ts, uid, seg, iid, cat, signal):
@@ -37,6 +38,24 @@ def mk_log(rows):
         ["iid", "cat"],
         [mk_record(*row) for row in rows],
     )
+
+
+def build_args(log, schema=None):
+    """build_instances' arguments before the mode: schema, timestamps, ids, labels."""
+    schema = schema or build_schema(log, 4, 4)
+    timestamps = [r.timestamp for r in log.records]
+    return schema, timestamps, encode_events(schema, log.records), derive_labels(log.records)
+
+
+def assert_same_batch(got, want):
+    """Array for array, dtype and shape included."""
+    pairs = [(got.labels, want.labels)]
+    for ours, theirs in ((got.ids, want.ids), (got.nbrs, want.nbrs), (got.mask, want.mask)):
+        assert ours.keys() == theirs.keys()
+        pairs += [(ours[side], theirs[side]) for side in ours]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
 
 
 def write_lines(path, lines):
@@ -263,12 +282,11 @@ class TestSchemaAndEvents:
     def test_events_carry_node_indices_and_profiles(self):
         log = mk_log([(1, "u0", "a", "i0", "x", 1), (2, "u1", "b", "i0", "x", 0)])
         schema = build_schema(log, 4, 4)
-        labels = derive_labels(log.records)
-        events = encode_events(schema, log.records, labels)
-        assert events[0].user_ids == profile_ids(schema, USER, ("u0", "a"))
-        assert events[1].item_ids[0] == events[0].item_ids[0]
-        assert events[0].item_ids == profile_ids(schema, ITEM, ("i0", "x"))
-        assert events[1].label == 0
+        ids = encode_events(schema, log.records)
+        assert ids[USER].dtype == ids[ITEM].dtype == np.int64
+        assert tuple(ids[USER][0]) == profile_ids(schema, USER, ("u0", "a"))
+        assert ids[ITEM][1, 0] == ids[ITEM][0, 0]
+        assert tuple(ids[ITEM][0]) == profile_ids(schema, ITEM, ("i0", "x"))
 
 
 def reference_windows(events, mode, k, positives_only=False):
@@ -304,74 +322,66 @@ def test_encoded_ids_match_per_field_global_ids(rows, half_vocab):
     log = mk_log(rows)
     # A schema from the first half leaves later values on the OOV ids.
     schema = build_schema(mk_log(rows[: len(rows) // 2]) if half_vocab else log, 4, 4)
-    events = encode_events(schema, log.records, derive_labels(log.records))
-    for rec, event in zip(log.records, events, strict=True):
-        assert event.user_ids == profile_ids(schema, USER, rec.user_values)
-        assert event.item_ids == profile_ids(schema, ITEM, rec.item_values)
+    ids = encode_events(schema, log.records)
+    assert ids[USER].shape == (len(rows), 2) and ids[ITEM].shape == (len(rows), 2)
+    for rec, user_ids, item_ids in zip(log.records, ids[USER].tolist(), ids[ITEM].tolist(), strict=True):
+        assert tuple(user_ids) == profile_ids(schema, USER, rec.user_values)
+        assert tuple(item_ids) == profile_ids(schema, ITEM, rec.item_values)
 
 
 def test_profile_arity_mismatch_rejected():
     schema = build_schema(mk_log(demo_rows(12)), 4, 4)
     short = RawInteraction(1, ("u0",), ("i0", "x"), 1.0)
     with pytest.raises(DataError, match="schema fields"):
-        encode_events(schema, [short], np.ones(1))
+        encode_events(schema, [mk_record(1, "u0", "a", "i0", "x", 1), short])
 
 
 class TestInstanceConstruction:
     def _prep(self, rows, mode="dynamic", k=10):
-        log = mk_log(rows)
-        schema = build_schema(log, 4, 4)
-        labels = derive_labels(log.records)
-        events = encode_events(schema, log.records, labels)
-        return schema, events, build_instances(schema, events, mode, k)
+        args = build_args(mk_log(rows))
+        return args, build_instances(*args, mode, k)
 
     def test_first_record_has_empty_windows(self):
-        _, _, instances = self._prep(demo_rows(12))
-        assert not instances[0].user_mask.any()
-        assert not instances[0].item_mask.any()
+        _, batch = self._prep(demo_rows(12))
+        assert not batch.mask[USER][0].any()
+        assert not batch.mask[ITEM][0].any()
 
     def test_second_record_by_same_user_sees_the_first_item(self):
         rows = [
             (1, "u0", "a", "i0", "x", 1),
             (2, "u0", "a", "i1", "y", 1),
         ] + demo_rows(10)[2:]
-        schema, _, instances = self._prep(rows)
-        inst = instances[1]
-        assert inst.user_mask.tolist()[:1] == [True]
-        assert tuple(inst.user_nbrs[0]) == profile_ids(schema, ITEM, ("i0", "x"))
+        (schema, *_), batch = self._prep(rows)
+        assert batch.mask[USER][1].tolist()[:1] == [True]
+        assert tuple(batch.nbrs[USER][1, 0]) == profile_ids(schema, ITEM, ("i0", "x"))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
     def test_dynamic_windows_never_see_the_future(self, seed):
         rng = np.random.default_rng(seed)
         rows = demo_rows(n=24, users=3, items=4, seed=seed)
-        log = mk_log(rows)
-        schema = build_schema(log, 4, 4)
-        labels = derive_labels(log.records)
-        events = encode_events(schema, log.records, labels)
-        instances = build_instances(schema, events, "dynamic", k=5)
-        probe = int(rng.integers(len(events)))
+        schema, timestamps, ids, labels = build_args(mk_log(rows))
+        batch = build_instances(schema, timestamps, ids, labels, "dynamic", k=5)
+        probe = int(rng.integers(len(rows)))
         # rebuild with everything after the probe deleted; its encoding
         # must not change
-        replay = build_instances(schema, events[: probe + 1], "dynamic", k=5)
-        a, b = instances[probe], replay[probe]
-        assert np.array_equal(a.user_nbrs, b.user_nbrs)
-        assert np.array_equal(a.user_mask, b.user_mask)
-        assert np.array_equal(a.item_nbrs, b.item_nbrs)
-        assert np.array_equal(a.item_mask, b.item_mask)
+        head = {side: a[: probe + 1] for side, a in ids.items()}
+        replay = build_instances(schema, timestamps[: probe + 1], head, labels[: probe + 1], "dynamic", k=5)
+        for side in (USER, ITEM):
+            assert np.array_equal(batch.nbrs[side][probe], replay.nbrs[side][probe])
+            assert np.array_equal(batch.mask[side][probe], replay.mask[side][probe])
 
     def test_static_mode_serves_one_frozen_view(self):
         # user u0 interacts during the test period; dynamic test
-        # instances see it, the static train-period graph cannot
+        # instances see it, the static train-period view cannot
         rows = [(t, "u0", "a", f"i{t}", "x", 1) for t in range(1, 13)]
-        schema, events, dynamic = self._prep(rows, mode="dynamic", k=10)
-        static = build_instances(schema, events, "static", k=10)
-        last_dyn, last_sta = dynamic[-1], static[-1]
-        assert last_dyn.user_mask.sum() > last_sta.user_mask.sum()
+        args, dynamic = self._prep(rows, mode="dynamic", k=10)
+        static = build_instances(*args, "static", k=10)
+        assert dynamic.mask[USER][-1].sum() > static.mask[USER][-1].sum()
         # and the static window for the FIRST record already contains
         # train-period items (the deliberate contrast with dynamic)
-        assert static[0].user_mask.any()
-        assert not dynamic[0].user_mask.any()
+        assert static.mask[USER][0].any()
+        assert not dynamic.mask[USER][0].any()
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -384,43 +394,55 @@ class TestInstanceConstruction:
     def test_windows_match_brute_force_reference(self, rows, mode, k, positives_only, half_vocab):
         log = mk_log(rows)
         # A schema from the first half leaves later newcomers on the shared OOV node.
-        schema = build_schema(mk_log(rows[: len(rows) // 2]) if half_vocab else log, 4, 4)
-        labels = derive_labels(log.records)
-        events = encode_events(schema, log.records, labels)
-        instances = build_instances(schema, events, mode, k, positives_only)
-        for inst, (user_side, item_side) in zip(
-            instances, reference_windows(events, mode, k, positives_only), strict=True
-        ):
-            assert inst.user_mask.tolist() == [True] * len(user_side) + [False] * (k - len(user_side))
-            assert inst.item_mask.tolist() == [True] * len(item_side) + [False] * (k - len(item_side))
-            assert [tuple(ids) for ids in inst.user_nbrs[inst.user_mask].tolist()] == user_side
-            assert inst.item_nbrs[inst.item_mask].tolist() == item_side
+        args = build_args(log, build_schema(mk_log(rows[: len(rows) // 2]), 4, 4) if half_vocab else None)
+        batch = build_instances(*args, mode, k, positives_only)
+        windows = reference_windows(events_of(*args[1:]), mode, k, positives_only)
+        assert len(batch) == len(windows)
+        for n, (user_side, item_side) in enumerate(windows):
+            user_mask, item_mask = batch.mask[USER][n], batch.mask[ITEM][n]
+            assert user_mask.tolist() == [True] * len(user_side) + [False] * (k - len(user_side))
+            assert item_mask.tolist() == [True] * len(item_side) + [False] * (k - len(item_side))
+            assert [tuple(ids) for ids in batch.nbrs[USER][n][user_mask].tolist()] == user_side
+            assert batch.nbrs[ITEM][n][item_mask].tolist() == item_side
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        log_rows,
+        st.sampled_from(["dynamic", "static"]),
+        st.integers(1, 4),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_array_builder_equals_per_event_reference(self, rows, mode, k, positives_only, half_vocab):
+        log = mk_log(rows)
+        args = build_args(log, build_schema(mk_log(rows[: len(rows) // 2]), 4, 4) if half_vocab else None)
+        assert_same_batch(
+            build_instances(*args, mode, k, positives_only), reference_batch(*args, mode, k, positives_only)
+        )
+
+    def test_timestamps_beyond_int64_keep_their_order(self):
+        rows = [(2**63 + t // 2, f"u{t % 3}", "a", f"i{t % 4}", "x", t % 2) for t in range(12)]
+        args = build_args(mk_log(rows))
+        assert_same_batch(build_instances(*args, "dynamic", 3), reference_batch(*args, "dynamic", 3))
 
     def test_unknown_mode_rejected(self):
-        log = mk_log(demo_rows(12))
-        schema = build_schema(log, 4, 4)
-        labels = derive_labels(log.records)
-        events = encode_events(schema, log.records, labels)
+        args = build_args(mk_log(demo_rows(12)))
         with pytest.raises(DataError, match="graph mode"):
-            build_instances(schema, events, "frozen", k=5)
+            build_instances(*args, "frozen", k=5)
 
 
 class TestGraphLogRoundTrip:
     def test_dump_and_reload_preserve_answers(self, tmp_path):
         log = mk_log(demo_rows(20))
         schema = build_schema(log, 4, 4)
-        labels = derive_labels(log.records)
-        graph = rebuild_graph(schema, encode_events(schema, log.records, labels))
-
         path = tmp_path / "dump.tsv"
         write_interactions(str(path), log)
         reloaded = read_interactions(str(path))
-        labels2 = derive_labels(reloaded.records)
-        graph2 = rebuild_graph(schema, encode_events(schema, reloaded.records, labels2))
-
-        for part in (USER, ITEM):
-            for idx in range(schema.node_count(part)):
-                assert graph.neighbor_events(part, idx) == graph2.neighbor_events(part, idx)
+        for mode in ("dynamic", "static"):
+            assert_same_batch(
+                build_instances(*build_args(reloaded, schema), mode, 20),
+                build_instances(*build_args(log, schema), mode, 20),
+            )
 
 
 class TestPrepareDataset:
@@ -447,6 +469,22 @@ class TestPrepareDataset:
         oov_user = table_id(schema, USER, 0, "never-seen")
         assert np.all(data.train.ids[USER][:, 0] == oov_user)
         assert data.item_degrees.shape == (schema.node_count(ITEM),)
+
+    def test_decreasing_timestamp_is_a_typed_error_before_any_window(self):
+        # An in-memory log skips read_interactions' sort, so prepare checks the order itself.
+        rows = demo_rows(2000)
+        rows[1500] = (1, *rows[1500][1:])
+        log = mk_log(rows)
+        config = TrainConfig(user_embed_width=4, item_embed_width=4, max_neighbors=500).validate()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="out-of-order timestamp 1 after 1500"):
+                prepare_dataset(log, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The smallest window array, one side's (N, k) bool mask, would take N * k bytes.
+        assert peak < len(rows) * config.max_neighbors
 
     @pytest.mark.parametrize("given_schema", [False, True], ids=["train", "eval"])
     def test_windows_are_bounded_before_they_are_built(self, monkeypatch, given_schema):

@@ -55,7 +55,7 @@ def test_oov_maps_to_reserved_slot():
 def test_structural_hash_ignores_vocab_growth_but_not_fields():
     s1 = toy_schema()
     s2 = toy_schema()
-    s2.fields[USER][0].add("u99")
+    s2.fields[USER][0].values.append("u99")
     assert s1.structural_hash() == s2.structural_hash()
     s3 = toy_schema()
     s3.fields[USER][1].name = "device"

@@ -15,6 +15,11 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pigat"
 # Called by argparse.
 ALLOWED = {"error"}
+# The per-event window path (InteractionGraph, encode_instance,
+# Batch.from_instances) stays as the reference that tests compare
+# data.build_instances with, and as perfbench's probe targets; only tests
+# call these.
+REFERENCE_PATH = {"insert", "encode_instance", "from_instances"}
 # Generator ground truth that the tests compare a generated log against.
 UNREAD_FIELDS = {"GroundTruth.clusters", "GroundTruth.segments"}
 
@@ -83,13 +88,13 @@ def read_attributes(tree: ast.AST) -> set[str]:
 
 def test_every_program_name_has_a_program_reference():
     defined, used = program_names()
-    assert sorted(defined - used - ALLOWED) == []
+    assert sorted(defined - used - ALLOWED - REFERENCE_PATH) == []
 
 
 def test_allowlist_holds_only_defined_names_without_a_reference():
     defined, used = program_names()
-    assert ALLOWED <= defined
-    assert not ALLOWED & used
+    assert ALLOWED | REFERENCE_PATH <= defined
+    assert not (ALLOWED | REFERENCE_PATH) & used
 
 
 def test_check_sees_a_test_only_function():

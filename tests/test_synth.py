@@ -226,6 +226,15 @@ class TestSpecFile:
             read_synth_spec(str(path))
 
 
+    def test_oversized_event_count_rejected_before_any_allocation(self, tmp_path):
+        path = tmp_path / "spec.txt"
+        path.write_text("users = 20\nitems = 40\nevents = 100000000\n")
+        with pytest.raises(DataError, match="100000000 events are more than the 44739242"):
+            read_synth_spec(str(path))
+        path.write_text("users = 20\nitems = 40\nevents = 44739242\n")  # the largest preparable log
+        assert read_synth_spec(str(path)).events == 44_739_242
+
+
 class TestLatentsFile:
     def test_dump_layout(self, tmp_path):
         spec = small_spec(users=4, items=6)
