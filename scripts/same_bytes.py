@@ -7,9 +7,11 @@ Each checkout runs in its own subprocess (this script with --worker), which
 imports pigat from the checkout's src/ and the benchmark workloads from its
 perfbench/bench.py. Per case the worker trains, saves the checkpoint,
 reloads it and scores every prepared instance (train, val, test) with the
-reloaded model, then prints one JSON line with the SHA-256 of the
-prepared arrays, of the checkpoint bytes and of the scores, the scores
-themselves and the test AUC. The cases:
+reloaded model, then prints one JSON line with the SHA-256 of the log
+file the checkout's generator writes, of the prepared arrays, of the
+checkpoint bytes and of the scores, the scores themselves and the test
+AUC. The log digest reads only the file that `synth.generate` and
+`data.write_interactions` produce, which every checkout has. The cases:
 
 - each perfbench workload, its spec and config as that checkout defines
   them, with seeds 5 and 2;
@@ -40,7 +42,8 @@ import sys
 import tempfile
 
 SEEDS = (5, 2)
-DIGESTS = ("prepared arrays", "checkpoint bytes", "scores")  # the keys of a worker's line compared between runs
+# The keys of a worker's line compared between runs.
+DIGESTS = ("log bytes", "prepared arrays", "checkpoint bytes", "scores")
 VARIANTS = ("none", "pe", "fce", "rce", "ce")
 KINDS = ("ffn-1", "ffn-2", "ffn-3", "dot", "scaled-dot")
 POOLINGS = ("attention", "average")
@@ -105,6 +108,8 @@ def run_case(spec: dict, config: dict, workdir: str) -> dict:
     log_path, ckpt_path = os.path.join(workdir, "log.tsv"), os.path.join(workdir, "checkpoint.bin")
     log, _ = generate(SynthSpec(**spec))
     data.write_interactions(log_path, log)
+    with open(log_path, "rb") as fh:
+        log_bytes = hashlib.sha256(fh.read()).hexdigest()
     cfg = TrainConfig(**config).validate()
     prepared = data.prepare_dataset(data.read_interactions(log_path), cfg)
     result = train.train(cfg, prepared)
@@ -117,6 +122,7 @@ def run_case(spec: dict, config: dict, workdir: str) -> dict:
     with open(ckpt_path, "rb") as fh:
         checkpoint = fh.read()
     return {
+        "log bytes": log_bytes,
         "prepared arrays": prepared_digest(prepared),
         "checkpoint bytes": hashlib.sha256(checkpoint).hexdigest(),
         "scores": hashlib.sha256(scores).hexdigest(),

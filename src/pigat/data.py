@@ -5,9 +5,20 @@ sections plus a signal column:
 
     timestamp<TAB>user_field=value;...<TAB>item_field=value;...<TAB>signal
 
-The first line fixes the field names and their order; every later line
-must repeat them. Signals are either already-binary labels (all values
-in {0, 1}) or ratings, which become positive above 3.
+Lines end where file iteration ends them ("\n", "\r\n" or "\r"; no other
+character breaks a line), and blank lines are skipped. A timestamp is a
+non-negative integer in Python's `int()` syntax, of any size. The first
+line fixes the field names and their order; every later line must repeat
+them. Signals are finite numbers, either already-binary labels (all
+values in {0, 1}) or ratings, which become positive above 3.
+
+A log in memory is columns (`InteractionLog`): timestamps, signals and,
+per side, each distinct profile once plus one profile index per event.
+The reader fills them from whole columns: it splits the text once,
+converts every timestamp and signal with `int()` and `float()`, sorts
+stably by time, then parses each distinct section once, in order of
+first occurrence. When any check fails it reads the text again line by
+line, so that the DataError names the first bad line as `path:line`.
 
 Instance construction builds every window of the log at once: one
 stable sort of the recorded events by (node, timestamp rank) and two
@@ -22,8 +33,11 @@ period, with no cutoff, serves every instance.
 from __future__ import annotations
 
 import math
+import re
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,42 +56,147 @@ RATING_POSITIVE_ABOVE = 3.0
 _FORBIDDEN = set("\t;\r\n")
 
 
-@dataclass
-class RawInteraction:
+class RawInteraction(NamedTuple):
+    """One event as a record: what `InteractionLog.records` yields and `from_records` takes."""
+
     timestamp: int
     user_values: tuple[str, ...]
     item_values: tuple[str, ...]
     signal: float
 
 
-@dataclass
+@dataclass(eq=False)
 class InteractionLog:
-    user_field_names: list[str]
-    item_field_names: list[str]
-    records: list[RawInteraction]  # sorted by (timestamp, source order)
+    """A log as columns, one entry per event; a log read from a file is sorted by (timestamp, file order).
+
+    Per side, `profiles` holds each distinct profile (one value per field)
+    once, in order of first occurrence, and `profile_of` holds each event's
+    index into it. Two logs are equal when their field names and records are.
+    """
+
+    field_names: dict[str, list[str]]
+    timestamps: Array  # int64, or exact Python ints (object) when one is beyond int64
+    signals: Array  # float64
+    profiles: dict[str, list[tuple[str, ...]]]
+    profile_of: dict[str, Array]  # int64
+
+    def __post_init__(self) -> None:
+        for side in SIDES:
+            names = self.field_names[side]
+            if set(map(len, self.profiles[side])) - {len(names)}:
+                profile = next(p for p in self.profiles[side] if len(p) != len(names))
+                raise DataError(f"{side} profile {profile} has {len(profile)} values for the fields {names}")
+        negative = np.flatnonzero(self.timestamps < 0)
+        if negative.size:
+            raise DataError(f"negative timestamp {self.timestamps[negative[0]]}")
+        non_finite = np.flatnonzero(~np.isfinite(self.signals))
+        if non_finite.size:
+            raise DataError(f"non-finite signal {float(self.signals[non_finite[0]])!r}")
+
+    @classmethod
+    def from_records(cls, field_names: dict[str, list[str]], records: Iterable[RawInteraction]) -> InteractionLog:
+        """The log of these records, in the order given."""
+        records = list(records)
+        users, user_of = first_seen(r.user_values for r in records)
+        items, item_of = first_seen(r.item_values for r in records)
+        return cls(
+            field_names,
+            _timestamp_array([r.timestamp for r in records]),
+            np.array([r.signal for r in records], dtype=np.float64),
+            {USER: users, ITEM: items},
+            {USER: user_of, ITEM: item_of},
+        )
+
+    @property
+    def records(self) -> list[RawInteraction]:
+        """The events as records, rebuilt from the columns at each access."""
+        users, items = (list(map(self.profiles[side].__getitem__, self.profile_of[side].tolist())) for side in SIDES)
+        return list(map(RawInteraction, self.timestamps.tolist(), users, items, self.signals.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.signals)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InteractionLog):
+            return NotImplemented
+        return self.field_names == other.field_names and self.records == other.records
 
 
-def _parse_fields(path: str, line_no: int, section: str, expected: list[str] | None):
+def first_seen(keys: Iterable) -> tuple[list, Array]:
+    """The distinct keys in order of first occurrence, and each key's index among them."""
+    seen: dict = {}
+    index = [seen.setdefault(key, len(seen)) for key in keys]
+    return list(seen), np.array(index, dtype=np.int64)
+
+
+def _timestamp_array(timestamps: list[int]) -> Array:
+    """int64 when every timestamp fits, else the exact Python ints."""
+    try:
+        return np.array(timestamps, dtype=np.int64)
+    except OverflowError:
+        return np.array(timestamps, dtype=object)
+
+
+def _parse_section(section: str, expected: list[str] | None) -> tuple[list[str], tuple[str, ...]]:
+    """One side's field names and values; a ValueError says what is wrong, but not where."""
     pairs = []
     for part in section.split(";"):
         if "=" not in part:
-            raise DataError(f"{path}:{line_no}: expected field=value, got {part!r}")
-        name, value = part.split("=", 1)
-        pairs.append((name, value))
+            raise ValueError(f"expected field=value, got {part!r}")
+        pairs.append(part.split("=", 1))
     names = [n for n, _ in pairs]
     if expected is not None and names != expected:
-        raise DataError(
-            f"{path}:{line_no}: field names {names} do not match the first line's {expected}"
-        )
+        raise ValueError(f"field names {names} do not match the first line's {expected}")
     return names, tuple(v for _, v in pairs)
 
 
 def read_interactions(path: str) -> InteractionLog:
-    """Parse a log file; records come back time-sorted, stable on ties."""
+    """Parse a log file; events come back time-sorted, stable on ties."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            # The lines file iteration gives, without their "\n": str.splitlines
+            # would also break at "\x85", "\u2028" and other characters.
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        lines = read_utf8_lines(path)  # raises the DataError that file iteration gives
+    try:
+        return _read_columns(lines)
+    except ValueError:
+        return _read_each_line(path, lines)
+
+
+def _read_columns(lines: list[str]) -> InteractionLog:
+    """The reader over whole columns; it raises a ValueError, without the line, on any failed check.
+
+    InteractionLog rejects negative timestamps and non-finite signals itself,
+    with a DataError, which is a ValueError too.
+    """
+    lines = [line for line in lines if line]
+    if set(map(str.count, lines, repeat("\t"))) != {3}:
+        raise ValueError("not four columns on every line")
+    cells = "\t".join(lines).split("\t")
+    stamps = _timestamp_array(list(map(int, cells[0::4])))
+    signals = np.array(list(map(float, cells[3::4])), dtype=np.float64)
+    order = np.argsort(stamps, kind="stable")  # ties keep file order
+    names, profiles, profile_of = {}, {}, {}
+    for side, column in zip(SIDES, (cells[1::4], cells[2::4])):
+        sections, profile_of[side] = first_seen(map(column.__getitem__, order.tolist()))
+        names[side], _ = _parse_section(sections[0], None)
+        # A name holds neither ";" nor "=", a value no ";": a match is exactly
+        # a section _parse_section accepts with these names.
+        pattern = re.compile(";".join(re.escape(name) + "=([^;]*)" for name in names[side]))
+        matches = list(map(pattern.fullmatch, sections))
+        if not all(matches):
+            raise ValueError("field names differ between lines")
+        profiles[side] = [match.groups() for match in matches]
+    return InteractionLog(names, stamps[order], signals[order], profiles, profile_of)
+
+
+def _read_each_line(path: str, lines: list[str]) -> InteractionLog:
+    """The reader one line at a time, checks in file order: its DataError names the first bad line."""
     records: list[RawInteraction] = []
-    user_names: list[str] | None = None
-    item_names: list[str] | None = None
-    for line_no, line in enumerate(read_utf8_lines(path), 1):
+    names: dict[str, list[str] | None] = {USER: None, ITEM: None}
+    for line_no, line in enumerate(lines, 1):
         line = line.rstrip("\n")
         if not line:
             continue
@@ -90,19 +209,23 @@ def read_interactions(path: str) -> InteractionLog:
             raise DataError(f"{path}:{line_no}: bad timestamp {parts[0]!r}") from None
         if timestamp < 0:
             raise DataError(f"{path}:{line_no}: negative timestamp {timestamp}")
-        user_names, user_values = _parse_fields(path, line_no, parts[1], user_names)
-        item_names, item_values = _parse_fields(path, line_no, parts[2], item_names)
+        values = {}
+        for side, section in zip(SIDES, parts[1:3]):
+            try:
+                names[side], values[side] = _parse_section(section, names[side])
+            except ValueError as err:
+                raise DataError(f"{path}:{line_no}: {err}") from None
         try:
             signal = float(parts[3])
         except ValueError:
             raise DataError(f"{path}:{line_no}: bad signal {parts[3]!r}") from None
         if not math.isfinite(signal):
             raise DataError(f"{path}:{line_no}: non-finite signal {parts[3]!r}")
-        records.append(RawInteraction(timestamp, user_values, item_values, signal))
+        records.append(RawInteraction(timestamp, values[USER], values[ITEM], signal))
     if not records:
         raise DataError(f"{path}: no interactions")
     records.sort(key=lambda r: r.timestamp)  # sort is stable: ties keep file order
-    return InteractionLog(list(user_names), list(item_names), records)
+    return InteractionLog.from_records(names, records)
 
 
 def format_signal(signal: float) -> str:
@@ -111,22 +234,22 @@ def format_signal(signal: float) -> str:
 
 def write_interactions(path: str, log: InteractionLog) -> None:
     """Serialize canonically; a write/read round trip is the identity."""
-    for name in (*log.user_field_names, *log.item_field_names):
+    for name in chain(*log.field_names.values()):
         if (_FORBIDDEN | {"="}) & set(name):
             raise DataError(f"field name {name!r} contains a delimiter character")
+    for value in chain(*log.profiles[USER], *log.profiles[ITEM]):
+        if _FORBIDDEN & set(value):
+            raise DataError(f"value {value!r} contains a delimiter character")
+    names = log.field_names
     with open(path, "w", encoding="utf-8") as fh:
         for rec in log.records:
-            for value in (*rec.user_values, *rec.item_values):
-                if _FORBIDDEN & set(value):
-                    raise DataError(f"value {value!r} contains a delimiter character")
-            user = ";".join(f"{n}={v}" for n, v in zip(log.user_field_names, rec.user_values))
-            item = ";".join(f"{n}={v}" for n, v in zip(log.item_field_names, rec.item_values))
+            user = ";".join(f"{n}={v}" for n, v in zip(names[USER], rec.user_values))
+            item = ";".join(f"{n}={v}" for n, v in zip(names[ITEM], rec.item_values))
             fh.write(f"{rec.timestamp}\t{user}\t{item}\t{format_signal(rec.signal)}\n")
 
 
-def derive_labels(records: list[RawInteraction]) -> Array:
+def derive_labels(signals: Array) -> Array:
     """Binary signals pass through; ratings become positive above 3."""
-    signals = np.array([r.signal for r in records], dtype=np.float64)
     if np.all((signals == 0.0) | (signals == 1.0)):
         return signals
     return (signals > RATING_POSITIVE_ABOVE).astype(np.float64)
@@ -146,39 +269,38 @@ def build_schema(log: InteractionLog, user_width: int, item_width: int) -> Featu
     by validation/test interactions never receive gradient during
     training; files scored against a foreign schema fall back to OOV.
     """
-    names = {USER: log.user_field_names, ITEM: log.item_field_names}
-    profiles = _profiles(log.records)
-    # dict.fromkeys keeps each value once, at its first occurrence in log order.
+    # The profiles come in order of first occurrence, so dict.fromkeys over
+    # them keeps each value once, at its first occurrence in log order.
     fields = {
-        side: [FieldVocab(name, list(dict.fromkeys(column))) for name, column in zip(names[side], zip(*profiles[side]))]
+        side: [
+            FieldVocab(name, list(dict.fromkeys(column)))
+            for name, column in zip(log.field_names[side], zip(*log.profiles[side]))
+        ]
         for side in SIDES
     }
     return FeatureSchema(fields, {USER: user_width, ITEM: item_width})
 
 
-def _profiles(records: list[RawInteraction]) -> dict[str, list[tuple[str, ...]]]:
-    return {USER: [r.user_values for r in records], ITEM: [r.item_values for r in records]}
+def encode_events(schema: FeatureSchema, log: InteractionLog) -> dict[str, Array]:
+    """Resolve every event's profiles into table ids: per side, an (N, fields) int64 array.
 
-
-def encode_events(schema: FeatureSchema, records: list[RawInteraction]) -> dict[str, Array]:
-    """Resolve every record's profiles into table ids: per side, an (N, fields) int64 array.
-
-    One dict lookup per value; one array per field.
+    Each distinct profile is resolved once, one dict lookup per value; one
+    gather per side spreads the rows over the events.
     """
-    profiles = _profiles(records)
     value_ids = {side: schema.value_ids(side) for side in SIDES}
-    if any(set(map(len, profiles[side])) - {len(value_ids[side])} for side in SIDES):
-        arity = (len(value_ids[USER]), len(value_ids[ITEM]))
-        rec = next(r for r in records if (len(r.user_values), len(r.item_values)) != arity)
+    arity = {side: len(log.field_names[side]) for side in SIDES}
+    if any(arity[side] != len(value_ids[side]) for side in SIDES):
         raise DataError(
-            f"profiles of {len(rec.user_values)} user and {len(rec.item_values)} item values "
-            f"for {arity[0]} user and {arity[1]} item schema fields"
+            f"profiles of {arity[USER]} user and {arity[ITEM]} item values "
+            f"for {len(value_ids[USER])} user and {len(value_ids[ITEM])} item schema fields"
         )
     ids = {}
     for side in SIDES:
-        ids[side] = np.empty((len(records), len(value_ids[side])), dtype=np.int64)
-        for pos, (column, (table_ids, oov)) in enumerate(zip(zip(*profiles[side]), value_ids[side])):
-            ids[side][:, pos] = np.fromiter(map(table_ids.get, column, repeat(oov)), np.int64, len(records))
+        profiles = log.profiles[side]
+        rows = np.empty((len(profiles), arity[side]), dtype=np.int64)
+        for pos, (column, (table_ids, oov)) in enumerate(zip(zip(*profiles), value_ids[side])):
+            rows[:, pos] = np.fromiter(map(table_ids.get, column, repeat(oov)), np.int64, len(profiles))
+        ids[side] = rows[log.profile_of[side]]
     return ids
 
 
@@ -274,26 +396,26 @@ def prepare_dataset(
     model's vocabulary; unseen values collapse onto the OOV rows. The
     log's field names must then be the schema's, in the schema's order.
     """
-    labels = derive_labels(log.records)
+    labels = derive_labels(log.signals)
     if schema is None:
-        if config.max_neighbors > len(log.records):  # no window can hold more entries than the log
-            raise DataError(f"max_neighbors {config.max_neighbors} exceeds the log's {len(log.records)} events")
+        if config.max_neighbors > len(log):  # no window can hold more entries than the log
+            raise DataError(f"max_neighbors {config.max_neighbors} exceeds the log's {len(log)} events")
         schema = build_schema(log, config.user_embed_width, config.item_embed_width)
-    for side, names in ((USER, log.user_field_names), (ITEM, log.item_field_names)):
-        expected = [f.name for f in schema.fields[side]]
+    for side in SIDES:
+        names, expected = log.field_names[side], [f.name for f in schema.fields[side]]
         if names != expected:
             raise DataError(f"the log's {side} fields {names} are not the schema's {expected}")
     # Each event's windows: k item profiles on the user side, k user ids on the item side.
-    window_ids = len(log.records) * config.max_neighbors * (len(log.item_field_names) + 1)
+    window_ids = len(log) * config.max_neighbors * (len(log.field_names[ITEM]) + 1)
     if window_ids > MAX_MODEL_SIZE:
         raise DataError(
             f"the windows would hold {window_ids} ids, more than the {MAX_MODEL_SIZE} allowed; lower max_neighbors"
         )
-    ids = encode_events(schema, log.records)
-    n_train, n_val = timeline_split(len(log.records))
+    ids = encode_events(schema, log)
+    n_train, n_val = timeline_split(len(log))
     batch = build_instances(
         schema,
-        [r.timestamp for r in log.records],
+        log.timestamps,
         ids,
         labels,
         config.graph_mode,

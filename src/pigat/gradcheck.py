@@ -21,10 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import TrainConfig
-from .data import RawInteraction, build_instances, derive_labels, encode_events
+from .data import InteractionLog, RawInteraction, build_instances, derive_labels, encode_events
 from .errors import NumericError
 from .features import Batch, FeatureSchema, FieldVocab
-from .graph import ITEM, USER
+from .graph import ITEM, SIDES, USER
 from .model import ForwardState, backward, bce_loss, forward, init_params, named_parameters
 from .nn import FfnCache, fd_coordinate
 
@@ -69,8 +69,9 @@ def _toy_batch(schema: FeatureSchema, config: TrainConfig, rng: np.random.Genera
     end = len(history) + 1
     # The queries share one timestamp, so none sees another in its window.
     queries = [record(0, 3, end, 1), record(1, 1, end, 0), record(2, 0, end, 1)]
-    log = records + queries
-    args = [r.timestamp for r in log], encode_events(schema, log), derive_labels(log)
+    names = {side: [f.name for f in schema.fields[side]] for side in SIDES}
+    log = InteractionLog.from_records(names, records + queries)
+    args = log.timestamps, encode_events(schema, log), derive_labels(log.signals)
     batch = build_instances(schema, *args, "dynamic", config.max_neighbors, not config.include_negative_neighbors)
     return batch.take(np.arange(len(records), len(log)))
 

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MAX_MODEL_SIZE, check_finite_and_seed, coerce_pairs, field_types, parse_kv_lines
-from .data import InteractionLog, RawInteraction
+from .data import InteractionLog, first_seen
 from .errors import DataError
+from .graph import ITEM, USER
 from .nn import sigmoid
 
 Array = np.ndarray
@@ -115,8 +116,8 @@ def generate(spec: SynthSpec) -> tuple[InteractionLog, GroundTruth]:
     initial_users = users.copy()
     keep = np.sqrt(1.0 - spec.drift)
     stir = np.sqrt(spec.drift)
-    records = []
-    for step in range(1, spec.events + 1):
+    user_nodes, item_nodes, labels = [], [], []
+    for _ in range(spec.events):
         u = int(rng.integers(spec.users))
         if rng.random() < spec.noise:
             i = int(rng.integers(spec.items))
@@ -125,18 +126,24 @@ def generate(spec: SynthSpec) -> tuple[InteractionLog, GroundTruth]:
             i = int(rng.choice(spec.items, p=popularity))
             affinity = float(np.max(users[u] @ items[i]))
             label = int(rng.random() < sigmoid(affinity))
-        records.append(
-            RawInteraction(
-                timestamp=step,
-                user_values=(f"u{u}", f"s{segments[u]}"),
-                item_values=(f"i{i}", f"c{clusters[i]}"),
-                signal=float(label),
-            )
-        )
+        user_nodes.append(u)
+        item_nodes.append(i)
+        labels.append(label)
         if spec.drift > 0.0:
             users[u] = keep * users[u] + stir * rng.standard_normal((spec.tastes, d)) * s
 
-    log = InteractionLog(["uid", "seg"], ["iid", "cat"], records)
+    seen_users, user_of = first_seen(user_nodes)
+    seen_items, item_of = first_seen(item_nodes)
+    log = InteractionLog(
+        field_names={USER: ["uid", "seg"], ITEM: ["iid", "cat"]},
+        timestamps=np.arange(1, spec.events + 1, dtype=np.int64),
+        signals=np.array(labels, dtype=np.float64),
+        profiles={
+            USER: [(f"u{u}", f"s{segments[u]}") for u in seen_users],
+            ITEM: [(f"i{i}", f"c{clusters[i]}") for i in seen_items],
+        },
+        profile_of={USER: user_of, ITEM: item_of},
+    )
     truth = GroundTruth(initial_users, users, items, clusters, segments)
     return log, truth
 
@@ -160,15 +167,14 @@ def write_latents(path: str, truth: GroundTruth) -> None:
 def degree_summary(log: InteractionLog, total_items: int, threshold: int = 3) -> dict:
     """Interaction counts per item over the whole log; items the
     generator never drew count as zero-degree (they are the deep tail)."""
-    counts: dict[str, int] = {}
-    for rec in log.records:
-        counts[rec.item_values[0]] = counts.get(rec.item_values[0], 0) + 1
+    # Profiles sharing an item id are one item; every profile occurs, so every count is positive.
+    _, item_of_profile = first_seen(profile[0] for profile in log.profiles[ITEM])
+    counts = np.bincount(item_of_profile[log.profile_of[ITEM]])
     if total_items < len(counts):
         raise DataError(f"log names {len(counts)} items but only {total_items} exist")
-    at_most = sum(1 for c in counts.values() if c <= threshold)
-    at_most += total_items - len(counts)
+    at_most = int(np.count_nonzero(counts <= threshold)) + total_items - len(counts)
     return {
-        "events": len(log.records),
+        "events": len(log),
         "items": total_items,
         "items_seen": len(counts),
         "longtail_threshold": threshold,

@@ -1,5 +1,6 @@
 """Log parsing, splits, and leakage-free instance construction."""
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pigat.data as data_mod
-from pigat.config import TrainConfig
+from pigat.config import TrainConfig, read_utf8_lines
 from pigat.data import (
     InteractionLog,
     RawInteraction,
@@ -32,19 +33,17 @@ def mk_record(ts, uid, seg, iid, cat, signal):
     return RawInteraction(ts, (uid, seg), (iid, cat), float(signal))
 
 
+NAMES = {USER: ["uid", "seg"], ITEM: ["iid", "cat"]}
+
+
 def mk_log(rows):
-    return InteractionLog(
-        ["uid", "seg"],
-        ["iid", "cat"],
-        [mk_record(*row) for row in rows],
-    )
+    return InteractionLog.from_records(NAMES, [mk_record(*row) for row in rows])
 
 
 def build_args(log, schema=None):
     """build_instances' arguments before the mode: schema, timestamps, ids, labels."""
     schema = schema or build_schema(log, 4, 4)
-    timestamps = [r.timestamp for r in log.records]
-    return schema, timestamps, encode_events(schema, log.records), derive_labels(log.records)
+    return schema, log.timestamps.tolist(), encode_events(schema, log), derive_labels(log.signals)
 
 
 def assert_same_batch(got, want):
@@ -74,15 +73,8 @@ class TestParsing:
         path = tmp_path / "log.tsv"
         write_interactions(str(path), log)
         back = read_interactions(str(path))
-        assert back.user_field_names == log.user_field_names
-        assert back.item_field_names == log.item_field_names
-        for ours, theirs in zip(log.records, back.records):
-            assert (ours.timestamp, ours.user_values, ours.item_values, ours.signal) == (
-                theirs.timestamp,
-                theirs.user_values,
-                theirs.item_values,
-                theirs.signal,
-            )
+        assert back.field_names == log.field_names
+        assert back.records == log.records
         second = tmp_path / "again.tsv"
         write_interactions(str(second), back)
         assert path.read_bytes() == second.read_bytes()
@@ -224,10 +216,10 @@ def test_mutated_log_is_rejected_or_round_trips(tmp_path, edits, splice, rename)
         return
     if rename is not None:
         pos, name = rename
-        names = log.user_field_names + log.item_field_names
+        names = log.field_names[USER] + log.field_names[ITEM]
         names[pos % len(names)] = name
-        cut = len(log.user_field_names)
-        log = InteractionLog(names[:cut], names[cut:], log.records)
+        cut = len(log.field_names[USER])
+        log = dataclasses.replace(log, field_names={USER: names[:cut], ITEM: names[cut:]})
     echoed = tmp_path / "echoed.tsv"
     try:
         write_interactions(str(echoed), log)
@@ -237,17 +229,93 @@ def test_mutated_log_is_rejected_or_round_trips(tmp_path, edits, splice, rename)
     assert read_interactions(str(echoed)) == log
 
 
+def per_line_reference(path: str) -> InteractionLog:
+    """The per-line reader over the lines file iteration gives: the reader the columns must agree with."""
+    return data_mod._read_each_line(path, read_utf8_lines(path))
+
+
+def assert_reads_as_per_line(path: str) -> None:
+    """read_interactions fails with the reference's exact text, or both read equal logs.
+
+    On a file the reference accepts, the columnar reader alone must accept
+    it too, so a fast path that gives up on valid files fails here.
+    """
+    try:
+        want = per_line_reference(path)
+    except DataError as err:
+        with pytest.raises(DataError) as got:
+            read_interactions(path)
+        assert str(got.value) == str(err)
+        return
+    assert read_interactions(path) == want
+    assert data_mod._read_columns([line.rstrip("\n") for line in read_utf8_lines(path)]) == want
+
+
+# int() syntax the reader keeps: sign, surrounding space, underscores, other
+# digits; ties, and timestamps at and beyond the int64 range.
+STAMPS = ["0", "3", "+7", " 3", "1_0", "\u0663", "7 ", str(2**63), str(2**64), str(2**63 - 1)]
+SIGNALS = ["0", "1", "4.5", " 1", "1e0", "-0.0"]
+# Few shared values make repeated profiles, free text unique ones; "=" may
+# sit inside a value, and "\x85" or "\u2028" break no line.
+VALUE = st.sampled_from(["a", "b", "a=b", "=", "", "\x85", "\u2028", "\x0c"]) | st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t;\r\n"), max_size=4
+)
+FIELD_NAME = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t;\r\n="), max_size=3)
+
+
+@st.composite
+def log_texts(draw) -> str:
+    """A valid log file in any line order, with the first line's field names on every line."""
+    names = [draw(st.lists(FIELD_NAME, min_size=1, max_size=3)) for _ in range(2)]
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        sections = [";".join(f"{name}={draw(VALUE)}" for name in side) for side in names]
+        lines.append("\t".join([draw(st.sampled_from(STAMPS)), *sections, draw(st.sampled_from(SIGNALS))]))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending, ending * 2]))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=log_texts())
+@example(text="3\tuid=u\x85v\tiid=i\t1\n")
+@example(text=f"{2**64}\tuid=u\tiid=a=b\t1\n{2**63}\tuid=u\tiid=a=b\t0\n+7\tuid=v\tiid=c\t1\n")
+def test_columnar_reader_equals_the_per_line_reader(tmp_path, text):
+    path = tmp_path / "log.tsv"
+    path.write_bytes(text.encode())
+    per_line_reference(str(path))  # the generated file is valid
+    assert_reads_as_per_line(str(path))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    edits=st.lists(log_mutation, min_size=1, max_size=4),
+    splice=st.none() | st.tuples(st.integers(0, 200), st.binary(min_size=1, max_size=2)),
+)
+@example(edits=[(1, "field", 1, "user")], splice=None)
+@example(edits=[(2, "separator", 1, "=")], splice=None)
+@example(edits=[(1, "field", 9, "1e400")], splice=None)  # token 9 is the signal
+@example(edits=[(2, "field", 0, "-1")], splice=None)
+def test_mutated_log_fails_as_the_per_line_reader_does(tmp_path, edits, splice):
+    raw = mutate_log(VALID_LINES, edits).encode()
+    if splice is not None:
+        at, junk = splice
+        raw = raw[:at] + junk + raw[at:]
+    path = tmp_path / "log.tsv"
+    path.write_bytes(raw)
+    assert_reads_as_per_line(str(path))
+
+
 class TestLabels:
     def test_ratings_above_three_are_positive(self):
-        labels = derive_labels([mk_record(1, "u", "a", "i", "x", s) for s in (5, 3, 1)])
+        labels = derive_labels(np.array((5, 3, 1), dtype=np.float64))
         assert labels.tolist() == [1.0, 0.0, 0.0]
 
     def test_binary_signals_pass_through(self):
-        labels = derive_labels([mk_record(1, "u", "a", "i", "x", s) for s in (0, 1, 1)])
+        labels = derive_labels(np.array((0, 1, 1), dtype=np.float64))
         assert labels.tolist() == [0.0, 1.0, 1.0]
 
     def test_mixed_signals_use_the_rating_rule(self):
-        labels = derive_labels([mk_record(1, "u", "a", "i", "x", s) for s in (0, 1, 5)])
+        labels = derive_labels(np.array((0, 1, 5), dtype=np.float64))
         assert labels.tolist() == [0.0, 0.0, 1.0]
 
 
@@ -282,7 +350,7 @@ class TestSchemaAndEvents:
     def test_events_carry_node_indices_and_profiles(self):
         log = mk_log([(1, "u0", "a", "i0", "x", 1), (2, "u1", "b", "i0", "x", 0)])
         schema = build_schema(log, 4, 4)
-        ids = encode_events(schema, log.records)
+        ids = encode_events(schema, log)
         assert ids[USER].dtype == ids[ITEM].dtype == np.int64
         assert tuple(ids[USER][0]) == profile_ids(schema, USER, ("u0", "a"))
         assert ids[ITEM][1, 0] == ids[ITEM][0, 0]
@@ -322,7 +390,7 @@ def test_encoded_ids_match_per_field_global_ids(rows, half_vocab):
     log = mk_log(rows)
     # A schema from the first half leaves later values on the OOV ids.
     schema = build_schema(mk_log(rows[: len(rows) // 2]) if half_vocab else log, 4, 4)
-    ids = encode_events(schema, log.records)
+    ids = encode_events(schema, log)
     assert ids[USER].shape == (len(rows), 2) and ids[ITEM].shape == (len(rows), 2)
     for rec, user_ids, item_ids in zip(log.records, ids[USER].tolist(), ids[ITEM].tolist(), strict=True):
         assert tuple(user_ids) == profile_ids(schema, USER, rec.user_values)
@@ -331,9 +399,27 @@ def test_encoded_ids_match_per_field_global_ids(rows, half_vocab):
 
 def test_profile_arity_mismatch_rejected():
     schema = build_schema(mk_log(demo_rows(12)), 4, 4)
-    short = RawInteraction(1, ("u0",), ("i0", "x"), 1.0)
-    with pytest.raises(DataError, match="schema fields"):
-        encode_events(schema, [mk_record(1, "u0", "a", "i0", "x", 1), short])
+    one_user_field = {USER: ["uid"], ITEM: NAMES[ITEM]}
+    short = InteractionLog.from_records(one_user_field, [RawInteraction(1, ("u0",), ("i0", "x"), 1.0)])
+    with pytest.raises(DataError, match="profiles of 1 user and 2 item values for 2 user and 2 item schema fields"):
+        encode_events(schema, short)
+
+
+class TestLogFromRecords:
+    """A log built in memory holds only what a file can say and the reader accepts."""
+
+    def test_profile_arity_other_than_the_field_names_rejected(self):
+        with pytest.raises(DataError, match=r"user profile \('u', 'x'\) has 2 values for the fields \['uid'\]"):
+            InteractionLog.from_records({USER: ["uid"], ITEM: ["iid"]}, [RawInteraction(5, ("u", "x"), ("i",), 1.0)])
+
+    def test_negative_timestamp_rejected(self):
+        with pytest.raises(DataError, match="negative timestamp -3"):
+            mk_log([(1, "u0", "a", "i0", "x", 1), (-3, "u1", "b", "i1", "y", 0)])
+
+    @pytest.mark.parametrize("signal", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signal_rejected(self, signal):
+        with pytest.raises(DataError, match="non-finite signal"):
+            mk_log([(1, "u0", "a", "i0", "x", 1), (2, "u1", "b", "i1", "y", signal)])
 
 
 class TestInstanceConstruction:

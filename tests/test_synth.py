@@ -7,6 +7,7 @@ import pytest
 
 from pigat.data import read_interactions, write_interactions
 from pigat.errors import DataError
+from pigat.graph import ITEM, USER
 from pigat.synth import (
     GroundTruth,
     SynthSpec,
@@ -57,8 +58,7 @@ class TestShape:
 
     def test_field_names(self):
         log, _ = generate(small_spec())
-        assert log.user_field_names == ["uid", "seg"]
-        assert log.item_field_names == ["iid", "cat"]
+        assert log.field_names == {USER: ["uid", "seg"], ITEM: ["iid", "cat"]}
 
     def test_category_matches_cluster(self):
         log, truth = generate(small_spec())
