@@ -14,11 +14,13 @@ values in {0, 1}) or ratings, which become positive above 3.
 
 A log in memory is columns (`InteractionLog`): timestamps, signals and,
 per side, each distinct profile once plus one profile index per event.
-The reader fills them from whole columns: it splits the text once,
-converts every timestamp and signal with `int()` and `float()`, sorts
-stably by time, then parses each distinct section once, in order of
-first occurrence. When any check fails it reads the text again line by
-line, so that the DataError names the first bad line as `path:line`.
+The reader fills them a block of lines at a time: it splits the block
+into cells, converts its timestamps and signals with `int()` and
+`float()` and keeps one code per section, each distinct section once.
+Then it sorts stably by time and parses each distinct section once, in
+order of first occurrence. When any check fails it reads the text again
+line by line, so that the DataError names the first bad line as
+`path:line`.
 
 Instance construction builds every window of the log at once: one
 stable sort of the recorded events by (node, timestamp rank) and two
@@ -154,42 +156,72 @@ def read_interactions(path: str) -> InteractionLog:
     """Parse a log file; events come back time-sorted, stable on ties."""
     try:
         with open(path, encoding="utf-8") as fh:
-            # The lines file iteration gives, without their "\n": str.splitlines
-            # would also break at "\x85", "\u2028" and other characters.
-            lines = fh.read().split("\n")
+            text = fh.read()
     except UnicodeDecodeError:
-        lines = read_utf8_lines(path)  # raises the DataError that file iteration gives
+        text = "".join(read_utf8_lines(path))  # raises the DataError that file iteration gives
     try:
-        return _read_columns(lines)
+        return _read_columns(text)
     except ValueError:
-        return _read_each_line(path, lines)
+        # The lines file iteration gives, without their "\n": str.splitlines
+        # would also break at "\x85", "\u2028" and other characters.
+        return _read_each_line(path, text.split("\n"))
 
 
-def _read_columns(lines: list[str]) -> InteractionLog:
+# Characters of text the column reader splits into cells at a time, so that
+# it holds one block's lines and cells at once, not the whole log's.
+READ_BLOCK_CHARS = 1 << 16
+
+
+def _read_columns(text: str) -> InteractionLog:
     """The reader over whole columns; it raises a ValueError, without the line, on any failed check.
 
-    InteractionLog rejects negative timestamps and non-finite signals itself,
-    with a DataError, which is a ValueError too.
+    It converts the text a block of whole lines at a time and keeps, per
+    side, each distinct section once plus one int64 code per event.
+    InteractionLog rejects negative timestamps and non-finite signals
+    itself, with a DataError, which is a ValueError too.
     """
-    lines = [line for line in lines if line]
-    if set(map(str.count, lines, repeat("\t"))) != {3}:
-        raise ValueError("not four columns on every line")
-    cells = "\t".join(lines).split("\t")
-    stamps = _timestamp_array(list(map(int, cells[0::4])))
-    signals = np.array(list(map(float, cells[3::4])), dtype=np.float64)
-    order = np.argsort(stamps, kind="stable")  # ties keep file order
+    stamp_blocks, signal_blocks = [], []
+    codes: dict[str, list[Array]] = {USER: [], ITEM: []}
+    distinct: dict[str, dict[str, int]] = {USER: {}, ITEM: {}}  # section -> code, in file order
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + READ_BLOCK_CHARS)
+        end = len(text) if end < 0 else end
+        lines = [line for line in text[start:end].split("\n") if line]
+        start = end + 1
+        if not lines:
+            continue
+        if set(map(str.count, lines, repeat("\t"))) != {3}:
+            raise ValueError("not four columns on every line")
+        cells = "\t".join(lines).split("\t")
+        stamp_blocks.append(_timestamp_array(list(map(int, cells[0::4]))))
+        signal_blocks.append(np.array(list(map(float, cells[3::4])), dtype=np.float64))
+        for side, column in zip(SIDES, (cells[1::4], cells[2::4])):
+            seen = distinct[side]
+            codes[side].append(np.array([seen.setdefault(section, len(seen)) for section in column], dtype=np.int64))
+    if not stamp_blocks:
+        raise ValueError("no interactions")
+    stamps = np.concatenate(stamp_blocks)  # exact Python ints (object) if one block's are
+    signals = np.concatenate(signal_blocks)
+    # A log in time order, as write_interactions writes one, keeps its file
+    # order, in which the codes already number the sections by first occurrence.
+    order = np.argsort(stamps, kind="stable") if (stamps[1:] < stamps[:-1]).any() else None  # ties keep file order
     names, profiles, profile_of = {}, {}, {}
-    for side, column in zip(SIDES, (cells[1::4], cells[2::4])):
-        sections, profile_of[side] = first_seen(map(column.__getitem__, order.tolist()))
+    for side in SIDES:
+        sections, profile_of[side] = list(distinct[side]), np.concatenate(codes[side])
+        if order is not None:  # number them by first occurrence in time order instead
+            firsts, profile_of[side] = first_seen(profile_of[side][order].tolist())
+            sections = [sections[code] for code in firsts]
         names[side], _ = _parse_section(sections[0], None)
         # A name holds neither ";" nor "=", a value no ";": a match is exactly
         # a section _parse_section accepts with these names.
         pattern = re.compile(";".join(re.escape(name) + "=([^;]*)" for name in names[side]))
-        matches = list(map(pattern.fullmatch, sections))
-        if not all(matches):
+        profiles[side] = [match.groups() for match in map(pattern.fullmatch, sections) if match]
+        if len(profiles[side]) != len(sections):
             raise ValueError("field names differ between lines")
-        profiles[side] = [match.groups() for match in matches]
-    return InteractionLog(names, stamps[order], signals[order], profiles, profile_of)
+    if order is not None:
+        stamps, signals = stamps[order], signals[order]
+    return InteractionLog(names, stamps, signals, profiles, profile_of)
 
 
 def _read_each_line(path: str, lines: list[str]) -> InteractionLog:
@@ -262,30 +294,38 @@ def timeline_split(count: int) -> tuple[int, int]:
     return int(count * 0.8), int(count * 0.9)
 
 
-def build_schema(log: InteractionLog, user_width: int, item_width: int) -> FeatureSchema:
-    """First-seen vocabularies over the whole log.
+def build_schema(log: InteractionLog, user_width: int, item_width: int) -> tuple[FeatureSchema, dict[str, Array]]:
+    """First-seen vocabularies over the whole log, and every event's ids in them.
 
     Later-period values therefore have table rows, but rows touched only
     by validation/test interactions never receive gradient during
     training; files scored against a foreign schema fall back to OOV.
+    The ids are those encode_events(schema, log) gives: one first_seen per
+    field over the distinct profiles gives both the field's vocabulary and
+    each profile's index in it, so no value is hashed twice.
     """
-    # The profiles come in order of first occurrence, so dict.fromkeys over
+    # The profiles come in order of first occurrence, so first_seen over
     # them keeps each value once, at its first occurrence in log order.
+    seen = {side: [first_seen(column) for column in zip(*log.profiles[side])] for side in SIDES}
     fields = {
-        side: [
-            FieldVocab(name, list(dict.fromkeys(column)))
-            for name, column in zip(log.field_names[side], zip(*log.profiles[side]))
-        ]
+        side: [FieldVocab(name, values) for name, (values, _) in zip(log.field_names[side], seen[side])]
         for side in SIDES
     }
-    return FeatureSchema(fields, {USER: user_width, ITEM: item_width})
+    schema = FeatureSchema(fields, {USER: user_width, ITEM: item_width})
+    ids = {}
+    for side in SIDES:
+        rows = np.column_stack([index + schema.field_base(side, pos) for pos, (_, index) in enumerate(seen[side])])
+        ids[side] = rows[log.profile_of[side]]
+    return schema, ids
 
 
 def encode_events(schema: FeatureSchema, log: InteractionLog) -> dict[str, Array]:
     """Resolve every event's profiles into table ids: per side, an (N, fields) int64 array.
 
-    Each distinct profile is resolved once, one dict lookup per value; one
-    gather per side spreads the rows over the events.
+    The path for a foreign schema (a checkpoint's); build_schema gives the
+    ids of a schema built from the log itself. Each distinct profile is
+    resolved once, one dict lookup per value; one gather per side spreads
+    the rows over the events.
     """
     value_ids = {side: schema.value_ids(side) for side in SIDES}
     arity = {side: len(log.field_names[side]) for side in SIDES}
@@ -400,18 +440,21 @@ def prepare_dataset(
     if schema is None:
         if config.max_neighbors > len(log):  # no window can hold more entries than the log
             raise DataError(f"max_neighbors {config.max_neighbors} exceeds the log's {len(log)} events")
-        schema = build_schema(log, config.user_embed_width, config.item_embed_width)
-    for side in SIDES:
-        names, expected = log.field_names[side], [f.name for f in schema.fields[side]]
-        if names != expected:
-            raise DataError(f"the log's {side} fields {names} are not the schema's {expected}")
+    else:
+        for side in SIDES:
+            names, expected = log.field_names[side], [f.name for f in schema.fields[side]]
+            if names != expected:
+                raise DataError(f"the log's {side} fields {names} are not the schema's {expected}")
     # Each event's windows: k item profiles on the user side, k user ids on the item side.
     window_ids = len(log) * config.max_neighbors * (len(log.field_names[ITEM]) + 1)
     if window_ids > MAX_MODEL_SIZE:
         raise DataError(
             f"the windows would hold {window_ids} ids, more than the {MAX_MODEL_SIZE} allowed; lower max_neighbors"
         )
-    ids = encode_events(schema, log)
+    if schema is None:
+        schema, ids = build_schema(log, config.user_embed_width, config.item_embed_width)
+    else:
+        ids = encode_events(schema, log)
     n_train, n_val = timeline_split(len(log))
     batch = build_instances(
         schema,

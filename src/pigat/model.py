@@ -23,7 +23,9 @@ suite holds those gradients to the central finite-difference oracle.
 Heads with two hidden layers (ffn-3 under attention pooling) run on up to
 HEAD_THREADS threads (_each_head). The calling thread adds every head's
 results into shared state in head order, so the bytes do not depend on the
-thread count.
+thread count. The first model a process builds (_build) sets its allocator
+policy (_keep_freed_memory) and its BLAS threads (_one_blas_thread), for
+every model and CPU count, before any head thread starts.
 """
 
 from __future__ import annotations
@@ -216,6 +218,7 @@ def _build(schema: FeatureSchema, config: TrainConfig) -> PigatParams:
     DataError.
     """
     _one_blas_thread()  # before the model's first matmul
+    _keep_freed_memory()  # before any head thread exists or any step's arrays are freed
     shapes = layout(schema, config)
     size = sum(map(math.prod, shapes.values()))
     if size > MAX_MODEL_SIZE:
@@ -528,9 +531,10 @@ def _cpus() -> int:
 def _keep_freed_memory() -> None:
     """Ask glibc, once per process, to keep freed memory below KEEP_FREED_BYTES.
 
-    By default glibc hands a batch's head temporaries (about 20 MB per
-    ffn-3 chunk) back to the kernel, and the next batch faults them in
-    again. Both thresholds are set together: the trim threshold alone also
+    _build calls it at the first model build, for every model, before any
+    head thread starts. By default glibc hands a step's freed arrays (about
+    20 MB per ffn-3 chunk) back to the kernel, and the next step faults them
+    in again. Both thresholds are set together: the trim threshold alone also
     turns off glibc's dynamic mmap threshold, so every array above 128 KiB
     would be mapped afresh. A C library without mallopt is left as it is.
     """
@@ -571,7 +575,6 @@ def _pool():
     """The persistent pool of HEAD_THREADS - 1 threads that runs heads besides the caller."""
     from concurrent.futures import ThreadPoolExecutor
 
-    _keep_freed_memory()  # before the pool's first thread allocates anything
     return ThreadPoolExecutor(HEAD_THREADS - 1, thread_name_prefix="pigat-head")
 
 

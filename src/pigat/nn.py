@@ -51,19 +51,25 @@ def affine_backward(w: Array, x: Array, g: Array, d_w: Array, d_b: Array) -> Arr
 # The two leaky-relu kernels avoid np.where: selecting on a mask of random
 # signs mispredicts about half its branches, which on pre-activation arrays
 # costs several times the arithmetic. Both give the same bytes as the
-# np.where forms, signed zeros, infinities and nan included.
+# np.where forms, signed zeros, infinities and nan included, and write their
+# result into their own first temporary rather than a second new array.
+
+
+def _into_first(ufunc: np.ufunc, a: Array, b: Array | float) -> Array:
+    """ufunc(a, b) written into a, a temporary the caller made; a 0-d a is a numpy scalar and takes no out=."""
+    return ufunc(a, b, out=a) if isinstance(a, np.ndarray) else ufunc(a, b)
 
 
 def leaky_relu(x: Array) -> Array:
-    """Elementwise max(x, LEAKY_SLOPE * x)."""
+    """Elementwise max(x, LEAKY_SLOPE * x), in a new array; x is only read."""
     # np.maximum returns its first argument when both are nan; LEAKY_SLOPE * x
     # first gives nan inputs the same (quieted) bytes as the np.where form.
-    return np.maximum(LEAKY_SLOPE * x, x)
+    return _into_first(np.maximum, LEAKY_SLOPE * x, x)
 
 
 def leaky_relu_slope_at(x: Array) -> Array:
     """Derivative factor of leaky_relu: 1 where x >= 0, else LEAKY_SLOPE (nan included)."""
-    return np.maximum((x >= 0.0).astype(np.float64), LEAKY_SLOPE)
+    return _into_first(np.maximum, (x >= 0.0).astype(np.float64), LEAKY_SLOPE)
 
 
 def masked_softmax(z: Array, mask: Array) -> Array:
@@ -142,7 +148,9 @@ def _pair_affine_forward(w: Array, query: Array, keys: Array, b: Array) -> Array
     qw = query.shape[1]
     if qw + keys.shape[2] != w.shape[1]:
         raise ShapeError(f"affine shapes do not chain: w {w.shape}, query {query.shape}, keys {keys.shape}")
-    return keys @ w[:, qw:].T + (query @ w[:, :qw].T + b)[:, None, :]
+    out = keys @ w[:, qw:].T
+    out += (query @ w[:, :qw].T + b)[:, None, :]  # the same sum, into the (B, k, out) product
+    return out
 
 
 def ffn_forward(params: FfnParams, x: Array | tuple[Array, Array]) -> tuple[Array, FfnCache]:
@@ -190,7 +198,8 @@ def ffn_backward(
                 f"stale cache: upstream grad {g.shape} does not match pre-activation {pre.shape}"
             )
         if i != n_layers - 1:
-            g = g * leaky_relu_slope_at(pre)
+            # Below the last layer g is the d_x affine_backward just made, never d_out.
+            g *= leaky_relu_slope_at(pre)
         if isinstance(x_in, tuple):  # only the first layer takes a pair
             query, keys = x_in
             qw = query.shape[1]

@@ -121,6 +121,8 @@ def train(config: TrainConfig, data: PreparedData) -> TrainResult:
                     f"non-finite gradient at epoch {epoch}, batch {batch_idx}: {bad} (group {_group(bad)})"
                 )
             adam_step(adam, arrays, adam_grads, rows)
+            # Freed before the next forward, so one step's arrays are alive at a time.
+            del batch, state
         train_loss = loss_sum / n
 
         val_probs = predict(params, data.val)

@@ -285,6 +285,11 @@ def test_a_step_runs_where_the_os_has_no_cpu_affinity(monkeypatch, small_log):
     assert step_grads() == grads
 
 
+def new_allocator_cache(monkeypatch):
+    """model._keep_freed_memory with an empty cache, so the next model build asks for mallopt again."""
+    monkeypatch.setattr(model_mod, "_keep_freed_memory", functools.cache(model_mod._keep_freed_memory.__wrapped__))
+
+
 @pytest.fixture
 def new_pools(monkeypatch):
     """model._pool and model._keep_freed_memory with empty caches for one test.
@@ -299,7 +304,7 @@ def new_pools(monkeypatch):
         return pools[-1]
 
     monkeypatch.setattr(model_mod, "_pool", functools.cache(pool))
-    monkeypatch.setattr(model_mod, "_keep_freed_memory", functools.cache(model_mod._keep_freed_memory.__wrapped__))
+    new_allocator_cache(monkeypatch)
     yield pools
     for built in pools:
         built.shutdown()
@@ -336,23 +341,46 @@ def step_and_scores(monkeypatch, cfg, data, cpus) -> tuple[dict[str, bytes], byt
     return grads, predict(params, data.test).tobytes()
 
 
-def test_the_allocator_is_set_once_before_the_first_head_thread(monkeypatch, small_log, new_pools):
-    cfg = config(attention="ffn-3")
-    data = prepare_dataset(small_log, cfg)
+def spy_mallopt(monkeypatch) -> list:
+    """The (param, value, threads started since the call) of each mallopt call from now on."""
     calls, before = [], set(threading.enumerate())
 
     def mallopt(param, value):
-        calls.append((param, value, set(threading.enumerate()) - before))  # threads started since the test began
+        calls.append((param, value, set(threading.enumerate()) - before))
         return 1
 
     monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    return calls
+
+
+# Both thresholds, set while no thread of the model is running.
+SET_AT_BUILD = [(M_TRIM_THRESHOLD, KEEP_FREED_BYTES, set()), (M_MMAP_THRESHOLD, KEEP_FREED_BYTES, set())]
+
+
+def test_the_allocator_is_set_once_before_the_first_head_thread(monkeypatch, small_log, new_pools):
+    cfg = config(attention="ffn-3")
+    data = prepare_dataset(small_log, cfg)
+    before, calls = set(threading.enumerate()), spy_mallopt(monkeypatch)
+    monkeypatch.setattr(model_mod, "_cpus", lambda: 1)
+    init_params(np.random.default_rng(4), data.schema, cfg)
+    assert calls == SET_AT_BUILD  # at the first model build
     step_and_scores(monkeypatch, cfg, data, 1)
-    assert calls == [] and new_pools == []  # one CPU starts no pool and leaves the allocator alone
+    assert calls == SET_AT_BUILD and new_pools == []  # one CPU starts no pool, and asks nothing more
     for _ in range(2):
         step_and_scores(monkeypatch, cfg, data, 2)
-    assert calls == [(M_TRIM_THRESHOLD, KEEP_FREED_BYTES, set()), (M_MMAP_THRESHOLD, KEEP_FREED_BYTES, set())]
+    assert calls == SET_AT_BUILD  # once per process
     assert len(new_pools) == 1
     assert {t.name for t in set(threading.enumerate()) - before} == {"pigat-head_0"}  # the new pool's thread
+
+
+@pytest.mark.parametrize("attention", ["scaled-dot", "ffn-1", "ffn-2"])
+def test_the_allocator_is_set_for_heads_that_start_no_thread(monkeypatch, small_log, new_pools, attention):
+    cfg = config(attention=attention)
+    data = prepare_dataset(small_log, cfg)
+    calls = spy_mallopt(monkeypatch)
+    for cpus in CPUS:
+        step_and_scores(monkeypatch, cfg, data, cpus)
+    assert calls == SET_AT_BUILD and new_pools == []
 
 
 def no_library(name):
@@ -370,9 +398,12 @@ def test_a_c_library_without_mallopt_changes_no_byte(monkeypatch, small_log, new
     cfg = config(attention="ffn-3")
     data = prepare_dataset(small_log, cfg)
     sequential = step_and_scores(monkeypatch, cfg, data, 1)
-    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    opened = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: (opened.append(name), cdll(name))[1])
+    new_allocator_cache(monkeypatch)
     assert step_and_scores(monkeypatch, cfg, data, 2) == sequential
-    assert len(new_pools) == 1  # the threaded path ran, and asked for mallopt
+    assert opened == [None]  # the model build asked the C library for mallopt
+    assert len(new_pools) == 1  # and the threaded path ran
 
 
 # Run in a fresh interpreter, since the BLAS thread count is process-wide:

@@ -74,6 +74,25 @@ def test_leaky_kernels_equal_where_forms_bytewise(values):
     assert nn.leaky_relu_slope_at(x).tobytes() == np.where(x >= 0.0, 1.0, slope).tobytes()
 
 
+def read_only(*arrays):
+    """Mark the arrays read-only: a kernel that writes into one raises instead of passing."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def test_leaky_kernels_leave_read_only_inputs_alone():
+    slope = nn.LEAKY_SLOPE
+    for x in (LEAKY_EDGES.copy(), np.array(-2.0), np.array(3.0), np.array(np.nan)):  # 0-d arrays included
+        read_only(x)
+        keep = x.tobytes()
+        with np.errstate(invalid="ignore"):
+            want = np.where(x >= 0.0, x, slope * x)
+            got = nn.leaky_relu(x)
+        assert np.asarray(got).tobytes() == want.tobytes()
+        assert np.asarray(nn.leaky_relu_slope_at(x)).tobytes() == np.where(x >= 0.0, 1.0, slope).tobytes()
+        assert x.tobytes() == keep
+
+
 def softmax(z):
     """The plain softmax: masked_softmax with every position live."""
     return nn.masked_softmax(z, np.ones(np.shape(z), dtype=bool))
@@ -277,6 +296,27 @@ def test_ffn_pair_input_shapes_must_chain():
     ]:
         with pytest.raises(ShapeError):
             nn.ffn_forward(params, (query, keys))
+
+
+@pytest.mark.parametrize("dims", [[5, 1], [5, 6, 1], [5, 6, 3, 2]])
+def test_ffn_pair_kernels_write_only_into_arrays_they_allocated(dims):
+    rng = np.random.default_rng(8)
+    params = ffn_init(rng, dims)
+    query, keys, d_out = rng.normal(size=(3, 2)), rng.normal(size=(3, 4, 3)), rng.normal(size=(3, 4, dims[-1]))
+    given = [*params.weights, *params.biases, query, keys, d_out]
+    keep = [a.tobytes() for a in given]
+    read_only(*given)
+    out, cache = nn.ffn_forward(params, (query, keys))
+    w, b = params.weights[0], params.biases[0]
+    # The first layer's bytes are those of the sum of the two products.
+    assert cache.pre_acts[0].tobytes() == (keys @ w[:, 2:].T + (query @ w[:, :2].T + b)[:, None, :]).tobytes()
+    concat = np.concatenate([np.broadcast_to(query[:, None, :], (3, 4, 2)), keys], axis=-1)
+    np.testing.assert_allclose(out, nn.ffn_forward(params, concat)[0], rtol=1e-12, atol=1e-12)
+    read_only(*cache.pre_acts, *(x for x in cache.inputs[1:]), out)
+    grads = nn.FfnParams(tuple(map(np.zeros_like, params.weights)), tuple(map(np.zeros_like, params.biases)))
+    d_query, d_keys = nn.ffn_backward(params, cache, d_out, grads)
+    assert d_query.shape == query.shape and d_keys.shape == keys.shape
+    assert [a.tobytes() for a in given] == keep
 
 
 def test_ffn_backward_rejects_stale_cache():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -219,3 +220,21 @@ class TestMetricsFile:
             assert ours.train_loss == theirs.train_loss
             assert ours.val_auc == theirs.val_auc
             assert ours.lr == theirs.lr
+
+
+def test_each_step_frees_the_previous_steps_state_before_the_next_forward(small_log, monkeypatch):
+    config = small_config(attention="ffn-3")
+    data = prepare_dataset(small_log, config)
+    real, refs, alive = train_mod.forward, [], []
+
+    def spy(params, batch, *args, **kwargs):
+        alive.append([name for name, ref in refs if ref() is not None])  # what earlier steps left alive
+        state = real(params, batch, *args, **kwargs)
+        refs.extend([("state", weakref.ref(state)), ("batch", weakref.ref(batch))])
+        return state
+
+    monkeypatch.setattr(train_mod, "forward", spy)
+    train(config, data)
+    steps = config.epochs * -(-len(data.train) // config.batch_size)
+    assert len(alive) == steps >= 6
+    assert alive == [[]] * steps
