@@ -203,15 +203,19 @@ def _read_columns(text: str) -> InteractionLog:
         raise ValueError("no interactions")
     stamps = np.concatenate(stamp_blocks)  # exact Python ints (object) if one block's are
     signals = np.concatenate(signal_blocks)
-    # A log in time order, as write_interactions writes one, keeps its file
-    # order, in which the codes already number the sections by first occurrence.
-    order = np.argsort(stamps, kind="stable") if (stamps[1:] < stamps[:-1]).any() else None  # ties keep file order
+    order = np.argsort(stamps, kind="stable")  # ties keep file order
     names, profiles, profile_of = {}, {}, {}
     for side in SIDES:
-        sections, profile_of[side] = list(distinct[side]), np.concatenate(codes[side])
-        if order is not None:  # number them by first occurrence in time order instead
-            firsts, profile_of[side] = first_seen(profile_of[side][order].tolist())
-            sections = [sections[code] for code in firsts]
+        # Renumber the sections by first occurrence in time order, not file order.
+        in_time_order = np.concatenate(codes[side])[order]
+        first = np.full(len(distinct[side]), len(in_time_order), dtype=np.int64)
+        np.minimum.at(first, in_time_order, np.arange(len(in_time_order)))  # each code's first event
+        firsts = np.argsort(first)  # the codes by first occurrence
+        renumber = np.empty(len(firsts), dtype=np.int64)
+        renumber[firsts] = np.arange(len(firsts))
+        profile_of[side] = renumber[in_time_order]
+        in_file_order = list(distinct[side])
+        sections = [in_file_order[code] for code in firsts.tolist()]
         names[side], _ = _parse_section(sections[0], None)
         # A name holds neither ";" nor "=", a value no ";": a match is exactly
         # a section _parse_section accepts with these names.
@@ -219,9 +223,7 @@ def _read_columns(text: str) -> InteractionLog:
         profiles[side] = [match.groups() for match in map(pattern.fullmatch, sections) if match]
         if len(profiles[side]) != len(sections):
             raise ValueError("field names differ between lines")
-    if order is not None:
-        stamps, signals = stamps[order], signals[order]
-    return InteractionLog(names, stamps, signals, profiles, profile_of)
+    return InteractionLog(names, stamps[order], signals[order], profiles, profile_of)
 
 
 def _read_each_line(path: str, lines: list[str]) -> InteractionLog:
@@ -294,38 +296,30 @@ def timeline_split(count: int) -> tuple[int, int]:
     return int(count * 0.8), int(count * 0.9)
 
 
-def build_schema(log: InteractionLog, user_width: int, item_width: int) -> tuple[FeatureSchema, dict[str, Array]]:
-    """First-seen vocabularies over the whole log, and every event's ids in them.
+def build_schema(log: InteractionLog, user_width: int, item_width: int) -> FeatureSchema:
+    """First-seen vocabularies over the whole log.
 
     Later-period values therefore have table rows, but rows touched only
     by validation/test interactions never receive gradient during
     training; files scored against a foreign schema fall back to OOV.
-    The ids are those encode_events(schema, log) gives: one first_seen per
-    field over the distinct profiles gives both the field's vocabulary and
-    each profile's index in it, so no value is hashed twice.
     """
-    # The profiles come in order of first occurrence, so first_seen over
+    # The profiles come in order of first occurrence, so dict.fromkeys over
     # them keeps each value once, at its first occurrence in log order.
-    seen = {side: [first_seen(column) for column in zip(*log.profiles[side])] for side in SIDES}
     fields = {
-        side: [FieldVocab(name, values) for name, (values, _) in zip(log.field_names[side], seen[side])]
+        side: [
+            FieldVocab(name, list(dict.fromkeys(column)))
+            for name, column in zip(log.field_names[side], zip(*log.profiles[side]))
+        ]
         for side in SIDES
     }
-    schema = FeatureSchema(fields, {USER: user_width, ITEM: item_width})
-    ids = {}
-    for side in SIDES:
-        rows = np.column_stack([index + schema.field_base(side, pos) for pos, (_, index) in enumerate(seen[side])])
-        ids[side] = rows[log.profile_of[side]]
-    return schema, ids
+    return FeatureSchema(fields, {USER: user_width, ITEM: item_width})
 
 
 def encode_events(schema: FeatureSchema, log: InteractionLog) -> dict[str, Array]:
     """Resolve every event's profiles into table ids: per side, an (N, fields) int64 array.
 
-    The path for a foreign schema (a checkpoint's); build_schema gives the
-    ids of a schema built from the log itself. Each distinct profile is
-    resolved once, one dict lookup per value; one gather per side spreads
-    the rows over the events.
+    Each distinct profile is resolved once, one dict lookup per value; one
+    gather per side spreads the rows over the events.
     """
     value_ids = {side: schema.value_ids(side) for side in SIDES}
     arity = {side: len(log.field_names[side]) for side in SIDES}
@@ -440,21 +434,18 @@ def prepare_dataset(
     if schema is None:
         if config.max_neighbors > len(log):  # no window can hold more entries than the log
             raise DataError(f"max_neighbors {config.max_neighbors} exceeds the log's {len(log)} events")
-    else:
-        for side in SIDES:
-            names, expected = log.field_names[side], [f.name for f in schema.fields[side]]
-            if names != expected:
-                raise DataError(f"the log's {side} fields {names} are not the schema's {expected}")
+        schema = build_schema(log, config.user_embed_width, config.item_embed_width)
+    for side in SIDES:
+        names, expected = log.field_names[side], [f.name for f in schema.fields[side]]
+        if names != expected:
+            raise DataError(f"the log's {side} fields {names} are not the schema's {expected}")
     # Each event's windows: k item profiles on the user side, k user ids on the item side.
     window_ids = len(log) * config.max_neighbors * (len(log.field_names[ITEM]) + 1)
     if window_ids > MAX_MODEL_SIZE:
         raise DataError(
             f"the windows would hold {window_ids} ids, more than the {MAX_MODEL_SIZE} allowed; lower max_neighbors"
         )
-    if schema is None:
-        schema, ids = build_schema(log, config.user_embed_width, config.item_embed_width)
-    else:
-        ids = encode_events(schema, log)
+    ids = encode_events(schema, log)
     n_train, n_val = timeline_split(len(log))
     batch = build_instances(
         schema,

@@ -42,7 +42,7 @@ def mk_log(rows):
 
 def build_args(log, schema=None):
     """build_instances' arguments before the mode: schema, timestamps, ids, labels."""
-    schema = schema or build_schema(log, 4, 4)[0]
+    schema = schema or build_schema(log, 4, 4)
     return schema, log.timestamps.tolist(), encode_events(schema, log), derive_labels(log.signals)
 
 
@@ -355,14 +355,14 @@ def demo_rows(n=30, users=4, items=6, seed=0):
 class TestSchemaAndEvents:
     def test_vocab_sizes_count_distinct_values(self):
         log = mk_log(demo_rows())
-        schema = build_schema(log, 4, 4)[0]
+        schema = build_schema(log, 4, 4)
         assert schema.fields[USER][0].card == len({r.user_values[0] for r in log.records})
         assert schema.fields[ITEM][0].card == len({r.item_values[0] for r in log.records})
         assert schema.fields[USER][1].name == "seg"
 
     def test_events_carry_node_indices_and_profiles(self):
         log = mk_log([(1, "u0", "a", "i0", "x", 1), (2, "u1", "b", "i0", "x", 0)])
-        schema = build_schema(log, 4, 4)[0]
+        schema = build_schema(log, 4, 4)
         ids = encode_events(schema, log)
         assert ids[USER].dtype == ids[ITEM].dtype == np.int64
         assert tuple(ids[USER][0]) == profile_ids(schema, USER, ("u0", "a"))
@@ -402,7 +402,7 @@ log_rows = st.lists(
 def test_encoded_ids_match_per_field_global_ids(rows, half_vocab):
     log = mk_log(rows)
     # A schema from the first half leaves later values on the OOV ids.
-    schema = build_schema(mk_log(rows[: len(rows) // 2]) if half_vocab else log, 4, 4)[0]
+    schema = build_schema(mk_log(rows[: len(rows) // 2]) if half_vocab else log, 4, 4)
     ids = encode_events(schema, log)
     assert ids[USER].shape == (len(rows), 2) and ids[ITEM].shape == (len(rows), 2)
     for rec, user_ids, item_ids in zip(log.records, ids[USER].tolist(), ids[ITEM].tolist(), strict=True):
@@ -410,23 +410,8 @@ def test_encoded_ids_match_per_field_global_ids(rows, half_vocab):
         assert tuple(item_ids) == profile_ids(schema, ITEM, rec.item_values)
 
 
-@settings(max_examples=60, deadline=None)
-@given(log_rows)
-def test_built_ids_are_the_encoded_ids_of_the_built_schema(rows):
-    log = mk_log(rows)
-    schema, ids = build_schema(log, 4, 4)
-    records = log.records
-    for side, values in ((USER, [r.user_values for r in records]), (ITEM, [r.item_values for r in records])):
-        # Each field's values in order of first occurrence in the log.
-        assert [f.values for f in schema.fields[side]] == [list(dict.fromkeys(column)) for column in zip(*values)]
-    encoded = encode_events(schema, log)
-    for side in SIDES:
-        assert ids[side].dtype == encoded[side].dtype and ids[side].shape == encoded[side].shape
-        assert ids[side].tobytes() == encoded[side].tobytes()
-
-
 def test_profile_arity_mismatch_rejected():
-    schema = build_schema(mk_log(demo_rows(12)), 4, 4)[0]
+    schema = build_schema(mk_log(demo_rows(12)), 4, 4)
     one_user_field = {USER: ["uid"], ITEM: NAMES[ITEM]}
     short = InteractionLog.from_records(one_user_field, [RawInteraction(1, ("u0",), ("i0", "x"), 1.0)])
     with pytest.raises(DataError, match="profiles of 1 user and 2 item values for 2 user and 2 item schema fields"):
@@ -508,7 +493,7 @@ class TestInstanceConstruction:
     def test_windows_match_brute_force_reference(self, rows, mode, k, positives_only, half_vocab):
         log = mk_log(rows)
         # A schema from the first half leaves later newcomers on the shared OOV node.
-        args = build_args(log, build_schema(mk_log(rows[: len(rows) // 2]), 4, 4)[0] if half_vocab else None)
+        args = build_args(log, build_schema(mk_log(rows[: len(rows) // 2]), 4, 4) if half_vocab else None)
         batch = build_instances(*args, mode, k, positives_only)
         windows = reference_windows(events_of(*args[1:]), mode, k, positives_only)
         assert len(batch) == len(windows)
@@ -529,7 +514,7 @@ class TestInstanceConstruction:
     )
     def test_array_builder_equals_per_event_reference(self, rows, mode, k, positives_only, half_vocab):
         log = mk_log(rows)
-        args = build_args(log, build_schema(mk_log(rows[: len(rows) // 2]), 4, 4)[0] if half_vocab else None)
+        args = build_args(log, build_schema(mk_log(rows[: len(rows) // 2]), 4, 4) if half_vocab else None)
         assert_same_batch(
             build_instances(*args, mode, k, positives_only), reference_batch(*args, mode, k, positives_only)
         )
@@ -548,7 +533,7 @@ class TestInstanceConstruction:
 class TestGraphLogRoundTrip:
     def test_dump_and_reload_preserve_answers(self, tmp_path):
         log = mk_log(demo_rows(20))
-        schema = build_schema(log, 4, 4)[0]
+        schema = build_schema(log, 4, 4)
         path = tmp_path / "dump.tsv"
         write_interactions(str(path), log)
         reloaded = read_interactions(str(path))
@@ -577,7 +562,7 @@ class TestPrepareDataset:
     def test_foreign_schema_maps_unknowns_to_oov(self):
         base = mk_log(demo_rows(20))
         config = TrainConfig(user_embed_width=4, item_embed_width=4).validate()
-        schema = build_schema(base, 4, 4)[0]
+        schema = build_schema(base, 4, 4)
         foreign = mk_log([(t, f"u{90 + t}", "znew", f"i{90 + t}", "cnew", 1) for t in range(1, 13)])
         data = prepare_dataset(foreign, config, schema=schema)
         oov_user = table_id(schema, USER, 0, "never-seen")
@@ -606,7 +591,7 @@ class TestPrepareDataset:
         # eval passes the checkpoint's schema and k; the bound holds there too.
         log = mk_log(demo_rows(6700))
         config = TrainConfig(user_embed_width=4, item_embed_width=4, max_neighbors=6700).validate()
-        schema = build_schema(log, 4, 4)[0] if given_schema else None
+        schema = build_schema(log, 4, 4) if given_schema else None
 
         class Built(Exception):
             pass
@@ -614,8 +599,7 @@ class TestPrepareDataset:
         def built(*args):
             raise Built
 
-        for name in ("build_schema", "encode_events"):  # the two ways prepare_dataset makes the ids
-            monkeypatch.setattr(data_mod, name, built)
+        monkeypatch.setattr(data_mod, "encode_events", built)
         with pytest.raises(DataError, match="the windows would hold 134670000 ids, more than the 134217728 allowed"):
             prepare_dataset(log, config, schema=schema)
         monkeypatch.setattr(data_mod, "MAX_MODEL_SIZE", 134_670_000)  # exactly at the bound: allowed
