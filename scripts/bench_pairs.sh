@@ -11,8 +11,10 @@
 #
 # holding the run's pipeline pass count, its `facts` line and its last
 # (result) line. A summary follows: each side's pass counts, pair by pair
-# (`peak_rss_mb` grows with the passes a run makes), then per end-to-end
-# metric, the median and quartiles of each side,
+# (`peak_rss_mb` grows with the passes a run makes, so after its line come
+# each side's medians over only the pairs whose two runs made as many
+# passes, and the count of such pairs), then per end-to-end metric, the
+# median and quartiles of each side,
 # the pairs the change won, and the verdict of the gain and regression
 # rules: the change's median minus the parent's against the parent's
 # interquartile range, whether the change won at least 9 of 10 pairs, and
@@ -102,4 +104,8 @@ for name in runs[pairs[0], "parent"]:
         f"\twon >= 9/10 {yes(10 * wins >= 9 * len(pairs))}"
         f"\tworse by more than bound {bound:g} {yes(-sign * gap > bound * abs(pm))}"
     )
+    if name == "peak_rss_mb":
+        equal = [p for p in pairs if passes[p, "parent"] == passes[p, "change"]]
+        cells = [f"{s} {statistics.median([runs[p, s][name] for p in equal]):.6g}" for s in sides if equal]
+        print("\t".join([f"{name} at equal passes", f"{len(equal)}/{len(pairs)} pairs", *cells]))
 EOF

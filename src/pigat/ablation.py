@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .config import TrainConfig, config_from_pairs, read_utf8_lines
-from .data import PREPARE_FIELDS, InteractionLog, PreparedData, prepare_dataset
+from .data import InteractionLog, PreparedData, prepare_dataset
 from .errors import DataError, UsageError
 from .metrics import ScoredSet, auc, longtail_auc
 from .model import predict
@@ -66,9 +66,6 @@ def run_ablation(
 ) -> list[AblationRow]:
     if not matrix:
         raise UsageError("empty variant matrix")
-    # Variants that agree on every field prepare_dataset reads share one
-    # prepared dataset.
-    cache: dict[tuple, PreparedData] = {}
     rows: list[AblationRow] = []
     for label, overrides in matrix.items():
         per_seed: list[AblationRow] = []
@@ -76,10 +73,7 @@ def run_ablation(
             started = time.perf_counter()
             try:
                 config = dataclasses.replace(config_from_pairs(overrides, base), seed=seed)
-                key = tuple(getattr(config, name) for name in PREPARE_FIELDS)
-                if key not in cache:
-                    cache[key] = prepare_dataset(log, config)
-                score, tails = _evaluate(config, cache[key])
+                score, tails = _evaluate(config, prepare_dataset(log, config))
                 row = AblationRow(label, seed, "run", score, tails, time.perf_counter() - started)
             except Exception as exc:
                 row = AblationRow(

@@ -91,18 +91,12 @@ def build_confidence(variant: str, k: int, width: int, rng: np.random.Generator 
     return BUILDERS[variant][0](k, width, rng)
 
 
-def live_lengths(mask: Array) -> Array:
-    return np.asarray(mask, dtype=bool).sum(axis=-1).astype(np.int64)
-
-
 def apply_confidence(table: ConfidenceTable, neighbors: Array, mask: Array) -> Array:
     """Add the (l, L) vector to each live neighbor slot.
 
     neighbors is (..., k, width) with live slots first; dead slots pass
     through untouched. Live length L is read off the mask.
     """
-    neighbors = np.asarray(neighbors, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
     if neighbors.shape[-1] != table.width:
         raise ShapeError(
             f"neighbor width {neighbors.shape[-1]} != confidence width {table.width}"
@@ -112,8 +106,7 @@ def apply_confidence(table: ConfidenceTable, neighbors: Array, mask: Array) -> A
             f"mask {mask.shape} does not match neighbors {neighbors.shape} "
             f"with window {table.window}"
         )
-    lengths = live_lengths(mask)
-    rows = table.rows[np.maximum(lengths - 1, 0)]  # (..., k, width)
+    rows = table.rows[np.maximum(mask.sum(axis=-1) - 1, 0)]  # (..., k, width)
     return neighbors + np.where(mask[..., None], rows, 0.0)
 
 
@@ -126,9 +119,8 @@ def scatter_confidence_gradient(table: ConfidenceTable, mask: Array, upstream: A
     """
     if not table.trainable:
         return
-    mask = np.asarray(mask, dtype=bool)
     contrib = np.where(mask[..., None], upstream, 0.0).reshape(-1, *table.rows.shape[1:])
-    idx = np.maximum(live_lengths(mask) - 1, 0).reshape(-1)
+    idx = np.maximum(mask.sum(axis=-1) - 1, 0).reshape(-1)
     for row in range(table.window):
         hit = contrib[idx == row]
         if len(hit) == 0:

@@ -410,17 +410,6 @@ class PreparedData:
         return self.item_degrees[batch.ids[ITEM][:, 0]]
 
 
-# The config fields prepare_dataset reads: configs that agree on them
-# get identical prepared data.
-PREPARE_FIELDS = (
-    "graph_mode",
-    "max_neighbors",
-    "include_negative_neighbors",
-    "user_embed_width",
-    "item_embed_width",
-)
-
-
 def prepare_dataset(
     log: InteractionLog, config: TrainConfig, schema: FeatureSchema | None = None
 ) -> PreparedData:

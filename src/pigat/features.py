@@ -121,7 +121,6 @@ class EmbeddingTable:
 
 def lookup(table: EmbeddingTable, ids: Array) -> Array:
     """Gather rows; output shape is ids.shape + (width,)."""
-    ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.count):
         raise DomainError(f"embedding id outside table of {table.count} rows")
     return table.weight[ids]
@@ -133,8 +132,7 @@ def scatter_gradient(table: EmbeddingTable, ids: Array, upstream: Array) -> None
     Repeated ids add up; padding rows silently discard their slice so the
     pinned zero rows never move.
     """
-    ids = np.asarray(ids).reshape(-1)
-    upstream = np.asarray(upstream)
+    ids = ids.reshape(-1)
     if upstream.shape[-1] != table.width or upstream.size != ids.size * table.width:
         raise ShapeError(
             f"upstream {upstream.shape} does not cover {ids.size} slots of width {table.width}"

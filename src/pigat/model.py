@@ -306,9 +306,7 @@ class ForwardState:
 
 def uniform_coefficients(mask: Array) -> Array:
     """Average pooling: equal weight on live slots, zero rows stay zero."""
-    mask = np.asarray(mask, dtype=np.float64)
-    total = mask.sum(axis=-1, keepdims=True)
-    return mask / np.maximum(total, 1.0)
+    return mask / np.maximum(mask.sum(axis=-1, keepdims=True), 1)
 
 
 def attention_logits(head: AttentionHead, query: Array, keys: Array) -> tuple[Array, FfnCache | Array]:
@@ -434,8 +432,6 @@ def predict(params: PigatParams, batch: Batch) -> Array:
 
 def bce_loss(prob: Array, labels: Array) -> float:
     """Mean binary cross-entropy; prob must already be clamped away from 0/1."""
-    prob = np.asarray(prob, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
     if prob.shape != labels.shape:
         raise DataError(f"prob {prob.shape} and labels {labels.shape} must match")
     return float(-np.mean(labels * np.log(prob) + (1.0 - labels) * np.log(1.0 - prob)))
@@ -454,7 +450,6 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> None:
     cfg = params.config
     batch = state.batch
     b = len(batch)
-    labels = np.asarray(labels, dtype=np.float64)
     grads = params.grads
 
     # Head: d loss / d logit, zero where the output clamp is active.

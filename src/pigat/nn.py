@@ -78,18 +78,16 @@ def masked_softmax(z: Array, mask: Array) -> Array:
     A row with no live positions yields the all-zero row rather than an
     error, which is how cold-start neighbor windows are represented.
     """
-    z = np.asarray(z, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
     if z.shape != mask.shape:
         raise ShapeError(f"logits {z.shape} and mask {mask.shape} must match")
     if z.shape[-1] == 0:
         raise DomainError("masked softmax over an empty vector is undefined")
-    any_live = mask.any(axis=-1, keepdims=True)
-    zmax = np.max(np.where(mask, z, -np.inf), axis=-1, keepdims=True)
-    zmax = np.where(any_live, zmax, 0.0)
-    e = np.where(mask, np.exp(np.where(mask, z - zmax, 0.0)), 0.0)
-    total = e.sum(axis=-1, keepdims=True)
-    return np.where(any_live, e / np.where(total == 0.0, 1.0, total), 0.0)
+    zmax = np.max(z, axis=-1, keepdims=True, where=mask, initial=-np.inf)
+    e = np.exp(z - zmax, where=mask, out=np.zeros_like(z))
+    # A live row's largest slot adds exp(0) = 1 to a sum of non-negative
+    # terms, so its total is at least 1 (or nan); only a dead row, all of
+    # whose terms are 0, is divided by the floor.
+    return e / np.maximum(e.sum(axis=-1, keepdims=True), 1.0)
 
 
 def masked_softmax_backward(weights: Array, d_weights: Array) -> Array:
@@ -113,8 +111,6 @@ def dropout_mask(shape: int | tuple[int, ...], ratio: float, rng: np.random.Gene
     """Inverted-dropout scaling array: kept units scale by 1/(1-ratio)."""
     if not 0.0 <= ratio < 1.0:
         raise DomainError(f"dropout ratio must be in [0, 1), got {ratio}")
-    if ratio == 0.0:
-        return np.ones(shape)
     keep = rng.random(shape) >= ratio
     return keep / (1.0 - ratio)
 
@@ -164,14 +160,13 @@ def ffn_forward(params: FfnParams, x: Array | tuple[Array, Array]) -> tuple[Arra
     inputs: list = []
     pre_acts: list[Array] = []
     pair = isinstance(x, tuple)
-    h = x if pair else np.asarray(x, dtype=np.float64)
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        inputs.append(h)
-        pre = _pair_affine_forward(w, *h, b) if pair and i == 0 else affine_forward(w, h, b)
+        inputs.append(x)
+        pre = _pair_affine_forward(w, *x, b) if pair and i == 0 else affine_forward(w, x, b)
         pre_acts.append(pre)
-        h = pre if i == last else leaky_relu(pre)
-    return h, FfnCache(inputs, pre_acts)
+        x = pre if i == last else leaky_relu(pre)
+    return x, FfnCache(inputs, pre_acts)
 
 
 def ffn_backward(
@@ -189,7 +184,7 @@ def ffn_backward(
     n_layers = len(params.weights)
     if len(cache.inputs) != n_layers or len(cache.pre_acts) != n_layers:
         raise UsageError("forward cache does not match the FFN it came from")
-    g = np.asarray(d_out, dtype=np.float64)
+    g = d_out
     for i in range(n_layers - 1, -1, -1):
         w, x_in, pre = params.weights[i], cache.inputs[i], cache.pre_acts[i]
         d_w, d_b = grads.weights[i], grads.biases[i]

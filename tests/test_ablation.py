@@ -13,7 +13,7 @@ from pigat.ablation import (
     write_results,
 )
 from pigat.config import TrainConfig, config_from_pairs
-from pigat.data import PREPARE_FIELDS, prepare_dataset
+from pigat.data import prepare_dataset
 from pigat.errors import DataError, UsageError
 from pigat.graph import ITEM, USER
 from pigat.synth import SynthSpec, generate
@@ -120,19 +120,6 @@ class TestRunGrid:
 
 
 class TestPreparedDataCache:
-    def test_prepare_fields_are_exactly_the_fields_read(self, small_log):
-        class Recorder:
-            def __init__(self, config):
-                self.config, self.read = config, set()
-
-            def __getattr__(self, name):
-                self.read.add(name)
-                return getattr(self.config, name)
-
-        recorder = Recorder(base_config())
-        prepare_dataset(small_log, recorder)
-        assert recorder.read == set(PREPARE_FIELDS)
-
     def test_variants_get_data_prepared_for_their_own_config(self, small_log, monkeypatch):
         seen = []
 

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pigat import features, nn
+from pigat.confidence import ConfidenceTable, apply_confidence, recency_profile
 from pigat.errors import DomainError, ShapeError, UsageError
+from pigat.model import uniform_coefficients
 
 # Hand-derived expected values. softmax(ln 2, 0) exponentiates to (2, 1)
 # and normalizes by 3; the masked case exponentiates the live pair
@@ -91,6 +93,66 @@ def test_leaky_kernels_leave_read_only_inputs_alone():
         assert np.asarray(got).tobytes() == want.tobytes()
         assert np.asarray(nn.leaky_relu_slope_at(x)).tobytes() == np.where(x >= 0.0, 1.0, slope).tobytes()
         assert x.tobytes() == keep
+    # The window kernels, on a batch with an all-dead row and a non-prefix mask.
+    rng = np.random.default_rng(4)
+    z, nbrs = rng.normal(size=(3, 4)), rng.normal(size=(3, 4, 2))
+    mask = np.array([[True, True, False, False], [False, False, False, False], [True, False, True, True]])
+    table = ConfidenceTable(recency_profile(4, 2), True, np.zeros((4, 4, 2)))
+    given = (z, nbrs, mask, table.rows)
+    keep = [a.tobytes() for a in given]
+    read_only(*given)
+    assert nn.masked_softmax(z, mask).tobytes() == where_masked_softmax(z, mask).tobytes()
+    assert uniform_coefficients(mask).tobytes() == float_average(mask).tobytes()
+    assert apply_confidence(table, nbrs, mask).shape == nbrs.shape
+    assert [a.tobytes() for a in given] == keep
+
+
+def where_masked_softmax(z, mask):
+    """masked_softmax as five np.where passes and an any_live pass, the form it replaced."""
+    any_live = mask.any(axis=-1, keepdims=True)
+    zmax = np.max(np.where(mask, z, -np.inf), axis=-1, keepdims=True)
+    zmax = np.where(any_live, zmax, 0.0)
+    e = np.where(mask, np.exp(np.where(mask, z - zmax, 0.0)), 0.0)
+    total = e.sum(axis=-1, keepdims=True)
+    return np.where(any_live, e / np.where(total == 0.0, 1.0, total), 0.0)
+
+
+def float_average(mask):
+    """uniform_coefficients over the mask cast to float64, the form it replaced."""
+    mask = mask.astype(np.float64)
+    return mask / np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
+
+
+WINDOW_VALUES = st.one_of(
+    st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -0.0]),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 10)),
+    prefix=st.booleans(),
+    data=st.data(),
+)
+def test_window_kernels_equal_where_forms_bytewise(shape, prefix, data):
+    """Both pooling kernels give the bytes of the forms they replaced.
+
+    Rows mix ±inf, nan, ±0.0 and finite logits; masks are live-first
+    prefixes, as the windows are, or any pattern; every row may be dead.
+    """
+    b, k = shape
+    z = np.array(data.draw(st.lists(WINDOW_VALUES, min_size=b * k, max_size=b * k)), dtype=np.float64).reshape(b, k)
+    if prefix:
+        lengths = np.array(data.draw(st.lists(st.integers(0, k), min_size=b, max_size=b)))
+        mask = np.arange(k)[None, :] < lengths[:, None]
+    else:
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=b * k, max_size=b * k))).reshape(b, k)
+    with np.errstate(invalid="ignore"):
+        got, want = nn.masked_softmax(z, mask), where_masked_softmax(z, mask)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    got, want = uniform_coefficients(mask), float_average(mask)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def softmax(z):
