@@ -17,8 +17,6 @@ l <= L triangle is ever applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, ShapeError
@@ -67,21 +65,6 @@ VARIANTS = tuple(BUILDERS)
 TRAINABLE = frozenset(variant for variant, (_, trainable) in BUILDERS.items() if trainable)
 
 
-@dataclass
-class ConfidenceTable:
-    rows: Array  # (k, k, width)
-    trainable: bool
-    grad: Array  # same shape as rows; stays zero unless trainable
-
-    @property
-    def window(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.rows.shape[2]
-
-
 def build_confidence(variant: str, k: int, width: int, rng: np.random.Generator | None = None) -> Array:
     """The variant's (k, k, width) rows."""
     if variant not in VARIANTS:
@@ -91,41 +74,34 @@ def build_confidence(variant: str, k: int, width: int, rng: np.random.Generator 
     return BUILDERS[variant][0](k, width, rng)
 
 
-def apply_confidence(table: ConfidenceTable, neighbors: Array, mask: Array) -> Array:
-    """Add the (l, L) vector to each live neighbor slot.
+def apply_confidence(rows: Array, neighbors: Array, mask: Array) -> Array:
+    """Add the (l, L) vector of the (k, k, width) rows to each live neighbor slot.
 
     neighbors is (..., k, width) with live slots first; dead slots pass
     through untouched. Live length L is read off the mask.
     """
-    if neighbors.shape[-1] != table.width:
-        raise ShapeError(
-            f"neighbor width {neighbors.shape[-1]} != confidence width {table.width}"
-        )
-    if neighbors.shape[:-1] != mask.shape or mask.shape[-1] != table.window:
-        raise ShapeError(
-            f"mask {mask.shape} does not match neighbors {neighbors.shape} "
-            f"with window {table.window}"
-        )
-    rows = table.rows[np.maximum(mask.sum(axis=-1) - 1, 0)]  # (..., k, width)
-    return neighbors + np.where(mask[..., None], rows, 0.0)
+    k, _, width = rows.shape
+    if neighbors.shape[-1] != width:
+        raise ShapeError(f"neighbor width {neighbors.shape[-1]} != confidence width {width}")
+    if neighbors.shape[:-1] != mask.shape or mask.shape[-1] != k:
+        raise ShapeError(f"mask {mask.shape} does not match neighbors {neighbors.shape} with window {k}")
+    live_rows = rows[np.maximum(mask.sum(axis=-1) - 1, 0)]  # (..., k, width)
+    return neighbors + np.where(mask[..., None], live_rows, 0.0)
 
 
-def scatter_confidence_gradient(table: ConfidenceTable, mask: Array, upstream: Array) -> None:
-    """Accumulate d(loss)/d(rows) given the grad flowing into the addition.
+def scatter_confidence_gradient(grad: Array, mask: Array, upstream: Array) -> None:
+    """Accumulate d(loss)/d(rows) into grad, given the grad flowing into the addition.
 
     One sum per distinct live length instead of np.add.at, several times
     faster. Both add the instances in order, so into a zeroed accumulator
     they give the same bytes.
     """
-    if not table.trainable:
-        return
-    contrib = np.where(mask[..., None], upstream, 0.0).reshape(-1, *table.rows.shape[1:])
+    contrib = np.where(mask[..., None], upstream, 0.0).reshape(-1, *grad.shape[1:])
     idx = np.maximum(mask.sum(axis=-1) - 1, 0).reshape(-1)
-    for row in range(table.window):
+    for row in range(grad.shape[0]):
         hit = contrib[idx == row]
         if len(hit) == 0:
             continue
         # An axis-0 sum runs in order over a row of two or more entries;
         # over one entry numpy sums pairwise, while cumsum is always in order.
-        table.grad[row] += hit.sum(axis=0) if hit[0].size > 1 else np.cumsum(hit, axis=0)[-1]
-
+        grad[row] += hit.sum(axis=0) if hit[0].size > 1 else np.cumsum(hit, axis=0)[-1]

@@ -45,9 +45,8 @@ import numpy as np
 
 from .config import MAX_MODEL_SIZE, TrainConfig, read_utf8_lines
 from .errors import DataError
-from .features import Batch, FeatureSchema, FieldVocab
+from .features import ITEM, SIDES, USER, Batch, FeatureSchema, FieldVocab
 from .features import encode_instance  # noqa: F401  perfbench's PROBES wrap pigat.data:encode_instance
-from .graph import ITEM, SIDES, USER
 
 Array = np.ndarray
 
@@ -318,22 +317,24 @@ def build_schema(log: InteractionLog, user_width: int, item_width: int) -> Featu
 def encode_events(schema: FeatureSchema, log: InteractionLog) -> dict[str, Array]:
     """Resolve every event's profiles into table ids: per side, an (N, fields) int64 array.
 
-    Each distinct profile is resolved once, one dict lookup per value; one
+    Each distinct profile is resolved once, one lookup in its field's index
+    per value, an unseen value taking the field's out-of-vocabulary id; one
     gather per side spreads the rows over the events.
     """
-    value_ids = {side: schema.value_ids(side) for side in SIDES}
+    fields = schema.fields
     arity = {side: len(log.field_names[side]) for side in SIDES}
-    if any(arity[side] != len(value_ids[side]) for side in SIDES):
+    if any(arity[side] != len(fields[side]) for side in SIDES):
         raise DataError(
             f"profiles of {arity[USER]} user and {arity[ITEM]} item values "
-            f"for {len(value_ids[USER])} user and {len(value_ids[ITEM])} item schema fields"
+            f"for {len(fields[USER])} user and {len(fields[ITEM])} item schema fields"
         )
     ids = {}
     for side in SIDES:
         profiles = log.profiles[side]
         rows = np.empty((len(profiles), arity[side]), dtype=np.int64)
-        for pos, (column, (table_ids, oov)) in enumerate(zip(zip(*profiles), value_ids[side])):
-            rows[:, pos] = np.fromiter(map(table_ids.get, column, repeat(oov)), np.int64, len(profiles))
+        for pos, (column, vocab) in enumerate(zip(zip(*profiles), fields[side])):
+            rows[:, pos] = np.fromiter(map(vocab.index.get, column, repeat(vocab.card)), np.int64, len(profiles))
+            rows[:, pos] += schema.field_base(side, pos)
         ids[side] = rows[log.profile_of[side]]
     return ids
 

@@ -16,13 +16,20 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataError, DomainError, ShapeError
-from .graph import ITEM, SIDES, USER, InteractionEvent, InteractionGraph
+
+if TYPE_CHECKING:  # only the per-event reference path, encode_instance, names them
+    from .graph import InteractionEvent, InteractionGraph
 
 Array = np.ndarray
+
+USER = "user"
+ITEM = "item"
+SIDES = (USER, ITEM)
 
 
 @dataclass
@@ -31,9 +38,11 @@ class FieldVocab:
 
     name: str
     values: list[str] = field(default_factory=list)
+    index: dict[str, int] = field(init=False, repr=False)  # value -> its position in values
 
     def __post_init__(self) -> None:
-        if len(set(self.values)) != len(self.values):
+        self.index = {value: pos for pos, value in enumerate(self.values)}
+        if len(self.index) != len(self.values):
             raise DataError(f"field {self.name!r} has duplicate vocabulary entries")
 
     @property
@@ -69,14 +78,6 @@ class FeatureSchema:
         for pos in range(len(self.fields[side])):
             mask[self.pad_id(side, pos)] = True
         return mask
-
-    def value_ids(self, side: str) -> list[tuple[dict[str, int], int]]:
-        """Per field: its value -> table id map and its out-of-vocabulary id."""
-        out = []
-        for pos, f in enumerate(self.fields[side]):
-            base = self.field_base(side, pos)
-            out.append(({v: base + i for i, v in enumerate(f.values)}, base + f.card))
-        return out
 
     def node_count(self, side: str) -> int:
         return self.fields[side][0].card + 1

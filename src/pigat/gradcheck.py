@@ -23,8 +23,7 @@ import numpy as np
 from .config import TrainConfig
 from .data import InteractionLog, RawInteraction, build_instances, derive_labels, encode_events
 from .errors import NumericError
-from .features import Batch, FeatureSchema, FieldVocab
-from .graph import ITEM, SIDES, USER
+from .features import ITEM, SIDES, USER, Batch, FeatureSchema, FieldVocab
 from .model import ForwardState, backward, bce_loss, forward, init_params, named_parameters
 from .nn import FfnCache, fd_coordinate
 
@@ -138,7 +137,7 @@ def check_gradients(
     samples_per_array=None checks every coordinate of every parameter.
     Parameters are perturbed in place and restored exactly.
     """
-    backward(params, forward(params, batch, mode="train"), batch.labels)
+    backward(params, forward(params, batch, mode="train"))
 
     def loss_now(_: np.ndarray) -> float:
         # The perturbed array is a live parameter, so forward() reads it.

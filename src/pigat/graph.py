@@ -16,10 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DataError, DomainError
-
-USER = "user"
-ITEM = "item"
-SIDES = (USER, ITEM)
+from .features import ITEM, USER
 
 
 @dataclass(frozen=True)

@@ -41,16 +41,13 @@ from typing import TypeVar
 
 import numpy as np
 
-from .confidence import (
-    TRAINABLE,
-    ConfidenceTable,
-    apply_confidence,
-    build_confidence,
-    scatter_confidence_gradient,
-)
+from .confidence import TRAINABLE, apply_confidence, build_confidence, scatter_confidence_gradient
 from .config import MAX_MODEL_SIZE, TrainConfig, config_from_dict, config_to_dict
 from .errors import DataError, DomainError, UsageError
 from .features import (
+    ITEM,
+    SIDES,
+    USER,
     Batch,
     EmbeddingTable,
     FeatureSchema,
@@ -59,7 +56,6 @@ from .features import (
     scatter_gradient,
     zero_gradients,
 )
-from .graph import ITEM, SIDES, USER
 from .nn import (
     FfnCache,
     FfnParams,
@@ -134,12 +130,12 @@ class PigatParams:
     schema: FeatureSchema
     config: TrainConfig
     tables: dict[str, EmbeddingTable]  # side -> embedding rows
-    conf: dict[str, ConfidenceTable]  # window side -> confidence rows
     heads: dict[str, AttentionHead]
     integrate: dict[str, tuple[Array, Array]]  # INTEGRATE name -> (weight, bias)
     mlp: FfnParams
-    # Every array layout() lists, flat in layout order; the arrays above are
-    # views of it, so a checkpoint's payload is its bytes.
+    # Every array layout() lists, flat in layout order; the arrays above and
+    # the confidence rows (views["conf_<window side>"]) are views of it, so a
+    # checkpoint's payload is its bytes.
     store: Array
     views: dict[str, Array]  # layout name -> view of store
     # A second store of the same layout holds the gradients.
@@ -225,14 +221,13 @@ def _build(schema: FeatureSchema, config: TrainConfig) -> PigatParams:
         raise DataError(f"the model would hold {size} values, more than the {MAX_MODEL_SIZE} allowed")
     store, grad_store = np.zeros(size), np.zeros(size)
     views, grads = _views(store, shapes), _views(grad_store, shapes)
-    trainable = config.confidence in TRAINABLE
     # Layout order: the tables, every other trainable array, then any frozen rows.
     start = sum(views[name].size for name in TABLES)
-    dense = slice(start, size - (0 if trainable else sum(views[name].size for name in CONF)))
+    frozen = 0 if config.confidence in TRAINABLE else sum(views[name].size for name in CONF)
+    dense = slice(start, size - frozen)
     tables = {
         side: EmbeddingTable(views[f"{side}_table"], grads[f"{side}_table"], schema.pad_rows(side)) for side in SIDES
     }
-    conf = {side: ConfidenceTable(views[f"conf_{side}"], trainable, grads[f"conf_{side}"]) for side in SIDES}
     kind = config.attention
     heads = {
         name: AttentionHead(
@@ -246,7 +241,7 @@ def _build(schema: FeatureSchema, config: TrainConfig) -> PigatParams:
     integrate = {name: (views[f"{name}.w"], views[f"{name}.b"]) for name, _, _ in INTEGRATE}
     mlp = _ffn(views, "mlp")
     return PigatParams(
-        schema, config, tables, conf, heads, integrate, mlp, store, views, grads, store[dense], grad_store[dense]
+        schema, config, tables, heads, integrate, mlp, store, views, grads, store[dense], grad_store[dense]
     )
 
 
@@ -263,8 +258,9 @@ def init_params(rng: np.random.Generator, schema: FeatureSchema, config: TrainCo
         bound = np.sqrt(6.0 / (table.count + table.width))
         table.weight[...] = rng.uniform(-bound, bound, size=table.weight.shape)
         table.weight[table.frozen_rows] = 0.0
-    for conf in params.conf.values():
-        conf.rows[...] = build_confidence(config.confidence, config.max_neighbors, conf.width, rng)
+    for name in CONF:
+        rows = params.views[name]
+        rows[...] = build_confidence(config.confidence, config.max_neighbors, rows.shape[2], rng)
     for name, view in params.views.items():
         if view.ndim == 2 and name not in TABLES:  # the weight matrices; confidence rows are 3-D, biases 1-D
             view[...] = glorot_uniform(rng, *view.shape)
@@ -354,7 +350,7 @@ def forward(
         side: lookup(params.tables[OTHER[side]], batch.nbrs[side]).reshape(*batch.mask[side].shape, -1)
         for side in SIDES
     }
-    aug = {side: apply_confidence(params.conf[side], raw[side], batch.mask[side]) for side in SIDES}
+    aug = {side: apply_confidence(params.views[f"conf_{side}"], raw[side], batch.mask[side]) for side in SIDES}
     pool_src = aug if cfg.confidence_in_pooling else raw
 
     wiring = head_wiring(cfg)
@@ -437,13 +433,14 @@ def bce_loss(prob: Array, labels: Array) -> float:
     return float(-np.mean(labels * np.log(prob) + (1.0 - labels) * np.log(1.0 - prob)))
 
 
-def backward(params: PigatParams, state: ForwardState, labels: Array) -> None:
-    """Write this batch's mean-BCE gradient of every named parameter into params.grads.
+def backward(params: PigatParams, state: ForwardState) -> None:
+    """Write the mean-BCE gradient of every named parameter on state.batch into params.grads.
 
     Each gradient goes into its view of the gradient store and nothing is
-    returned; the embedding and confidence accumulators are zeroed before
-    this batch's gradients are scattered into them, so after the call
-    params.grads holds exactly this batch's gradients.
+    returned; the embedding and trainable confidence accumulators are zeroed
+    before this batch's gradients are scattered into them, so after the call
+    params.grads holds exactly this batch's gradients. Frozen confidence rows
+    get no gradient: theirs stays the zero it was built with.
     """
     if state.mode != "train":
         raise UsageError(f"backward needs a forward state computed in train mode, got {state.mode!r}")
@@ -453,7 +450,7 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> None:
     grads = params.grads
 
     # Head: d loss / d logit, zero where the output clamp is active.
-    d_logit = np.where(state.clamp_active, (state.prob - labels) / b, 0.0)
+    d_logit = np.where(state.clamp_active, (state.prob - batch.labels) / b, 0.0)
     d_merged_in = ffn_backward(params.mlp, state.mlp_cache, d_logit[:, None], _ffn(grads, "mlp"))
     d_merged = d_merged_in * state.drop if state.drop is not None else d_merged_in
 
@@ -499,9 +496,10 @@ def backward(params: PigatParams, state: ForwardState, labels: Array) -> None:
 
     # Confidence addition: augmented = raw + mask * rows.
     for side in SIDES:
-        conf = params.conf[side]
-        conf.grad[...] = 0.0
-        scatter_confidence_gradient(conf, batch.mask[side], d_aug[side])
+        if cfg.confidence in TRAINABLE:
+            conf_grad = grads[f"conf_{side}"]
+            conf_grad[...] = 0.0
+            scatter_confidence_gradient(conf_grad, batch.mask[side], d_aug[side])
         d_raw[side] += d_aug[side]
 
     # A side's table holds its profiles and the entries of the other side's window.

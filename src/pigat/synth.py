@@ -21,7 +21,7 @@ import numpy as np
 from .config import MAX_MODEL_SIZE, check_finite_and_seed, coerce_pairs, field_types, parse_kv_lines
 from .data import InteractionLog, first_seen
 from .errors import DataError
-from .graph import ITEM, USER
+from .features import ITEM, USER
 from .nn import sigmoid
 
 Array = np.ndarray
@@ -112,6 +112,10 @@ def generate(spec: SynthSpec) -> tuple[InteractionLog, GroundTruth]:
     ranks = np.arange(1, spec.items + 1, dtype=np.float64)
     popularity = ranks**-spec.exponent
     popularity /= popularity.sum()
+    # The cdf Generator.choice builds from p, built once: searching it with one
+    # uniform draw picks the item choice(items, p=popularity) would.
+    cdf = popularity.cumsum()
+    cdf /= cdf[-1]
 
     initial_users = users.copy()
     keep = np.sqrt(1.0 - spec.drift)
@@ -123,7 +127,7 @@ def generate(spec: SynthSpec) -> tuple[InteractionLog, GroundTruth]:
             i = int(rng.integers(spec.items))
             label = int(rng.integers(2))
         else:
-            i = int(rng.choice(spec.items, p=popularity))
+            i = int(cdf.searchsorted(rng.random(), side="right"))
             affinity = float(np.max(users[u] @ items[i]))
             label = int(rng.random() < sigmoid(affinity))
         user_nodes.append(u)

@@ -113,7 +113,7 @@ def train(config: TrainConfig, data: PreparedData) -> TrainResult:
                     f"parameter norms by group: {_group_norms(params)}"
                 )
             loss_sum += loss * len(batch)
-            backward(params, state, batch.labels)
+            backward(params, state)
             rows = touched_rows(params)
             bad = _non_finite(params, rows)
             if bad is not None:

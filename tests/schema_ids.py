@@ -1,4 +1,4 @@
-"""Expected embedding-table ids, computed without FeatureSchema.value_ids.
+"""Expected embedding-table ids, computed without FieldVocab.index.
 
 A field's values fill its id block in first-seen order from field_base;
 a value the field has not seen takes the block's out-of-vocabulary id,

@@ -15,7 +15,7 @@ from pigat.ablation import (
 from pigat.config import TrainConfig, config_from_pairs
 from pigat.data import prepare_dataset
 from pigat.errors import DataError, UsageError
-from pigat.graph import ITEM, USER
+from pigat.features import ITEM, USER
 from pigat.synth import SynthSpec, generate
 
 

@@ -20,8 +20,8 @@ from pigat.cli import main as cli_main
 from pigat.config import TrainConfig
 from pigat.confidence import build_confidence
 from pigat.data import prepare_dataset, write_interactions
+from pigat.features import USER
 from pigat.gradcheck import build_case, run_case, toy_config
-from pigat.graph import USER
 from pigat.metrics import ScoredSet, auc, longtail_auc
 from pigat.model import forward, predict
 from pigat.synth import SynthSpec, generate

@@ -213,6 +213,14 @@ def _without(header, key):
     return {k: v for k, v in header.items() if k != key}
 
 
+def _duplicate_user_value(header):
+    """The header with the first user field's second value replaced by its first; the cardinality stays."""
+    first, *rest = header["schema"]["user_fields"]
+    values = list(first["values"])
+    values[1] = values[0]
+    return {**header, "schema": {**header["schema"], "user_fields": [{**first, "values": values}, *rest]}}
+
+
 # Header edits that keep the JSON valid; each must end as a data error.
 HEADER_MUTATIONS = {
     "unchanged": (lambda h: h, 0),
@@ -228,6 +236,7 @@ HEADER_MUTATIONS = {
     "config-key-missing": (lambda h: {**h, "config": _without(h["config"], "confidence_in_pooling")}, 2),
     "field-without-values": (lambda h: {**h, "schema": {**h["schema"], "item_fields": [{"name": "iid"}]}}, 2),
     "header-not-object": (lambda h: [h], 2),
+    "duplicate-vocabulary-value": (_duplicate_user_value, 2),
 }
 
 
@@ -517,8 +526,8 @@ class TestExitCodes:
     def test_non_finite_gradient_exits_3(self, workspace, tmp_path, monkeypatch, capsys):
         real = train_mod.backward
 
-        def poisoned(params, state, labels):
-            real(params, state, labels)
+        def poisoned(params, state):
+            real(params, state)
             params.grads["mlp.b0"][0] = np.inf
 
         monkeypatch.setattr(train_mod, "backward", poisoned)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pigat.confidence import (
     TRAINABLE,
     VARIANTS,
-    ConfidenceTable,
     apply_confidence,
     build_confidence,
     recency_profile,
@@ -17,12 +16,6 @@ from pigat.confidence import (
 from pigat.errors import DomainError, ShapeError
 
 E_INV = 0.36787944117144233  # exp(-1), the newest slot's leading entry
-
-
-def conf_table(variant, k, width, rng=None):
-    """The variant's rows wired as the model wires them, with a zeroed gradient."""
-    rows = build_confidence(variant, k, width, rng)
-    return ConfidenceTable(rows, variant in TRAINABLE, np.zeros_like(rows))
 
 
 def test_recency_profile_matches_scalar_formula():
@@ -62,92 +55,85 @@ def test_recency_row_norms_grow_toward_newest():
 def test_build_variants_flags():
     rng = np.random.default_rng(0)
     for variant in VARIANTS:
-        table = conf_table(variant, 4, 6, rng)
-        assert table.rows.shape == (4, 4, 6)
-        assert table.trainable == (variant in ("rce", "ce"))
+        assert build_confidence(variant, 4, 6, rng).shape == (4, 4, 6)
+    assert TRAINABLE == {"rce", "ce"}
     with pytest.raises(DomainError):
-        conf_table("wat", 4, 6, rng)
+        build_confidence("wat", 4, 6, rng)
 
 
 def test_none_is_zero_and_ce_starts_at_fce():
-    none = conf_table("none", 5, 4)
-    assert not none.rows.any()
-    ce = conf_table("ce", 5, 4)
-    fce = conf_table("fce", 5, 4)
-    np.testing.assert_array_equal(ce.rows, fce.rows)
-    assert ce.trainable and not fce.trainable
+    assert not build_confidence("none", 5, 4).any()
+    np.testing.assert_array_equal(build_confidence("ce", 5, 4), build_confidence("fce", 5, 4))
 
 
 def test_rce_is_small_seeded_noise():
-    a = conf_table("rce", 4, 6, np.random.default_rng(7))
-    b = conf_table("rce", 4, 6, np.random.default_rng(7))
-    np.testing.assert_array_equal(a.rows, b.rows)
-    assert np.abs(a.rows).max() <= 0.01
-    assert np.abs(a.rows).max() > 0
+    a = build_confidence("rce", 4, 6, np.random.default_rng(7))
+    b = build_confidence("rce", 4, 6, np.random.default_rng(7))
+    np.testing.assert_array_equal(a, b)
+    assert np.abs(a).max() <= 0.01
+    assert np.abs(a).max() > 0
 
 
 def test_pe_rows_do_not_depend_on_live_length():
-    table = conf_table("pe", 5, 8)
+    rows = build_confidence("pe", 5, 8)
     for live in range(1, 5):
-        np.testing.assert_array_equal(table.rows[live - 1], table.rows[4])
-    assert np.abs(table.rows).max() <= 1.0
+        np.testing.assert_array_equal(rows[live - 1], rows[4])
+    assert np.abs(rows).max() <= 1.0
     # Position 0 is sin(0), cos(0), ... = 0, 1, 0, 1 pattern at the start.
-    assert table.rows[0, 0, 0] == 0.0
-    assert table.rows[0, 0, 1] == 1.0
+    assert rows[0, 0, 0] == 0.0
+    assert rows[0, 0, 1] == 1.0
 
 
 def test_apply_none_is_identity():
-    table = conf_table("none", 4, 3)
+    rows = build_confidence("none", 4, 3)
     nbrs = np.random.default_rng(1).normal(size=(4, 3))
     mask = np.array([True, True, False, False])
-    np.testing.assert_array_equal(apply_confidence(table, nbrs, mask), nbrs)
+    np.testing.assert_array_equal(apply_confidence(rows, nbrs, mask), nbrs)
 
 
 def test_apply_adds_correct_live_rows():
-    table = conf_table("fce", 4, 6)
+    rows = build_confidence("fce", 4, 6)
     nbrs = np.zeros((4, 6))
     mask = np.array([True, True, False, False])
-    out = apply_confidence(table, nbrs, mask)
-    np.testing.assert_array_equal(out[0], table.rows[1, 0])  # L = 2 surface
-    np.testing.assert_array_equal(out[1], table.rows[1, 1])
+    out = apply_confidence(rows, nbrs, mask)
+    np.testing.assert_array_equal(out[0], rows[1, 0])  # L = 2 surface
+    np.testing.assert_array_equal(out[1], rows[1, 1])
     np.testing.assert_array_equal(out[2:], np.zeros((2, 6)))
 
 
 def test_apply_batched_uses_per_row_lengths():
-    table = conf_table("fce", 3, 4)
+    rows = build_confidence("fce", 3, 4)
     nbrs = np.zeros((2, 3, 4))
     mask = np.array([[True, False, False], [True, True, True]])
-    out = apply_confidence(table, nbrs, mask)
-    np.testing.assert_array_equal(out[0, 0], table.rows[0, 0])
-    np.testing.assert_array_equal(out[1], table.rows[2])
+    out = apply_confidence(rows, nbrs, mask)
+    np.testing.assert_array_equal(out[0, 0], rows[0, 0])
+    np.testing.assert_array_equal(out[1], rows[2])
 
 
 def test_apply_all_masked_passes_through():
-    table = conf_table("fce", 3, 4)
+    rows = build_confidence("fce", 3, 4)
     nbrs = np.ones((3, 4))
-    out = apply_confidence(table, nbrs, np.zeros(3, dtype=bool))
+    out = apply_confidence(rows, nbrs, np.zeros(3, dtype=bool))
     np.testing.assert_array_equal(out, nbrs)
 
 
 def test_apply_width_mismatch():
-    table = conf_table("fce", 3, 4)
+    rows = build_confidence("fce", 3, 4)
     with pytest.raises(ShapeError):
-        apply_confidence(table, np.zeros((3, 5)), np.ones(3, dtype=bool))
+        apply_confidence(rows, np.zeros((3, 5)), np.ones(3, dtype=bool))
     with pytest.raises(ShapeError):
-        apply_confidence(table, np.zeros((2, 4)), np.ones(3, dtype=bool))
+        apply_confidence(rows, np.zeros((2, 4)), np.ones(3, dtype=bool))
 
 
 def test_scatter_confidence_targets_live_surface():
-    table = conf_table("ce", 3, 2)
+    # Frozen variants get no scatter at all: test_train checks their rows and gradient through training.
+    grad = np.zeros((3, 3, 2))
     mask = np.array([[True, True, False]])
     up = np.ones((1, 3, 2))
-    scatter_confidence_gradient(table, mask, up)
-    np.testing.assert_array_equal(table.grad[1, :2], np.ones((2, 2)))
-    assert not table.grad[0].any() and not table.grad[2].any()
-    assert not table.grad[1, 2].any()
-    frozen = conf_table("fce", 3, 2)
-    scatter_confidence_gradient(frozen, mask, up)
-    assert not frozen.grad.any()
+    scatter_confidence_gradient(grad, mask, up)
+    np.testing.assert_array_equal(grad[1, :2], np.ones((2, 2)))
+    assert not grad[0].any() and not grad[2].any()
+    assert not grad[1, 2].any()
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,8 +147,8 @@ def test_scatter_confidence_equals_add_at_bytewise(window, width, lengths, seed)
     # Live lengths 0 (all-dead rows) up to the window, which may be 1.
     mask = np.arange(window)[None, :] < np.minimum(lengths, window)[:, None]
     up = np.random.default_rng(seed).normal(size=(len(lengths), window, width))
-    table = conf_table("ce", window, width)
-    scatter_confidence_gradient(table, mask, up)
+    grad = np.zeros((window, window, width))
+    scatter_confidence_gradient(grad, mask, up)
     want = np.zeros((window, window, width))
     np.add.at(want, np.maximum(mask.sum(axis=1) - 1, 0), np.where(mask[..., None], up, 0.0))
-    assert table.grad.tobytes() == want.tobytes()
+    assert grad.tobytes() == want.tobytes()

@@ -24,7 +24,7 @@ from pigat.data import (
     write_interactions,
 )
 from pigat.errors import DataError
-from pigat.graph import ITEM, SIDES, USER
+from pigat.features import ITEM, SIDES, USER
 from schema_ids import profile_ids, table_id
 from window_reference import events_of, reference_batch
 

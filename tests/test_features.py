@@ -5,6 +5,8 @@ from pigat.config import TrainConfig
 from pigat.errors import DataError, DomainError, ShapeError
 from pigat import features
 from pigat.features import (
+    ITEM,
+    USER,
     Batch,
     EmbeddingTable,
     EncodedInstance,
@@ -17,7 +19,7 @@ from pigat.features import (
     zero_gradients,
 )
 from pigat.model import init_params
-from pigat.graph import ITEM, USER, InteractionEvent, InteractionGraph
+from pigat.graph import InteractionEvent, InteractionGraph
 from schema_ids import profile_ids, table_id
 
 
@@ -36,20 +38,27 @@ def test_field_blocks_are_disjoint_and_sized():
     # uid block: 3 values + oov + pad = 5 slots, then seg block of 4.
     assert s.table_size(USER) == 9
     assert s.table_size(ITEM) == 10
-    (uid, _), (seg, _) = s.value_ids(USER)
-    assert uid["u0"] == table_id(s, USER, 0, "u0") == 0
-    assert seg["a"] == table_id(s, USER, 1, "a") == 5
-    (iid, _), (cat, _) = s.value_ids(ITEM)
-    assert (iid["i2"], cat["y"]) == profile_ids(s, ITEM, ("i2", "y")) == (2, 7)
+    uid, seg = s.fields[USER]
+    assert s.field_base(USER, 0) + uid.index["u0"] == table_id(s, USER, 0, "u0") == 0
+    assert s.field_base(USER, 1) + seg.index["a"] == table_id(s, USER, 1, "a") == 5
+    iid, cat = s.fields[ITEM]
+    assert (iid.index["i2"], s.field_base(ITEM, 1) + cat.index["y"]) == profile_ids(s, ITEM, ("i2", "y")) == (2, 7)
     assert s.pad_id(USER, 0) == 4
     assert s.pad_id(USER, 1) == 8
 
 
 def test_oov_maps_to_reserved_slot():
     s = toy_schema()
-    assert s.value_ids(USER)[0][1] == table_id(s, USER, 0, "unseen") == 3
-    assert s.value_ids(ITEM)[1][1] == table_id(s, ITEM, 1, "unseen") == 8
+    assert table_id(s, USER, 0, "unseen") == s.fields[USER][0].card == 3
+    assert table_id(s, ITEM, 1, "unseen") == s.field_base(ITEM, 1) + s.fields[ITEM][1].card == 8
     assert s.node_count(USER) == 4  # the OOV identity id is the last graph node
+
+
+def test_field_vocab_indexes_each_value_once():
+    vocab = FieldVocab("seg", ["a", "b", "c"])
+    assert vocab.index == {"a": 0, "b": 1, "c": 2}
+    with pytest.raises(DataError, match="'seg' has duplicate vocabulary entries"):
+        FieldVocab("seg", ["a", "b", "a"])
 
 
 def test_structural_hash_ignores_vocab_growth_but_not_fields():

@@ -13,8 +13,8 @@ import pytest
 import pigat.gradcheck as gradcheck
 from pigat.config import TrainConfig
 from pigat.errors import NumericError
+from pigat.features import SIDES, USER
 from pigat.gradcheck import GradCheckReport, _toy_batch, build_case, relative_error, run_case, toy_config, toy_schema
-from pigat.graph import SIDES, USER
 from pigat.nn import FfnCache
 
 
@@ -186,8 +186,8 @@ class TestNegativeControl:
     def test_corrupted_gradient_is_flagged(self, monkeypatch):
         from pigat.model import backward as real_backward
 
-        def corrupted(params, state, labels):
-            real_backward(params, state, labels)
+        def corrupted(params, state):
+            real_backward(params, state)
             params.grads["mlp.b2"] += 0.01
 
         monkeypatch.setattr(gradcheck, "backward", corrupted)

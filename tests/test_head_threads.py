@@ -79,7 +79,7 @@ def run_at(monkeypatch, cpus, cfg, data):
         params = init_params(np.random.default_rng(4), data.schema, cfg)
         batch = data.train.take(np.arange(cfg.batch_size))
         state = forward(params, batch, mode="train", rng=np.random.default_rng(9))
-        backward(params, state, batch.labels)
+        backward(params, state)
         grads = {name: g.tobytes() for name, g in params.grads.items()}
         result = train(cfg, data)
         return result.params.store.tobytes(), grads, predict(result.params, data.test).tobytes()
@@ -130,7 +130,7 @@ def one_step(monkeypatch, cfg, data, cpus, spies):
     for name, spy in spies(params).items():
         monkeypatch.setattr(model_mod, name, spy(getattr(model_mod, name)))
     batch = data.train.take(np.arange(cfg.batch_size))
-    backward(params, forward(params, batch, mode="train"), batch.labels)
+    backward(params, forward(params, batch, mode="train"))
     return submitted
 
 
@@ -256,10 +256,10 @@ def test_an_error_in_a_head_reaches_the_caller(monkeypatch, small_log, head):
     with monkeypatch.context() as patched:
         patched.setattr(model_mod, "_head_backward", failing_backward)
         with pytest.raises(NumericError) as raised:
-            backward(params, state, batch.labels)
+            backward(params, state)
         assert raised.value is error
     params.grads["att_ia.w0"][...] = np.nan
-    backward(params, state, batch.labels)
+    backward(params, state)
     assert np.isfinite(params.grads["att_ia.w0"]).all()
     assert predict(params, batch).tobytes() == forward(params, batch, mode="eval").prob.tobytes()
 
@@ -273,7 +273,7 @@ def test_a_step_runs_where_the_os_has_no_cpu_affinity(monkeypatch, small_log):
     def step_grads() -> dict[str, bytes]:
         params = init_params(np.random.default_rng(4), data.schema, cfg)
         state = forward(params, batch, mode="train", rng=np.random.default_rng(9))
-        backward(params, state, batch.labels)
+        backward(params, state)
         return {name: g.tobytes() for name, g in params.grads.items()}
 
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -336,7 +336,7 @@ def step_and_scores(monkeypatch, cfg, data, cpus) -> tuple[dict[str, bytes], byt
     params = init_params(np.random.default_rng(4), data.schema, cfg)
     batch = data.train.take(np.arange(cfg.batch_size))
     state = forward(params, batch, mode="train", rng=np.random.default_rng(9))
-    backward(params, state, batch.labels)
+    backward(params, state)
     grads = {name: g.tobytes() for name, g in params.grads.items()}
     return grads, predict(params, data.test).tobytes()
 
@@ -430,7 +430,7 @@ data = prepare_dataset(generate(SynthSpec(users=12, items=20, events=200, expone
 params = init_params(np.random.default_rng(4), data.schema, cfg)
 after = lib.scipy_openblas_get_num_threads64_()
 batch = data.train.take(np.arange(cfg.batch_size))
-backward(params, forward(params, batch, mode="train"), batch.labels)
+backward(params, forward(params, batch, mode="train"))
 print(before, after, hashlib.sha256(b"".join(g.tobytes() for g in params.grads.values())).hexdigest())
 """
 

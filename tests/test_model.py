@@ -20,9 +20,8 @@ import pigat.model as model_mod
 from pigat.config import TrainConfig
 from pigat.data import prepare_dataset
 from pigat.errors import DataError, DomainError, UsageError
-from pigat.features import Batch, EncodedInstance, FeatureSchema, FieldVocab
+from pigat.features import ITEM, USER, Batch, EncodedInstance, FeatureSchema, FieldVocab
 from pigat.gradcheck import _toy_batch, toy_config, toy_schema
-from pigat.graph import ITEM, USER
 from pigat.nn import LEAKY_SLOPE, FfnParams, glorot_uniform, masked_softmax, masked_softmax_backward
 from pigat.synth import SynthSpec, generate
 from pigat.model import (
@@ -128,24 +127,24 @@ def straightline_prob(params, batch: Batch, idx: int) -> float:
     e_i = [x for gid in batch.ids[ITEM][idx] for x in row(params.tables[ITEM], gid)]
 
     def user_window():
-        ids, mask, conf = batch.nbrs[USER][idx], batch.mask[USER][idx], params.conf[USER]
+        ids, mask, conf = batch.nbrs[USER][idx], batch.mask[USER][idx], params.views["conf_user"]
         live = int(mask.sum())
         slots = []
         for s in range(ids.shape[0]):
             vec = [x for gid in ids[s] for x in row(params.tables[ITEM], gid)]
             if mask[s]:
-                vec = [v + float(conf.rows[live - 1, s, j]) for j, v in enumerate(vec)]
+                vec = [v + float(conf[live - 1, s, j]) for j, v in enumerate(vec)]
             slots.append(vec)
         return slots, [bool(m) for m in mask]
 
     def item_window():
-        ids, mask, conf = batch.nbrs[ITEM][idx], batch.mask[ITEM][idx], params.conf[ITEM]
+        ids, mask, conf = batch.nbrs[ITEM][idx], batch.mask[ITEM][idx], params.views["conf_item"]
         live = int(mask.sum())
         slots = []
         for s in range(ids.shape[0]):
             vec = row(params.tables[USER], ids[s])
             if mask[s]:
-                vec = [v + float(conf.rows[live - 1, s, j]) for j, v in enumerate(vec)]
+                vec = [v + float(conf[live - 1, s, j]) for j, v in enumerate(vec)]
             slots.append(vec)
         return slots, [bool(m) for m in mask]
 
@@ -457,7 +456,7 @@ class TestMasking:
         params = init_params(rng, schema, config)
         batch = _toy_batch(schema, config, rng)
         before = forward(params, batch).prob
-        backward(params, forward(params, batch, "train"), batch.labels)
+        backward(params, forward(params, batch, "train"))
         grads_before = {k: v.copy() for k, v in params.grads.items()}
 
         # Stuff real profiles into every dead slot; the mask must make
@@ -470,7 +469,7 @@ class TestMasking:
 
         after = forward(params, tampered).prob
         assert np.array_equal(before, after)
-        backward(params, forward(params, tampered, "train"), tampered.labels)
+        backward(params, forward(params, tampered, "train"))
         for name, grad in grads_before.items():
             assert np.array_equal(grad, params.grads[name]), name
 
@@ -535,7 +534,7 @@ class TestLossAndModes:
         state = forward(params, batch, mode="eval")
         assert all(cache is None for cache in state.caches.values())
         with pytest.raises(UsageError, match="train mode"):
-            backward(params, state, batch.labels)
+            backward(params, state)
 
     def test_dropout_training_needs_generator(self):
         schema = tiny_schema()
@@ -557,7 +556,7 @@ class TestLossAndModes:
             return bce_loss(st.prob, batch.labels)
 
         state = forward(params, batch, mode="train", rng=np.random.default_rng(17))
-        backward(params, state, batch.labels)
+        backward(params, state)
         flat = params.mlp.weights[0].reshape(-1)
         g_flat = params.grads["mlp.w0"].reshape(-1)
         for c in (0, 7, 23):
@@ -588,9 +587,12 @@ def assert_tiles(flat, views):
 
 
 def model_arrays(p) -> dict:
-    """Every array the model computes with, by layout name, read off its tables, heads and layers."""
+    """Every array the model computes with, by layout name, read off its tables, heads and layers.
+
+    forward reads the confidence rows from views, so they come from there.
+    """
     arrays = {f"{side}_table": p.tables[side].weight for side in (USER, ITEM)}
-    arrays |= {f"conf_{side}": p.conf[side].rows for side in (USER, ITEM)}
+    arrays |= {f"conf_{side}": p.views[f"conf_{side}"] for side in (USER, ITEM)}
     for name, head in p.heads.items():
         if head.ffn is not None:
             for i, (w, b) in enumerate(zip(head.ffn.weights, head.ffn.biases)):
@@ -644,11 +646,10 @@ class TestDenseLayout:
             assert p.dense_grad.size == p.dense.size
             for side in (USER, ITEM):
                 assert p.tables[side].grad is p.grads[f"{side}_table"]
-                assert p.conf[side].grad is p.grads[f"conf_{side}"]
             # A gradient backward forgot to write would keep its NaN.
             p.dense_grad[...] = np.nan
             batch = tiny_batch(schema)
-            assert backward(p, forward(p, batch, mode="train"), batch.labels) is None
+            assert backward(p, forward(p, batch, mode="train")) is None
             assert np.isfinite(p.dense_grad).all()
         assert loaded.store.tobytes() == params.store.tobytes()
 

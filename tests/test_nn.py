@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pigat import features, nn
-from pigat.confidence import ConfidenceTable, apply_confidence, recency_profile
+from pigat.confidence import apply_confidence, recency_profile
 from pigat.errors import DomainError, ShapeError, UsageError
 from pigat.model import uniform_coefficients
 
@@ -97,13 +97,13 @@ def test_leaky_kernels_leave_read_only_inputs_alone():
     rng = np.random.default_rng(4)
     z, nbrs = rng.normal(size=(3, 4)), rng.normal(size=(3, 4, 2))
     mask = np.array([[True, True, False, False], [False, False, False, False], [True, False, True, True]])
-    table = ConfidenceTable(recency_profile(4, 2), True, np.zeros((4, 4, 2)))
-    given = (z, nbrs, mask, table.rows)
+    rows = recency_profile(4, 2)
+    given = (z, nbrs, mask, rows)
     keep = [a.tobytes() for a in given]
     read_only(*given)
     assert nn.masked_softmax(z, mask).tobytes() == where_masked_softmax(z, mask).tobytes()
     assert uniform_coefficients(mask).tobytes() == float_average(mask).tobytes()
-    assert apply_confidence(table, nbrs, mask).shape == nbrs.shape
+    assert apply_confidence(rows, nbrs, mask).shape == nbrs.shape
     assert [a.tobytes() for a in given] == keep
 
 

@@ -5,6 +5,10 @@ attribute in src/pigat or scripts/, or the console-script entry point in
 pyproject.toml. Dunder methods are called by Python and do not count. A
 dataclass field counts as used when the program reads an attribute of its
 name; assignments alone do not count.
+
+No program module but graph.py itself imports the per-event reference
+module, pigat.graph, when it runs, so removing that path deletes code and
+changes no import.
 """
 
 import ast
@@ -117,3 +121,32 @@ def test_field_check_sees_a_field_that_is_only_written():
     )
     assert dataclass_fields(tree) == {"Box.size", "Box.note"}
     assert read_attributes(tree) == {"size"}
+
+
+def runtime_imports(node: ast.AST) -> set[str]:
+    """Dotted names of the modules node imports when it runs; `if TYPE_CHECKING:` bodies do not count.
+
+    A relative import is read as one within pigat; `from .x import y` names both pigat.x and pigat.x.y.
+    """
+    found = set()
+    if isinstance(node, ast.Import):
+        found = {alias.name for alias in node.names}
+    elif isinstance(node, ast.ImportFrom):
+        base = ".".join(filter(None, ["pigat" if node.level else "", node.module]))
+        found = {base} | {f"{base}.{alias.name}" for alias in node.names}
+    typing_only = isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING")
+    children = node.orelse if typing_only else ast.iter_child_nodes(node)
+    return found.union(*map(runtime_imports, children))
+
+
+def test_no_other_program_module_imports_the_reference_graph_module():
+    modules = (path for path in sorted(PACKAGE.rglob("*.py")) if path.name != "graph.py")
+    assert [path.name for path in modules if "pigat.graph" in runtime_imports(ast.parse(path.read_text()))] == []
+
+
+def test_import_check_sees_run_time_imports_only():
+    typed = "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from .graph import InteractionGraph\n"
+    assert "pigat.graph" not in runtime_imports(ast.parse(typed))
+    lines = ("from .graph import USER", "from . import graph", "import pigat.graph", "def f():\n    from .graph import USER")
+    for line in lines:
+        assert "pigat.graph" in runtime_imports(ast.parse(typed + line)), line

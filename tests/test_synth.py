@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from pigat.data import read_interactions, write_interactions
+from pigat.data import RawInteraction, read_interactions, write_interactions
 from pigat.errors import DataError
-from pigat.graph import ITEM, USER
+from pigat.features import ITEM, USER
+from pigat.nn import sigmoid
 from pigat.synth import (
+    N_CLUSTERS,
+    N_SEGMENTS,
     GroundTruth,
     SynthSpec,
     degree_summary,
@@ -71,6 +74,55 @@ class TestShape:
         for rec in log.records:
             idx = int(rec.user_values[0][1:])
             assert rec.user_values[1] == f"s{truth.segments[idx]}"
+
+
+def choice_generate(spec):
+    """generate's records and latents as drawn with one rng.choice(items, p=popularity) per event."""
+    rng = np.random.default_rng(spec.seed)
+    d = spec.latent_dim
+    s = np.sqrt(spec.scale / np.sqrt(d))
+    users = rng.standard_normal((spec.users, spec.tastes, d)) * s
+    centers = rng.standard_normal((N_CLUSTERS, d)) * s
+    clusters = rng.integers(N_CLUSTERS, size=spec.items)
+    items = 0.6 * centers[clusters] + 0.8 * rng.standard_normal((spec.items, d)) * s
+    segments = rng.integers(N_SEGMENTS, size=spec.users)
+    popularity = np.arange(1, spec.items + 1, dtype=np.float64) ** -spec.exponent
+    popularity /= popularity.sum()
+    initial_users = users.copy()
+    keep, stir = np.sqrt(1.0 - spec.drift), np.sqrt(spec.drift)
+    records = []
+    for t in range(1, spec.events + 1):
+        u = int(rng.integers(spec.users))
+        if rng.random() < spec.noise:
+            i = int(rng.integers(spec.items))
+            label = int(rng.integers(2))
+        else:
+            i = int(rng.choice(spec.items, p=popularity))
+            label = int(rng.random() < sigmoid(float(np.max(users[u] @ items[i]))))
+        records.append(RawInteraction(t, (f"u{u}", f"s{segments[u]}"), (f"i{i}", f"c{clusters[i]}"), float(label)))
+        if spec.drift > 0.0:
+            users[u] = keep * users[u] + stir * rng.standard_normal((spec.tastes, d)) * s
+    return records, GroundTruth(initial_users, users, items, clusters, segments)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(),
+        dict(exponent=0.0),
+        dict(exponent=1.2, noise=0.3),
+        dict(drift=0.1, tastes=3),
+        dict(items=2, exponent=1.2, noise=0.3, drift=0.1, tastes=3),
+    ],
+)
+def test_generate_draws_the_items_rng_choice_draws(kw):
+    spec = small_spec(**kw)
+    log, truth = generate(spec)
+    records, want = choice_generate(spec)
+    assert log.records == records
+    assert log.signals.tobytes() == np.array([r.signal for r in records]).tobytes()
+    for name in ("initial_users", "final_users", "items", "clusters", "segments"):
+        assert getattr(truth, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 class TestPopularity:

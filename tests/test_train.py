@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import pigat.train as train_mod
+from pigat.confidence import TRAINABLE, build_confidence
 from pigat.config import TrainConfig
 from pigat.data import prepare_dataset
 from pigat.errors import NumericError
+from pigat.features import SIDES
 from pigat.metrics import ScoredSet, auc
 from pigat.model import predict, save_checkpoint
 from pigat.synth import SynthSpec, generate
@@ -174,8 +176,8 @@ class TestNanAbort:
         real = train_mod.backward
         calls = {"n": 0}
 
-        def poisoned(params, state, labels):
-            real(params, state, labels)
+        def poisoned(params, state):
+            real(params, state)
             calls["n"] += 1
             if calls["n"] == 2:
                 grad = params.grads[name]
@@ -185,6 +187,20 @@ class TestNanAbort:
         monkeypatch.setattr(train_mod, "backward", poisoned)
         with pytest.raises(NumericError, match=re.escape(f"gradient at epoch 1, batch 1: {name} (group {group})")):
             train(cfg, data)
+
+
+@pytest.mark.parametrize("variant", ["none", "pe", "fce", "rce", "ce"])
+def test_frozen_confidence_rows_keep_their_bytes_through_training(small_log, variant):
+    # Weight decay and dropout included: neither may reach a frozen row.
+    cfg = small_config(confidence=variant, attention="ffn-1", l2=0.01, dropout=0.3)
+    params = train(cfg, prepare_dataset(small_log, cfg)).params
+    for side in SIDES:
+        rows, grad = params.views[f"conf_{side}"], params.grads[f"conf_{side}"]
+        if variant in TRAINABLE:
+            assert grad.any()
+        else:
+            assert rows.tobytes() == build_confidence(variant, cfg.max_neighbors, rows.shape[2]).tobytes()
+            assert not grad.any()
 
 
 def read_metrics(path) -> list[EpochStats]:
