@@ -34,13 +34,18 @@ SIDES = (USER, ITEM)
 
 @dataclass
 class FieldVocab:
-    """One categorical field's value list, in first-seen order."""
+    """One categorical field's values, in first-seen order.
+
+    values is held as a tuple, so the index built from it cannot go stale;
+    a grown vocabulary is a new FieldVocab.
+    """
 
     name: str
-    values: list[str] = field(default_factory=list)
+    values: tuple[str, ...] = ()
     index: dict[str, int] = field(init=False, repr=False)  # value -> its position in values
 
     def __post_init__(self) -> None:
+        self.values = tuple(self.values)
         self.index = {value: pos for pos, value in enumerate(self.values)}
         if len(self.index) != len(self.values):
             raise DataError(f"field {self.name!r} has duplicate vocabulary entries")

@@ -22,10 +22,10 @@ import numpy as np
 
 from .config import TrainConfig
 from .data import InteractionLog, RawInteraction, build_instances, derive_labels, encode_events
-from .errors import NumericError
+from .errors import NumericError, UsageError
 from .features import ITEM, SIDES, USER, Batch, FeatureSchema, FieldVocab
-from .model import ForwardState, backward, bce_loss, forward, init_params, named_parameters
-from .nn import FfnCache, fd_coordinate
+from .model import ForwardState, PigatParams, backward, bce_loss, forward, init_params, named_parameters
+from .nn import FfnCache, _pair_affine_forward, affine_forward, fd_coordinate
 
 SMOOTH_MARGIN = 2e-4
 DEFAULT_STEP = 1e-5
@@ -49,8 +49,8 @@ def toy_config(config: TrainConfig) -> TrainConfig:
 def toy_schema(config: TrainConfig) -> FeatureSchema:
     return FeatureSchema(
         fields={
-            USER: [FieldVocab("uid", ["u0", "u1", "u2"]), FieldVocab("seg", ["a", "b"])],
-            ITEM: [FieldVocab("iid", ["i0", "i1", "i2", "i3"]), FieldVocab("cat", ["x", "y"])],
+            USER: [FieldVocab("uid", ("u0", "u1", "u2")), FieldVocab("seg", ("a", "b"))],
+            ITEM: [FieldVocab("iid", ("i0", "i1", "i2", "i3")), FieldVocab("cat", ("x", "y"))],
         },
         widths={USER: config.user_embed_width, ITEM: config.item_embed_width},
     )
@@ -75,16 +75,25 @@ def _toy_batch(schema: FeatureSchema, config: TrainConfig, rng: np.random.Genera
     return batch.take(np.arange(len(records), len(log)))
 
 
-def leaky_margin(state: ForwardState) -> float:
-    """Smallest |pre-activation| over every leaky layer of one forward pass.
+def leaky_margin(params: PigatParams, state: ForwardState) -> float:
+    """Smallest |pre-activation| over every leaky layer of one train forward that no backward consumed.
 
     The leaky layers are the hidden layers of the ffn attention heads, the
-    integrate layers and the hidden layers of the prediction MLP.
+    integrate layers and the hidden layers of the prediction MLP. The state
+    keeps only their signs, so each pre-activation is computed again from
+    the layer's cached input with the forward's own kernel, which gives it
+    the forward's bytes.
     """
-    pre_acts = [pre for _, pre in state.int_states.values()] + state.mlp_cache.pre_acts[:-1]
-    for cache in state.caches.values():
-        if isinstance(cache, FfnCache):
-            pre_acts += cache.pre_acts[:-1]
+    if state.mode != "train":
+        raise UsageError(f"the leaky margin needs an unconsumed train state, got a {state.mode!r} state")
+    layers = [(*params.integrate[name], x) for name, (x, _) in state.int_states.items()]  # (weight, bias, input)
+    ffns = [(params.mlp, state.mlp_cache)]
+    ffns += [(params.heads[name].ffn, cache) for name, cache in state.caches.items() if isinstance(cache, FfnCache)]
+    for ffn, cache in ffns:
+        layers += zip(ffn.weights[:-1], ffn.biases, cache.inputs)  # the hidden layers
+    pre_acts = [
+        _pair_affine_forward(w, *x, b) if isinstance(x, tuple) else affine_forward(w, x, b) for w, b, x in layers
+    ]
     return min((float(np.abs(pre).min()) for pre in pre_acts if pre.size), default=np.inf)
 
 
@@ -105,7 +114,7 @@ def build_case(config: TrainConfig, seed: int, max_tries: int = 200):
         batch = _toy_batch(schema, config, rng)
         state = forward(params, batch, mode="train")
         clamp_ok = bool(state.clamp_active.all())
-        if leaky_margin(state) > SMOOTH_MARGIN and clamp_ok:
+        if leaky_margin(params, state) > SMOOTH_MARGIN and clamp_ok:
             return params, batch
     raise NumericError(
         f"could not find a smooth verification point for seed {seed} "

@@ -283,9 +283,17 @@ def touched_rows(params: PigatParams) -> dict[str, Array]:
 
 @dataclass
 class ForwardState:
-    """Everything backward() needs, plus the outputs."""
+    """The outputs of one forward, plus what backward() needs of it and no more.
 
-    mode: str  # backward() takes only "train" states; "eval" ones keep no head caches
+    A train state keeps each leaky layer's input and the sign of its
+    pre-activation (pre >= 0.0, one byte a value), never the float
+    pre-activation. An eval state keeps no cache at all. backward() takes a
+    train state once: it marks it "consumed" before it writes anything and
+    then writes gradients into the activations it no longer needs, so no
+    cache of a consumed state may be read.
+    """
+
+    mode: str  # "train", "eval" or "consumed"; backward() takes only "train" states
     batch: Batch
     profiles: dict[str, Array]  # side -> (B, profile width)
     raw: dict[str, Array]  # window side -> looked-up window (B, k, width)
@@ -293,9 +301,9 @@ class ForwardState:
     weights: dict[str, Array]  # head -> (B, k) pooling weights
     caches: dict[str, FfnCache | Array | None]  # head -> attention_logits' cache; None in eval mode
     pools: dict[str, Array]
-    int_states: dict[str, tuple[Array, Array]]  # name -> (concat input, pre-activation)
+    int_states: dict[str, tuple[Array, Array] | None]  # name -> (concat input, pre-activation sign); None in eval
     drop: Array | None
-    mlp_cache: FfnCache
+    mlp_cache: FfnCache | None  # None in eval mode
     prob: Array
     clamp_active: Array
 
@@ -305,21 +313,23 @@ def uniform_coefficients(mask: Array) -> Array:
     return mask / np.maximum(mask.sum(axis=-1, keepdims=True), 1)
 
 
-def attention_logits(head: AttentionHead, query: Array, keys: Array) -> tuple[Array, FfnCache | Array]:
+def attention_logits(
+    head: AttentionHead, query: Array, keys: Array, train: bool = True
+) -> tuple[Array, FfnCache | Array | None]:
     """Score each window slot against the query; returns logits and cache.
 
     query is (B, query width), keys (B, k, key width); logits are (B, k).
     The cache is the FFN's for ffn kinds and the (projected) query for dot
-    kinds.
+    kinds; without train it is None, and an ffn head builds none.
     """
     if head.ffn is not None:
-        out, cache = ffn_forward(head.ffn, (query, keys))
+        out, cache = ffn_forward(head.ffn, (query, keys), train)
         return out[..., 0], cache
     q = query if head.proj_w is None else affine_forward(head.proj_w, query, head.proj_b)
     logits = np.einsum("bw,bkw->bk", q, keys)
     if head.kind == "scaled-dot":
         logits = logits / np.sqrt(keys.shape[-1])
-    return logits, q
+    return logits, q if train else None
 
 
 def pooled_embedding(weights: Array, values: Array) -> Array:
@@ -327,11 +337,13 @@ def pooled_embedding(weights: Array, values: Array) -> Array:
     return np.einsum("...k,...kw->...w", weights, values)
 
 
-def integrate_forward(w: Array, b: Array, left: Array, right: Array) -> tuple[Array, Array, Array]:
-    """leaky(W [left || right] + b); returns (out, pre-activation, concat)."""
+def integrate_forward(
+    w: Array, b: Array, left: Array, right: Array, train: bool = True
+) -> tuple[Array, tuple[Array, Array] | None]:
+    """leaky(W [left || right] + b); returns (out, (concat, pre-activation >= 0.0)), the pair None without train."""
     x = np.concatenate([left, right], axis=-1)
     pre = affine_forward(w, x, b)
-    return leaky_relu(pre), pre, x
+    return leaky_relu(pre), (x, pre >= 0.0) if train else None
 
 
 def forward(
@@ -344,6 +356,7 @@ def forward(
         raise DomainError(f"mode must be train or eval, got {mode!r}")
     cfg = params.config
     b = len(batch)
+    train = mode == "train"  # only a train forward keeps caches for backward
 
     profiles = {side: lookup(params.tables[side], batch.ids[side]).reshape(b, -1) for side in SIDES}
     raw = {
@@ -360,10 +373,8 @@ def forward(
         window, query = wiring[name]
         mask = batch.mask[window]
         if cfg.pooling == "attention":
-            logits, cache = attention_logits(params.heads[name], profiles[query], aug[window])
+            logits, cache = attention_logits(params.heads[name], profiles[query], aug[window], train)
             weights = masked_softmax(logits, mask)
-            if mode == "eval":
-                cache = None  # only backward reads it; freed now, its memory serves the next head
         else:
             weights, cache = uniform_coefficients(mask), None
         return weights, cache, pooled_embedding(weights, pool_src[window])
@@ -373,16 +384,15 @@ def forward(
         weights[name], caches[name], pools[name] = head_weights, cache, pool
 
     sources = {**profiles, **pools}
-    int_states: dict[str, tuple[Array, Array]] = {}
+    int_states: dict[str, tuple[Array, Array] | None] = {}
     int_outs = []
     for name, left, right in INTEGRATE:
-        out, pre, x = integrate_forward(*params.integrate[name], sources[left], sources[right])
-        int_states[name] = (x, pre)
+        out, int_states[name] = integrate_forward(*params.integrate[name], sources[left], sources[right], train)
         int_outs.append(out)
 
     merged = np.concatenate(int_outs, axis=1)
     drop = None
-    if mode == "train" and cfg.dropout > 0.0:
+    if train and cfg.dropout > 0.0:
         if rng is None:
             raise UsageError("training forward with dropout needs a random generator")
         drop = dropout_mask(merged.shape, cfg.dropout, rng)
@@ -390,7 +400,7 @@ def forward(
     else:
         merged_in = merged
 
-    mlp_out, mlp_cache = ffn_forward(params.mlp, merged_in)
+    mlp_out, mlp_cache = ffn_forward(params.mlp, merged_in, train)
     prob_raw = sigmoid(mlp_out[:, 0])
     prob = np.clip(prob_raw, PROB_CLAMP, 1.0 - PROB_CLAMP)
     clamp_active = (prob_raw > PROB_CLAMP) & (prob_raw < 1.0 - PROB_CLAMP)
@@ -441,9 +451,18 @@ def backward(params: PigatParams, state: ForwardState) -> None:
     before this batch's gradients are scattered into them, so after the call
     params.grads holds exactly this batch's gradients. Frozen confidence rows
     get no gradient: theirs stays the zero it was built with.
+
+    The state is consumed: it is marked "consumed" before anything is
+    written, each ffn's input gradients are written into its cached
+    activations, and each head's cache is released once its backward is
+    done. A second backward on the state, or one after a backward that
+    raised, is a UsageError; run forward again instead.
     """
     if state.mode != "train":
-        raise UsageError(f"backward needs a forward state computed in train mode, got {state.mode!r}")
+        raise UsageError(
+            f"backward needs a forward state computed in train mode and not yet consumed, got a {state.mode!r} state"
+        )
+    state.mode = "consumed"
     cfg = params.config
     batch = state.batch
     b = len(batch)
@@ -458,8 +477,8 @@ def backward(params: PigatParams, state: ForwardState) -> None:
     sources = {**state.profiles, **state.pools}
     d_sources: dict[str, Array] = {}  # gradient per INTEGRATE input
     for idx, (name, left, right) in enumerate(INTEGRATE):
-        x, pre = state.int_states[name]
-        d_pre = d_merged[:, idx * dh : (idx + 1) * dh] * leaky_relu_slope_at(pre)
+        x, sign = state.int_states[name]
+        d_pre = d_merged[:, idx * dh : (idx + 1) * dh] * leaky_relu_slope_at(sign)
         d_x = affine_backward(params.integrate[name][0], x, d_pre, grads[f"{name}.w"], grads[f"{name}.b"])
         cut = sources[left].shape[1]
         d_sources[left] = _acc(d_sources.get(left), d_x[:, :cut])
@@ -483,6 +502,7 @@ def backward(params: PigatParams, state: ForwardState) -> None:
             d_keys, d_query = _head_backward(
                 params.heads[name], name, state.caches[name], state.profiles[query], state.aug[window], d_logits, grads
             )
+            state.caches[name] = None  # spent: freed now, its memory serves the next head
         # After _head_backward has freed its temporaries, so this does not raise the peak memory.
         return weights[:, :, None] * d_pool[:, None, :], d_keys, d_query
 
@@ -656,7 +676,7 @@ def load_checkpoint(path: str) -> tuple[PigatParams, dict]:
             if not all(type(w) is int for w in widths.values()):
                 raise TypeError(f"embedding widths {tuple(widths.values())} are not integers")
             schema = FeatureSchema(
-                {side: [FieldVocab(d["name"], list(d["values"])) for d in sch[f"{side}_fields"]] for side in SIDES},
+                {side: [FieldVocab(d["name"], tuple(d["values"])) for d in sch[f"{side}_fields"]] for side in SIDES},
                 widths,
             )
             config = config_from_dict(header["config"])

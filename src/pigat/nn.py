@@ -1,7 +1,8 @@
 """Dense numeric kernels with hand-written backward passes.
 
 Everything runs in float64. Each forward that participates in training
-returns a cache consumed by its matching backward; the test suite checks
+returns a cache consumed by its matching backward, which may write into
+the arrays the cache owns; the test suite checks
 every backward against the central finite-difference oracle implemented
 at the bottom of this module.
 """
@@ -37,15 +38,21 @@ def affine_forward(w: Array, x: Array, b: Array) -> Array:
         raise ShapeError(f"affine expects matrix and vector, got w {w.shape}, b {b.shape}")
     if x.shape[-1] != w.shape[1] or b.shape[0] != w.shape[0]:
         raise ShapeError(f"affine shapes do not chain: w {w.shape}, x {x.shape}, b {b.shape}")
-    return x @ w.T + b
+    out = x @ w.T
+    out += b  # into the product: one new array, with the bytes of x @ w.T + b
+    return out
 
 
-def affine_backward(w: Array, x: Array, g: Array, d_w: Array, d_b: Array) -> Array:
-    """Backprop g through affine_forward(w, x, b): writes d_w and d_b summed over batch axes, returns d_x."""
+def affine_backward(w: Array, x: Array, g: Array, d_w: Array, d_b: Array, out: Array | None = None) -> Array:
+    """Backprop g through affine_forward(w, x, b): writes d_w and d_b summed over batch axes, returns d_x.
+
+    d_x goes into out when given; out may be x itself, which is read only
+    before d_x is written.
+    """
     g2 = g.reshape(-1, g.shape[-1])
     np.matmul(g2.T, x.reshape(-1, x.shape[-1]), out=d_w)
     g2.sum(axis=0, out=d_b)
-    return g @ w
+    return np.matmul(g, w, out=out)
 
 
 # The two leaky-relu kernels avoid np.where: selecting on a mask of random
@@ -67,9 +74,12 @@ def leaky_relu(x: Array) -> Array:
     return _into_first(np.maximum, LEAKY_SLOPE * x, x)
 
 
-def leaky_relu_slope_at(x: Array) -> Array:
-    """Derivative factor of leaky_relu: 1 where x >= 0, else LEAKY_SLOPE (nan included)."""
-    return _into_first(np.maximum, (x >= 0.0).astype(np.float64), LEAKY_SLOPE)
+def leaky_relu_slope_at(sign: Array) -> Array:
+    """Derivative factor of leaky_relu at x, from sign = (x >= 0.0): 1 where it holds, else LEAKY_SLOPE.
+
+    A nan x has sign False, so its factor is LEAKY_SLOPE.
+    """
+    return _into_first(np.maximum, sign.astype(np.float64), LEAKY_SLOPE)
 
 
 def masked_softmax(z: Array, mask: Array) -> Array:
@@ -129,8 +139,17 @@ class FfnParams:
 
 @dataclass
 class FfnCache:
-    inputs: list  # per layer its input; the first may be a (query, keys) pair
-    pre_acts: list[Array]
+    """What ffn_backward needs of one training forward, and no more.
+
+    inputs[i] is layer i's input; the first may be a (query, keys) pair.
+    signs[i] is hidden layer i's pre-activation >= 0.0, a bool array: the
+    leaky-relu derivative reads nothing else of it. ffn_backward consumes
+    the cache, writing each input gradient below the first layer into the
+    input array it replaces.
+    """
+
+    inputs: list
+    signs: list[Array]
 
 
 def _pair_affine_forward(w: Array, query: Array, keys: Array, b: Array) -> Array:
@@ -149,24 +168,33 @@ def _pair_affine_forward(w: Array, query: Array, keys: Array, b: Array) -> Array
     return out
 
 
-def ffn_forward(params: FfnParams, x: Array | tuple[Array, Array]) -> tuple[Array, FfnCache]:
+def ffn_forward(
+    params: FfnParams, x: Array | tuple[Array, Array], train: bool = True
+) -> tuple[Array, FfnCache | None]:
     """Run the FFN on (..., in_dim) input, returning output and cache.
 
     x may instead be a pair (query, keys) of shapes (B, qw) and (B, k, kw)
     with qw + kw = in_dim. Each slot j is then scored as the input
     [query || keys[:, j]] would be, giving (B, k, out_dim), but the query's
     share of the first layer is computed once per row rather than per slot.
+
+    With train the cache keeps each layer's input and each hidden layer's
+    sign (FfnCache); without it nothing is kept for a backward, no sign is
+    computed, and the cache is None.
     """
     inputs: list = []
-    pre_acts: list[Array] = []
+    signs: list[Array] = []
     pair = isinstance(x, tuple)
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        inputs.append(x)
-        pre = _pair_affine_forward(w, *x, b) if pair and i == 0 else affine_forward(w, x, b)
-        pre_acts.append(pre)
-        x = pre if i == last else leaky_relu(pre)
-    return x, FfnCache(inputs, pre_acts)
+        if train:
+            inputs.append(x)
+        x = _pair_affine_forward(w, *x, b) if pair and i == 0 else affine_forward(w, x, b)
+        if i != last:
+            if train:
+                signs.append(x >= 0.0)
+            x = leaky_relu(x)  # the pre-activation is freed here; only its sign is kept
+    return x, FfnCache(inputs, signs) if train else None
 
 
 def ffn_backward(
@@ -180,28 +208,31 @@ def ffn_backward(
     input, d_input is the pair (d_query, d_keys); the query was broadcast
     over the slots, so its gradient sums over them, and that sum is taken
     before the query-side matmuls.
+
+    The cache is consumed: each layer's input gradient below the first
+    layer is written into that layer's cached input, dead once the layer's
+    weight gradient is taken. Only arrays the cache owns are written; d_out
+    and the first layer's input are only read.
     """
     n_layers = len(params.weights)
-    if len(cache.inputs) != n_layers or len(cache.pre_acts) != n_layers:
+    if len(cache.inputs) != n_layers or len(cache.signs) != n_layers - 1:
         raise UsageError("forward cache does not match the FFN it came from")
+    first = cache.inputs[0]
+    out_shape = (*(first[1] if isinstance(first, tuple) else first).shape[:-1], params.weights[-1].shape[0])
+    if d_out.shape != out_shape:
+        raise UsageError(f"stale cache: upstream grad {d_out.shape} does not match the output {out_shape}")
     g = d_out
-    for i in range(n_layers - 1, -1, -1):
-        w, x_in, pre = params.weights[i], cache.inputs[i], cache.pre_acts[i]
-        d_w, d_b = grads.weights[i], grads.biases[i]
-        if g.shape != pre.shape:
-            raise UsageError(
-                f"stale cache: upstream grad {g.shape} does not match pre-activation {pre.shape}"
-            )
-        if i != n_layers - 1:
-            # Below the last layer g is the d_x affine_backward just made, never d_out.
-            g *= leaky_relu_slope_at(pre)
-        if isinstance(x_in, tuple):  # only the first layer takes a pair
-            query, keys = x_in
-            qw = query.shape[1]
-            np.matmul(g.reshape(-1, g.shape[-1]).T, keys.reshape(-1, keys.shape[-1]), out=d_w[:, qw:])
-            return affine_backward(w[:, :qw], query, g.sum(axis=1), d_w[:, :qw], d_b), g @ w[:, qw:]
-        g = affine_backward(w, x_in, g, d_w, d_b)
-    return g
+    for i in range(n_layers - 1, 0, -1):
+        x_in = cache.inputs[i]
+        g = affine_backward(params.weights[i], x_in, g, grads.weights[i], grads.biases[i], out=x_in)
+        g *= leaky_relu_slope_at(cache.signs[i - 1])
+    w, d_w, d_b = params.weights[0], grads.weights[0], grads.biases[0]
+    if isinstance(first, tuple):  # only the first layer takes a pair
+        query, keys = first
+        qw = query.shape[1]
+        np.matmul(g.reshape(-1, g.shape[-1]).T, keys.reshape(-1, keys.shape[-1]), out=d_w[:, qw:])
+        return affine_backward(w[:, :qw], query, g.sum(axis=1), d_w[:, :qw], d_b), g @ w[:, qw:]
+    return affine_backward(w, first, g, d_w, d_b)
 
 
 @dataclass

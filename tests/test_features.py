@@ -4,8 +4,10 @@ import pytest
 from pigat.config import TrainConfig
 from pigat.errors import DataError, DomainError, ShapeError
 from pigat import features
+from pigat.data import InteractionLog, RawInteraction, encode_events
 from pigat.features import (
     ITEM,
+    SIDES,
     USER,
     Batch,
     EmbeddingTable,
@@ -61,14 +63,32 @@ def test_field_vocab_indexes_each_value_once():
         FieldVocab("seg", ["a", "b", "a"])
 
 
+def grown(schema, side, pos, value):
+    """The schema with one more value in one field's vocabulary: a new FieldVocab, since values is a tuple."""
+    vocab = schema.fields[side][pos]
+    fields = {s: list(f) for s, f in schema.fields.items()}
+    fields[side][pos] = FieldVocab(vocab.name, (*vocab.values, value))
+    return FeatureSchema(fields, schema.widths)
+
+
 def test_structural_hash_ignores_vocab_growth_but_not_fields():
     s1 = toy_schema()
-    s2 = toy_schema()
-    s2.fields[USER][0].values.append("u99")
+    s2 = grown(toy_schema(), USER, 0, "u99")
     assert s1.structural_hash() == s2.structural_hash()
     s3 = toy_schema()
     s3.fields[USER][1].name = "device"
     assert s1.structural_hash() != s3.structural_hash()
+
+
+def test_a_grown_vocabulary_encodes_its_new_value_in_vocabulary():
+    schema = grown(toy_schema(), USER, 0, "u99")
+    uid = schema.fields[USER][0]
+    assert uid.values == ("u0", "u1", "u2", "u99") and uid.index["u99"] == 3 == uid.card - 1
+    names = {side: [f.name for f in schema.fields[side]] for side in SIDES}
+    records = [RawInteraction(1, ("u99", "b"), ("i1", "x"), 1.0), RawInteraction(2, ("u7", "a"), ("i1", "x"), 0.0)]
+    ids = encode_events(schema, InteractionLog.from_records(names, records))
+    assert ids[USER][:, 0].tolist() == [3, uid.card]  # u99 has its own row; the unseen u7 takes the OOV id
+    assert ids[USER].tolist() == [list(profile_ids(schema, USER, r.user_values)) for r in records]
 
 
 def test_schema_file_round_trip(tmp_path):

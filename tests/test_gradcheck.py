@@ -12,7 +12,7 @@ import pytest
 
 import pigat.gradcheck as gradcheck
 from pigat.config import TrainConfig
-from pigat.errors import NumericError
+from pigat.errors import NumericError, UsageError
 from pigat.features import SIDES, USER
 from pigat.gradcheck import GradCheckReport, _toy_batch, build_case, relative_error, run_case, toy_config, toy_schema
 from pigat.nn import FfnCache
@@ -68,31 +68,65 @@ class TestCaseConstruction:
         config = toy_config(case("rce", "ffn-3"))
         params, batch = build_case(config, seed=2)
         state = forward(params, batch, mode="train")
-        assert gradcheck.leaky_margin(state) > gradcheck.SMOOTH_MARGIN
+        assert gradcheck.leaky_margin(params, state) > gradcheck.SMOOTH_MARGIN
         assert state.clamp_active.all()
 
     @pytest.mark.parametrize("attention", ["ffn-3", "dot"])
-    def test_leaky_margin_is_min_over_every_leaky_pre_activation(self, attention):
-        from pigat.model import INTEGRATE, forward
+    def test_leaky_margin_is_min_over_every_leaky_pre_activation(self, attention, monkeypatch):
+        from pigat.model import INTEGRATE, backward, forward
 
         params, batch = build_case(toy_config(case("ce", attention)), seed=4)
         state = forward(params, batch, mode="train")
-        pre_acts = [state.int_states[name][1] for name, _, _ in INTEGRATE]
-        pre_acts += state.mlp_cache.pre_acts[:-1]
-        for cache in state.caches.values():
-            if isinstance(cache, FfnCache):
-                pre_acts += cache.pre_acts[:-1]
+        # Every leaky pre-activation, the plain way, from the layer inputs the state keeps.
+        pre_acts = []
+        for name, _, _ in INTEGRATE:
+            (w, b), (x, sign) = params.integrate[name], state.int_states[name]
+            pre_acts.append(x @ w.T + b)
+            assert np.array_equal(pre_acts[-1] >= 0.0, sign)  # the sign the forward kept
+        ffns = [(params.mlp, state.mlp_cache)]
+        ffns += [(params.heads[name].ffn, cache) for name, cache in state.caches.items() if isinstance(cache, FfnCache)]
+        for ffn, cache in ffns:
+            for w, b, x, sign in zip(ffn.weights, ffn.biases, cache.inputs, cache.signs):
+                if isinstance(x, tuple):
+                    query, keys = x
+                    qw = query.shape[1]
+                    pre_acts.append(keys @ w[:, qw:].T + (query @ w[:, :qw].T + b)[:, None, :])
+                else:
+                    pre_acts.append(x @ w.T + b)
+                assert np.array_equal(pre_acts[-1] >= 0.0, sign)
         assert len(pre_acts) == 6 + (8 if attention == "ffn-3" else 0)
         expected = min(float(np.abs(pre).min()) for pre in pre_acts)
-        assert gradcheck.leaky_margin(state) == expected
-        # Every leaky layer counts, and the linear output layers do not.
-        for i, pre in enumerate(pre_acts):
-            keep = pre.flat[0]
-            pre.flat[0] = -1e-12 * (i + 1)
-            assert gradcheck.leaky_margin(state) == 1e-12 * (i + 1)
-            pre.flat[0] = keep
-        state.mlp_cache.pre_acts[-1][:] = 0.0
-        assert gradcheck.leaky_margin(state) == expected
+        assert gradcheck.leaky_margin(params, state) == expected
+        consumed = forward(params, batch, mode="train")
+        backward(params, consumed)  # which writes gradients into its cached inputs
+        for unfit in (forward(params, batch, mode="eval"), consumed):
+            with pytest.raises(UsageError, match="unconsumed train state"):
+                gradcheck.leaky_margin(params, unfit)
+        # Every leaky layer counts: a value at the kink in any one of them sets the margin.
+        kernels = {name: getattr(gradcheck, name) for name in ("affine_forward", "_pair_affine_forward")}
+        for target in range(len(pre_acts)):
+            shapes = []
+
+            def nudged(kernel):
+                def run(*args):
+                    pre = kernel(*args)
+                    if len(shapes) == target:
+                        pre.flat[0] = -1e-12 * (target + 1)
+                    shapes.append(pre.shape)
+                    return pre
+
+                return run
+
+            with monkeypatch.context() as patched:
+                for name, kernel in kernels.items():
+                    patched.setattr(gradcheck, name, nudged(kernel))
+                assert gradcheck.leaky_margin(params, state) == 1e-12 * (target + 1)
+            assert sorted(shapes) == sorted(pre.shape for pre in pre_acts)
+        # The linear output layers do not: zeroed, they would sit on the kink.
+        for ffn, _ in ffns:
+            ffn.weights[-1][...] = 0.0
+            ffn.biases[-1][...] = 0.0
+        assert gradcheck.leaky_margin(params, state) == expected
 
     def test_impossible_margin_raises(self):
         config = toy_config(case("none", "dot"))

@@ -27,7 +27,7 @@ import pigat
 import pigat.model as model_mod
 from pigat.config import TrainConfig
 from pigat.data import prepare_dataset
-from pigat.errors import NumericError
+from pigat.errors import NumericError, UsageError
 from pigat.model import (
     BLAS_THREAD_VARS,
     HEAD_THREADS,
@@ -198,9 +198,9 @@ def test_head_i_runs_on_thread_i_mod_w(monkeypatch, small_log, cpus):
         heads = {id(head): name for name, head in params.heads.items()}
 
         def logits_spy(fn):
-            def logits(head, query, keys):
+            def logits(head, *args):
                 forward_on[heads[id(head)]] = threading.current_thread()
-                return fn(head, query, keys)
+                return fn(head, *args)
 
             return logits
 
@@ -236,10 +236,10 @@ def test_an_error_in_a_head_reaches_the_caller(monkeypatch, small_log, head):
     error = NumericError(f"head {head} failed")
     logits_fn, backward_fn = model_mod.attention_logits, model_mod._head_backward
 
-    def failing_logits(att_head, query, keys):
+    def failing_logits(att_head, *args):
         if att_head is params.heads[head]:
             raise error
-        return logits_fn(att_head, query, keys)
+        return logits_fn(att_head, *args)
 
     def failing_backward(att_head, name, *args):
         if name == head:
@@ -258,8 +258,12 @@ def test_an_error_in_a_head_reaches_the_caller(monkeypatch, small_log, head):
         with pytest.raises(NumericError) as raised:
             backward(params, state)
         assert raised.value is error
+    # The failed backward consumed the state: its caches may already hold gradients.
+    assert state.mode == "consumed"
+    with pytest.raises(UsageError, match="'consumed'"):
+        backward(params, state)
     params.grads["att_ia.w0"][...] = np.nan
-    backward(params, state)
+    backward(params, forward(params, batch, mode="train"))  # the retry runs forward again
     assert np.isfinite(params.grads["att_ia.w0"]).all()
     assert predict(params, batch).tobytes() == forward(params, batch, mode="eval").prob.tobytes()
 

@@ -533,8 +533,34 @@ class TestLossAndModes:
         batch = tiny_batch(schema)
         state = forward(params, batch, mode="eval")
         assert all(cache is None for cache in state.caches.values())
+        assert state.mlp_cache is None and all(s is None for s in state.int_states.values())
         with pytest.raises(UsageError, match="train mode"):
             backward(params, state)
+
+    @pytest.mark.parametrize("attention", ["ffn-3", "ffn-1", "dot"])
+    def test_a_second_backward_on_one_state_raises(self, attention):
+        schema = tiny_schema()
+        params = init_params(np.random.default_rng(0), schema, tiny_config(attention=attention))
+        batch = tiny_batch(schema)
+        state = forward(params, batch, mode="train")
+        backward(params, state)
+        assert state.mode == "consumed"
+        assert all(cache is None for cache in state.caches.values())  # each head's cache went with its backward
+        grads = {name: g.tobytes() for name, g in params.grads.items()}
+        with pytest.raises(UsageError, match="not yet consumed, got a 'consumed' state"):
+            backward(params, state)
+        assert {name: g.tobytes() for name, g in params.grads.items()} == grads  # the refused call wrote nothing
+        backward(params, forward(params, batch, mode="train"))
+        assert {name: g.tobytes() for name, g in params.grads.items()} == grads
+
+    def test_leaky_layers_keep_only_the_sign_of_their_pre_activation(self):
+        schema = tiny_schema()
+        params = init_params(np.random.default_rng(0), schema, tiny_config(attention="ffn-3"))
+        state = forward(params, tiny_batch(schema), mode="train")
+        signs = [sign for _, sign in state.int_states.values()] + state.mlp_cache.signs
+        signs += [sign for cache in state.caches.values() for sign in cache.signs]
+        assert len(signs) == 4 + 2 + 4 * 2
+        assert all(sign.dtype == bool for sign in signs)
 
     def test_dropout_training_needs_generator(self):
         schema = tiny_schema()

@@ -73,7 +73,23 @@ def test_leaky_kernels_equal_where_forms_bytewise(values):
         want = np.where(x >= 0.0, x, slope * x)
         got = nn.leaky_relu(x)
     assert got.tobytes() == want.tobytes()
-    assert nn.leaky_relu_slope_at(x).tobytes() == np.where(x >= 0.0, 1.0, slope).tobytes()
+    assert nn.leaky_relu_slope_at(x >= 0.0).tobytes() == np.where(x >= 0.0, 1.0, slope).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(lead=st.sampled_from([(), (4,), (2, 3)]), data=st.data())
+def test_affine_forward_equals_the_plain_sum_bytewise(lead, data):
+    """The bias goes into the product affine_forward allocated, with the bytes of x @ w.T + b."""
+    values = st.one_of(st.sampled_from(LEAKY_EDGES[:15].tolist()), st.floats())
+
+    def draw(*shape):
+        n = int(np.prod(shape))
+        return np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64).reshape(shape)
+
+    w, x, b = draw(2, 3), draw(*lead, 3), draw(2)
+    with np.errstate(all="ignore"):
+        got, want = nn.affine_forward(w, x, b), x @ w.T + b
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def read_only(*arrays):
@@ -91,8 +107,19 @@ def test_leaky_kernels_leave_read_only_inputs_alone():
             want = np.where(x >= 0.0, x, slope * x)
             got = nn.leaky_relu(x)
         assert np.asarray(got).tobytes() == want.tobytes()
-        assert np.asarray(nn.leaky_relu_slope_at(x)).tobytes() == np.where(x >= 0.0, 1.0, slope).tobytes()
+        sign = np.asarray(x >= 0.0)  # a 0-d array, not a numpy bool, so it takes read_only
+        read_only(sign)
+        assert np.asarray(nn.leaky_relu_slope_at(sign)).tobytes() == np.where(x >= 0.0, 1.0, slope).tobytes()
         assert x.tobytes() == keep
+    # The affine kernel, on a batch and on one vector.
+    rng = np.random.default_rng(3)
+    w, xs, x, b = rng.normal(size=(2, 3)), rng.normal(size=(4, 3)), rng.normal(size=3), rng.normal(size=2)
+    given = (w, xs, x, b)
+    keep = [a.tobytes() for a in given]
+    read_only(*given)
+    assert nn.affine_forward(w, xs, b).tobytes() == (xs @ w.T + b).tobytes()
+    assert nn.affine_forward(w, x, b).tobytes() == (x @ w.T + b).tobytes()
+    assert [a.tobytes() for a in given] == keep
     # The window kernels, on a batch with an all-dead row and a non-prefix mask.
     rng = np.random.default_rng(4)
     z, nbrs = rng.normal(size=(3, 4)), rng.normal(size=(3, 4, 2))
@@ -362,6 +389,7 @@ def test_ffn_pair_input_shapes_must_chain():
 
 @pytest.mark.parametrize("dims", [[5, 1], [5, 6, 1], [5, 6, 3, 2]])
 def test_ffn_pair_kernels_write_only_into_arrays_they_allocated(dims):
+    # Every array the caller passes in is read-only, its bytes checked; only the cache's own arrays may be written.
     rng = np.random.default_rng(8)
     params = ffn_init(rng, dims)
     query, keys, d_out = rng.normal(size=(3, 2)), rng.normal(size=(3, 4, 3)), rng.normal(size=(3, 4, dims[-1]))
@@ -370,15 +398,51 @@ def test_ffn_pair_kernels_write_only_into_arrays_they_allocated(dims):
     read_only(*given)
     out, cache = nn.ffn_forward(params, (query, keys))
     w, b = params.weights[0], params.biases[0]
-    # The first layer's bytes are those of the sum of the two products.
-    assert cache.pre_acts[0].tobytes() == (keys @ w[:, 2:].T + (query @ w[:, :2].T + b)[:, None, :]).tobytes()
+    # The first layer's bytes are those of the sum of the two products; the cache keeps its sign only.
+    first = keys @ w[:, 2:].T + (query @ w[:, :2].T + b)[:, None, :]
+    assert nn._pair_affine_forward(w, query, keys, b).tobytes() == first.tobytes()
+    if len(dims) == 2:
+        assert out.tobytes() == first.tobytes()
+    else:
+        assert cache.signs[0].dtype == bool and np.array_equal(cache.signs[0], first >= 0.0)
     concat = np.concatenate([np.broadcast_to(query[:, None, :], (3, 4, 2)), keys], axis=-1)
     np.testing.assert_allclose(out, nn.ffn_forward(params, concat)[0], rtol=1e-12, atol=1e-12)
-    read_only(*cache.pre_acts, *(x for x in cache.inputs[1:]), out)
+    read_only(out)
     grads = nn.FfnParams(tuple(map(np.zeros_like, params.weights)), tuple(map(np.zeros_like, params.biases)))
     d_query, d_keys = nn.ffn_backward(params, cache, d_out, grads)
     assert d_query.shape == query.shape and d_keys.shape == keys.shape
     assert [a.tobytes() for a in given] == keep
+
+
+@pytest.mark.parametrize("dims", [[4, 1], [4, 5, 1], [4, 6, 3, 2]])
+def test_ffn_eval_forward_keeps_no_cache_and_the_same_bytes(dims):
+    rng = np.random.default_rng(9)
+    params = ffn_init(rng, dims)
+    x = rng.normal(size=(5, dims[0]))
+    query, keys = rng.normal(size=(5, 1)), rng.normal(size=(5, 3, dims[0] - 1))
+    for given in (x, (query, keys)):
+        out, cache = nn.ffn_forward(params, given)
+        assert len(cache.inputs) == len(dims) - 1 and len(cache.signs) == len(dims) - 2
+        eval_out, eval_cache = nn.ffn_forward(params, given, train=False)
+        assert eval_cache is None
+        assert eval_out.tobytes() == out.tobytes()
+
+
+def test_ffn_backward_writes_input_gradients_into_the_cached_activations():
+    rng = np.random.default_rng(10)
+    params = ffn_init(rng, [4, 6, 3, 2])
+    x, d_out = rng.normal(size=(5, 4)), rng.normal(size=(5, 2))
+    _, cache = nn.ffn_forward(params, x)
+    hidden = list(cache.inputs[1:])
+    grads = nn.FfnParams(tuple(map(np.zeros_like, params.weights)), tuple(map(np.zeros_like, params.biases)))
+    d_x = nn.ffn_backward(params, cache, d_out, grads)
+    # Each hidden input now holds the gradient with respect to it, as the plain chain rule gives it.
+    slopes = [np.where(s, 1.0, nn.LEAKY_SLOPE) for s in cache.signs]
+    d_h2 = d_out @ params.weights[2]
+    d_h1 = (d_h2 * slopes[1]) @ params.weights[1]
+    assert hidden[1].tobytes() == (d_h2 * slopes[1]).tobytes()
+    assert hidden[0].tobytes() == (d_h1 * slopes[0]).tobytes()
+    assert d_x.tobytes() == ((d_h1 * slopes[0]) @ params.weights[0]).tobytes()
 
 
 def test_ffn_backward_rejects_stale_cache():
