@@ -37,9 +37,10 @@ import base64
 import hashlib
 import json
 import os
-import subprocess
 import sys
 import tempfile
+
+from checkouts import require_checkout_pigat, start_worker
 
 SEEDS = (5, 2)
 # The keys of a worker's line compared between runs.
@@ -148,30 +149,14 @@ def worker(checkout: str, one_cpu: bool) -> None:
     if one_cpu:  # before numpy loads, so its BLAS sees one CPU too
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     import bench
-    import pigat
     from pigat.config import TrainConfig
 
-    if not os.path.realpath(pigat.__file__).startswith(os.path.realpath(checkout) + os.sep):
-        sys.exit(f"imported pigat from {pigat.__file__}, not from {checkout}")
+    require_checkout_pigat(checkout)
     with tempfile.TemporaryDirectory() as workdir:
         for name, spec, config in cases(bench):
             attention = TrainConfig(**config).attention
             if not one_cpu or attention == "ffn-3":
                 print(json.dumps({"case": name, "attention": attention, **run_case(spec, config, workdir)}), flush=True)
-
-
-def digests(checkout: str, mode: str = "--worker") -> subprocess.Popen:
-    """Start a worker on one checkout; its stdout carries one JSON line per case."""
-    env = dict(os.environ)
-    paths = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
-    env["PYTHONPATH"] = os.pathsep.join(paths + [env["PYTHONPATH"]] if env.get("PYTHONPATH") else paths)
-    return subprocess.Popen(
-        [sys.executable, os.path.abspath(__file__), mode, os.path.abspath(checkout)],
-        cwd=checkout,
-        env=env,
-        stdout=subprocess.PIPE,
-        text=True,
-    )
 
 
 def verdict(a: dict | None, b: dict | None, sides: tuple[str, str]) -> str:
@@ -189,10 +174,11 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: same_bytes.py PARENT_DIR CHANGE_DIR", file=sys.stderr)
         return 1
-    runs = [(checkout, digests(checkout)) for checkout in argv]
+    # Each worker prints one JSON line per case.
+    runs = [(checkout, start_worker(__file__, "--worker", checkout)) for checkout in argv]
     pinned = hasattr(os, "sched_setaffinity")
     if pinned:
-        runs.append((f"{argv[1]} on one CPU", digests(argv[1], "--one-cpu-worker")))
+        runs.append((f"{argv[1]} on one CPU", start_worker(__file__, "--one-cpu-worker", argv[1])))
     results = []
     for label, proc in runs:
         out, _ = proc.communicate()

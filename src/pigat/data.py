@@ -306,7 +306,7 @@ def build_schema(log: InteractionLog, user_width: int, item_width: int) -> Featu
     # them keeps each value once, at its first occurrence in log order.
     fields = {
         side: [
-            FieldVocab(name, tuple(dict.fromkeys(column)))
+            FieldVocab(name, list(dict.fromkeys(column)))
             for name, column in zip(log.field_names[side], zip(*log.profiles[side]))
         ]
         for side in SIDES

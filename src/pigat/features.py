@@ -36,8 +36,9 @@ SIDES = (USER, ITEM)
 class FieldVocab:
     """One categorical field's values, in first-seen order.
 
-    values is held as a tuple, so the index built from it cannot go stale;
-    a grown vocabulary is a new FieldVocab.
+    values is stored as a tuple, whatever sequence it was given as, so it
+    cannot be grown in place behind the index built from it; a grown
+    vocabulary is a new FieldVocab.
     """
 
     name: str

@@ -49,8 +49,8 @@ def toy_config(config: TrainConfig) -> TrainConfig:
 def toy_schema(config: TrainConfig) -> FeatureSchema:
     return FeatureSchema(
         fields={
-            USER: [FieldVocab("uid", ("u0", "u1", "u2")), FieldVocab("seg", ("a", "b"))],
-            ITEM: [FieldVocab("iid", ("i0", "i1", "i2", "i3")), FieldVocab("cat", ("x", "y"))],
+            USER: [FieldVocab("uid", ["u0", "u1", "u2"]), FieldVocab("seg", ["a", "b"])],
+            ITEM: [FieldVocab("iid", ["i0", "i1", "i2", "i3"]), FieldVocab("cat", ["x", "y"])],
         },
         widths={USER: config.user_embed_width, ITEM: config.item_embed_width},
     )

@@ -314,7 +314,7 @@ def uniform_coefficients(mask: Array) -> Array:
 
 
 def attention_logits(
-    head: AttentionHead, query: Array, keys: Array, train: bool = True
+    head: AttentionHead, query: Array, keys: Array, train: bool
 ) -> tuple[Array, FfnCache | Array | None]:
     """Score each window slot against the query; returns logits and cache.
 
@@ -338,7 +338,7 @@ def pooled_embedding(weights: Array, values: Array) -> Array:
 
 
 def integrate_forward(
-    w: Array, b: Array, left: Array, right: Array, train: bool = True
+    w: Array, b: Array, left: Array, right: Array, train: bool
 ) -> tuple[Array, tuple[Array, Array] | None]:
     """leaky(W [left || right] + b); returns (out, (concat, pre-activation >= 0.0)), the pair None without train."""
     x = np.concatenate([left, right], axis=-1)
@@ -618,7 +618,7 @@ def _head_backward(
 ) -> tuple[Array, Array]:
     """Returns (d_keys, d_query); writes the head's parameter grads into their views in grads.
 
-    cache is what attention_logits(head, query, keys) returned with the logits.
+    cache is what attention_logits(head, query, keys, train=True) returned with the logits.
     """
     if head.ffn is not None:
         d_query, d_keys = ffn_backward(head.ffn, cache, d_logits[:, :, None], _ffn(grads, f"att_{name}"))
@@ -676,7 +676,7 @@ def load_checkpoint(path: str) -> tuple[PigatParams, dict]:
             if not all(type(w) is int for w in widths.values()):
                 raise TypeError(f"embedding widths {tuple(widths.values())} are not integers")
             schema = FeatureSchema(
-                {side: [FieldVocab(d["name"], tuple(d["values"])) for d in sch[f"{side}_fields"]] for side in SIDES},
+                {side: [FieldVocab(d["name"], list(d["values"])) for d in sch[f"{side}_fields"]] for side in SIDES},
                 widths,
             )
             config = config_from_dict(header["config"])

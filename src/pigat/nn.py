@@ -145,7 +145,7 @@ class FfnCache:
     signs[i] is hidden layer i's pre-activation >= 0.0, a bool array: the
     leaky-relu derivative reads nothing else of it. ffn_backward consumes
     the cache, writing each input gradient below the first layer into the
-    input array it replaces.
+    input array it replaces, and leaves both lists empty.
     """
 
     inputs: list
@@ -169,7 +169,7 @@ def _pair_affine_forward(w: Array, query: Array, keys: Array, b: Array) -> Array
 
 
 def ffn_forward(
-    params: FfnParams, x: Array | tuple[Array, Array], train: bool = True
+    params: FfnParams, x: Array | tuple[Array, Array], train: bool
 ) -> tuple[Array, FfnCache | None]:
     """Run the FFN on (..., in_dim) input, returning output and cache.
 
@@ -211,7 +211,8 @@ def ffn_backward(
 
     The cache is consumed: each layer's input gradient below the first
     layer is written into that layer's cached input, dead once the layer's
-    weight gradient is taken. Only arrays the cache owns are written; d_out
+    weight gradient is taken, and the cache is left empty, so a second call
+    on it raises UsageError. Only arrays the cache owns are written; d_out
     and the first layer's input are only read.
     """
     n_layers = len(params.weights)
@@ -221,11 +222,13 @@ def ffn_backward(
     out_shape = (*(first[1] if isinstance(first, tuple) else first).shape[:-1], params.weights[-1].shape[0])
     if d_out.shape != out_shape:
         raise UsageError(f"stale cache: upstream grad {d_out.shape} does not match the output {out_shape}")
+    inputs, signs = cache.inputs, cache.signs
+    cache.inputs, cache.signs = [], []  # spent: a second backward on it fails the check above
     g = d_out
     for i in range(n_layers - 1, 0, -1):
-        x_in = cache.inputs[i]
+        x_in = inputs[i]
         g = affine_backward(params.weights[i], x_in, g, grads.weights[i], grads.biases[i], out=x_in)
-        g *= leaky_relu_slope_at(cache.signs[i - 1])
+        g *= leaky_relu_slope_at(signs[i - 1])
     w, d_w, d_b = params.weights[0], grads.weights[0], grads.biases[0]
     if isinstance(first, tuple):  # only the first layer takes a pair
         query, keys = first

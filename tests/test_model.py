@@ -191,7 +191,7 @@ def straightline_prob(params, batch: Batch, idx: int) -> float:
 
 def attention_weights(head, query, keys, mask):
     """Softmax weights of one window, through the batched scoring path."""
-    logits, _ = attention_logits(head, query[None], keys[None])
+    logits, _ = attention_logits(head, query[None], keys[None], train=False)
     return masked_softmax(logits, mask[None])[0]
 
 
@@ -230,7 +230,7 @@ class TestAttentionScores:
         head.proj_b[:] = rng.normal(size=2)
         query = rng.normal(size=(2, 3))
         keys = rng.normal(size=(2, 4, 2))
-        logits, _ = attention_logits(head, query, keys)
+        logits, _ = attention_logits(head, query, keys, train=False)
         for b in range(2):
             proj = [
                 float(head.proj_b[o]) + sum(float(head.proj_w[o, j]) * query[b, j] for j in range(3))
@@ -294,7 +294,7 @@ class TestFfnHeadAgainstConcatReference:
         query = rng.normal(size=(n, q_width))
         keys = rng.normal(size=(n, window, k_width))
 
-        logits, cache = attention_logits(head, query, keys)
+        logits, cache = attention_logits(head, query, keys, train=True)
         d_logits = masked_softmax_backward(masked_softmax(logits, mask), rng.normal(size=(n, window)))
         # Views of one NaN-filled store, as the model passes them: each must be overwritten.
         shapes = _ffn_layout("att_ui", [q_width + k_width, *ATT_HIDDEN[kind], 1])

@@ -336,7 +336,7 @@ def _ffn_case(seed, dims):
 @pytest.mark.parametrize("dims", [[3, 1], [4, 5, 1], [4, 6, 3, 2]])
 def test_ffn_backward_matches_finite_differences(dims):
     params, x, coef = _ffn_case(11, dims)
-    out, cache = nn.ffn_forward(params, x)
+    out, cache = nn.ffn_forward(params, x, train=True)
     # NaN-filled, so a gradient ffn_backward does not overwrite fails the comparison.
     weights, biases = (tuple(np.full_like(a, np.nan) for a in arrays) for arrays in (params.weights, params.biases))
     grads = nn.FfnParams(weights, biases)
@@ -347,7 +347,7 @@ def test_ffn_backward_matches_finite_differences(dims):
         def f(v):
             old = arr.copy()
             arr[...] = v.reshape(arr.shape)
-            y, _ = nn.ffn_forward(params, setter())
+            y, _ = nn.ffn_forward(params, setter(), train=True)
             arr[...] = old
             return float(np.sum(y * coef))
 
@@ -361,7 +361,7 @@ def test_ffn_backward_matches_finite_differences(dims):
         np.testing.assert_allclose(d_bs[i].ravel(), fd, rtol=1e-5, atol=1e-8)
 
     def loss_x(v):
-        y, _ = nn.ffn_forward(params, v.reshape(x.shape))
+        y, _ = nn.ffn_forward(params, v.reshape(x.shape), train=True)
         return float(np.sum(y * coef))
 
     fd_x = fd_gradient(loss_x, x.ravel(), h=1e-6)
@@ -372,7 +372,7 @@ def test_ffn_single_layer_is_affine():
     rng = np.random.default_rng(2)
     params = ffn_init(rng, [4, 2])
     x = rng.normal(size=4)
-    out, _ = nn.ffn_forward(params, x)
+    out, _ = nn.ffn_forward(params, x, train=True)
     np.testing.assert_allclose(out, nn.affine_forward(params.weights[0], x, params.biases[0]))
 
 
@@ -384,7 +384,7 @@ def test_ffn_pair_input_shapes_must_chain():
         (np.zeros((2, 2)), np.zeros((2, 3))),  # keys lack the window axis
     ]:
         with pytest.raises(ShapeError):
-            nn.ffn_forward(params, (query, keys))
+            nn.ffn_forward(params, (query, keys), train=True)
 
 
 @pytest.mark.parametrize("dims", [[5, 1], [5, 6, 1], [5, 6, 3, 2]])
@@ -396,7 +396,7 @@ def test_ffn_pair_kernels_write_only_into_arrays_they_allocated(dims):
     given = [*params.weights, *params.biases, query, keys, d_out]
     keep = [a.tobytes() for a in given]
     read_only(*given)
-    out, cache = nn.ffn_forward(params, (query, keys))
+    out, cache = nn.ffn_forward(params, (query, keys), train=True)
     w, b = params.weights[0], params.biases[0]
     # The first layer's bytes are those of the sum of the two products; the cache keeps its sign only.
     first = keys @ w[:, 2:].T + (query @ w[:, :2].T + b)[:, None, :]
@@ -406,7 +406,7 @@ def test_ffn_pair_kernels_write_only_into_arrays_they_allocated(dims):
     else:
         assert cache.signs[0].dtype == bool and np.array_equal(cache.signs[0], first >= 0.0)
     concat = np.concatenate([np.broadcast_to(query[:, None, :], (3, 4, 2)), keys], axis=-1)
-    np.testing.assert_allclose(out, nn.ffn_forward(params, concat)[0], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out, nn.ffn_forward(params, concat, train=True)[0], rtol=1e-12, atol=1e-12)
     read_only(out)
     grads = nn.FfnParams(tuple(map(np.zeros_like, params.weights)), tuple(map(np.zeros_like, params.biases)))
     d_query, d_keys = nn.ffn_backward(params, cache, d_out, grads)
@@ -421,7 +421,7 @@ def test_ffn_eval_forward_keeps_no_cache_and_the_same_bytes(dims):
     x = rng.normal(size=(5, dims[0]))
     query, keys = rng.normal(size=(5, 1)), rng.normal(size=(5, 3, dims[0] - 1))
     for given in (x, (query, keys)):
-        out, cache = nn.ffn_forward(params, given)
+        out, cache = nn.ffn_forward(params, given, train=True)
         assert len(cache.inputs) == len(dims) - 1 and len(cache.signs) == len(dims) - 2
         eval_out, eval_cache = nn.ffn_forward(params, given, train=False)
         assert eval_cache is None
@@ -432,12 +432,14 @@ def test_ffn_backward_writes_input_gradients_into_the_cached_activations():
     rng = np.random.default_rng(10)
     params = ffn_init(rng, [4, 6, 3, 2])
     x, d_out = rng.normal(size=(5, 4)), rng.normal(size=(5, 2))
-    _, cache = nn.ffn_forward(params, x)
-    hidden = list(cache.inputs[1:])
+    _, cache = nn.ffn_forward(params, x, train=True)
+    hidden, signs = list(cache.inputs[1:]), list(cache.signs)
     grads = nn.FfnParams(tuple(map(np.zeros_like, params.weights)), tuple(map(np.zeros_like, params.biases)))
     d_x = nn.ffn_backward(params, cache, d_out, grads)
+    with pytest.raises(UsageError):  # the cache is spent
+        nn.ffn_backward(params, cache, d_out, grads)
     # Each hidden input now holds the gradient with respect to it, as the plain chain rule gives it.
-    slopes = [np.where(s, 1.0, nn.LEAKY_SLOPE) for s in cache.signs]
+    slopes = [np.where(s, 1.0, nn.LEAKY_SLOPE) for s in signs]
     d_h2 = d_out @ params.weights[2]
     d_h1 = (d_h2 * slopes[1]) @ params.weights[1]
     assert hidden[1].tobytes() == (d_h2 * slopes[1]).tobytes()
@@ -449,7 +451,7 @@ def test_ffn_backward_rejects_stale_cache():
     rng = np.random.default_rng(5)
     params = ffn_init(rng, [3, 2])
     other = ffn_init(rng, [3, 4, 2])
-    _, cache = nn.ffn_forward(params, rng.normal(size=3))
+    _, cache = nn.ffn_forward(params, rng.normal(size=3), train=True)
     with pytest.raises(UsageError):
         nn.ffn_backward(other, cache, np.zeros(2), other)
 
