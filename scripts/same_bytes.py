@@ -16,8 +16,9 @@ AUC. The log digest reads only the file that `synth.generate` and
 - each perfbench workload, its spec and config as that checkout defines
   them, with seeds 5 and 2;
 - a small synthetic log under every confidence variant x attention kind x
-  pooling, plus user_query_only, l2 > 0, dropout,
-  confidence_in_pooling = false, static graphs and positives-only windows.
+  pooling, plus, with ffn-3 and with scaled-dot heads, user_query_only,
+  l2 > 0, dropout, confidence_in_pooling = false, static graphs and
+  positives-only windows.
 
 One line is printed per case, and the exit status is 1 if any case
 differs or is missing on one side. A case that differs also prints both
@@ -53,6 +54,9 @@ SMALL_SPEC = dict(users=40, items=120, events=600, drift=0.02, seed=5)
 SMALL_CONFIG = dict(
     max_neighbors=4, user_embed_width=4, item_embed_width=6, hidden_width=8, batch_size=64, epochs=2, seed=5
 )
+# Each single knob runs with an ffn head, which scores every window row, and
+# with a dot head, whose window work runs only on rows with a live slot.
+KNOB_KINDS = ("ffn-3", "scaled-dot")
 SINGLE_KNOBS = (
     dict(user_query_only=True),
     dict(l2=0.01),
@@ -75,10 +79,11 @@ def cases(bench) -> list[tuple[str, dict, dict]]:
             for pooling in POOLINGS:
                 knobs = dict(confidence=variant, attention=kind, pooling=pooling)
                 out.append((f"small/{variant}/{kind}/{pooling}", SMALL_SPEC, {**SMALL_CONFIG, **knobs}))
-    for knob in SINGLE_KNOBS:
-        label = ",".join(f"{k}={v}" for k, v in knob.items())
-        knobs = dict(confidence="ce", attention="ffn-3", **knob)
-        out.append((f"small/ce/ffn-3/{label}", SMALL_SPEC, {**SMALL_CONFIG, **knobs}))
+    for kind in KNOB_KINDS:
+        for knob in SINGLE_KNOBS:
+            label = ",".join(f"{k}={v}" for k, v in knob.items())
+            knobs = dict(confidence="ce", attention=kind, **knob)
+            out.append((f"small/ce/{kind}/{label}", SMALL_SPEC, {**SMALL_CONFIG, **knobs}))
     return out
 
 

@@ -144,10 +144,13 @@ def scatter_gradient(table: EmbeddingTable, ids: Array, upstream: Array) -> None
         raise ShapeError(
             f"upstream {upstream.shape} does not cover {ids.size} slots of width {table.width}"
         )
-    flat = upstream.reshape(-1, table.width)
+    width = table.width
     keep = ~table.frozen_rows[ids]
     written = ids[keep]
-    np.add.at(table.grad, written, flat[keep])
+    # One add per element, in slot order, as the (rows, width) form adds
+    # rows: the same bytes, several times faster than np.add.at on rows.
+    elements = (written[:, None] * width + np.arange(width)).reshape(-1)
+    np.add.at(table.grad.reshape(-1), elements, upstream.reshape(-1, width)[keep].reshape(-1))
     # A row mask finds the distinct rows several times faster than sorting
     # the ids (np.unique sorts), even over 20000-row tables.
     mask = np.zeros(table.count, dtype=bool)

@@ -57,13 +57,17 @@ def toy_schema(config: TrainConfig) -> FeatureSchema:
 
 
 def _toy_batch(schema: FeatureSchema, config: TrainConfig, rng: np.random.Generator) -> Batch:
-    """Three instances: full window, partial window, cold start."""
+    """Three instances: the first item's window and the third user's are cold, the others full or partial.
+
+    Each window side thus has a cold row and a live one, so the gradients
+    are checked on the rows the window work skips and on those it runs on.
+    """
     segs, cats = ["a", "b"], ["x", "y"]
 
     def record(u, i, ts, label):
         return RawInteraction(ts, (f"u{u}", segs[u % 2]), (f"i{i}", cats[i % 2]), float(label))
 
-    history = [(0, 0), (0, 1), (1, 2), (0, 2), (1, 0), (0, 3), (0, 1)]
+    history = [(0, 0), (0, 1), (1, 2), (0, 2), (1, 0), (0, 2), (0, 1)]
     records = [record(u, i, ts, int(rng.random() < 0.5)) for ts, (u, i) in enumerate(history, start=1)]
     end = len(history) + 1
     # The queries share one timestamp, so none sees another in its window.

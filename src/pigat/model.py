@@ -15,10 +15,18 @@ Dataflow per instance, with every per-side array keyed by side (USER, ITEM):
   adaptive integrate  leaky affine of [interactive pool || adaptive pool]
   head MLP            80 -> 40 -> 1, sigmoid, clamped away from {0, 1}
 
-Every array keeps the batch axis first. backward() consumes the state
-returned by forward(), writes each gradient into its view of params.grads
-(a second store laid out like the parameters) and returns nothing; the test
-suite holds those gradients to the central finite-difference oracle.
+Every array keeps the batch axis first. The (B, k, ·) window work of dot,
+scaled-dot and average heads (lookup, confidence, logits, softmax, pooling
+and their backward) runs only on the batch rows whose window has a live
+slot (window_rows): a cold row's pool and weights are exactly +0.0, so
+they are written as zeros. Every product over the whole batch (a dot
+head's query projection, integrate, the MLP) still runs on every row.
+ffn heads under attention keep every row, because their weight gradients
+sum over all B * k slots in one product whose order would change.
+backward() consumes the state returned by forward(), writes each gradient
+into its view of params.grads (a second store laid out like the
+parameters) and returns nothing; the test suite holds those gradients to
+the central finite-difference oracle.
 
 Heads with two hidden layers (ffn-3 under attention pooling) run on up to
 HEAD_THREADS threads (_each_head). The calling thread adds every head's
@@ -296,16 +304,43 @@ class ForwardState:
     mode: str  # "train", "eval" or "consumed"; backward() takes only "train" states
     batch: Batch
     profiles: dict[str, Array]  # side -> (B, profile width)
-    raw: dict[str, Array]  # window side -> looked-up window (B, k, width)
+    rows: dict[str, Array | slice]  # window side -> window_rows: the batch rows raw and aug hold
+    raw: dict[str, Array]  # window side -> looked-up window of those rows (n, k, width)
     aug: dict[str, Array]  # window side -> raw plus confidence
-    weights: dict[str, Array]  # head -> (B, k) pooling weights
+    weights: dict[str, Array]  # head -> (B, k) pooling weights, 0 on the rows raw leaves out
     caches: dict[str, FfnCache | Array | None]  # head -> attention_logits' cache; None in eval mode
-    pools: dict[str, Array]
+    pools: dict[str, Array]  # head -> (B, window width) pooled window, 0 on the rows raw leaves out
     int_states: dict[str, tuple[Array, Array] | None]  # name -> (concat input, pre-activation sign); None in eval
     drop: Array | None
     mlp_cache: FfnCache | None  # None in eval mode
     prob: Array
     clamp_active: Array
+
+
+def window_rows(config: TrainConfig, mask: Array) -> Array | slice:
+    """The batch rows a window side's (B, k, ·) work runs on, given its (B, k) mask.
+
+    Those are the rows with a live slot. Leaving a cold row out changes no
+    byte: it pools to +0.0 with weight 0, and its gradients land only on
+    frozen padding rows, or as +-0.0 terms in sums that start from a zeroed
+    accumulator. ffn heads under attention keep every row (slice(None)):
+    their weight gradients sum over all B * k slots in one BLAS product,
+    and removing rows would change the order of that sum. A side without a
+    cold row also takes slice(None), so its arrays are not copied.
+    """
+    if config.pooling == "attention" and config.attention in ATT_HIDDEN:
+        return slice(None)
+    live = mask.any(axis=1)
+    return slice(None) if live.all() else np.flatnonzero(live)
+
+
+def _at_rows(rows: Array | slice, packed: Array, b: int) -> Array:
+    """packed (n, ...) placed at `rows` of a zeroed (b, ...) array; packed itself when rows takes them all."""
+    if isinstance(rows, slice):
+        return packed
+    out = np.zeros((b, *packed.shape[1:]))
+    out[rows] = packed
+    return out
 
 
 def uniform_coefficients(mask: Array) -> Array:
@@ -314,18 +349,21 @@ def uniform_coefficients(mask: Array) -> Array:
 
 
 def attention_logits(
-    head: AttentionHead, query: Array, keys: Array, train: bool
+    head: AttentionHead, query: Array, keys: Array, rows: Array | slice, train: bool
 ) -> tuple[Array, FfnCache | Array | None]:
     """Score each window slot against the query; returns logits and cache.
 
-    query is (B, query width), keys (B, k, key width); logits are (B, k).
-    The cache is the FFN's for ffn kinds and the (projected) query for dot
-    kinds; without train it is None, and an ffn head builds none.
+    query is (B, query width) for the whole batch, keys (n, k, key width)
+    for its rows `rows`; logits are (n, k). A dot head projects the whole
+    batch's query and then takes those rows, so the projection's bytes do
+    not depend on them. The cache is the FFN's for ffn kinds and the
+    (projected) query rows for dot kinds; without train it is None, and an
+    ffn head builds none.
     """
     if head.ffn is not None:
-        out, cache = ffn_forward(head.ffn, (query, keys), train)
+        out, cache = ffn_forward(head.ffn, (query[rows], keys), train)
         return out[..., 0], cache
-    q = query if head.proj_w is None else affine_forward(head.proj_w, query, head.proj_b)
+    q = (query if head.proj_w is None else affine_forward(head.proj_w, query, head.proj_b))[rows]
     logits = np.einsum("bw,bkw->bk", q, keys)
     if head.kind == "scaled-dot":
         logits = logits / np.sqrt(keys.shape[-1])
@@ -359,25 +397,31 @@ def forward(
     train = mode == "train"  # only a train forward keeps caches for backward
 
     profiles = {side: lookup(params.tables[side], batch.ids[side]).reshape(b, -1) for side in SIDES}
+    rows = {side: window_rows(cfg, batch.mask[side]) for side in SIDES}
+    masks = {side: batch.mask[side][rows[side]] for side in SIDES}
+    window_w = _widths(params.schema)[1]  # given, not inferred: a window may have no rows
     raw = {
-        side: lookup(params.tables[OTHER[side]], batch.nbrs[side]).reshape(*batch.mask[side].shape, -1)
+        side: lookup(params.tables[OTHER[side]], batch.nbrs[side][rows[side]]).reshape(
+            *masks[side].shape, window_w[side]
+        )
         for side in SIDES
     }
-    aug = {side: apply_confidence(params.views[f"conf_{side}"], raw[side], batch.mask[side]) for side in SIDES}
+    aug = {side: apply_confidence(params.views[f"conf_{side}"], raw[side], masks[side]) for side in SIDES}
     pool_src = aug if cfg.confidence_in_pooling else raw
 
     wiring = head_wiring(cfg)
 
     def head_forward(name: str) -> tuple[Array, FfnCache | Array | None, Array]:
-        """(weights, cache, pooled window) of one head."""
+        """(weights, cache, pooled window) of one head; weights and pool are batch-shaped."""
         window, query = wiring[name]
-        mask = batch.mask[window]
+        mask = masks[window]
         if cfg.pooling == "attention":
-            logits, cache = attention_logits(params.heads[name], profiles[query], aug[window], train)
+            logits, cache = attention_logits(params.heads[name], profiles[query], aug[window], rows[window], train)
             weights = masked_softmax(logits, mask)
         else:
             weights, cache = uniform_coefficients(mask), None
-        return weights, cache, pooled_embedding(weights, pool_src[window])
+        pool = pooled_embedding(weights, pool_src[window])
+        return _at_rows(rows[window], weights, b), cache, _at_rows(rows[window], pool, b)
 
     weights, caches, pools = {}, {}, {}
     for name, (head_weights, cache, pool) in _each_head(cfg, head_forward):
@@ -409,6 +453,7 @@ def forward(
         mode=mode,
         batch=batch,
         profiles=profiles,
+        rows=rows,
         raw=raw,
         aug=aug,
         weights=weights,
@@ -484,6 +529,8 @@ def backward(params: PigatParams, state: ForwardState) -> None:
         d_sources[left] = _acc(d_sources.get(left), d_x[:, :cut])
         d_sources[right] = _acc(d_sources.get(right), d_x[:, cut:])
 
+    # The window gradients hold the rows state.raw holds; d_sources keeps every row.
+    rows = state.rows
     d_aug = {side: np.zeros_like(state.aug[side]) for side in SIDES}
     d_raw = {side: np.zeros_like(state.raw[side]) for side in SIDES}
     # Pooling reads the windows with or without confidence; its gradient goes there.
@@ -494,13 +541,20 @@ def backward(params: PigatParams, state: ForwardState) -> None:
     def head_backward(name: str) -> tuple[Array, Array | None, Array | None]:
         """(d pooled values, d_keys, d_query); writes only the head's own gradient views."""
         window, query = wiring[name]
-        weights, d_pool = state.weights[name], d_sources[name]
+        weights, d_pool = state.weights[name][rows[window]], d_sources[name][rows[window]]
         d_keys = d_query = None
         # Pooling backward: weights and values both carry gradient; uniform weights carry no parameters.
         if cfg.pooling == "attention":
             d_logits = masked_softmax_backward(weights, np.einsum("bw,bkw->bk", d_pool, pool_src[window]))
             d_keys, d_query = _head_backward(
-                params.heads[name], name, state.caches[name], state.profiles[query], state.aug[window], d_logits, grads
+                params.heads[name],
+                name,
+                state.caches[name],
+                state.profiles[query],
+                state.aug[window],
+                d_logits,
+                grads,
+                rows[window],
             )
             state.caches[name] = None  # spent: freed now, its memory serves the next head
         # After _head_backward has freed its temporaries, so this does not raise the peak memory.
@@ -519,7 +573,7 @@ def backward(params: PigatParams, state: ForwardState) -> None:
         if cfg.confidence in TRAINABLE:
             conf_grad = grads[f"conf_{side}"]
             conf_grad[...] = 0.0
-            scatter_confidence_gradient(conf_grad, batch.mask[side], d_aug[side])
+            scatter_confidence_gradient(conf_grad, batch.mask[side][rows[side]], d_aug[side])
         d_raw[side] += d_aug[side]
 
     # A side's table holds its profiles and the entries of the other side's window.
@@ -527,7 +581,8 @@ def backward(params: PigatParams, state: ForwardState) -> None:
         table = params.tables[side]
         zero_gradients(table)
         scatter_gradient(table, batch.ids[side], d_sources[side].reshape(-1, table.width))
-        scatter_gradient(table, batch.nbrs[OTHER[side]], d_raw[OTHER[side]].reshape(-1, table.width))
+        window = OTHER[side]
+        scatter_gradient(table, batch.nbrs[window][rows[window]], d_raw[window].reshape(-1, table.width))
 
 
 def _acc(current: Array | None, delta: Array) -> Array:
@@ -614,17 +669,28 @@ def _each_head(cfg: TrainConfig, run: Callable[[str], T]) -> Iterator[tuple[str,
 
 
 def _head_backward(
-    head: AttentionHead, name: str, cache: FfnCache | Array, query: Array, keys: Array, d_logits: Array, grads: dict
+    head: AttentionHead,
+    name: str,
+    cache: FfnCache | Array,
+    query: Array,
+    keys: Array,
+    d_logits: Array,
+    grads: dict,
+    rows: Array | slice,
 ) -> tuple[Array, Array]:
     """Returns (d_keys, d_query); writes the head's parameter grads into their views in grads.
 
-    cache is what attention_logits(head, query, keys, train=True) returned with the logits.
+    cache is what attention_logits(head, query, keys, rows, train=True)
+    returned with the logits. keys and d_logits hold the batch rows `rows`,
+    query and the returned d_query every row; a dot head's query
+    projection takes its backward on the whole batch.
     """
+    b = query.shape[0]
     if head.ffn is not None:
         d_query, d_keys = ffn_backward(head.ffn, cache, d_logits[:, :, None], _ffn(grads, f"att_{name}"))
-        return d_keys, d_query
+        return d_keys, _at_rows(rows, d_query, b)
     scale = 1.0 / np.sqrt(keys.shape[-1]) if head.kind == "scaled-dot" else 1.0
-    d_q_proj = np.einsum("bk,bkw->bw", d_logits, keys) * scale
+    d_q_proj = _at_rows(rows, np.einsum("bk,bkw->bw", d_logits, keys) * scale, b)
     d_keys = d_logits[:, :, None] * cache[:, None, :] * scale
     if head.proj_w is None:
         return d_keys, d_q_proj

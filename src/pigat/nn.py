@@ -9,6 +9,7 @@ at the bottom of this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,10 @@ Array = np.ndarray
 LEAKY_SLOPE = 0.01
 # Adam's moment decay rates and denominator shift.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Values per block of an Adam update: its temporaries live in two scratch
+# buffers of this size. The model's dense trainables (about 58k values at
+# the default widths) take one block; a table takes one per 64 Ki values.
+ADAM_BLOCK = 1 << 16
 
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> Array:
@@ -265,9 +270,12 @@ class AdamState:
     # Row-sparse arrays whose moments are still compact; each moves to m
     # and v once half its rows are live.
     compact: dict[str, RowMoments] = field(default_factory=dict, repr=False)
-    # Two flat buffers as large as the largest parameter; every step's
-    # temporaries are written into slices of them instead of allocated.
-    scratch: tuple[Array, Array] = field(default_factory=lambda: (np.empty(0), np.empty(0)), repr=False)
+    # Two flat buffers of ADAM_BLOCK values (more only for a wider row);
+    # every block's temporaries are written into slices of them instead of
+    # allocated.
+    scratch: tuple[Array, Array] = field(
+        default_factory=lambda: (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)), repr=False
+    )
 
 
 def adam_step(
@@ -280,9 +288,9 @@ def adam_step(
 
     L2 enters as coupled weight decay: the effective gradient is
     grad + l2 * param. The step counter increments exactly once per call.
-    After an array's first update it allocates no parameter-sized array,
-    except once, when a row-sparse array's moments turn dense. Each
-    operation keeps the operand order of the plain expression
+    After an array's first update it allocates no parameter-sized array:
+    each update runs over blocks of the first axis of about ADAM_BLOCK
+    values. Each operation keeps the operand order of the plain expression
     p -= lr * (m / c1) / (sqrt(v / c2) + eps), so the bytes match it.
 
     Every operation is elementwise, so one update of a flat vector gives
@@ -305,9 +313,6 @@ def adam_step(
     t = state.t
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
-    largest = max((p.size for p in params.values()), default=0)
-    if state.scratch[0].size < largest:
-        state.scratch = (np.empty(largest), np.empty(largest))
     rows = rows if rows is not None and state.l2 == 0.0 else {}
     for name, p in params.items():
         g = grads[name]
@@ -320,23 +325,43 @@ def adam_step(
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
-        a, b = (buf[: p.size].reshape(p.shape) for buf in state.scratch)
-        if state.l2 != 0.0:
-            np.multiply(state.l2, p, out=a)
-            g = np.add(g, a, out=a)
-        m *= ADAM_BETA1
-        m += np.multiply(1.0 - ADAM_BETA1, g, out=b)
-        v *= ADAM_BETA2
-        np.multiply(g, g, out=b)
-        v += np.multiply(1.0 - ADAM_BETA2, b, out=b)
-        p -= _step(state, m, v, c1, c2)
+        m, v = state.m[name], state.v[name]
+        for block in _blocks(p):
+            _dense_update(state, p[block], g[block], m[block], v[block], c1, c2)
+
+
+def _blocks(p: Array) -> list[slice]:
+    """Slices of p's first axis of about ADAM_BLOCK values each, at least one row."""
+    rows = max(1, ADAM_BLOCK // max(1, p[0].size)) if len(p) else 1
+    return [slice(start, start + rows) for start in range(0, len(p), rows)]
+
+
+def _scratch(state: AdamState, shape: tuple[int, ...]) -> tuple[Array, Array]:
+    """Both scratch buffers' leading values, shaped; they grow only for a row wider than ADAM_BLOCK."""
+    size = math.prod(shape)
+    if state.scratch[0].size < size:
+        state.scratch = (np.empty(size), np.empty(size))
+    a, b = (buf[:size].reshape(shape) for buf in state.scratch)
+    return a, b
+
+
+def _dense_update(state: AdamState, p: Array, g: Array, m: Array, v: Array, c1: float, c2: float) -> None:
+    """adam_step's update of one block, its temporaries in the scratch buffers."""
+    a, b = _scratch(state, p.shape)
+    if state.l2 != 0.0:
+        np.multiply(state.l2, p, out=a)
+        g = np.add(g, a, out=a)
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=b)
+    v *= ADAM_BETA2
+    np.multiply(g, g, out=b)
+    v += np.multiply(1.0 - ADAM_BETA2, b, out=b)
+    p -= _step(state, m, v, c1, c2)
 
 
 def _step(state: AdamState, m: Array, v: Array, c1: float, c2: float) -> Array:
     """lr * (m / c1) / (sqrt(v / c2) + eps), in the first scratch buffer; the second is free after."""
-    a, b = (buf[: m.size].reshape(m.shape) for buf in state.scratch)
+    a, b = _scratch(state, m.shape)
     m_hat = np.divide(m, c1, out=a)
     step = np.multiply(state.learning_rate, m_hat, out=a)
     denom = np.sqrt(np.divide(v, c2, out=b), out=b)
@@ -345,12 +370,18 @@ def _step(state: AdamState, m: Array, v: Array, c1: float, c2: float) -> Array:
 
 
 def _to_dense(state: AdamState, name: str) -> None:
-    """Move an array's compact moments into table-shaped m and v."""
+    """Turn an array's compact moments, already table-sized, into its m and v in place.
+
+    The n live rows are copied out, the first n rows zeroed, and the copies
+    put back at their own rows; every row past n is still +0.0.
+    """
     rm = state.compact.pop(name)
     live = rm.live[: rm.n]
     for dense, compact in ((state.m, rm.m), (state.v, rm.v)):
-        dense[name] = np.zeros_like(compact)
-        dense[name][live] = compact[: rm.n]
+        moments = compact[: rm.n].copy()
+        compact[: rm.n] = 0.0
+        compact[live] = moments
+        dense[name] = compact
 
 
 # Once moments are dense, a larger share of touched rows is updated faster
@@ -392,15 +423,16 @@ def _row_sparse_update(
     m[at] += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2
     v[at] += (1.0 - ADAM_BETA2) * (g * g)
-    step = _step(state, m, v, c1, c2)
-    if rm is None:
-        p -= step
-        return True
-    live = rm.live[: rm.n]
-    # mode="clip" writes straight into out; the default mode buffers.
-    q = np.take(p, live, axis=0, out=state.scratch[1][: m.size].reshape(m.shape), mode="clip")
-    q -= step
-    p[live] = q
+    live = None if rm is None else rm.live[: rm.n]
+    for block in _blocks(m):
+        step = _step(state, m[block], v[block], c1, c2)
+        if live is None:
+            p[block] -= step
+            continue
+        # mode="clip" writes straight into out; the default mode buffers.
+        q = np.take(p, live[block], axis=0, out=_scratch(state, step.shape)[1], mode="clip")
+        q -= step
+        p[live[block]] = q
     return True
 
 

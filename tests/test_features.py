@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pigat.config import TrainConfig
 from pigat.errors import DataError, DomainError, ShapeError
@@ -140,6 +142,33 @@ def test_scatter_accumulates_repeats_and_skips_padding():
     scatter_gradient(table, ids, up)
     np.testing.assert_array_equal(table.grad[0], 2 * np.ones(4))
     np.testing.assert_array_equal(table.grad[4], np.zeros(4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    width=st.sampled_from([1, 2, 5]),
+    slots=st.integers(0, 40),
+    hot=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scatter_equals_row_add_at_bytewise(rows, width, slots, hot, seed):
+    """The element-index scatter gives the bytes of np.add.at over (rows, width) slices.
+
+    Ids repeat (drawn from the first `hot` rows), some rows are padding, and
+    the upstream spans magnitudes, so the order of each row's additions shows.
+    """
+    rng = np.random.default_rng(seed)
+    frozen = rng.random(rows) < 0.3
+    table = EmbeddingTable(np.zeros((rows, width)), np.zeros((rows, width)), frozen)
+    ids = rng.integers(0, min(hot, rows), size=slots)
+    upstream = rng.normal(size=(slots, width)) * 10.0 ** rng.uniform(-8, 8, size=(slots, 1))
+    want = np.zeros((rows, width))
+    keep = ~frozen[ids]
+    np.add.at(want, ids[keep], upstream[keep])
+    scatter_gradient(table, ids, upstream)
+    assert table.grad.tobytes() == want.tobytes()
+    assert table.touched.tolist() == sorted(set(ids[keep].tolist()))
 
 
 def test_zero_gradients_clears_exactly_the_scattered_rows():

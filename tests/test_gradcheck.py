@@ -62,6 +62,15 @@ class TestCaseConstruction:
         assert np.array_equal(a.labels, b.labels)
         assert sum(b.mask[side].sum() for side in SIDES) < sum(a.mask[side].sum() for side in SIDES)
 
+    def test_toy_batch_has_a_cold_and_a_live_row_on_each_window_side(self):
+        # The gradient matrix then checks the window rows the dot and
+        # average heads skip as well as those they run on.
+        config = toy_config(TrainConfig())
+        batch = _toy_batch(toy_schema(config), config, np.random.default_rng(0))
+        for side in SIDES:
+            live = batch.mask[side].any(axis=1)
+            assert live.any() and not live.all(), side
+
     def test_accepted_points_sit_away_from_kinks(self):
         from pigat.model import forward
 

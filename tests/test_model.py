@@ -191,7 +191,7 @@ def straightline_prob(params, batch: Batch, idx: int) -> float:
 
 def attention_weights(head, query, keys, mask):
     """Softmax weights of one window, through the batched scoring path."""
-    logits, _ = attention_logits(head, query[None], keys[None], train=False)
+    logits, _ = attention_logits(head, query[None], keys[None], slice(None), train=False)
     return masked_softmax(logits, mask[None])[0]
 
 
@@ -230,7 +230,7 @@ class TestAttentionScores:
         head.proj_b[:] = rng.normal(size=2)
         query = rng.normal(size=(2, 3))
         keys = rng.normal(size=(2, 4, 2))
-        logits, _ = attention_logits(head, query, keys, train=False)
+        logits, _ = attention_logits(head, query, keys, slice(None), train=False)
         for b in range(2):
             proj = [
                 float(head.proj_b[o]) + sum(float(head.proj_w[o, j]) * query[b, j] for j in range(3))
@@ -294,12 +294,12 @@ class TestFfnHeadAgainstConcatReference:
         query = rng.normal(size=(n, q_width))
         keys = rng.normal(size=(n, window, k_width))
 
-        logits, cache = attention_logits(head, query, keys, train=True)
+        logits, cache = attention_logits(head, query, keys, slice(None), train=True)
         d_logits = masked_softmax_backward(masked_softmax(logits, mask), rng.normal(size=(n, window)))
         # Views of one NaN-filled store, as the model passes them: each must be overwritten.
         shapes = _ffn_layout("att_ui", [q_width + k_width, *ATT_HIDDEN[kind], 1])
         grads = _views(np.full(sum(map(math.prod, shapes.values())), np.nan), shapes)
-        d_keys, d_query = _head_backward(head, "ui", cache, query, keys, d_logits, grads)
+        d_keys, d_query = _head_backward(head, "ui", cache, query, keys, d_logits, grads, slice(None))
 
         want_logits, want_grads, want_d_keys, want_d_query = concat_head_reference(head, query, keys, d_logits)
         mag_logits, mag_grads, mag_d_keys, mag_d_query = concat_head_reference(
@@ -480,6 +480,100 @@ class TestMasking:
         state = forward(params, batch)
         assert np.all(np.isfinite(state.prob))
         assert np.all(state.weights["ii"][1] == 0.0)
+
+
+def random_batch(schema: FeatureSchema, k: int, lengths: list[tuple[int, int]], rng) -> Batch:
+    """Row r has lengths[r] = (user, item) live window slots, live first, padding ids after."""
+    n = len(lengths)
+
+    def ids(side, pos, shape):  # any value id of the field, its out-of-vocabulary id included
+        return rng.integers(schema.field_base(side, pos), schema.pad_id(side, pos), size=shape)
+
+    fields = {side: range(len(schema.fields[side])) for side in (USER, ITEM)}
+    profile = {side: np.stack([ids(side, p, n) for p in fields[side]], axis=1) for side in (USER, ITEM)}
+    live = {side: np.arange(k)[None, :] < np.array(lengths)[:, [i]] for i, side in enumerate((USER, ITEM))}
+    nbrs = {
+        USER: np.stack([np.where(live[USER], ids(ITEM, p, (n, k)), schema.pad_id(ITEM, p)) for p in fields[ITEM]], -1),
+        ITEM: np.where(live[ITEM], ids(USER, 0, (n, k)), schema.pad_id(USER, 0)),
+    }
+    return Batch(profile, nbrs, live, rng.integers(0, 2, size=n).astype(np.float64))
+
+
+# (user width, item width): the dot heads project the user-window query, the
+# item-window query, or both.
+COLD_ROW_WIDTHS = [(3, 3), (4, 2), (2, 3)]
+NO_COLD, USER_COLD, BOTH_COLD, ONE_ROW = [(3, 2), (1, 3)], [(0, 2), (0, 1)], [(0, 0), (0, 0)], [(2, 0)]
+
+
+class TestColdRows:
+    """Window work on only the rows with a live slot gives the bytes of work on every row."""
+
+    @staticmethod
+    def _run(params, batch, mode, seed, every_row):
+        """forward (and backward in train mode): the state and a copy of every gradient view."""
+        with pytest.MonkeyPatch.context() as patched:
+            if every_row:
+                patched.setattr(model_mod, "window_rows", lambda config, mask: slice(None))
+            state = forward(params, batch, mode, np.random.default_rng(seed))
+            if mode == "train":
+                backward(params, state)
+        return state, {name: g.tobytes() for name, g in params.grads.items()}
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["dot", "scaled-dot", "average"]),
+        confidence=st.sampled_from(["none", "pe", "fce", "rce", "ce"]),
+        user_query_only=st.booleans(),
+        confidence_in_pooling=st.booleans(),
+        dropout=st.sampled_from([0.0, 0.3]),
+        widths=st.sampled_from(COLD_ROW_WIDTHS),
+        lengths=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="dot", confidence="ce", user_query_only=False, confidence_in_pooling=True, dropout=0.0,
+             widths=(4, 2), lengths=NO_COLD, seed=0)
+    @example(kind="scaled-dot", confidence="rce", user_query_only=True, confidence_in_pooling=False, dropout=0.3,
+             widths=(2, 3), lengths=USER_COLD, seed=1)
+    @example(kind="dot", confidence="fce", user_query_only=False, confidence_in_pooling=False, dropout=0.0,
+             widths=(4, 2), lengths=BOTH_COLD, seed=2)
+    @example(kind="average", confidence="ce", user_query_only=False, confidence_in_pooling=True, dropout=0.3,
+             widths=(3, 3), lengths=BOTH_COLD, seed=3)
+    @example(kind="scaled-dot", confidence="pe", user_query_only=False, confidence_in_pooling=True, dropout=0.0,
+             widths=(4, 2), lengths=ONE_ROW, seed=4)
+    def test_skipping_cold_rows_changes_no_byte(
+        self, kind, confidence, user_query_only, confidence_in_pooling, dropout, widths, lengths, seed
+    ):
+        attention = {"pooling": "average"} if kind == "average" else {"attention": kind}
+        config = TrainConfig(
+            confidence=confidence,
+            user_query_only=user_query_only,
+            confidence_in_pooling=confidence_in_pooling,
+            dropout=dropout,
+            max_neighbors=3,
+            user_embed_width=widths[0],
+            item_embed_width=widths[1],
+            hidden_width=4,
+            **attention,
+        ).validate()
+        schema = toy_schema(config)
+        rng = np.random.default_rng(seed)
+        params = init_params(rng, schema, config)
+        for view in named_parameters(params).values():
+            if view.ndim == 1:  # biases: off zero, so cold rows do not sit on the leaky kinks
+                view += rng.normal(size=view.shape)
+        batch = random_batch(schema, 3, lengths, rng)
+        for mode in ("train", "eval"):
+            packed, packed_grads = self._run(params, batch, mode, seed, every_row=False)
+            full, full_grads = self._run(params, batch, mode, seed, every_row=True)
+            for i, side in enumerate((USER, ITEM)):
+                assert len(packed.raw[side]) == sum(length[i] > 0 for length in lengths)
+            assert packed.prob.tobytes() == full.prob.tobytes()
+            for name in full.weights:
+                assert packed.weights[name].tobytes() == full.weights[name].tobytes(), name
+                assert packed.pools[name].tobytes() == full.pools[name].tobytes(), name
+            if mode == "train":
+                for name, grad in full_grads.items():
+                    assert packed_grads[name] == grad, name
 
 
 class TestPermutation:

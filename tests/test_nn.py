@@ -509,12 +509,14 @@ def allocating_adam_step(state: dict, params, grads, lr, l2, beta1=0.9, beta2=0.
     l2=st.sampled_from([0.0, 1e-4, 0.3]),
     steps=st.integers(min_value=1, max_value=6),
     rows=st.integers(min_value=1, max_value=40),
+    long=st.sampled_from([1, nn.ADAM_BLOCK + 3, 2 * nn.ADAM_BLOCK]),
 )
-def test_adam_step_equals_allocating_reference_bytewise(seed, l2, steps, rows):
+def test_adam_step_equals_allocating_reference_bytewise(seed, l2, steps, rows, long):
     rng = np.random.default_rng(seed)
-    # The largest array comes first, so the shared scratch is sized by it
-    # and sliced for every later one.
-    shapes = {"table": (rows + 12, 5), "w": (3, 4), "b": (4,), "c": (1, 1)}
+    # The shared scratch buffers are sliced for every array. "long" spans one
+    # to three blocks of the update (the last one partial, or two whole), and
+    # each row of "wide" is a block of its own, wider than the scratch was.
+    shapes = {"table": (rows + 12, 5), "long": (long,), "wide": (2, nn.ADAM_BLOCK + 1), "w": (3, 4), "b": (4,)}
     params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
     expected = {name: p.copy() for name, p in params.items()}
     state = nn.AdamState(learning_rate=1.0, l2=l2)
@@ -588,8 +590,9 @@ def _dense_moments(state: nn.AdamState, name: str) -> tuple[np.ndarray, np.ndarr
     rows=st.integers(min_value=4, max_value=80),
     hot=st.floats(min_value=0.1, max_value=1.0),
     dense_steps=st.sampled_from([(), (7,), (3, 11)]),
+    block=st.sampled_from([nn.ADAM_BLOCK, 7, 1]),
 )
-def test_row_sparse_adam_equals_dense_bytewise(seed, l2, steps, rows, hot, dense_steps):
+def test_row_sparse_adam_equals_dense_bytewise(seed, l2, steps, rows, hot, dense_steps, block):
     """Passing the rows a table's gradient was scattered to changes no byte.
 
     Ids repeat and are drawn from the first `hot` share of the rows, so
@@ -598,8 +601,15 @@ def test_row_sparse_adam_equals_dense_bytewise(seed, l2, steps, rows, hot, dense
     gradient, and the frozen padding rows silently drop theirs. With
     l2 > 0 the rows are ignored. On dense_steps no rows are passed.
     Gradient magnitudes stay far above the range where a decayed moment
-    underflows to -0.0, the one case where the bytes may differ.
+    underflows to -0.0, the one case where the bytes may differ. A small
+    block splits these small tables into several blocks of the update.
     """
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(nn, "ADAM_BLOCK", block)
+        _row_sparse_against_dense(seed, l2, steps, rows, hot, dense_steps)
+
+
+def _row_sparse_against_dense(seed, l2, steps, rows, hot, dense_steps):
     rng = np.random.default_rng(seed)
     frozen = rng.random(rows) < 0.2
     bound = np.sqrt(6.0 / (rows + 3))
