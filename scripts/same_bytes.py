@@ -18,7 +18,7 @@ AUC. The log digest reads only the file that `synth.generate` and
 - a small synthetic log under every confidence variant x attention kind x
   pooling, plus, with ffn-3 and with scaled-dot heads, user_query_only,
   l2 > 0, dropout, confidence_in_pooling = false, static graphs and
-  positives-only windows.
+  positives-only windows, and user_query_only with ffn-1 and ffn-2 heads.
 
 One line is printed per case, and the exit status is 1 if any case
 differs or is missing on one side. A case that differs also prints both
@@ -54,9 +54,12 @@ SMALL_SPEC = dict(users=40, items=120, events=600, drift=0.02, seed=5)
 SMALL_CONFIG = dict(
     max_neighbors=4, user_embed_width=4, item_embed_width=6, hidden_width=8, batch_size=64, epochs=2, seed=5
 )
-# Each single knob runs with an ffn head, which scores every window row, and
-# with a dot head, whose window work runs only on rows with a live slot.
+# Each single knob runs with an ffn head, which skips cold window rows only
+# when scoring, and with a dot head, which skips them in training too.
 KNOB_KINDS = ("ffn-3", "scaled-dot")
+# ffn heads with no hidden layer and with one, scoring every window against
+# the user profile, so a head's query width differs from the default wiring's.
+QUERY_ONLY_KINDS = ("ffn-1", "ffn-2")
 SINGLE_KNOBS = (
     dict(user_query_only=True),
     dict(l2=0.01),
@@ -84,6 +87,9 @@ def cases(bench) -> list[tuple[str, dict, dict]]:
             label = ",".join(f"{k}={v}" for k, v in knob.items())
             knobs = dict(confidence="ce", attention=kind, **knob)
             out.append((f"small/ce/{kind}/{label}", SMALL_SPEC, {**SMALL_CONFIG, **knobs}))
+    for kind in QUERY_ONLY_KINDS:
+        knobs = dict(confidence="ce", attention=kind, user_query_only=True)
+        out.append((f"small/ce/{kind}/user_query_only=True", SMALL_SPEC, {**SMALL_CONFIG, **knobs}))
     return out
 
 

@@ -15,14 +15,15 @@ Dataflow per instance, with every per-side array keyed by side (USER, ITEM):
   adaptive integrate  leaky affine of [interactive pool || adaptive pool]
   head MLP            80 -> 40 -> 1, sigmoid, clamped away from {0, 1}
 
-Every array keeps the batch axis first. The (B, k, ·) window work of dot,
-scaled-dot and average heads (lookup, confidence, logits, softmax, pooling
-and their backward) runs only on the batch rows whose window has a live
-slot (window_rows): a cold row's pool and weights are exactly +0.0, so
-they are written as zeros. Every product over the whole batch (a dot
-head's query projection, integrate, the MLP) still runs on every row.
-ffn heads under attention keep every row, because their weight gradients
-sum over all B * k slots in one product whose order would change.
+Every array keeps the batch axis first. The (B, k, ·) window work
+(lookup, confidence, logits, softmax, pooling and their backward) runs
+only on the batch rows whose window has a live slot (window_rows): a cold
+row's pool and weights are exactly +0.0, so they are written as zeros.
+Every product over the whole batch (a dot head's query projection, an ffn
+head's query share of its first layer, integrate, the MLP) still runs on
+every row. ffn heads under attention keep every row in training only,
+because their weight gradients sum over all B * k slots in one product
+whose order would change; eval forwards skip cold rows for every head.
 backward() consumes the state returned by forward(), writes each gradient
 into its view of params.grads (a second store laid out like the
 parameters) and returns nothing; the test suite holds those gradients to
@@ -304,7 +305,8 @@ class ForwardState:
     mode: str  # "train", "eval" or "consumed"; backward() takes only "train" states
     batch: Batch
     profiles: dict[str, Array]  # side -> (B, profile width)
-    rows: dict[str, Array | slice]  # window side -> window_rows: the batch rows raw and aug hold
+    # window side -> window_rows: the batch rows raw and aug hold; every row for ffn heads in train mode
+    rows: dict[str, Array | slice]
     raw: dict[str, Array]  # window side -> looked-up window of those rows (n, k, width)
     aug: dict[str, Array]  # window side -> raw plus confidence
     weights: dict[str, Array]  # head -> (B, k) pooling weights, 0 on the rows raw leaves out
@@ -317,18 +319,19 @@ class ForwardState:
     clamp_active: Array
 
 
-def window_rows(config: TrainConfig, mask: Array) -> Array | slice:
+def window_rows(config: TrainConfig, mask: Array, train: bool) -> Array | slice:
     """The batch rows a window side's (B, k, ·) work runs on, given its (B, k) mask.
 
     Those are the rows with a live slot. Leaving a cold row out changes no
     byte: it pools to +0.0 with weight 0, and its gradients land only on
     frozen padding rows, or as +-0.0 terms in sums that start from a zeroed
-    accumulator. ffn heads under attention keep every row (slice(None)):
-    their weight gradients sum over all B * k slots in one BLAS product,
-    and removing rows would change the order of that sum. A side without a
-    cold row also takes slice(None), so its arrays are not copied.
+    accumulator. ffn heads under attention keep every row (slice(None)) in
+    training only: their weight gradients sum over all B * k slots in one
+    BLAS product, and removing rows would change the order of that sum. An
+    eval forward takes no gradient, so there they skip cold rows too. A side
+    without a cold row also takes slice(None), so its arrays are not copied.
     """
-    if config.pooling == "attention" and config.attention in ATT_HIDDEN:
+    if train and config.pooling == "attention" and config.attention in ATT_HIDDEN:
         return slice(None)
     live = mask.any(axis=1)
     return slice(None) if live.all() else np.flatnonzero(live)
@@ -355,13 +358,14 @@ def attention_logits(
 
     query is (B, query width) for the whole batch, keys (n, k, key width)
     for its rows `rows`; logits are (n, k). A dot head projects the whole
-    batch's query and then takes those rows, so the projection's bytes do
-    not depend on them. The cache is the FFN's for ffn kinds and the
+    batch's query and an ffn head computes its query share of the first
+    layer on the whole batch, each then taking those rows, so their bytes
+    do not depend on them. The cache is the FFN's for ffn kinds and the
     (projected) query rows for dot kinds; without train it is None, and an
     ffn head builds none.
     """
     if head.ffn is not None:
-        out, cache = ffn_forward(head.ffn, (query[rows], keys), train)
+        out, cache = ffn_forward(head.ffn, (query, keys), train, rows)
         return out[..., 0], cache
     q = (query if head.proj_w is None else affine_forward(head.proj_w, query, head.proj_b))[rows]
     logits = np.einsum("bw,bkw->bk", q, keys)
@@ -397,7 +401,7 @@ def forward(
     train = mode == "train"  # only a train forward keeps caches for backward
 
     profiles = {side: lookup(params.tables[side], batch.ids[side]).reshape(b, -1) for side in SIDES}
-    rows = {side: window_rows(cfg, batch.mask[side]) for side in SIDES}
+    rows = {side: window_rows(cfg, batch.mask[side], train) for side in SIDES}
     masks = {side: batch.mask[side][rows[side]] for side in SIDES}
     window_w = _widths(params.schema)[1]  # given, not inferred: a window may have no rows
     raw = {
@@ -532,9 +536,15 @@ def backward(params: PigatParams, state: ForwardState) -> None:
     # The window gradients hold the rows state.raw holds; d_sources keeps every row.
     rows = state.rows
     d_aug = {side: np.zeros_like(state.aug[side]) for side in SIDES}
-    d_raw = {side: np.zeros_like(state.raw[side]) for side in SIDES}
     # Pooling reads the windows with or without confidence; its gradient goes there.
-    pool_src, d_pool_src = (state.aug, d_aug) if cfg.confidence_in_pooling else (state.raw, d_raw)
+    # With confidence, the raw window's gradient is the augmented one's and nothing
+    # more, so d_raw is d_aug itself: +0.0 + x differs from x only at x = -0.0,
+    # which the table gradients (+0.0 before the scatter) take as +0.0 either way.
+    if cfg.confidence_in_pooling:
+        pool_src, d_pool_src, d_raw = state.aug, d_aug, d_aug
+    else:
+        d_raw = {side: np.zeros_like(state.raw[side]) for side in SIDES}
+        pool_src, d_pool_src = state.raw, d_raw
 
     wiring = head_wiring(cfg)
 
@@ -574,7 +584,8 @@ def backward(params: PigatParams, state: ForwardState) -> None:
             conf_grad = grads[f"conf_{side}"]
             conf_grad[...] = 0.0
             scatter_confidence_gradient(conf_grad, batch.mask[side][rows[side]], d_aug[side])
-        d_raw[side] += d_aug[side]
+        if d_raw is not d_aug:
+            d_raw[side] += d_aug[side]
 
     # A side's table holds its profiles and the entries of the other side's window.
     for side in SIDES:

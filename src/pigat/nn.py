@@ -157,44 +157,55 @@ class FfnCache:
     signs: list[Array]
 
 
-def _pair_affine_forward(w: Array, query: Array, keys: Array, b: Array) -> Array:
-    """w @ [query || keys[:, j]] + b for every slot j, without the concatenation.
+def _pair_affine_forward(w: Array, query: Array, keys: Array, b: Array, rows: Array | slice = slice(None)) -> Array:
+    """w @ [query[rows][i] || keys[i, j]] + b for every slot j of each key row i, without the concatenation.
 
     The weight splits by columns, W [q || k] = W[:, :qw] q + W[:, qw:] k,
     so the query term is computed once per row and broadcast over the slots.
+    It is computed on every row of query and then taken at rows: a 2-D
+    product's bytes may depend on its row count, while the stacked
+    (n, k, ·) key product runs row by row and gives the same bytes on any
+    subset of rows.
     """
-    if query.ndim != 2 or keys.ndim != 3 or query.shape[0] != keys.shape[0]:
-        raise ShapeError(f"pair input expects (B, qw) and (B, k, kw), got {query.shape}, {keys.shape}")
+    if query.ndim != 2 or keys.ndim != 3:
+        raise ShapeError(f"pair input expects (B, qw) and (n, k, kw), got {query.shape}, {keys.shape}")
     qw = query.shape[1]
     if qw + keys.shape[2] != w.shape[1]:
         raise ShapeError(f"affine shapes do not chain: w {w.shape}, query {query.shape}, keys {keys.shape}")
+    share = (query @ w[:, :qw].T + b)[rows]
+    if share.shape[0] != keys.shape[0]:
+        raise ShapeError(f"keys {keys.shape} do not hold one window per query row taken, {share.shape[0]}")
     out = keys @ w[:, qw:].T
-    out += (query @ w[:, :qw].T + b)[:, None, :]  # the same sum, into the (B, k, out) product
+    out += share[:, None, :]  # the same sum, into the (n, k, out) product
     return out
 
 
 def ffn_forward(
-    params: FfnParams, x: Array | tuple[Array, Array], train: bool
+    params: FfnParams, x: Array | tuple[Array, Array], train: bool, rows: Array | slice = slice(None)
 ) -> tuple[Array, FfnCache | None]:
     """Run the FFN on (..., in_dim) input, returning output and cache.
 
-    x may instead be a pair (query, keys) of shapes (B, qw) and (B, k, kw)
-    with qw + kw = in_dim. Each slot j is then scored as the input
-    [query || keys[:, j]] would be, giving (B, k, out_dim), but the query's
-    share of the first layer is computed once per row rather than per slot.
+    x may instead be a pair (query, keys) of shapes (B, qw) and (n, k, kw)
+    with qw + kw = in_dim, where keys holds the windows of the query rows
+    `rows`. Each slot j of key row i is then scored as the input
+    [query[rows][i] || keys[i, j]] would be, giving (n, k, out_dim), but the
+    query's share of the first layer is computed once per query row rather
+    than per slot, and with the bytes it has when every row is taken.
 
-    With train the cache keeps each layer's input and each hidden layer's
-    sign (FfnCache); without it nothing is kept for a backward, no sign is
-    computed, and the cache is None.
+    With train the cache keeps each layer's input, the pair as
+    (query[rows], keys), and each hidden layer's sign (FfnCache); without it
+    nothing is kept for a backward, no sign is computed, and the cache is
+    None.
     """
     inputs: list = []
     signs: list[Array] = []
     pair = isinstance(x, tuple)
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        first_pair = pair and i == 0
         if train:
-            inputs.append(x)
-        x = _pair_affine_forward(w, *x, b) if pair and i == 0 else affine_forward(w, x, b)
+            inputs.append((x[0][rows], x[1]) if first_pair else x)
+        x = _pair_affine_forward(w, *x, b, rows) if first_pair else affine_forward(w, x, b)
         if i != last:
             if train:
                 signs.append(x >= 0.0)

@@ -28,6 +28,7 @@ import pigat.model as model_mod
 from pigat.config import TrainConfig
 from pigat.data import prepare_dataset
 from pigat.errors import NumericError, UsageError
+from pigat.features import ITEM, USER
 from pigat.model import (
     BLAS_THREAD_VARS,
     HEAD_THREADS,
@@ -186,6 +187,25 @@ def test_eval_states_hold_no_ffn_cache(monkeypatch, small_log, cpus):
     batch = data.train.take(np.arange(cfg.batch_size))
     assert all(cache is None for cache in forward(params, batch, mode="eval").caches.values())
     assert all(cache is not None for cache in forward(params, batch, mode="train").caches.values())
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_an_all_cold_side_scores_on_zero_rows(monkeypatch, small_log, cpus):
+    # Every item window of the batch is cold, so the ffn-3 heads on that side score no row, on any thread.
+    cfg = config(attention="ffn-3")
+    data = prepare_dataset(small_log, cfg)
+    monkeypatch.setattr(model_mod, "_cpus", lambda: cpus)
+    params = init_params(np.random.default_rng(4), data.schema, cfg)
+    batch = data.train.take(np.flatnonzero(~data.train.mask[ITEM].any(axis=1)))
+    packed = forward(params, batch, mode="eval")
+    assert len(packed.raw[ITEM]) == 0 and 0 < len(packed.raw[USER]) < len(batch)
+    with monkeypatch.context() as patched:
+        patched.setattr(model_mod, "window_rows", lambda config, mask, train: slice(None))
+        full = forward(params, batch, mode="eval")
+    assert packed.prob.tobytes() == full.prob.tobytes()
+    for name in head_wiring(cfg):
+        assert packed.weights[name].tobytes() == full.weights[name].tobytes(), name
+        assert packed.pools[name].tobytes() == full.pools[name].tobytes(), name
 
 
 @pytest.mark.parametrize("cpus", CPUS)

@@ -414,6 +414,23 @@ def test_ffn_pair_kernels_write_only_into_arrays_they_allocated(dims):
     assert [a.tobytes() for a in given] == keep
 
 
+@pytest.mark.parametrize("dims", [[24, 1], [24, 32, 1], [24, 64, 32, 1]])
+@pytest.mark.parametrize("picked", [[], [0], [3, 17, 40, 63], list(range(0, 64, 5))])
+def test_ffn_pair_forward_on_some_rows_gives_those_rows_bytes(dims, picked):
+    # The query share is computed on all 64 query rows, then taken: each row's bytes do not depend on the others.
+    rng = np.random.default_rng(10)
+    params = ffn_init(rng, dims)
+    params.biases[0][...] = rng.normal(size=dims[1])
+    query, keys = rng.normal(size=(64, 8)), rng.normal(size=(64, 4, 16))
+    rows = np.array(picked, dtype=np.intp)
+    full, _ = nn.ffn_forward(params, (query, keys), train=False)
+    some, cache = nn.ffn_forward(params, (query, keys[rows]), train=True, rows=rows)
+    assert some.tobytes() == full[rows].tobytes()
+    assert cache.inputs[0][0].tobytes() == query[rows].tobytes()
+    with pytest.raises(ShapeError):
+        nn.ffn_forward(params, (query, keys), train=False, rows=rows)  # keys must hold just those rows
+
+
 @pytest.mark.parametrize("dims", [[4, 1], [4, 5, 1], [4, 6, 3, 2]])
 def test_ffn_eval_forward_keeps_no_cache_and_the_same_bytes(dims):
     rng = np.random.default_rng(9)
