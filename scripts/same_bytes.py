@@ -18,7 +18,9 @@ AUC. The log digest reads only the file that `synth.generate` and
 - a small synthetic log under every confidence variant x attention kind x
   pooling, plus, with ffn-3 and with scaled-dot heads, user_query_only,
   l2 > 0, dropout, confidence_in_pooling = false, static graphs and
-  positives-only windows, and user_query_only with ffn-1 and ffn-2 heads.
+  positives-only windows, user_query_only with ffn-1 and ffn-2 heads, and
+  average pooling with confidence_in_pooling = false, where pooling reads the
+  windows without confidence while no head reads the augmented ones.
 
 One line is printed per case, and the exit status is 1 if any case
 differs or is missing on one side. A case that differs also prints both
@@ -90,6 +92,8 @@ def cases(bench) -> list[tuple[str, dict, dict]]:
     for kind in QUERY_ONLY_KINDS:
         knobs = dict(confidence="ce", attention=kind, user_query_only=True)
         out.append((f"small/ce/{kind}/user_query_only=True", SMALL_SPEC, {**SMALL_CONFIG, **knobs}))
+    knobs = dict(confidence="ce", pooling="average", confidence_in_pooling=False)
+    out.append(("small/ce/average/confidence_in_pooling=False", SMALL_SPEC, {**SMALL_CONFIG, **knobs}))
     return out
 
 

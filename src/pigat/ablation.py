@@ -4,7 +4,8 @@ A variant file is INI-shaped: each section names a variant, each key
 overrides one training-config field. Every variant trains once per seed
 on the same dataset; rows report overall and long-tail test AUC plus
 wall time, and mean/std summary rows close out each variant. A variant
-that raises is recorded as a failed row so the rest of the grid still
+that raises, or that sets `seed` (each run takes its seed from the
+seeds given), is recorded as a failed row so the rest of the grid still
 runs.
 """
 
@@ -72,6 +73,8 @@ def run_ablation(
         for seed in seeds:
             started = time.perf_counter()
             try:
+                if "seed" in overrides:  # else the run's seed would replace it without a word
+                    raise DataError("config key 'seed' is set by the run's seeds, not by a variant")
                 config = dataclasses.replace(config_from_pairs(overrides, base), seed=seed)
                 score, tails = _evaluate(config, prepare_dataset(log, config))
                 row = AblationRow(label, seed, "run", score, tails, time.perf_counter() - started)

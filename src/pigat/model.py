@@ -3,22 +3,23 @@
 Dataflow per instance, with every per-side array keyed by side (USER, ITEM):
 
   profiles            concatenated field lookups of the user and the item
-  raw windows         user side: item profiles; item side: bare user ids
-  aug windows         raw plus additive per-position confidence vectors
+  windows             user side: item profiles; item side: bare user ids
+  aug windows         windows plus additive per-position confidence vectors
   four attention heads (HEADS: window side, query side)
       ui  user window scored against the user profile   (interactive)
       ua  user window scored against the item profile   (adaptive)
       ii  item window scored against the item profile   (interactive)
       ia  item window scored against the user profile   (adaptive)
-  pooling             attention-weighted (or uniform) sums per window
+  pooling             attention-weighted (or uniform) sums per (aug) window
   integrate           leaky affine of [profile || interactive pool]
   adaptive integrate  leaky affine of [interactive pool || adaptive pool]
   head MLP            80 -> 40 -> 1, sigmoid, clamped away from {0, 1}
 
 Every array keeps the batch axis first. The (B, k, ·) window work
 (lookup, confidence, logits, softmax, pooling and their backward) runs
-only on the batch rows whose window has a live slot (window_rows): a cold
-row's pool and weights are exactly +0.0, so they are written as zeros.
+only on the batch rows whose window has a live slot (window_rows), and
+its arrays, weights included, hold those rows only. A cold row's pool is
+exactly +0.0, so it is written as zeros.
 Every product over the whole batch (a dot head's query projection, an ffn
 head's query share of its first layer, integrate, the MLP) still runs on
 every row. ffn heads under attention keep every row in training only,
@@ -305,13 +306,14 @@ class ForwardState:
     mode: str  # "train", "eval" or "consumed"; backward() takes only "train" states
     batch: Batch
     profiles: dict[str, Array]  # side -> (B, profile width)
-    # window side -> window_rows: the batch rows raw and aug hold; every row for ffn heads in train mode
+    # window side -> window_rows: the batch rows its window arrays hold; every row for ffn heads in train mode
     rows: dict[str, Array | slice]
-    raw: dict[str, Array]  # window side -> looked-up window of those rows (n, k, width)
-    aug: dict[str, Array]  # window side -> raw plus confidence
-    weights: dict[str, Array]  # head -> (B, k) pooling weights, 0 on the rows raw leaves out
+    aug: dict[str, Array]  # window side -> looked-up window of those rows plus confidence (n, k, width)
+    # window side -> the window pooling read: aug[side] itself under confidence_in_pooling, else the bare lookup
+    values: dict[str, Array]
+    weights: dict[str, Array]  # head -> (n, k) pooling weights of its window side's rows
     caches: dict[str, FfnCache | Array | None]  # head -> attention_logits' cache; None in eval mode
-    pools: dict[str, Array]  # head -> (B, window width) pooled window, 0 on the rows raw leaves out
+    pools: dict[str, Array]  # head -> (B, window width) pooled window, 0 on the rows `rows` leaves out
     int_states: dict[str, tuple[Array, Array] | None]  # name -> (concat input, pre-activation sign); None in eval
     drop: Array | None
     mlp_cache: FfnCache | None  # None in eval mode
@@ -320,7 +322,7 @@ class ForwardState:
 
 
 def window_rows(config: TrainConfig, mask: Array, train: bool) -> Array | slice:
-    """The batch rows a window side's (B, k, ·) work runs on, given its (B, k) mask.
+    """The batch rows a window side's (B, k, ·) work runs on and its arrays hold, given its (B, k) mask.
 
     Those are the rows with a live slot. Leaving a cold row out changes no
     byte: it pools to +0.0 with weight 0, and its gradients land only on
@@ -411,12 +413,12 @@ def forward(
         for side in SIDES
     }
     aug = {side: apply_confidence(params.views[f"conf_{side}"], raw[side], masks[side]) for side in SIDES}
-    pool_src = aug if cfg.confidence_in_pooling else raw
+    values = aug if cfg.confidence_in_pooling else raw  # under confidence_in_pooling, raw dies with this call
 
     wiring = head_wiring(cfg)
 
     def head_forward(name: str) -> tuple[Array, FfnCache | Array | None, Array]:
-        """(weights, cache, pooled window) of one head; weights and pool are batch-shaped."""
+        """(weights, cache, pooled window) of one head; the weights hold its window's rows, the pool every row."""
         window, query = wiring[name]
         mask = masks[window]
         if cfg.pooling == "attention":
@@ -424,8 +426,7 @@ def forward(
             weights = masked_softmax(logits, mask)
         else:
             weights, cache = uniform_coefficients(mask), None
-        pool = pooled_embedding(weights, pool_src[window])
-        return _at_rows(rows[window], weights, b), cache, _at_rows(rows[window], pool, b)
+        return weights, cache, _at_rows(rows[window], pooled_embedding(weights, values[window]), b)
 
     weights, caches, pools = {}, {}, {}
     for name, (head_weights, cache, pool) in _each_head(cfg, head_forward):
@@ -458,8 +459,8 @@ def forward(
         batch=batch,
         profiles=profiles,
         rows=rows,
-        raw=raw,
         aug=aug,
+        values=values,
         weights=weights,
         caches=caches,
         pools=pools,
@@ -533,35 +534,31 @@ def backward(params: PigatParams, state: ForwardState) -> None:
         d_sources[left] = _acc(d_sources.get(left), d_x[:, :cut])
         d_sources[right] = _acc(d_sources.get(right), d_x[:, cut:])
 
-    # The window gradients hold the rows state.raw holds; d_sources keeps every row.
-    rows = state.rows
-    d_aug = {side: np.zeros_like(state.aug[side]) for side in SIDES}
-    # Pooling reads the windows with or without confidence; its gradient goes there.
-    # With confidence, the raw window's gradient is the augmented one's and nothing
-    # more, so d_raw is d_aug itself: +0.0 + x differs from x only at x = -0.0,
-    # which the table gradients (+0.0 before the scatter) take as +0.0 either way.
-    if cfg.confidence_in_pooling:
-        pool_src, d_pool_src, d_raw = state.aug, d_aug, d_aug
-    else:
-        d_raw = {side: np.zeros_like(state.raw[side]) for side in SIDES}
-        pool_src, d_pool_src = state.raw, d_raw
+    # The window gradients hold the rows state.rows selects; d_sources keeps every row.
+    rows, values, aug = state.rows, state.values, state.aug
+    d_aug = {side: np.zeros_like(aug[side]) for side in SIDES}
+    # d_values is the gradient of the window pooling read, and at the end that of the
+    # bare lookup. When pooling read aug, the lookup's gradient is the augmented one's
+    # and nothing more, so d_values is d_aug itself: +0.0 + x differs from x only at
+    # x = -0.0, which the table gradients (+0.0 before the scatter) take as +0.0 either way.
+    d_values = {side: d_aug[side] if values[side] is aug[side] else np.zeros_like(values[side]) for side in SIDES}
 
     wiring = head_wiring(cfg)
 
     def head_backward(name: str) -> tuple[Array, Array | None, Array | None]:
         """(d pooled values, d_keys, d_query); writes only the head's own gradient views."""
         window, query = wiring[name]
-        weights, d_pool = state.weights[name][rows[window]], d_sources[name][rows[window]]
+        weights, d_pool = state.weights[name], d_sources[name][rows[window]]
         d_keys = d_query = None
         # Pooling backward: weights and values both carry gradient; uniform weights carry no parameters.
         if cfg.pooling == "attention":
-            d_logits = masked_softmax_backward(weights, np.einsum("bw,bkw->bk", d_pool, pool_src[window]))
+            d_logits = masked_softmax_backward(weights, np.einsum("bw,bkw->bk", d_pool, values[window]))
             d_keys, d_query = _head_backward(
                 params.heads[name],
                 name,
                 state.caches[name],
                 state.profiles[query],
-                state.aug[window],
+                aug[window],
                 d_logits,
                 grads,
                 rows[window],
@@ -570,13 +567,13 @@ def backward(params: PigatParams, state: ForwardState) -> None:
         # After _head_backward has freed its temporaries, so this does not raise the peak memory.
         return weights[:, :, None] * d_pool[:, None, :], d_keys, d_query
 
-    for name, (d_values, d_keys, d_query) in _each_head(cfg, head_backward):
+    for name, (d_pooled, d_keys, d_query) in _each_head(cfg, head_backward):
         window, query = wiring[name]
-        d_pool_src[window] += d_values
+        d_values[window] += d_pooled
         if d_keys is not None:
             d_aug[window] += d_keys
             d_sources[query] += d_query
-        del d_values, d_keys  # freed before the next head runs, so its memory serves that head
+        del d_pooled, d_keys  # freed before the next head runs, so its memory serves that head
 
     # Confidence addition: augmented = raw + mask * rows.
     for side in SIDES:
@@ -584,8 +581,8 @@ def backward(params: PigatParams, state: ForwardState) -> None:
             conf_grad = grads[f"conf_{side}"]
             conf_grad[...] = 0.0
             scatter_confidence_gradient(conf_grad, batch.mask[side][rows[side]], d_aug[side])
-        if d_raw is not d_aug:
-            d_raw[side] += d_aug[side]
+        if d_values[side] is not d_aug[side]:
+            d_values[side] += d_aug[side]
 
     # A side's table holds its profiles and the entries of the other side's window.
     for side in SIDES:
@@ -593,7 +590,7 @@ def backward(params: PigatParams, state: ForwardState) -> None:
         zero_gradients(table)
         scatter_gradient(table, batch.ids[side], d_sources[side].reshape(-1, table.width))
         window = OTHER[side]
-        scatter_gradient(table, batch.nbrs[window][rows[window]], d_raw[window].reshape(-1, table.width))
+        scatter_gradient(table, batch.nbrs[window][rows[window]], d_values[window].reshape(-1, table.width))
 
 
 def _acc(current: Array | None, delta: Array) -> Array:

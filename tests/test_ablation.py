@@ -114,6 +114,11 @@ class TestRunGrid:
         good = [r for r in rows if r.label == "good"]
         assert [r.kind for r in good] == ["run", "mean", "std"]
 
+    def test_variant_that_sets_seed_fails_per_seed(self, small_log):
+        rows = run_ablation(base_config(), {"a": {"seed": "7"}}, small_log, seeds=(0, 1))
+        assert [(r.seed, r.kind) for r in rows] == [(0, "failed"), (1, "failed")]
+        assert all("'seed'" in r.note for r in rows)
+
     def test_empty_matrix_rejected(self, small_log):
         with pytest.raises(UsageError):
             run_ablation(base_config(), {}, small_log)

@@ -198,13 +198,19 @@ def test_an_all_cold_side_scores_on_zero_rows(monkeypatch, small_log, cpus):
     params = init_params(np.random.default_rng(4), data.schema, cfg)
     batch = data.train.take(np.flatnonzero(~data.train.mask[ITEM].any(axis=1)))
     packed = forward(params, batch, mode="eval")
-    assert len(packed.raw[ITEM]) == 0 and 0 < len(packed.raw[USER]) < len(batch)
+    assert len(packed.aug[ITEM]) == 0 and 0 < len(packed.aug[USER]) < len(batch)
     with monkeypatch.context() as patched:
         patched.setattr(model_mod, "window_rows", lambda config, mask, train: slice(None))
         full = forward(params, batch, mode="eval")
     assert packed.prob.tobytes() == full.prob.tobytes()
-    for name in head_wiring(cfg):
-        assert packed.weights[name].tobytes() == full.weights[name].tobytes(), name
+    for side in (USER, ITEM):
+        assert packed.values[side] is packed.aug[side] and full.values[side] is full.aug[side]
+    for name, (window, _) in head_wiring(cfg).items():
+        cold = np.ones(len(batch), dtype=bool)
+        cold[packed.rows[window]] = False
+        # The packed weights are the every-row weights at the packed rows, whose others are +0.0.
+        assert packed.weights[name].tobytes() == full.weights[name][~cold].tobytes(), name
+        assert full.weights[name][cold].tobytes() == np.zeros_like(full.weights[name][cold]).tobytes(), name
         assert packed.pools[name].tobytes() == full.pools[name].tobytes(), name
 
 

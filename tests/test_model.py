@@ -361,10 +361,10 @@ class TestForwardOracle:
         params = init_params(np.random.default_rng(9), schema, config)
         batch = tiny_batch(schema)
         state = forward(params, batch)
-        for idx in range(len(batch)):
-            for name in ("ui", "ua", "ii", "ia"):
-                weights = state.weights[name][idx]
-                mask = batch.mask[USER if name in ("ui", "ua") else ITEM][idx]
+        for name in ("ui", "ua", "ii", "ia"):
+            side = USER if name in ("ui", "ua") else ITEM
+            # The weights hold the rows state.rows selects for the head's window side.
+            for weights, mask in zip(state.weights[name], batch.mask[side][state.rows[side]], strict=True):
                 live = mask.sum()
                 assert np.allclose(weights[mask], (1.0 / live if live else 0.0), rtol=0, atol=0)
 
@@ -481,7 +481,8 @@ class TestMasking:
         batch = tiny_batch(schema)
         state = forward(params, batch)
         assert np.all(np.isfinite(state.prob))
-        assert np.all(state.weights["ii"][1] == 0.0)
+        # An eval forward leaves the cold item window of row 1 out of every head's work.
+        assert 1 not in np.arange(len(batch))[state.rows[ITEM]]
 
 
 def random_batch(schema: FeatureSchema, k: int, lengths: list[tuple[int, int]], rng) -> Batch:
@@ -582,10 +583,17 @@ class TestColdRows:
                 assert packed.rows == {USER: slice(None), ITEM: slice(None)}
             for i, side in enumerate((USER, ITEM)):
                 live = sum(length[i] > 0 for length in lengths)
-                assert len(packed.raw[side]) == (len(lengths) if keeps_all else live)
+                assert len(packed.aug[side]) == (len(lengths) if keeps_all else live)
+                # Pooling reads the augmented window itself, or a second one without confidence.
+                for state in (packed, full):
+                    assert (state.values[side] is state.aug[side]) == confidence_in_pooling
             assert packed.prob.tobytes() == full.prob.tobytes()
-            for name in full.weights:
-                assert packed.weights[name].tobytes() == full.weights[name].tobytes(), name
+            for name, (window, _) in head_wiring(config).items():
+                cold = np.ones(len(lengths), dtype=bool)
+                cold[packed.rows[window]] = False
+                # The packed weights are the every-row weights at the packed rows, whose others are +0.0.
+                assert packed.weights[name].tobytes() == full.weights[name][~cold].tobytes(), name
+                assert full.weights[name][cold].tobytes() == np.zeros_like(full.weights[name][cold]).tobytes(), name
                 assert packed.pools[name].tobytes() == full.pools[name].tobytes(), name
             if mode == "train":
                 for name, grad in full_grads.items():
