@@ -27,11 +27,17 @@ differs or is missing on one side. A case that differs also prints both
 sides' test AUC and the largest absolute score difference, so a change
 that moves bytes shows how far its results moved.
 
-A third worker runs the change checkout's ffn-3 cases again with its own
-process pinned to one CPU (os.sched_setaffinity, where the OS has it), so
-its attention heads run one after another on one thread. One more line per
-such case, "<case> on one CPU", compares it with the all-CPU run of the
-change: threaded and sequential heads must give the same bytes.
+A third worker runs again, with its own process pinned to one CPU
+(os.sched_setaffinity, where the OS has it), the change checkout's cases
+whose heads can run on threads: ffn-3 heads under attention pooling. Pinned,
+their heads run one after another on one thread. One more line per such
+case, "<case> on one CPU", compares it with the all-CPU run of the change:
+threaded and sequential heads must give the same bytes. The heads use their
+threads only in a pass of at least model.HEAD_THREAD_SLOTS window slots
+(1600): the ffn3-dense workload cases reach it in every training step
+(256 rows x 10 slots x 2 sides) and in every full 256-row scoring chunk,
+while the small cases (64-row batches of 4 slots a side, at most 512 slots)
+stay below it, so in their all-CPU run too every head runs on the caller.
 """
 
 from __future__ import annotations
@@ -159,8 +165,13 @@ def quality(a: dict, b: dict) -> str:
     return f"test AUC {a['test AUC']!r} -> {b['test AUC']!r}, {gap}"
 
 
+def threaded(config) -> bool:
+    """Whether the case's heads may run on threads: ffn-3 heads under attention pooling."""
+    return config.attention == "ffn-3" and config.pooling == "attention"
+
+
 def worker(checkout: str, one_cpu: bool) -> None:
-    """Print every case's digests; on one CPU, only the ffn-3 cases', in a process pinned to one CPU."""
+    """Print every case's digests; on one CPU, only those of the threaded cases, in a process pinned to one CPU."""
     if one_cpu:  # before numpy loads, so its BLAS sees one CPU too
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     import bench
@@ -169,9 +180,9 @@ def worker(checkout: str, one_cpu: bool) -> None:
     require_checkout_pigat(checkout)
     with tempfile.TemporaryDirectory() as workdir:
         for name, spec, config in cases(bench):
-            attention = TrainConfig(**config).attention
-            if not one_cpu or attention == "ffn-3":
-                print(json.dumps({"case": name, "attention": attention, **run_case(spec, config, workdir)}), flush=True)
+            can_thread = threaded(TrainConfig(**config))
+            if not one_cpu or can_thread:
+                print(json.dumps({"case": name, "threaded": can_thread, **run_case(spec, config, workdir)}), flush=True)
 
 
 def verdict(a: dict | None, b: dict | None, sides: tuple[str, str]) -> str:
@@ -205,7 +216,7 @@ def main(argv: list[str]) -> int:
              for name in dict.fromkeys([*parent, *change])]
     if pinned:
         one_cpu = results[2]
-        names = [name for name, row in change.items() if row["attention"] == "ffn-3"]
+        names = [name for name, row in change.items() if row["threaded"]]
         lines += [(f"{name} on one CPU", verdict(change.get(name), one_cpu.get(name), ("change", "one CPU")))
                   for name in dict.fromkeys([*names, *one_cpu])]
     else:

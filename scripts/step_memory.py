@@ -17,9 +17,13 @@ measures on that batch, in bytes above what was traced before the step:
 - eval_peak: the traced peak of one eval forward, the state it returns
   included.
 
-Each figure is the median of 5 such steps (the ffn-3 heads run on two
-threads, so a peak can move with their interleaving). One line is printed
-per checkout and workload, in MB (10^6 bytes).
+Each figure is the median of 5 such steps. The ffn-3 heads run on two
+threads, so a peak can move with their interleaving, and that interleaving
+can stay the same for a whole process: one process read ffn3-dense's
+backward_peak 0.7 MB above three others. So each checkout's worker runs in
+PROCESSES processes, one after another, and each figure printed is the
+median over them, with their min-max beside it. One line is printed per
+checkout and workload, in MB (10^6 bytes).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from checkouts import require_checkout_pigat, start_worker
 
 SEED = 5
 REPEATS = 5
+PROCESSES = 3
 
 
 def measure(workload) -> dict[str, float]:
@@ -87,14 +92,21 @@ def main(argv: list[str]) -> int:
         return 1
     status = 0
     for checkout in argv:
-        proc = start_worker(__file__, "--worker", checkout)
-        out, _ = proc.communicate()
-        for row in map(json.loads, out.splitlines()):
-            cells = [f"{key} {value}" for key, value in row.items() if key != "workload"]
-            print("\t".join([checkout, row["workload"], *cells]))
-        if proc.returncode != 0:
-            print(f"{checkout}: the worker exited with status {proc.returncode}", file=sys.stderr)
-            status = 1
+        runs: dict[str, list[dict]] = {}  # workload -> one row per process
+        for _ in range(PROCESSES):
+            proc = start_worker(__file__, "--worker", checkout)
+            out, _ = proc.communicate()
+            for row in map(json.loads, out.splitlines()):
+                runs.setdefault(row.pop("workload"), []).append(row)
+            if proc.returncode != 0:
+                print(f"{checkout}: the worker exited with status {proc.returncode}", file=sys.stderr)
+                status = 1
+        for workload, rows in runs.items():
+            cells = []
+            for key in rows[0]:
+                values = [row[key] for row in rows]
+                cells.append(f"{key} {statistics.median(values):.3f} ({min(values):.3f}-{max(values):.3f})")
+            print("\t".join([checkout, workload, *cells]))
     return status
 
 

@@ -145,7 +145,7 @@ def cmd_ablate(args) -> int:
     base = _load_config(args.config)
     matrix = ablation.read_matrix(args.matrix)
     log = read_interactions(args.data)
-    rows = ablation.run_ablation(base, matrix, log, seeds=tuple(range(args.seeds)))
+    rows = ablation.run_ablation(base, matrix, log, seeds=tuple(range(base.seed, base.seed + args.seeds)))
     ablation.write_results(args.out, rows)
     for row in rows:
         if row.kind in ("mean", "std"):

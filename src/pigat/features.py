@@ -127,10 +127,14 @@ class EmbeddingTable:
 
 
 def lookup(table: EmbeddingTable, ids: Array) -> Array:
-    """Gather rows; output shape is ids.shape + (width,)."""
-    if ids.size and (ids.min() < 0 or ids.max() >= table.count):
+    """Gather rows; output shape is ids.shape + (width,).
+
+    The bounds take one reduction: read as unsigned integers of the same
+    width, a negative id is larger than any row count.
+    """
+    if ids.size and ids.view(f"u{ids.itemsize}").max() >= table.count:
         raise DomainError(f"embedding id outside table of {table.count} rows")
-    return table.weight[ids]
+    return np.take(table.weight, ids, axis=0)
 
 
 def scatter_gradient(table: EmbeddingTable, ids: Array, upstream: Array) -> None:

@@ -31,11 +31,15 @@ parameters) and returns nothing; the test suite holds those gradients to
 the central finite-difference oracle.
 
 Heads with two hidden layers (ffn-3 under attention pooling) run on up to
-HEAD_THREADS threads (_each_head). The calling thread adds every head's
-results into shared state in head order, so the bytes do not depend on the
-thread count. The first model a process builds (_build) sets its allocator
-policy (_keep_freed_memory) and its BLAS threads (_one_blas_thread), for
-every model and CPU count, before any head thread starts.
+HEAD_THREADS threads (_each_head) in a forward or backward whose windows
+hold at least HEAD_THREAD_SLOTS slots (the rows each window side holds
+times k, both sides summed); a smaller pass runs every head on the caller,
+since there a thread costs more than it saves. The calling thread adds
+every head's results into shared state in head order, so the bytes do not
+depend on the thread count. The first model a process builds (_build) sets
+its allocator policy (_keep_freed_memory) and its BLAS threads
+(_one_blas_thread), for every model and CPU count, before any head thread
+starts.
 """
 
 from __future__ import annotations
@@ -108,6 +112,13 @@ CKPT_MAGIC = b"PIGATCKPT1\n"
 # pool thread. Two is the only count measured (on 2 CPUs); a pool of four
 # threads there raised the peak memory by 16 %.
 HEAD_THREADS = 2
+# The window slots (rows each window side holds times k, both sides summed)
+# from which a forward or backward of ffn-3 heads uses the head threads.
+# Below it a thread costs more than it saves, and every head runs on the
+# caller. Chosen from ffn3-dense timings at batch sizes 32-256 on 2 CPUs
+# (BENCH_call-cost.json): threads sped a train step up from 1440 slots on,
+# and an eval forward from about 1900.
+HEAD_THREAD_SLOTS = 1600
 # glibc's mallopt parameters (malloc.h), and the size below which freed
 # memory stays in the process and arrays come from the heap, not mmap.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
@@ -318,7 +329,7 @@ class ForwardState:
     drop: Array | None
     mlp_cache: FfnCache | None  # None in eval mode
     prob: Array
-    clamp_active: Array
+    clamp_active: Array | None  # where the output clamp passes the gradient; None in eval mode
 
 
 def window_rows(config: TrainConfig, mask: Array, train: bool) -> Array | slice:
@@ -336,7 +347,7 @@ def window_rows(config: TrainConfig, mask: Array, train: bool) -> Array | slice:
     if train and config.pooling == "attention" and config.attention in ATT_HIDDEN:
         return slice(None)
     live = mask.any(axis=1)
-    return slice(None) if live.all() else np.flatnonzero(live)
+    return slice(None) if live.all() else live.nonzero()[0]
 
 
 def _at_rows(rows: Array | slice, packed: Array, b: int) -> Array:
@@ -372,7 +383,7 @@ def attention_logits(
     q = (query if head.proj_w is None else affine_forward(head.proj_w, query, head.proj_b))[rows]
     logits = np.einsum("bw,bkw->bk", q, keys)
     if head.kind == "scaled-dot":
-        logits = logits / np.sqrt(keys.shape[-1])
+        logits = logits / math.sqrt(keys.shape[-1])
     return logits, q if train else None
 
 
@@ -429,7 +440,7 @@ def forward(
         return weights, cache, _at_rows(rows[window], pooled_embedding(weights, values[window]), b)
 
     weights, caches, pools = {}, {}, {}
-    for name, (head_weights, cache, pool) in _each_head(cfg, head_forward):
+    for name, (head_weights, cache, pool) in _each_head(cfg, _slots(aug), head_forward):
         weights[name], caches[name], pools[name] = head_weights, cache, pool
 
     sources = {**profiles, **pools}
@@ -451,8 +462,9 @@ def forward(
 
     mlp_out, mlp_cache = ffn_forward(params.mlp, merged_in, train)
     prob_raw = sigmoid(mlp_out[:, 0])
-    prob = np.clip(prob_raw, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    clamp_active = (prob_raw > PROB_CLAMP) & (prob_raw < 1.0 - PROB_CLAMP)
+    prob = np.minimum(np.maximum(prob_raw, PROB_CLAMP), 1.0 - PROB_CLAMP)  # np.clip's bytes, nan included
+    # Only backward (and gradcheck's choice of a point) reads it, both on train states.
+    clamp_active = (prob_raw > PROB_CLAMP) & (prob_raw < 1.0 - PROB_CLAMP) if train else None
 
     return ForwardState(
         mode=mode,
@@ -483,7 +495,7 @@ def predict(params: PigatParams, batch: Batch) -> Array:
         forward(params, batch.take(slice(start, start + size)), mode="eval").prob
         for start in range(0, len(batch), size)
     ]
-    return np.concatenate(chunks)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def bce_loss(prob: Array, labels: Array) -> float:
@@ -567,7 +579,7 @@ def backward(params: PigatParams, state: ForwardState) -> None:
         # After _head_backward has freed its temporaries, so this does not raise the peak memory.
         return weights[:, :, None] * d_pool[:, None, :], d_keys, d_query
 
-    for name, (d_pooled, d_keys, d_query) in _each_head(cfg, head_backward):
+    for name, (d_pooled, d_keys, d_query) in _each_head(cfg, _slots(aug), head_backward):
         window, query = wiring[name]
         d_values[window] += d_pooled
         if d_keys is not None:
@@ -654,19 +666,26 @@ def _pool():
     return ThreadPoolExecutor(HEAD_THREADS - 1, thread_name_prefix="pigat-head")
 
 
-def _each_head(cfg: TrainConfig, run: Callable[[str], T]) -> Iterator[tuple[str, T]]:
+def _slots(windows: dict[str, Array]) -> int:
+    """The window slots of a pass: the rows each side's (n, k, ·) window array holds times k, summed."""
+    return sum(windows[side].shape[0] * windows[side].shape[1] for side in SIDES)
+
+
+def _each_head(cfg: TrainConfig, slots: int, run: Callable[[str], T]) -> Iterator[tuple[str, T]]:
     """Yield (name, run(name)) for each head of head_wiring(cfg), in head order.
 
     Heads with two hidden layers (ffn-3 under attention pooling) use W =
-    min(HEAD_THREADS, CPUs) threads; every other head kind uses one. When
-    the call starts, head i with i % W != 0 goes to the pool; every other
-    head runs on the caller when its turn comes. run may write only what
-    belongs to its own head and add into nothing shared. An error raised on
-    any thread reaches the caller, and no head outlives the call.
+    min(HEAD_THREADS, CPUs) threads when the pass holds at least
+    HEAD_THREAD_SLOTS window slots (_slots); every other head kind, and a
+    smaller pass, uses one. When the call starts, head i with i % W != 0
+    goes to the pool; every other head runs on the caller when its turn
+    comes. run may write only what belongs to its own head and add into
+    nothing shared. An error raised on any thread reaches the caller, and no
+    head outlives the call.
     """
     names = list(head_wiring(cfg))
     deep = cfg.pooling == "attention" and len(ATT_HIDDEN.get(cfg.attention, ())) > 1
-    threads = min(HEAD_THREADS, _cpus()) if deep else 1
+    threads = min(HEAD_THREADS, _cpus()) if deep and slots >= HEAD_THREAD_SLOTS else 1
     futures = {i: _pool().submit(run, name) for i, name in enumerate(names) if i % threads}
     try:
         for i, name in enumerate(names):
@@ -697,7 +716,7 @@ def _head_backward(
     if head.ffn is not None:
         d_query, d_keys = ffn_backward(head.ffn, cache, d_logits[:, :, None], _ffn(grads, f"att_{name}"))
         return d_keys, _at_rows(rows, d_query, b)
-    scale = 1.0 / np.sqrt(keys.shape[-1]) if head.kind == "scaled-dot" else 1.0
+    scale = 1.0 / math.sqrt(keys.shape[-1]) if head.kind == "scaled-dot" else 1.0
     d_q_proj = _at_rows(rows, np.einsum("bk,bkw->bw", d_logits, keys) * scale, b)
     d_keys = d_logits[:, :, None] * cache[:, None, :] * scale
     if head.proj_w is None:

@@ -97,12 +97,14 @@ def masked_softmax(z: Array, mask: Array) -> Array:
         raise ShapeError(f"logits {z.shape} and mask {mask.shape} must match")
     if z.shape[-1] == 0:
         raise DomainError("masked softmax over an empty vector is undefined")
-    zmax = np.max(z, axis=-1, keepdims=True, where=mask, initial=-np.inf)
-    e = np.exp(z - zmax, where=mask, out=np.zeros_like(z))
+    # The ufuncs' own reduce, not np.max and e.sum: the same C loops without
+    # their Python wrappers, which cost more than the arithmetic of a small batch.
+    zmax = np.maximum.reduce(z, axis=-1, keepdims=True, where=mask, initial=-np.inf)
+    e = np.exp(z - zmax, where=mask, out=np.zeros(z.shape))
     # A live row's largest slot adds exp(0) = 1 to a sum of non-negative
     # terms, so its total is at least 1 (or nan); only a dead row, all of
     # whose terms are 0, is divided by the floor.
-    return e / np.maximum(e.sum(axis=-1, keepdims=True), 1.0)
+    return e / np.maximum(np.add.reduce(e, axis=-1, keepdims=True), 1.0)
 
 
 def masked_softmax_backward(weights: Array, d_weights: Array) -> Array:
@@ -118,7 +120,8 @@ def sigmoid(x: Array | float) -> Array | float:
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(x))
-    out = np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    one_z = 1.0 + z
+    out = np.where(x >= 0.0, 1.0 / one_z, z / one_z)
     return float(out) if out.ndim == 0 else out
 
 

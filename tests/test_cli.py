@@ -398,6 +398,23 @@ class TestAblateVerb:
         printed = capsys.readouterr().out
         assert "att\tmean\t" in printed and "avg\tstd\t" in printed
 
+    def test_runs_start_at_the_base_config_seed(self, workspace, tmp_path, capsys):
+        matrix = tmp_path / "matrix.ini"
+        matrix.write_text("[avg]\npooling = average\n")
+        config = tmp_path / "config.txt"
+        config.write_text((workspace / "config.txt").read_text().replace("seed = 1\n", "seed = 7\n"))
+        out = tmp_path / "results.tsv"
+        assert main([
+            "ablate",
+            "--matrix", str(matrix),
+            "--data", str(workspace / "data.tsv"),
+            "--out", str(out),
+            "--config", str(config),
+            "--seeds", "2",
+        ]) == 0
+        runs = [line.split("\t")[:3] for line in out.read_text().splitlines()[1:]]
+        assert [seed for _, seed, kind in runs if kind == "run"] == ["7", "8"]
+
     def test_broken_variant_reported_on_stderr(self, workspace, tmp_path, capsys):
         matrix = tmp_path / "matrix.ini"
         matrix.write_text("[bad]\nattention = telepathy\n")

@@ -134,6 +134,33 @@ def test_lookup_shapes_and_bounds():
         lookup(table, np.array([6]))
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+@pytest.mark.parametrize("bad", [-1, 6, np.iinfo(np.int32).min, np.iinfo(np.int32).max])
+def test_lookup_refuses_ids_outside_the_table(dtype, bad):
+    # Read as unsigned integers of the ids' width, a negative id is larger than any row count.
+    table = plain_table(np.random.default_rng(1), 6, 3)
+    ids = np.array([[0, 5], [bad, 2]], dtype=dtype)
+    with pytest.raises(DomainError, match="embedding id outside table of 6 rows"):
+        lookup(table, ids)
+    with pytest.raises(DomainError, match="embedding id outside table of 6 rows"):
+        lookup(table, ids[:, ::-1].T)  # a strided view reads the same ids
+
+
+@given(
+    count=st.integers(1, 9),
+    shape=st.sampled_from([(0,), (3,), (2, 4), (0, 4), (2, 0, 3)]),
+    dtype=st.sampled_from([np.int64, np.int32, np.uint32]),
+    data=st.data(),
+)
+def test_lookup_gathers_the_bytes_of_fancy_indexing(count, shape, dtype, data):
+    table = plain_table(np.random.default_rng(count), count, 3)
+    size = int(np.prod(shape))
+    ids = np.array(data.draw(st.lists(st.integers(0, count - 1), min_size=size, max_size=size)), dtype=dtype)
+    ids = ids.reshape(shape)
+    got, want = lookup(table, ids), table.weight[ids]
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 def test_scatter_accumulates_repeats_and_skips_padding():
     s = toy_schema()
     table = user_table(np.random.default_rng(2), s)

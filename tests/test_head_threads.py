@@ -2,9 +2,11 @@
 
 The model reads its CPU count from model._cpus; each test patches it to
 force 1, 2 or 4 CPUs, whatever the runner has. At most
-model.HEAD_THREADS threads run, whatever the CPU count. The BLAS tests at
-the end each start a new interpreter, since the thread count they read is
-process-wide.
+model.HEAD_THREADS threads run, whatever the CPU count, and only in a pass
+of at least model.HEAD_THREAD_SLOTS window slots. The small_log batches
+hold fewer, so the tests of the threaded path take the `low_gate` fixture,
+which lowers that constant to one slot. The BLAS tests at the end each
+start a new interpreter, since the thread count they read is process-wide.
 """
 
 import ctypes
@@ -29,8 +31,10 @@ from pigat.config import TrainConfig
 from pigat.data import prepare_dataset
 from pigat.errors import NumericError, UsageError
 from pigat.features import ITEM, USER
+from pigat.gradcheck import check_gradients
 from pigat.model import (
     BLAS_THREAD_VARS,
+    HEAD_THREAD_SLOTS,
     HEAD_THREADS,
     KEEP_FREED_BYTES,
     M_MMAP_THRESHOLD,
@@ -51,6 +55,12 @@ CPUS = (1, 2, 4)
 def small_log():
     log, _ = generate(SynthSpec(users=12, items=20, events=200, exponent=1.0, seed=7))
     return log
+
+
+@pytest.fixture
+def low_gate(monkeypatch):
+    """Every pass of ffn-3 heads with a window slot uses the head threads, however small its batch."""
+    monkeypatch.setattr(model_mod, "HEAD_THREAD_SLOTS", 1)
 
 
 def config(**kw) -> TrainConfig:
@@ -92,7 +102,7 @@ def run_at(monkeypatch, cpus, cfg, data):
     "attention, user_query_only, confidence_in_pooling, dropout",
     list(itertools.product(["ffn-2", "ffn-3"], [False, True], [False, True], [0.0, 0.3])),
 )
-def test_same_bytes_at_every_cpu_count(monkeypatch, small_log, attention, user_query_only, confidence_in_pooling, dropout):
+def test_same_bytes_at_every_cpu_count(monkeypatch, low_gate, small_log, attention, user_query_only, confidence_in_pooling, dropout):
     cfg = config(
         attention=attention,
         user_query_only=user_query_only,
@@ -141,7 +151,7 @@ def one_step(monkeypatch, cfg, data, cpus, spies):
      dict(attention="ffn-3", pooling="average")],
     ids=["dot", "scaled-dot", "ffn-1", "ffn-2", "average"],
 )
-def test_heads_without_two_hidden_layers_start_no_thread(monkeypatch, small_log, overrides):
+def test_heads_without_two_hidden_layers_start_no_thread(monkeypatch, low_gate, small_log, overrides):
     cfg = config(**overrides)
     data = prepare_dataset(small_log, cfg)
     threads = []
@@ -165,7 +175,7 @@ def off_caller(cfg, w) -> list[tuple[str]]:
     return [(name,) for i, name in enumerate(head_wiring(cfg)) if i % w]
 
 
-def test_scoring_submits_the_off_caller_heads_per_chunk(monkeypatch, small_log):
+def test_scoring_submits_the_off_caller_heads_per_chunk(monkeypatch, low_gate, small_log):
     cfg = config(attention="ffn-3")
     data = prepare_dataset(small_log, cfg)
     monkeypatch.setattr(model_mod, "_cpus", lambda: 4)
@@ -178,7 +188,7 @@ def test_scoring_submits_the_off_caller_heads_per_chunk(monkeypatch, small_log):
 
 
 @pytest.mark.parametrize("cpus", CPUS)
-def test_eval_states_hold_no_ffn_cache(monkeypatch, small_log, cpus):
+def test_eval_states_hold_no_ffn_cache(monkeypatch, low_gate, small_log, cpus):
     # Only backward reads the caches, and it takes train states only; a worker-run eval head drops its cache too.
     cfg = config(attention="ffn-3")
     data = prepare_dataset(small_log, cfg)
@@ -190,7 +200,7 @@ def test_eval_states_hold_no_ffn_cache(monkeypatch, small_log, cpus):
 
 
 @pytest.mark.parametrize("cpus", CPUS)
-def test_an_all_cold_side_scores_on_zero_rows(monkeypatch, small_log, cpus):
+def test_an_all_cold_side_scores_on_zero_rows(monkeypatch, low_gate, small_log, cpus):
     # Every item window of the batch is cold, so the ffn-3 heads on that side score no row, on any thread.
     cfg = config(attention="ffn-3")
     data = prepare_dataset(small_log, cfg)
@@ -215,7 +225,7 @@ def test_an_all_cold_side_scores_on_zero_rows(monkeypatch, small_log, cpus):
 
 
 @pytest.mark.parametrize("cpus", CPUS)
-def test_head_i_runs_on_thread_i_mod_w(monkeypatch, small_log, cpus):
+def test_head_i_runs_on_thread_i_mod_w(monkeypatch, low_gate, small_log, cpus):
     cfg = config(attention="ffn-3")
     names = list(head_wiring(cfg))
     forward_on, backward_on = {}, {}
@@ -252,7 +262,7 @@ def test_head_i_runs_on_thread_i_mod_w(monkeypatch, small_log, cpus):
 
 
 @pytest.mark.parametrize("head", ["ui", "ua", "ia"])
-def test_an_error_in_a_head_reaches_the_caller(monkeypatch, small_log, head):
+def test_an_error_in_a_head_reaches_the_caller(monkeypatch, low_gate, small_log, head):
     # At 2 CPUs ua and ia run on the worker thread, ui on the caller.
     cfg = config(attention="ffn-3")
     data = prepare_dataset(small_log, cfg)
@@ -294,7 +304,7 @@ def test_an_error_in_a_head_reaches_the_caller(monkeypatch, small_log, head):
     assert predict(params, batch).tobytes() == forward(params, batch, mode="eval").prob.tobytes()
 
 
-def test_a_step_runs_where_the_os_has_no_cpu_affinity(monkeypatch, small_log):
+def test_a_step_runs_where_the_os_has_no_cpu_affinity(monkeypatch, low_gate, small_log):
     # os.sched_getaffinity exists on Linux only; elsewhere the model counts the machine's CPUs.
     cfg = config(attention="ffn-3")
     data = prepare_dataset(small_log, cfg)
@@ -313,6 +323,68 @@ def test_a_step_runs_where_the_os_has_no_cpu_affinity(monkeypatch, small_log):
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # cpu_count may not know
     assert model_mod._cpus() == 1
     assert step_grads() == grads
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_a_pass_below_the_gate_submits_nothing(monkeypatch, small_log, cpus):
+    # A train step and scoring of small_log batches, at the real gate: every head runs on the caller.
+    cfg = config(attention="ffn-3")
+    data = prepare_dataset(small_log, cfg)
+    assert 2 * cfg.batch_size * cfg.max_neighbors < HEAD_THREAD_SLOTS
+    threads = []
+
+    def spy(fn):
+        def logits(*args):
+            threads.append(threading.get_ident())
+            return fn(*args)
+
+        return logits
+
+    submitted = one_step(monkeypatch, cfg, data, cpus, lambda _: {"attention_logits": spy})
+    predict(init_params(np.random.default_rng(4), data.schema, cfg), data.test)
+    assert submitted == []
+    assert set(threads) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_the_gate_counts_the_window_slots_of_a_pass(monkeypatch, small_log, above):
+    # Rows each window side holds times k, both sides summed: every row in training, live rows when scoring.
+    cfg = config(attention="ffn-3")
+    data = prepare_dataset(small_log, cfg)
+    monkeypatch.setattr(model_mod, "_cpus", lambda: 2)
+    params = init_params(np.random.default_rng(4), data.schema, cfg)
+    batch = data.train.take(np.arange(cfg.batch_size))
+    every = 2 * cfg.batch_size * cfg.max_neighbors
+    live = sum(int(batch.mask[side].any(axis=1).sum()) for side in (USER, ITEM)) * cfg.max_neighbors
+    assert live < every
+    submitted = submissions(monkeypatch)
+    for mode, slots in (("train", every), ("eval", live)):
+        monkeypatch.setattr(model_mod, "HEAD_THREAD_SLOTS", slots + (not above))  # at the pass's slots, or one above
+        forward(params, batch, mode=mode)
+    assert submitted == (off_caller(cfg, 2) * 2 if above else [])
+
+
+def test_gradients_of_a_threaded_step_match_finite_differences(monkeypatch):
+    # A batch whose window slots reach the gate: the backward and every
+    # difference quotient's forward run their heads on the pool.
+    cfg = config(attention="ffn-3", batch_size=256)
+    log, _ = generate(SynthSpec(users=12, items=20, events=400, exponent=1.0, seed=7))
+    data = prepare_dataset(log, cfg)
+    batch = data.train.take(np.arange(cfg.batch_size))
+    assert 2 * len(batch) * cfg.max_neighbors >= HEAD_THREAD_SLOTS
+    monkeypatch.setattr(model_mod, "_cpus", lambda: 2)
+    rng = np.random.default_rng(5)
+    params = init_params(rng, data.schema, cfg)
+    # Biases off zero, as gradcheck.build_case sets them: a cold window's
+    # pool is 0, which would park its integrate pre-activation on the kink.
+    for name, arr in params.views.items():
+        if arr.ndim == 1:
+            arr += rng.uniform(0.02, 0.1, arr.shape) * rng.choice([-1.0, 1.0], arr.shape)
+    submitted = submissions(monkeypatch)
+    report = check_gradients(params, batch, samples_per_array=3)
+    assert report.max_rel_err < 1e-4, report.per_group
+    passes = len(submitted) // len(off_caller(cfg, 2))
+    assert passes > 2 and submitted == off_caller(cfg, 2) * passes  # the backward's heads among them
 
 
 def new_allocator_cache(monkeypatch):
@@ -354,7 +426,7 @@ def test_no_head_outlives_the_call(monkeypatch):
         return name
 
     with pytest.raises(RuntimeError, match="consumer failed"):
-        for _ in model_mod._each_head(config(attention="ffn-3"), run):
+        for _ in model_mod._each_head(config(attention="ffn-3"), HEAD_THREAD_SLOTS, run):
             go.set()
             raise RuntimeError("consumer failed")
     assert finished.is_set()
@@ -387,7 +459,7 @@ def spy_mallopt(monkeypatch) -> list:
 SET_AT_BUILD = [(M_TRIM_THRESHOLD, KEEP_FREED_BYTES, set()), (M_MMAP_THRESHOLD, KEEP_FREED_BYTES, set())]
 
 
-def test_the_allocator_is_set_once_before_the_first_head_thread(monkeypatch, small_log, new_pools):
+def test_the_allocator_is_set_once_before_the_first_head_thread(monkeypatch, low_gate, small_log, new_pools):
     cfg = config(attention="ffn-3")
     data = prepare_dataset(small_log, cfg)
     before, calls = set(threading.enumerate()), spy_mallopt(monkeypatch)
@@ -404,7 +476,7 @@ def test_the_allocator_is_set_once_before_the_first_head_thread(monkeypatch, sma
 
 
 @pytest.mark.parametrize("attention", ["scaled-dot", "ffn-1", "ffn-2"])
-def test_the_allocator_is_set_for_heads_that_start_no_thread(monkeypatch, small_log, new_pools, attention):
+def test_the_allocator_is_set_for_heads_that_start_no_thread(monkeypatch, low_gate, small_log, new_pools, attention):
     cfg = config(attention=attention)
     data = prepare_dataset(small_log, cfg)
     calls = spy_mallopt(monkeypatch)
@@ -424,7 +496,7 @@ def no_handle(name):
 @pytest.mark.parametrize(
     "cdll", [no_library, no_handle, lambda name: SimpleNamespace()], ids=["OSError", "TypeError", "no-mallopt"]
 )
-def test_a_c_library_without_mallopt_changes_no_byte(monkeypatch, small_log, new_pools, cdll):
+def test_a_c_library_without_mallopt_changes_no_byte(monkeypatch, low_gate, small_log, new_pools, cdll):
     cfg = config(attention="ffn-3")
     data = prepare_dataset(small_log, cfg)
     sequential = step_and_scores(monkeypatch, cfg, data, 1)

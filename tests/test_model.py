@@ -28,6 +28,7 @@ from pigat.model import (
     ATT_HIDDEN,
     AttentionHead,
     CKPT_MAGIC,
+    PROB_CLAMP,
     _ffn_layout,
     _head_backward,
     _views,
@@ -652,8 +653,34 @@ class TestLossAndModes:
         state = forward(params, batch, mode="eval")
         assert all(cache is None for cache in state.caches.values())
         assert state.mlp_cache is None and all(s is None for s in state.int_states.values())
+        assert state.clamp_active is None  # only backward reads it
         with pytest.raises(UsageError, match="train mode"):
             backward(params, state)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([np.nan, 0.0, -0.0, 1.0, PROB_CLAMP, 1.0 - PROB_CLAMP, np.inf, -np.inf]),
+                st.floats(0.0, 1.0),
+            ),
+            min_size=2,
+            max_size=2,
+        )
+    )
+    def test_output_clamp_gives_the_bytes_of_np_clip(self, raw):
+        # The sigmoid's output is replaced by drawn values, nan included.
+        schema = tiny_schema()
+        params = init_params(np.random.default_rng(0), schema, tiny_config())
+        raw = np.array(raw)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(model_mod, "sigmoid", lambda logits: raw.copy())
+            states = {mode: forward(params, tiny_batch(schema), mode=mode) for mode in ("eval", "train")}
+        want = np.clip(raw, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        for state in states.values():
+            assert state.prob.tobytes() == want.tobytes()
+        active = (raw > PROB_CLAMP) & (raw < 1.0 - PROB_CLAMP)
+        assert states["train"].clamp_active.tobytes() == active.tobytes()
 
     @pytest.mark.parametrize("attention", ["ffn-3", "ffn-1", "dot"])
     def test_a_second_backward_on_one_state_raises(self, attention):

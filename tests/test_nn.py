@@ -182,6 +182,49 @@ def test_window_kernels_equal_where_forms_bytewise(shape, prefix, data):
     assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
+def wrapped_masked_softmax(z, mask):
+    """masked_softmax through numpy's Python-level wrappers (np.max, np.zeros_like, e.sum), the form it replaced."""
+    zmax = np.max(z, axis=-1, keepdims=True, where=mask, initial=-np.inf)
+    e = np.exp(z - zmax, where=mask, out=np.zeros_like(z))
+    return e / np.maximum(e.sum(axis=-1, keepdims=True), 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 10)), dead=st.integers(0, 6), data=st.data())
+def test_masked_softmax_equals_its_wrapped_form_bytewise(shape, dead, data):
+    # Logits mix nan, +-inf, +-0.0 and finite values; the first `dead` rows have no live slot.
+    b, k = shape
+    z = np.array(data.draw(st.lists(WINDOW_VALUES, min_size=b * k, max_size=b * k)), dtype=np.float64).reshape(b, k)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=b * k, max_size=b * k))).reshape(b, k)
+    mask[:dead] = False
+    with np.errstate(invalid="ignore"):
+        got, want = nn.masked_softmax(z, mask), wrapped_masked_softmax(z, mask)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def two_sum_sigmoid(x):
+    """sigmoid with 1.0 + z computed once per division, the form it replaced."""
+    x = np.asarray(x, dtype=np.float64)
+    z = np.exp(-np.abs(x))
+    out = np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    return float(out) if out.ndim == 0 else out
+
+
+SIGMOID_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(st.lists(SIGMOID_VALUES, max_size=12), st.booleans())
+def test_sigmoid_equals_its_two_sum_form_bytewise(values, scalar):
+    # A scalar (0-d) input returns a Python float, as before.
+    x = np.array(values[:1] or [0.0])[0] if scalar else np.array(values, dtype=np.float64)
+    got, want = nn.sigmoid(x), two_sum_sigmoid(x)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def softmax(z):
     """The plain softmax: masked_softmax with every position live."""
     return nn.masked_softmax(z, np.ones(np.shape(z), dtype=bool))
